@@ -1,6 +1,6 @@
 """The ES refinement loop: sample a perturbation batch, evaluate the 2m
-antithetic candidates, form centered ranks, take the finite-difference step,
-decay sigma_es toward its floor.
+antithetic candidates in one lockstep batch, form centered ranks, take the
+finite-difference step, decay sigma_es toward its floor.
 
 Everything random is drawn from counter-based streams keyed on
 (config.seed, purpose, generation, pair, episode), so a run is a pure
@@ -21,8 +21,9 @@ import numpy as np
 from .errors import ContractError, RolloutError
 from .estimator import ReturnTable, centered_ranks, tdes_gradient
 from .noise import NoiseDistribution, antithetic_candidates, make_batch
-from .policy import GaussianHead, MlpArchitecture, rollout
-from .rng import TAG_ACTION, TAG_ENV, TAG_EVAL, make_stream
+from .policy import MlpArchitecture, action_noise, rollout
+from .rng import (TAG_ACTION, TAG_CENTER_EVAL, TAG_ENV, TAG_EVAL, make_stream,
+                  stream_seed)
 
 INTERRUPT_ENV_VAR = "REFINE_ES_INTERRUPT_AFTER_GENERATION"
 
@@ -109,47 +110,46 @@ def sigma_at(config: EsConfig, generation: int) -> float:
     return max(config.sigma_es * config.lambda_sigma ** generation, config.sigma_min)
 
 
-def _episode_return(params, arch, head, env, master_seed, tag, gen, pair, episode,
-                    gamma, horizon):
-    env.reset(make_stream(master_seed, TAG_ENV, gen, pair, episode).integers(1 << 62))
-    action_rng = make_stream(master_seed, tag, gen, pair, episode)
+def _candidate_returns(plus, minus, arch, env, config, gen):
+    """(j_plus, j_minus, env steps) of one generation. All 2m x
+    episodes_per_candidate episodes run as one lockstep batch; the env seed
+    and action noise of each (pair, episode) are drawn once and shared by
+    the + and - candidates (common random numbers)."""
+    m, n_ep = config.m, config.episodes_per_candidate
+    keys = [(i, e) for i in range(m) for e in range(n_ep)]
+    seeds = [make_stream(config.seed, TAG_ENV, gen, i, e).integers(1 << 62)
+             for i, e in keys]
+    noise = None
+    if config.action_std > 0:
+        noise = action_noise(
+            [make_stream(config.seed, TAG_ACTION, gen, i, e) for i, e in keys],
+            env.horizon, env.action_dim, config.action_std)
+        noise = np.concatenate([noise, noise])
+    params = np.repeat(np.concatenate([plus, minus]), n_ep, axis=0)
     try:
-        traj = rollout(params, arch, head, env, action_rng, gamma, horizon,
-                       record_states=False)
+        batch = rollout(params, arch, env, seeds + seeds, noise)
     except RolloutError as exc:
-        raise RolloutError(f"generation {gen}, pair {pair}: {exc}") from exc
-    return traj.discounted_return, traj.length
-
-
-def _candidate_return(params, arch, head, env, config, gen, pair, gamma, horizon):
-    """Mean return over episodes_per_candidate episodes; both members of a
-    pair see the same env-seed and action streams."""
-    total, steps = 0.0, 0
-    for e in range(config.episodes_per_candidate):
-        ret, length = _episode_return(params, arch, head, env, config.seed,
-                                      TAG_ACTION, gen, pair, e, gamma, horizon)
-        total += ret
-        steps += length
-    return total / config.episodes_per_candidate, steps
+        pair, e = divmod(exc.row % (m * n_ep), n_ep)
+        raise RolloutError(
+            f"generation {gen}, pair {pair}, episode {e}: {exc}") from exc
+    returns = batch.returns.reshape(2, m, n_ep)
+    total = np.zeros((2, m))
+    for e in range(n_ep):  # sum in episode order, as a per-episode loop would
+        total += returns[:, :, e]
+    j_plus, j_minus = total / n_ep
+    return j_plus, j_minus, batch.length
 
 
 def evaluate_center(params: np.ndarray, arch: MlpArchitecture, env_factory,
                     episodes: int, master_seed: int):
-    """Deterministic-action evaluation over independently seeded episodes.
-    Returns (mean_return, success_rate)."""
+    """Deterministic-action evaluation over independently seeded episodes,
+    run as one lockstep batch. Returns (mean_return, success_rate)."""
     if episodes < 1:
         raise ContractError("episodes must be >= 1")
-    env = env_factory()
-    head = GaussianHead(0.0)
-    returns, successes = [], 0
-    for e in range(episodes):
-        env.reset(make_stream(master_seed, TAG_EVAL, e).integers(1 << 62))
-        traj = rollout(params, arch, head, env,
-                       make_stream(master_seed, TAG_EVAL, e, 1),
-                       env.gamma, env.horizon, record_states=False)
-        returns.append(traj.discounted_return)
-        successes += int(traj.success)
-    return float(np.mean(returns)), successes / episodes
+    seeds = [make_stream(master_seed, TAG_EVAL, e).integers(1 << 62)
+             for e in range(episodes)]
+    batch = rollout(params, arch, env_factory(), seeds)
+    return float(np.mean(batch.returns)), int(batch.success.sum()) / episodes
 
 
 def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env_factory,
@@ -169,29 +169,21 @@ def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env_factory,
     records = list(records) if records else []
     steps_used = initial_steps
     dist = config.noise_distribution()
-    head = GaussianHead(config.action_std)
     env = env_factory()
-    gamma, horizon = env.gamma, env.horizon
     d = theta.shape[0]
     interrupt_after = os.environ.get(INTERRUPT_ENV_VAR)
 
     for t in range(start_generation, config.generations):
-        gen_cost = 2 * config.m * config.episodes_per_candidate * horizon
+        gen_cost = 2 * config.m * config.episodes_per_candidate * env.horizon
         if config.step_cap is not None and steps_used + gen_cost > config.step_cap:
             break
         t0 = time.perf_counter()
         sigma = sigma_at(config, t)
         batch = make_batch(dist, sigma, config.m, d, t, config.seed)
         plus, minus = antithetic_candidates(theta, batch)
-        j_plus = np.empty(config.m)
-        j_minus = np.empty(config.m)
-        for i in range(config.m):
-            j_plus[i], s = _candidate_return(plus[i], arch, head, env, config,
-                                             t, i, gamma, horizon)
-            steps_used += s
-            j_minus[i], s = _candidate_return(minus[i], arch, head, env, config,
-                                              t, i, gamma, horizon)
-            steps_used += s
+        j_plus, j_minus, steps = _candidate_returns(plus, minus, arch, env,
+                                                    config, t)
+        steps_used += steps
         ranks = centered_ranks(ReturnTable(j_plus, j_minus))
         grad = tdes_gradient(batch, ranks)
         theta = theta + config.alpha * grad.g
@@ -199,7 +191,7 @@ def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env_factory,
         # logging-only center evaluation; not counted against the budget
         center_ret, _ = evaluate_center(
             theta, arch, env_factory, config.center_eval_episodes,
-            config.seed ^ (t + 1))
+            stream_seed(config.seed, TAG_CENTER_EVAL, t))
         all_returns = np.concatenate([j_plus, j_minus])
         records.append(GenerationRecord(
             generation=t, center_return=center_ret,

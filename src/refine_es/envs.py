@@ -3,9 +3,15 @@ by success tolerance (loose / medium / tight), each deterministic given
 (seed, action sequence) and each shipping a scripted proportional-controller
 expert used as a solvability oracle in the tests.
 
+Every env is batch-native: `reset(seeds)` starts B episodes, one per seed,
+and `step` advances all of them together, taking actions (B, action_dim)
+and returning observations (B, obs_dim), rewards (B,) and success flags (B,).
+Row i of a batch is bit-identical to the same episode run alone (B = 1).
+
 Success latches: once the tolerance is met it stays true for the episode.
 Episodes run to the horizon; `terminated` only signals the time limit, so
-every episode consumes exactly `horizon` env steps.
+every episode consumes exactly `horizon` env steps and a batch steps in
+lockstep.
 """
 
 from __future__ import annotations
@@ -38,8 +44,9 @@ class MdpSpec:
 
 
 class ToyEnv:
-    """Base episodic env. Subclasses set spec fields and implement
-    _reset/_observe/_step/expert_action."""
+    """Base episodic env over a batch of B episodes that step in lockstep.
+    Subclasses set spec fields and implement _reset/_observe/_step/
+    _check_success/expert_action, each over the leading batch axis."""
 
     env_id = "base"
     observation_dim = 0
@@ -50,51 +57,58 @@ class ToyEnv:
 
     def __init__(self):
         self._step_count = 0
-        self._success = False
+        self._success = np.zeros(0, dtype=bool)
 
-    def reset(self, seed: int) -> np.ndarray:
-        rng = np.random.Generator(np.random.PCG64(seed))
+    def reset(self, seeds) -> np.ndarray:
+        """Start one episode per seed; returns observations (B, obs_dim).
+        Row i is drawn from its own PCG64(seeds[i]) stream."""
+        rngs = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
         self._step_count = 0
-        self._success = False
-        self._reset(rng)
-        return self.observation()
-
-    def observation(self) -> np.ndarray:
+        self._success = np.zeros(len(rngs), dtype=bool)
+        self._reset(rngs)
         return self._observe()
 
-    def step(self, action):
+    def step(self, actions):
+        """Advance every episode by one step. actions: (B, action_dim).
+        Returns (obs (B, obs_dim), reward (B,), terminated, success (B,))."""
         if self._step_count >= self.horizon:
             raise ContractError("episode already finished")
-        action = np.asarray(action, dtype=float)
-        if action.shape != (self.action_dim,):
+        actions = np.asarray(actions, dtype=float)
+        expected = (self._success.shape[0], self.action_dim)
+        if actions.shape != expected:
             raise ContractError(
-                f"action has shape {action.shape}, env expects ({self.action_dim},)")
-        reward = self._step(np.clip(action, -1.0, 1.0))
+                f"actions have shape {actions.shape}, env expects {expected}")
+        reward = self._step(np.clip(actions, -1.0, 1.0))
         self._step_count += 1
-        if self._check_success():
-            self._success = True
+        self._success |= self._check_success()
         terminated = self._step_count >= self.horizon
-        return self.observation(), reward, terminated, self._success
+        return self._observe(), reward, terminated, self._success.copy()
 
     def spec(self) -> MdpSpec:
         return MdpSpec(self.env_id, self.observation_dim, self.action_dim,
                        self.horizon, self.gamma, self.success_desc)
 
     # subclass API
-    def _reset(self, rng):
+    def _reset(self, rngs):
         raise NotImplementedError
 
     def _observe(self):
         raise NotImplementedError
 
-    def _step(self, action) -> float:
+    def _step(self, actions) -> np.ndarray:
         raise NotImplementedError
 
-    def _check_success(self) -> bool:
+    def _check_success(self) -> np.ndarray:
         raise NotImplementedError
 
     def expert_action(self, obs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of x (B, n). Bit-identical to
+    np.linalg.norm of each row, which norm(axis=1) and hypot are not."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
 
 
 class PointReach(ToyEnv):
@@ -111,22 +125,23 @@ class PointReach(ToyEnv):
     # |pos| <= 0.5 + H*dt, |goal| <= 0.5
     reward_bound = np.sqrt(2.0) * (1.0 + 100 * 0.05)
 
-    def _reset(self, rng):
-        self.pos = np.zeros(2)
-        self.goal = rng.uniform(-0.5, 0.5, size=2)
+    def _reset(self, rngs):
+        self.pos = np.zeros((len(rngs), 2))
+        self.goal = np.array([rng.uniform(-0.5, 0.5, size=2) for rng in rngs])
 
     def _observe(self):
-        return np.concatenate([self.pos, self.goal])
+        return np.concatenate([self.pos, self.goal], axis=1)
 
-    def _step(self, action):
-        self.pos = self.pos + self.dt * action
-        return -float(np.linalg.norm(self.pos - self.goal))
+    def _step(self, actions):
+        self.pos = self.pos + self.dt * actions
+        self._dist = _norm(self.pos - self.goal)
+        return -self._dist
 
     def _check_success(self):
-        return np.linalg.norm(self.pos - self.goal) < self.tolerance
+        return self._dist < self.tolerance
 
     def expert_action(self, obs):
-        pos, goal = obs[:2], obs[2:]
+        pos, goal = obs[:, :2], obs[:, 2:]
         return np.clip(8.0 * (goal - pos), -1.0, 1.0)
 
 
@@ -144,38 +159,43 @@ class ArmReach(ToyEnv):
     success_desc = "distance(end_effector, goal) < 0.04"
     reward_bound = 2.0  # ee and goal both inside radius-1 disc
 
-    def _reset(self, rng):
-        self.q = rng.uniform(-0.3, 0.3, size=2)
-        # goal drawn as a reachable end-effector pose
-        gq = rng.uniform(np.array([-1.2, 0.3]), np.array([1.2, 2.2]))
-        self.goal = self._fk(gq)
+    def _reset(self, rngs):
+        q, gq = [], []
+        for rng in rngs:
+            q.append(rng.uniform(-0.3, 0.3, size=2))
+            # goal drawn as a reachable end-effector pose
+            gq.append(rng.uniform(np.array([-1.2, 0.3]), np.array([1.2, 2.2])))
+        self.q = np.array(q)
+        self.goal = self._fk(np.array(gq))
 
     def _fk(self, q):
+        """End-effector positions (B, 2) of joint angles q (B, 2)."""
         l1, l2 = self.link
-        x = l1 * np.cos(q[0]) + l2 * np.cos(q[0] + q[1])
-        y = l1 * np.sin(q[0]) + l2 * np.sin(q[0] + q[1])
-        return np.array([x, y])
+        x = l1 * np.cos(q[:, 0]) + l2 * np.cos(q[:, 0] + q[:, 1])
+        y = l1 * np.sin(q[:, 0]) + l2 * np.sin(q[:, 0] + q[:, 1])
+        return np.stack([x, y], axis=1)
 
     def _observe(self):
-        return np.concatenate([self.q, self.goal])
+        return np.concatenate([self.q, self.goal], axis=1)
 
-    def _step(self, action):
-        self.q = self.q + self.dt * action
-        return -float(np.linalg.norm(self._fk(self.q) - self.goal))
+    def _step(self, actions):
+        self.q = self.q + self.dt * actions
+        self._dist = _norm(self._fk(self.q) - self.goal)
+        return -self._dist
 
     def _check_success(self):
-        return np.linalg.norm(self._fk(self.q) - self.goal) < self.tolerance
+        return self._dist < self.tolerance
 
     def expert_action(self, obs):
-        q, goal = obs[:2], obs[2:]
+        q, goal = obs[:, :2], obs[:, 2:]
         # analytic IK for the elbow-up solution, then joint-space P control
         l1, l2 = self.link
-        r2 = float(goal @ goal)
+        r2 = (goal ** 2).sum(axis=1)
         c2 = np.clip((r2 - l1 ** 2 - l2 ** 2) / (2 * l1 * l2), -1.0, 1.0)
         q2 = np.arccos(c2)
-        q1 = np.arctan2(goal[1], goal[0]) - np.arctan2(l2 * np.sin(q2),
-                                                       l1 + l2 * np.cos(q2))
-        err = np.array([q1, q2]) - q
+        q1 = np.arctan2(goal[:, 1], goal[:, 0]) - np.arctan2(
+            l2 * np.sin(q2), l1 + l2 * np.cos(q2))
+        err = np.stack([q1, q2], axis=1) - q
         err = (err + np.pi) % (2 * np.pi) - np.pi
         return np.clip(8.0 * err, -1.0, 1.0)
 
@@ -196,24 +216,24 @@ class PegInsert1d(ToyEnv):
     # |depth| <= H*dt = 4, target <= 1.2
     reward_bound = (4.0 + 1.2) * 3.0
 
-    def _reset(self, rng):
-        self.depth = 0.0
-        self.target = float(rng.uniform(0.8, 1.2))
+    def _reset(self, rngs):
+        self.depth = np.zeros(len(rngs))
+        self.target = np.array([rng.uniform(0.8, 1.2) for rng in rngs])
 
     def _observe(self):
-        return np.array([self.depth, self.target])
+        return np.stack([self.depth, self.target], axis=1)
 
-    def _step(self, action):
-        self.depth = self.depth + self.dt * float(action[0])
+    def _step(self, actions):
+        self.depth = self.depth + self.dt * actions[:, 0]
         err = self.depth - self.target
-        return -abs(err) - self.overshoot_penalty * max(0.0, err)
+        return -np.abs(err) - self.overshoot_penalty * np.maximum(0.0, err)
 
     def _check_success(self):
-        return abs(self.depth - self.target) < self.tolerance
+        return np.abs(self.depth - self.target) < self.tolerance
 
     def expert_action(self, obs):
-        depth, target = obs
-        return np.clip(np.array([6.0 * (target - depth)]), -1.0, 1.0)
+        depth, target = obs[:, 0], obs[:, 1]
+        return np.clip(6.0 * (target - depth), -1.0, 1.0)[:, None]
 
 
 _REGISTRY = {cls.env_id: cls for cls in (PointReach, ArmReach, PegInsert1d)}

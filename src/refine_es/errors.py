@@ -6,7 +6,13 @@ class ContractError(ValueError):
 
 
 class RolloutError(RuntimeError):
-    """An environment produced a non-finite value mid-episode."""
+    """An environment produced a non-finite value mid-episode, or training
+    produced a non-finite loss. `row` is the batch row that failed, when the
+    error came from a batched rollout."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class PlanError(ValueError):

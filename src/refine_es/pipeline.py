@@ -31,7 +31,7 @@ from .checkpoint import FORMAT_VERSION, load_json, save_json_atomic
 from .envs import make_env
 from .errors import ContractError, PlanError
 from .policy import MlpArchitecture
-from .rng import stream_seed
+from .rng import TAG_FINAL_EVAL, stream_seed
 
 METHODS = ("ppo_only", "ppo_then_tdes", "ppo_then_gaussian_es")
 
@@ -49,7 +49,6 @@ _PLAN_KEYS = {"task", "methods", "total_step_budget", "split", "seeds",
 # desk-scale defaults, calibrated on the toy suite (see tests/plans)
 _ES_DEFAULTS = {"sigma_es": 0.01, "alpha": 0.001, "m": 8, "lambda_sigma": 0.99,
                 "sigma_min": 1e-3, "action_std": 0.01}
-_EVAL_TAG = 0xEA
 
 
 @dataclass(frozen=True)
@@ -79,6 +78,11 @@ class ExperimentPlan:
                 raise PlanError(f"unknown method {m!r} (known: {list(METHODS)})")
         if not self.methods or not self.seeds:
             raise PlanError("methods and seeds must be non-empty")
+        duplicates = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if duplicates:
+            raise PlanError(f"duplicate seeds: {duplicates}")
+        if self.handoff_window < 1:
+            raise PlanError("handoff_window must be >= 1")
 
     def to_dict(self) -> dict:
         return {
@@ -106,10 +110,20 @@ def plan_from_dict(raw: dict) -> ExperimentPlan:
         if required not in raw:
             raise PlanError(f"missing plan key: {required!r}")
     try:
-        make_env(raw["task"])  # validates the task id
+        env = make_env(raw["task"])  # validates the task id
     except ContractError as exc:
         raise PlanError(str(exc)) from exc
-    return ExperimentPlan(**raw)
+    plan = ExperimentPlan(**raw)
+    # build each stage's config once, so that a bad value fails at load time
+    try:
+        _ppo_config(plan, 0, plan.total_step_budget, env)
+    except (ContractError, TypeError) as exc:
+        raise PlanError(f"invalid plan section 'ppo': {exc}") from exc
+    try:
+        engine.EsConfig(generations=0, **{**_ES_DEFAULTS, **plan.es})
+    except (ContractError, TypeError) as exc:
+        raise PlanError(f"invalid plan section 'es': {exc}") from exc
+    return plan
 
 
 @dataclass
@@ -275,7 +289,7 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
 
     mean_ret, success = engine.evaluate_center(
         final_params, arch, env_factory, plan.eval_episodes,
-        stream_seed(seed, _EVAL_TAG))
+        stream_seed(seed, TAG_FINAL_EVAL))
     record = RunRecord(
         task=plan.task, method=method, seed=seed,
         final_success_rate=success, final_mean_return=mean_ret,

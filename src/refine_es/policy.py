@@ -1,13 +1,19 @@
-"""Flat-parameter MLP policy with a fixed-std Gaussian action head.
+"""Flat-parameter MLP policy and the lockstep rollout engine.
 
 Parameters live in a single flat float64 vector so the ES stage can perturb
 them directly. Layout is layer-major: for each layer, the weight matrix
-(shape (fan_out, fan_in), C order) followed by the bias (fan_out,).
+(shape (fan_out, fan_in), C order) followed by the bias (fan_out,). A stack
+of vectors (B, d) gives each row of a batch its own weights.
+
+`rollout` is the one per-step loop of the package. It runs B full-horizon
+episodes together over a leading batch axis: ES candidates (per-row
+weights), PPO collection and evaluation (shared weights). Actions are the
+policy mean plus optional pre-drawn Gaussian noise (B, horizon, k).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,16 +74,18 @@ def init_params(arch: MlpArchitecture, rng: np.random.Generator,
 
 
 def unpack_params(params: np.ndarray, arch: MlpArchitecture) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views (W, b) per layer into the flat vector."""
-    if params.shape != (param_count(arch),):
+    """Views (W, b) per layer into the flat vector. A (B, d) stack of
+    vectors gives per-row views W (B, fan_out, fan_in) and b (B, fan_out)."""
+    if params.shape[-1:] != (param_count(arch),):
         raise ContractError(
             f"parameter vector has length {params.shape}, architecture needs {param_count(arch)}")
+    lead = params.shape[:-1]
     out = []
     off = 0
     for fi, fo in arch.layer_shapes():
-        w = params[off:off + fi * fo].reshape(fo, fi)
+        w = params[..., off:off + fi * fo].reshape(*lead, fo, fi)
         off += fi * fo
-        b = params[off:off + fo]
+        b = params[..., off:off + fo]
         off += fo
         out.append((w, b))
     return out
@@ -113,78 +121,90 @@ def mlp_backward(params: np.ndarray, arch: MlpArchitecture,
     return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
 
 
-def forward(params: np.ndarray, arch: MlpArchitecture, state: np.ndarray) -> np.ndarray:
-    """Action mean for a single state vector."""
-    state = np.asarray(state, dtype=float)
-    if state.shape != (arch.input_dim,):
-        raise ContractError(
-            f"state has shape {state.shape}, architecture expects ({arch.input_dim},)")
-    out, _ = mlp_forward(params, arch, state[None, :])
-    return out[0]
-
-
-@dataclass(frozen=True)
-class GaussianHead:
-    """Fixed action-noise scale. action_std == 0 is the deterministic
-    evaluation mode; during training/ES rollouts it must be positive."""
-    action_std: float
-
-    def __post_init__(self):
-        if self.action_std < 0:
-            raise ContractError("action_std must be >= 0")
-
-
-def sample_action(mean: np.ndarray, head: GaussianHead,
-                  rng: np.random.Generator) -> np.ndarray:
-    if head.action_std == 0.0:
-        return np.array(mean, copy=True)
-    return mean + head.action_std * rng.standard_normal(mean.shape[0])
-
-
 @dataclass
-class Trajectory:
-    states: list = field(default_factory=list)
-    actions: list = field(default_factory=list)
-    rewards: list = field(default_factory=list)
-    discounted_return: float = 0.0
-    success: bool = False
-    length: int = 0
+class RolloutBatch:
+    """B episodes run in lockstep. rewards (B, horizon); final_obs
+    (B, obs_dim); states (B, horizon, obs_dim) and actions (B, horizon, k)
+    only when recorded. length counts the env steps of the whole batch."""
+    returns: np.ndarray
+    success: np.ndarray
+    rewards: np.ndarray
+    final_obs: np.ndarray
+    length: int
+    states: np.ndarray | None = None
+    actions: np.ndarray | None = None
 
 
-def discounted_return(rewards, gamma: float) -> float:
-    """Sum of gamma^t * r_t, accumulated in forward time order, float64."""
-    total = 0.0
+def discounted_return(rewards, gamma: float):
+    """Sum of gamma^t * r_t over the last axis, accumulated in forward time
+    order, float64."""
+    rewards = np.asarray(rewards, dtype=float)
+    total = np.zeros(rewards.shape[:-1])
     scale = 1.0
-    for r in rewards:
-        total += scale * float(r)
+    for t in range(rewards.shape[-1]):
+        total += scale * rewards[..., t]
         scale *= gamma
     return total
 
 
-def rollout(params: np.ndarray, arch: MlpArchitecture, head: GaussianHead,
-            env, rng: np.random.Generator, gamma: float, horizon: int,
-            record_states: bool = True) -> Trajectory:
-    """Run one episode against a freshly reset env.
+def action_noise(streams, horizon: int, action_dim: int, scale) -> np.ndarray:
+    """Gaussian action noise (B, horizon, action_dim), row i drawn from
+    streams[i] in time order and multiplied by scale (a scalar or one
+    value per action coordinate)."""
+    return scale * np.stack([rng.standard_normal((horizon, action_dim))
+                             for rng in streams])
 
-    Raises RolloutError, naming the step, if the env emits a non-finite
-    reward or observation.
+
+def rollout(params: np.ndarray, arch: MlpArchitecture, env, seeds,
+            noise: np.ndarray | None = None, record: bool = False) -> RolloutBatch:
+    """Run one episode per env seed, all B of them in lockstep.
+
+    params is (d,) for weights shared by every row or (B, d) for per-row
+    weights. The action at step t is the policy mean plus noise[:, t]; with
+    noise None the policy acts deterministically. Each row is bit-identical
+    to the same episode run with B = 1.
+
+    Raises RolloutError, naming the step and carrying the failing row in
+    its `row`, if the env emits a non-finite reward or observation.
     """
-    traj = Trajectory()
-    obs = env.observation()
+    if (arch.input_dim, arch.output_dim) != (env.observation_dim, env.action_dim):
+        raise ContractError(
+            f"architecture maps {arch.input_dim} -> {arch.output_dim}, env needs "
+            f"{env.observation_dim} -> {env.action_dim}")
+    n, horizon = len(seeds), env.horizon
+    if params.ndim == 2 and params.shape[0] != n:
+        raise ContractError(f"{params.shape[0]} weight rows for {n} episodes")
+    if noise is not None and noise.shape != (n, horizon, env.action_dim):
+        raise ContractError(f"noise has shape {noise.shape}, batch needs "
+                            f"{(n, horizon, env.action_dim)}")
+    # The stacked per-row matmul reproduces the single-state forward bit for
+    # bit; the plain 2-D (B, n) @ W.T gemm does not.
+    layers = [((w if w.ndim == 3 else w[None]).transpose(0, 2, 1), b)
+              for w, b in unpack_params(params, arch)]
+    last = len(layers) - 1
+    obs = env.reset(seeds)
+    rewards = np.empty((n, horizon))
+    success = np.zeros(n, dtype=bool)
+    if record:
+        states = np.empty((n, horizon, env.observation_dim))
+        actions = np.empty((n, horizon, env.action_dim))
     for t in range(horizon):
-        state = np.array(obs, copy=True)
-        mean = forward(params, arch, obs)
-        action = sample_action(mean, head, rng)
-        obs, reward, terminated, success = env.step(action)
-        if not np.isfinite(reward) or not np.all(np.isfinite(obs)):
-            raise RolloutError(f"non-finite reward or state at step {t}")
-        if record_states:
-            traj.states.append(state)
-            traj.actions.append(np.array(action, copy=True))
-        traj.rewards.append(float(reward))
-        traj.success = traj.success or bool(success)
-        if terminated:
-            break
-    traj.length = len(traj.rewards)
-    traj.discounted_return = discounted_return(traj.rewards, gamma)
-    return traj
+        h = obs
+        for li, (wt, b) in enumerate(layers):
+            z = (h[:, None, :] @ wt)[:, 0, :] + b
+            h = z if li == last else np.tanh(z)
+        action = h if noise is None else h + noise[:, t]
+        if record:
+            states[:, t] = obs
+            actions[:, t] = action
+        obs, rewards[:, t], _, reached = env.step(action)
+        success |= reached
+        bad = ~(np.isfinite(rewards[:, t]) & np.isfinite(obs).all(axis=1))
+        if bad.any():
+            raise RolloutError(f"non-finite reward or state at step {t}",
+                               row=int(np.flatnonzero(bad)[0]))
+    batch = RolloutBatch(discounted_return(rewards, env.gamma), success,
+                         rewards, obs, n * horizon)
+    if record:
+        batch.states, batch.actions = states, actions
+    return batch

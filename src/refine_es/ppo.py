@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError
-from .policy import (GaussianHead, MlpArchitecture, init_params, mlp_backward,
-                     mlp_forward)
+from .errors import ContractError, RolloutError
+from .policy import (MlpArchitecture, action_noise, init_params, mlp_backward,
+                     mlp_forward, rollout)
 from .rng import TAG_INIT, TAG_PPO_ACTION, TAG_PPO_ENV, TAG_PPO_SHUFFLE, make_stream
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -46,6 +46,8 @@ class PpoConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.learning_rate <= 0:
+            raise ContractError("learning_rate must be > 0")
         if not (0 < self.clip_epsilon < 1):
             raise ContractError("clip_epsilon must be in (0, 1)")
         if not (0 <= self.gae_lambda <= 1):
@@ -263,49 +265,44 @@ def normalize_advantages(adv: np.ndarray) -> np.ndarray:
 
 def collect_rollouts(ac: ActorCritic, env_factory, config: PpoConfig,
                      update_index: int) -> RolloutBuffer:
-    """Run episodes_per_update full-horizon episodes and assemble the buffer.
-    GAE bootstraps with V(final obs) since the envs terminate on time limit."""
+    """Run episodes_per_update full-horizon episodes as one lockstep batch
+    and assemble the buffer. GAE bootstraps with V(final obs) since the envs
+    terminate on time limit."""
     env = env_factory()
     horizon, gamma = env.horizon, env.gamma
-    all_states, all_actions, all_logp, all_adv, all_ret = [], [], [], [], []
-    ep_returns, successes = [], 0
-    for ep in range(config.episodes_per_update):
-        obs = env.reset(make_stream(config.seed, TAG_PPO_ENV, update_index,
-                                    ep).integers(1 << 62))
-        rng = make_stream(config.seed, TAG_PPO_ACTION, update_index, ep)
-        states = np.empty((horizon, env.observation_dim))
-        actions = np.empty((horizon, env.action_dim))
-        rewards = np.empty(horizon)
-        success = False
-        sigma = np.exp(ac.log_std)
-        for t in range(horizon):
-            states[t] = obs
-            mu, _ = mlp_forward(ac.actor_params, ac.actor_arch, obs[None, :])
-            actions[t] = mu[0] + sigma * rng.standard_normal(env.action_dim)
-            obs, rewards[t], terminated, ep_success = env.step(actions[t])
-            success = success or ep_success
+    n_ep = config.episodes_per_update
+    seeds = [make_stream(config.seed, TAG_PPO_ENV, update_index,
+                         ep).integers(1 << 62) for ep in range(n_ep)]
+    noise = action_noise(
+        [make_stream(config.seed, TAG_PPO_ACTION, update_index, ep)
+         for ep in range(n_ep)],
+        horizon, env.action_dim, np.exp(ac.log_std))
+    try:
+        batch = rollout(ac.actor_params, ac.actor_arch, env, seeds, noise,
+                        record=True)
+    except RolloutError as exc:
+        raise RolloutError(
+            f"update {update_index}, episode {exc.row}: {exc}") from exc
+    all_logp, all_adv, all_ret, ep_returns = [], [], [], []
+    for ep in range(n_ep):
+        states, rewards = batch.states[ep], batch.rewards[ep]
         mus, _ = mlp_forward(ac.actor_params, ac.actor_arch, states)
-        logp = gaussian_log_prob(actions, mus, ac.log_std)
+        all_logp.append(gaussian_log_prob(batch.actions[ep], mus, ac.log_std))
         v_all, _ = mlp_forward(ac.critic_params, ac.critic_arch,
-                               np.vstack([states, obs[None, :]]))
+                               np.vstack([states, batch.final_obs[ep][None, :]]))
         values, bootstrap = v_all[:-1, 0], float(v_all[-1, 0])
         adv = gae_advantages(rewards, values, gamma, config.gae_lambda, bootstrap)
-        all_states.append(states)
-        all_actions.append(actions)
-        all_logp.append(logp)
         all_adv.append(adv)
         all_ret.append(adv + values)
-        disc = float(np.sum(rewards * gamma ** np.arange(horizon)))
-        ep_returns.append(disc)
-        successes += int(success)
-    n_ep = config.episodes_per_update
+        ep_returns.append(float(np.sum(rewards * gamma ** np.arange(horizon))))
     return RolloutBuffer(
-        np.concatenate(all_states), np.concatenate(all_actions),
+        batch.states.reshape(n_ep * horizon, -1),
+        batch.actions.reshape(n_ep * horizon, -1),
         np.concatenate(all_logp), np.concatenate(all_adv),
         np.concatenate(all_ret),
         mean_return=float(np.mean(ep_returns)),
-        success_rate=successes / n_ep,
-        steps=n_ep * horizon)
+        success_rate=int(batch.success.sum()) / n_ep,
+        steps=batch.length)
 
 
 def ppo_update(ac: ActorCritic, buffer: RolloutBuffer, config: PpoConfig,
@@ -323,7 +320,7 @@ def ppo_update(ac: ActorCritic, buffer: RolloutBuffer, config: PpoConfig,
                 ac, buffer.states[idx], buffer.actions[idx],
                 buffer.log_probs[idx], adv[idx], buffer.returns[idx], config)
             if not np.isfinite(loss):
-                raise RuntimeError(
+                raise RolloutError(
                     f"non-finite PPO loss at update {update_index}: {parts}")
             optimizer.apply(ac, ga, gs, gc)
             last_parts = parts

@@ -25,6 +25,8 @@ TAG_PPO_ENV = 0x05      # PPO collection env seeds
 TAG_PPO_ACTION = 0x06   # PPO collection action noise
 TAG_PPO_SHUFFLE = 0x07  # PPO minibatch permutations
 TAG_INIT = 0x08         # network initialization
+TAG_CENTER_EVAL = 0x09  # per-generation ES center-eval master seeds
+TAG_FINAL_EVAL = 0xEA   # per-cell final-eval master seeds
 
 
 def splitmix64(x: int) -> int:

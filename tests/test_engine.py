@@ -6,13 +6,13 @@ import pytest
 from refine_es.engine import (INTERRUPT_ENV_VAR, EsConfig, GenerationRecord,
                               evaluate_center, gaussian_es_run, sigma_at,
                               tdes_run)
-from refine_es.errors import ContractError
+from refine_es.errors import ContractError, RolloutError
 from refine_es.policy import MlpArchitecture, param_count
 
 
 class TargetEnv:
-    """One-step env: reward = -(a - 0.5)^2, so the episodic return is a
-    deterministic quadratic in the policy parameters."""
+    """Batch-shaped one-step env: reward = -(a - 0.5)^2, so the episodic
+    return is a deterministic quadratic in the policy parameters."""
 
     observation_dim = 1
     action_dim = 1
@@ -21,19 +21,35 @@ class TargetEnv:
 
     def __init__(self, success=False):
         self._success = success
-        self._done = False
 
-    def reset(self, seed):
-        self._done = False
-        return self.observation()
+    def reset(self, seeds):
+        self._n = len(seeds)
+        return np.ones((self._n, 1))
 
-    def observation(self):
-        return np.ones(1)
+    def step(self, actions):
+        r = -(actions[:, 0] - 0.5) ** 2
+        return np.ones((self._n, 1)), r, True, np.full(self._n, self._success)
 
-    def step(self, action):
-        self._done = True
-        r = -float((action[0] - 0.5) ** 2)
-        return self.observation(), r, True, self._success
+
+class SeedEnv(TargetEnv):
+    """Its reward depends only on the episode's env seed."""
+
+    def reset(self, seeds):
+        self._r = np.array([s % 1000 for s in seeds]) / 1000.0
+        return super().reset(seeds)
+
+    def step(self, actions):
+        obs, _, terminated, success = super().step(actions)
+        return obs, self._r.copy(), terminated, success
+
+
+class NanEnv(TargetEnv):
+    """Emits a NaN reward in row 3 of a batch."""
+
+    def step(self, actions):
+        obs, r, terminated, success = super().step(actions)
+        r[3] = np.nan
+        return obs, r, terminated, success
 
 
 ARCH = MlpArchitecture(1, (), 1)  # params (w, b); action = w + b
@@ -173,6 +189,25 @@ def test_evaluate_center_success_rates():
     assert sr == 0.0
     with pytest.raises(ContractError):
         evaluate_center(params, ARCH, TargetEnv, episodes=0, master_seed=0)
+
+
+def test_center_eval_streams_disjoint_across_seeds():
+    # (seed 0, generation 0) and (seed 3, generation 1) once shared one
+    # center-eval stream, because both keyed it on seed ^ (generation + 1)
+    def center_return(seed, generation):
+        c = small_config(generations=2, seed=seed, center_eval_episodes=4)
+        res = tdes_run(np.zeros(2), ARCH, SeedEnv, c)
+        return res.records[generation].center_return
+
+    assert center_return(0, 0) != center_return(3, 1)
+
+
+def test_candidate_rollout_failure_names_pair_and_episode():
+    # row 3 of the batch is pair 1, episode 1 of the + candidates
+    c = small_config(episodes_per_candidate=2)
+    with pytest.raises(RolloutError,
+                       match="generation 0, pair 1, episode 1: .*step 0"):
+        tdes_run(np.zeros(2), ARCH, NanEnv, c)
 
 
 def test_generation_record_roundtrip():

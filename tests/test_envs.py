@@ -7,16 +7,18 @@ from refine_es.errors import ContractError
 ALL_IDS = ("arm-reach", "peg-insert-1d", "point-reach")
 
 
-def run_expert(env, seed):
-    obs = env.reset(seed)
-    success = False
+def run_expert(env, seeds):
+    """Expert episodes, one per seed, in one batch: success (B,) and
+    rewards (horizon, B)."""
+    obs = env.reset(seeds)
+    success = np.zeros(len(seeds), dtype=bool)
     rewards = []
     for _ in range(env.horizon):
         obs, r, terminated, s = env.step(env.expert_action(obs))
         rewards.append(r)
-        success = success or s
+        success |= s
     assert terminated
-    return success, rewards
+    return success, np.array(rewards)
 
 
 def test_registry():
@@ -45,15 +47,17 @@ def test_reset_goldens_seed_zero():
         "peg-insert-1d": [0.0, 1.0547846749285816],
     }
     for eid, expected in golden.items():
-        assert np.array_equal(make_env(eid).reset(0), expected)
+        assert np.array_equal(make_env(eid).reset([0]), [expected])
+        # a row of a batch is the same episode as that seed alone
+        assert np.array_equal(make_env(eid).reset([5, 0, 7])[1], expected)
 
 
 def test_reset_determinism_bitwise():
     for eid in ALL_IDS:
-        a = make_env(eid).reset(123)
-        b = make_env(eid).reset(123)
+        a = make_env(eid).reset([123])
+        b = make_env(eid).reset([123])
         assert np.array_equal(a, b)
-        c = make_env(eid).reset(124)
+        c = make_env(eid).reset([124])
         assert not np.array_equal(a, c)
 
 
@@ -62,118 +66,112 @@ def test_step_determinism_bitwise():
         traces = []
         for _ in range(2):
             env = make_env(eid)
-            env.reset(5)
+            env.reset([5])
             rng = np.random.Generator(np.random.PCG64(9))
             trace = []
             for _ in range(env.horizon):
-                obs, r, *_ = env.step(rng.uniform(-1, 1, env.action_dim))
+                obs, r, *_ = env.step(rng.uniform(-1, 1, (1, env.action_dim)))
                 trace.append((obs.copy(), r))
             traces.append(trace)
         for (oa, ra), (ob, rb) in zip(*traces):
-            assert np.array_equal(oa, ob) and ra == rb
+            assert np.array_equal(oa, ob) and np.array_equal(ra, rb)
 
 
 def test_episode_length_exact_and_step_after_done():
     for eid in ALL_IDS:
         env = make_env(eid)
-        env.reset(1)
+        env.reset([1, 2])
         for t in range(env.horizon):
-            _, _, terminated, _ = env.step(np.zeros(env.action_dim))
+            _, _, terminated, _ = env.step(np.zeros((2, env.action_dim)))
             assert terminated == (t == env.horizon - 1)
         with pytest.raises(ContractError):
-            env.step(np.zeros(env.action_dim))
+            env.step(np.zeros((2, env.action_dim)))
 
 
 def test_action_shape_contract():
     env = make_env("point-reach")
-    env.reset(0)
-    with pytest.raises(ContractError):
-        env.step(np.zeros(3))
+    env.reset([0, 1])
+    for bad in (np.zeros(2), np.zeros((2, 3)), np.zeros((3, 2))):
+        with pytest.raises(ContractError):
+            env.step(bad)
 
 
 def test_reward_bounds_random_actions():
     for eid in ALL_IDS:
         env = make_env(eid)
         rng = np.random.Generator(np.random.PCG64(3))
-        for seed in range(5):
-            env.reset(seed)
-            for _ in range(env.horizon):
-                # out-of-range actions are clipped, so the bound still holds
-                _, r, *_ = env.step(rng.uniform(-3, 3, env.action_dim))
-                assert abs(r) <= env.reward_bound
+        env.reset(range(5))
+        for _ in range(env.horizon):
+            # out-of-range actions are clipped, so the bound still holds
+            _, r, *_ = env.step(rng.uniform(-3, 3, (5, env.action_dim)))
+            assert np.all(np.abs(r) <= env.reward_bound)
 
 
 @pytest.mark.parametrize("eid", ALL_IDS)
 def test_expert_solves_at_least_95_of_100_seeds(eid):
-    wins = sum(run_expert(make_env(eid), seed)[0] for seed in range(100))
+    wins = run_expert(make_env(eid), range(100))[0].sum()
     assert wins >= 95
 
 
 def test_success_latches():
     # drive to the goal with the expert, then drive away: success stays True
     env = make_env("point-reach")
-    obs = env.reset(2)
+    obs = env.reset([2])
     steps = 0
-    success = False
-    while not success and steps < env.horizon:
+    success = [False]
+    while not success[0] and steps < env.horizon:
         obs, _, _, success = env.step(env.expert_action(obs))
         steps += 1
-    assert success
+    assert success[0]
     for _ in range(env.horizon - steps):
-        obs, _, _, success = env.step(np.array([1.0, 1.0]))
-        assert success
-    assert np.linalg.norm(obs[:2] - obs[2:]) >= env.tolerance
+        obs, _, _, success = env.step(np.array([[1.0, 1.0]]))
+        assert success[0]
+    assert np.linalg.norm(obs[0, :2] - obs[0, 2:]) >= env.tolerance
 
 
 def test_arm_zero_action_fixed_point():
     env = make_env("arm-reach")
-    obs0 = env.reset(4)
-    obs, _, _, _ = env.step(np.zeros(2))
+    obs0 = env.reset([4])
+    obs, _, _, _ = env.step(np.zeros((1, 2)))
     assert np.array_equal(obs, obs0)
 
 
 def test_arm_fk_matches_hand_computation():
     env = ArmReach()
     # straight arm along x: q = (0, 0) -> (l1 + l2, 0)
-    assert np.allclose(env._fk(np.zeros(2)), [1.0, 0.0], atol=1e-15)
     # right angle at the elbow: q = (0, pi/2) -> (l1, l2)
-    assert np.allclose(env._fk(np.array([0.0, np.pi / 2])), [0.5, 0.5],
-                       atol=1e-15)
+    q = np.array([[0.0, 0.0], [0.0, np.pi / 2]])
+    assert np.allclose(env._fk(q), [[1.0, 0.0], [0.5, 0.5]], atol=1e-15)
 
 
 def test_arm_goals_are_reachable():
     env = make_env("arm-reach")
-    for seed in range(50):
-        env.reset(seed)
-        r = np.linalg.norm(env.goal)
-        assert r <= sum(env.link) + 1e-12
-        assert r >= abs(env.link[0] - env.link[1]) - 1e-12
+    env.reset(range(50))
+    r = np.linalg.norm(env.goal, axis=1)
+    assert np.all(r <= sum(env.link) + 1e-12)
+    assert np.all(r >= abs(env.link[0] - env.link[1]) - 1e-12)
 
 
 def test_peg_overshoot_penalized():
     env = make_env("peg-insert-1d")
-    env.reset(0)
-    target = env.target
-    env.depth = target - 0.1
-    r_under = env._step(np.zeros(1))
-    env.depth = target + 0.1
-    r_over = env._step(np.zeros(1))
+    env.reset([0, 0])
+    env.depth = env.target + np.array([-0.1, 0.1])
+    r_under, r_over = env._step(np.zeros((2, 1)))
     assert r_under == pytest.approx(-0.1)
     assert r_over == pytest.approx(-0.1 - env.overshoot_penalty * 0.1)
 
 
 def test_peg_target_range():
     env = make_env("peg-insert-1d")
-    for seed in range(50):
-        env.reset(seed)
-        assert 0.8 <= env.target <= 1.2
+    env.reset(range(50))
+    assert np.all((0.8 <= env.target) & (env.target <= 1.2))
 
 
 def test_expert_reward_improves_over_zero_policy():
     for eid in ALL_IDS:
         env = make_env(eid)
-        _, expert_rewards = run_expert(env, 0)
-        env.reset(0)
-        zero_rewards = [env.step(np.zeros(env.action_dim))[1]
+        _, expert_rewards = run_expert(env, [0])
+        env.reset([0])
+        zero_rewards = [env.step(np.zeros((1, env.action_dim)))[1]
                         for _ in range(env.horizon)]
-        assert sum(expert_rewards) > sum(zero_rewards)
+        assert expert_rewards.sum() > np.sum(zero_rewards)

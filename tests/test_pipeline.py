@@ -41,6 +41,16 @@ def test_plan_rejects_missing_and_invalid():
         tiny_plan(task="walker")
     with pytest.raises(PlanError, match="plan must be a JSON object"):
         plan_from_dict([1, 2])
+    with pytest.raises(PlanError, match=r"duplicate seeds: \[0\]"):
+        tiny_plan(seeds=[0, 1, 0])
+    with pytest.raises(PlanError, match="handoff_window"):
+        tiny_plan(handoff_window=0)
+    with pytest.raises(PlanError, match="'es'.*m must be >= 1"):
+        tiny_plan(es={"m": 0})
+    with pytest.raises(PlanError, match="'ppo'.*learning_rate"):
+        tiny_plan(ppo={"learning_rate": -1.0})
+    with pytest.raises(PlanError, match="'ppo'.*learning_rate"):
+        tiny_plan(ppo={"learning_rate": 0.0})
 
 
 def test_plan_roundtrip():

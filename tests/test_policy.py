@@ -4,33 +4,47 @@ import os
 import numpy as np
 import pytest
 
-from refine_es.envs import make_env
+from refine_es.envs import env_ids, make_env
 from refine_es.errors import ContractError, RolloutError
-from refine_es.policy import (GaussianHead, MlpArchitecture, Trajectory,
-                              discounted_return, forward, init_params,
-                              param_count, rollout, sample_action)
+from refine_es.policy import (MlpArchitecture, action_noise, discounted_return,
+                              init_params, mlp_forward, param_count, rollout)
 from refine_es.rng import make_stream
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 class ConstantRewardEnv:
-    """Emits reward 1 every step, zero observation."""
-    observation_dim = 1
-    action_dim = 1
-    horizon = 10
-    gamma = 1.0
+    """Batch-shaped env that emits the same observation and reward on every
+    step of every row."""
 
-    def __init__(self, horizon):
+    def __init__(self, horizon, gamma=1.0, state=(0.0,), reward=1.0,
+                 action_dim=1):
         self.horizon = horizon
-        self._t = 0
+        self.action_dim = action_dim
+        self.gamma = gamma
+        self.state = np.asarray(state, dtype=float)
+        self.observation_dim = self.state.shape[0]
+        self.reward = reward
 
-    def observation(self):
-        return np.zeros(1)
+    def reset(self, seeds):
+        self._n, self._t = len(seeds), 0
+        return np.tile(self.state, (self._n, 1))
 
-    def step(self, action):
+    def step(self, actions):
         self._t += 1
-        return np.zeros(1), 1.0, self._t >= self.horizon, False
+        return (np.tile(self.state, (self._n, 1)), np.full(self._n, self.reward),
+                self._t >= self.horizon, np.zeros(self._n, dtype=bool))
+
+
+class BadEnv(ConstantRewardEnv):
+    def __init__(self, horizon):
+        super().__init__(horizon, reward=np.nan)
+
+
+def engine_forward(params, arch, state):
+    """Action mean the engine computes for one state (B = 1, one step)."""
+    env = ConstantRewardEnv(1, state=state, action_dim=arch.output_dim)
+    return rollout(params, arch, env, [0], record=True).actions[0, 0]
 
 
 def test_param_count_examples():
@@ -52,30 +66,32 @@ def test_arch_validation():
 
 def test_forward_zero_params():
     arch = MlpArchitecture(3, (5,), 2)
-    out = forward(np.zeros(param_count(arch)), arch, np.array([1.0, -2.0, 3.0]))
+    out = engine_forward(np.zeros(param_count(arch)), arch, [1.0, -2.0, 3.0])
     assert np.array_equal(out, np.zeros(2))
 
 
 def test_forward_identity_single_linear_layer():
     arch = MlpArchitecture(1, (), 1)
     params = np.array([1.0, 0.0])  # unit weight, zero bias
-    assert forward(params, arch, np.array([0.5]))[0] == 0.5
+    assert engine_forward(params, arch, [0.5])[0] == 0.5
 
 
 def test_forward_golden():
     with open(os.path.join(GOLDEN, "forward_golden.json")) as fh:
         g = json.load(fh)
     arch = MlpArchitecture(g["dims"][0], tuple(g["dims"][1:-1]), g["dims"][-1])
-    out = forward(np.array(g["params"]), arch, np.array(g["state"]))
+    out = engine_forward(np.array(g["params"]), arch, g["state"])
     assert np.allclose(out, g["expected"], rtol=0, atol=1e-10)
 
 
 def test_forward_dimension_mismatch():
     arch = MlpArchitecture(3, (5,), 2)
+    env = ConstantRewardEnv(1, state=np.zeros(4), action_dim=2)
     with pytest.raises(ContractError):
-        forward(np.zeros(param_count(arch)), arch, np.zeros(4))
+        rollout(np.zeros(param_count(arch)), arch, env, [0])
+    env = ConstantRewardEnv(1, state=np.zeros(3), action_dim=2)
     with pytest.raises(ContractError):
-        forward(np.zeros(3), arch, np.zeros(3))
+        rollout(np.zeros(3), arch, env, [0])
 
 
 def test_forward_linear_in_last_layer():
@@ -86,26 +102,33 @@ def test_forward_linear_in_last_layer():
     doubled = params.copy()
     # final layer: last (4+1)*2 entries (weights then bias)
     doubled[-10:] *= 2.0
-    assert np.allclose(forward(doubled, arch, state),
-                       2.0 * forward(params, arch, state))
+    assert np.allclose(engine_forward(doubled, arch, state),
+                       2.0 * engine_forward(params, arch, state))
 
 
 def test_sample_action_deterministic_mode():
-    mean = np.array([1.0, 2.0])
-    out = sample_action(mean, GaussianHead(0.0), make_stream(0, 1))
-    assert np.array_equal(out, mean)
+    # without noise the engine acts with the policy mean, equal bit for bit
+    # to a single-state forward of each visited state
+    env = make_env("point-reach")
+    arch = MlpArchitecture(4, (8,), 2)
+    params = init_params(arch, make_stream(0, 1))
+    batch = rollout(params, arch, env, [3], record=True)
+    means = np.array([mlp_forward(params, arch, s[None])[0][0]
+                      for s in batch.states[0]])
+    assert np.array_equal(batch.actions[0], means)
 
 
 def test_sample_action_tail_bound():
-    mean = np.array([1.0, 2.0])
-    out = sample_action(mean, GaussianHead(0.01), make_stream(0, 2))
-    assert np.all(np.abs(out - mean) < 5 * 0.01)
+    arch = MlpArchitecture(1, (), 1)
+    params = np.array([0.3, 0.2])
+    env = ConstantRewardEnv(50, state=[1.0])
+    noise = action_noise([make_stream(0, 2)], 50, 1, 0.01)
+    actions = rollout(params, arch, env, [0], noise, record=True).actions
+    assert np.all(np.abs(actions - 0.5) < 5 * 0.01)
 
 
 def test_sample_action_empirical_std():
-    rng = make_stream(0, 3)
-    draws = np.array([sample_action(np.zeros(1), GaussianHead(0.01), rng)[0]
-                      for _ in range(100_000)])
+    draws = action_noise([make_stream(0, 3)], 100_000, 1, 0.01)
     assert abs(draws.std() - 0.01) < 0.02 * 0.01
 
 
@@ -127,47 +150,69 @@ def test_discounting_matches_horner():
 def test_rollout_constant_reward():
     arch = MlpArchitecture(1, (), 1)
     params = np.zeros(2)
-    traj = rollout(params, arch, GaussianHead(0.0), ConstantRewardEnv(5),
-                   make_stream(0, 5), 1.0, 5)
-    assert traj.discounted_return == 5.0
-    traj = rollout(params, arch, GaussianHead(0.0), ConstantRewardEnv(3),
-                   make_stream(0, 5), 0.5, 3)
-    assert traj.discounted_return == 1.75
+    batch = rollout(params, arch, ConstantRewardEnv(5), [0])
+    assert batch.returns[0] == 5.0
+    assert batch.length == 5
+    batch = rollout(params, arch, ConstantRewardEnv(3, gamma=0.5), [0])
+    assert batch.returns[0] == 1.75
 
 
 def test_rollout_golden_point_reach_zero_policy():
     with open(os.path.join(GOLDEN, "rollout_golden.json")) as fh:
         g = json.load(fh)
     env = make_env(g["env"])
-    obs = env.reset(g["env_seed"])
-    assert np.allclose(obs, g["initial_observation"], atol=0)
+    assert (env.gamma, env.horizon) == (g["gamma"], g["horizon"])
+    obs = env.reset([g["env_seed"]])
+    assert np.allclose(obs[0], g["initial_observation"], atol=0)
     arch = MlpArchitecture(4, (), 2)
-    traj = rollout(np.zeros(param_count(arch)), arch, GaussianHead(0.0), env,
-                   make_stream(0, 6), g["gamma"], g["horizon"])
-    assert traj.discounted_return == pytest.approx(g["expected_return"], abs=1e-9)
+    batch = rollout(np.zeros(param_count(arch)), arch, env, [g["env_seed"]])
+    assert batch.returns[0] == pytest.approx(g["expected_return"], abs=1e-9)
 
 
 def test_rollout_determinism_bitwise():
     env_seed, arch = 11, MlpArchitecture(4, (8,), 2)
     params = init_params(arch, make_stream(3, 0))
-    trajs = []
+    batches = []
     for _ in range(2):
         env = make_env("point-reach")
-        env.reset(env_seed)
-        trajs.append(rollout(params, arch, GaussianHead(0.01), env,
-                             make_stream(9, 1), env.gamma, env.horizon))
-    a, b = trajs
-    assert a.discounted_return == b.discounted_return
-    assert all(np.array_equal(x, y) for x, y in zip(a.actions, b.actions))
+        noise = action_noise([make_stream(9, 1)], env.horizon, 2, 0.01)
+        batches.append(rollout(params, arch, env, [env_seed], noise,
+                               record=True))
+    a, b = batches
+    assert a.returns[0] == b.returns[0]
+    assert np.array_equal(a.actions, b.actions)
 
 
 def test_rollout_aborts_on_nonfinite():
-    class BadEnv(ConstantRewardEnv):
-        def step(self, action):
-            obs, _, term, s = super().step(action)
-            return obs, np.nan, term, s
-
     arch = MlpArchitecture(1, (), 1)
-    with pytest.raises(RolloutError, match="step 0"):
-        rollout(np.zeros(2), arch, GaussianHead(0.0), BadEnv(5),
-                make_stream(0, 7), 1.0, 5)
+    with pytest.raises(RolloutError, match="step 0") as info:
+        rollout(np.zeros(2), arch, BadEnv(5), [0, 1])
+    assert info.value.row == 0
+
+
+@pytest.mark.parametrize("env_id", env_ids())
+@pytest.mark.parametrize("per_row", [False, True])
+@pytest.mark.parametrize("action_std", [0.0, 0.05])
+def test_batch_rows_match_single_episode(env_id, per_row, action_std):
+    env = make_env(env_id)
+    arch = MlpArchitecture(env.observation_dim, (16, 16), env.action_dim)
+    n = 5
+    seeds = list(range(100, 100 + n))
+    rng = make_stream(8, 0)
+    base = init_params(arch, rng)
+    params = base + 0.1 * rng.standard_normal((n, base.shape[0])) if per_row else base
+    noise = None
+    if action_std > 0:
+        noise = action_noise([make_stream(8, 1, i) for i in range(n)],
+                             env.horizon, env.action_dim, action_std)
+    batch = rollout(params, arch, env, seeds, noise, record=True)
+    assert batch.length == n * env.horizon
+    for i in range(n):
+        one = rollout(params[i] if per_row else params, arch, make_env(env_id),
+                      seeds[i:i + 1], None if noise is None else noise[i:i + 1],
+                      record=True)
+        assert one.returns[0] == batch.returns[i]
+        assert one.success[0] == batch.success[i]
+        for field in ("rewards", "final_obs", "states", "actions"):
+            assert np.array_equal(getattr(one, field)[0],
+                                  getattr(batch, field)[i]), field

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from refine_es.envs import make_env
-from refine_es.errors import ContractError
+from refine_es.envs import PointReach, make_env
+from refine_es.errors import ContractError, RolloutError
 from refine_es.policy import param_count
 from refine_es.ppo import (ActorCritic, PpoConfig, PpoOptimizer,
                            collect_rollouts, gae_advantages, gaussian_log_prob,
@@ -26,6 +26,8 @@ def test_config_validation():
         tiny_config(gae_lambda=1.5)
     with pytest.raises(ContractError):
         tiny_config(optimizer="rmsprop")
+    with pytest.raises(ContractError):
+        tiny_config(learning_rate=0.0)
 
 
 def test_config_roundtrip():
@@ -268,8 +270,25 @@ def test_ppo_update_rejects_nonfinite():
     ac = init_actor_critic(4, 2, config)
     buf = collect_rollouts(ac, lambda: make_env("point-reach"), config, 0)
     buf.returns[:] = np.nan
-    with pytest.raises(RuntimeError, match="non-finite"):
-        ppo_update(ac, buf, config, PpoOptimizer(ac, config), 0)
+    with pytest.raises(RolloutError, match="non-finite PPO loss at update 3"):
+        ppo_update(ac, buf, config, PpoOptimizer(ac, config), 3)
+
+
+def test_collect_rollouts_rejects_nonfinite():
+    class NanRewardEnv(PointReach):
+        """Episode 1 of a batch gets a NaN reward at step 4."""
+
+        def _step(self, actions):
+            r = super()._step(actions)
+            if self._step_count == 4:
+                r[1] = np.nan
+            return r
+
+    config = tiny_config(episodes_per_update=3)
+    ac = init_actor_critic(4, 2, config)
+    with pytest.raises(RolloutError,
+                       match="update 5, episode 1: non-finite .* step 4"):
+        collect_rollouts(ac, NanRewardEnv, config, 5)
 
 
 def test_training_improves_return():
