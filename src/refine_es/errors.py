@@ -17,3 +17,8 @@ class RolloutError(RuntimeError):
 
 class PlanError(ValueError):
     """An experiment plan file failed validation."""
+
+
+class CheckpointError(ValueError):
+    """A checkpoint cannot be resumed: another format version, or written
+    by a different seed or configuration than the one being run."""

@@ -11,8 +11,12 @@ Stage-1 streams depend only on (seed, ppo config), never on the method, so
 within one seed every two-stage method refines the identical anchor.
 
 Results layout: <out>/runs/<task>/<method>/<seed>/{checkpoints/, log.csv,
-record.json}. Cells checkpoint after every PPO update / ES generation and
-resume bit-exactly.
+record.json}. Cells checkpoint after every PPO update / ES generation into
+one atomic `checkpoints/checkpoint.npz` (see checkpoint.py) and resume
+bit-exactly from it, the PPO->ES handoff included. On resume the checkpoint
+must match the cell: format version, stage, master seed, the handoff rule,
+and the PPO and ES configs recomputed from the plan; any mismatch is refused with a
+`CheckpointError` naming the file and the field.
 """
 
 from __future__ import annotations
@@ -27,13 +31,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine, ppo, stats
-from .checkpoint import FORMAT_VERSION, load_json, save_json_atomic
+from .checkpoint import (FORMAT_VERSION, load_checkpoint, load_json,
+                         save_checkpoint, save_json_atomic)
 from .envs import make_env
-from .errors import ContractError, PlanError
+from .errors import CheckpointError, ContractError, PlanError
 from .policy import MlpArchitecture
 from .rng import TAG_FINAL_EVAL, stream_seed
 
 METHODS = ("ppo_only", "ppo_then_tdes", "ppo_then_gaussian_es")
+CHECKPOINT_NAME = "checkpoint.npz"
+_FINAL_FORMAT_VERSION = 1  # layout of final.json, which is still JSON
 
 _ES_PLAN_KEYS = {"sigma_es", "alpha", "m", "lambda_sigma", "sigma_min",
                  "action_std", "episodes_per_candidate", "standardize_noise",
@@ -190,6 +197,35 @@ def _write_log_csv(path: str, es_records: list[dict]) -> None:
                              r["center_return"], r["steps_used"]])
 
 
+def _check_fields(path: str, name: str, stored: dict, expected: dict) -> None:
+    for key in sorted(set(stored) | set(expected)):
+        if stored.get(key) != expected.get(key):
+            raise CheckpointError(
+                f"{path}: field '{name}.{key}' is {stored.get(key)!r} but the "
+                f"plan gives {expected.get(key)!r}; refusing to resume a "
+                f"different configuration")
+
+
+def _load_state(path: str, seed: int, ppo_cfg: ppo.PpoConfig,
+                handoff: dict) -> dict:
+    """The checkpoint at `path`, after the checks that need no ES config."""
+    state = load_checkpoint(path)
+    if state.get("stage") not in ("ppo", "es"):
+        raise CheckpointError(f"{path}: field 'stage' is "
+                              f"{state.get('stage')!r}, expected 'ppo' or 'es'")
+    if state.get("master_seed") != seed:
+        raise CheckpointError(f"{path}: field 'master_seed' is "
+                              f"{state.get('master_seed')!r}, this cell is "
+                              f"seed {seed}")
+    _check_fields(path, "ppo_config", state["ppo_config"], ppo_cfg.to_dict())
+    _check_fields(path, "handoff", state["handoff"], handoff)
+    if state["stage"] == "es" and \
+            _params_sha256(state["anchor_params"]) != state["anchor_sha256"]:
+        raise CheckpointError(f"{path}: field 'anchor_params' does not hash "
+                              f"to the stored 'anchor_sha256'")
+    return state
+
+
 def run_method(plan: ExperimentPlan, method: str, seed: int,
                out_dir: str) -> RunRecord:
     """Execute (or resume) one sweep cell and write its artifacts."""
@@ -199,8 +235,12 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
     record_path = os.path.join(cdir, "record.json")
     if os.path.exists(record_path):
         return RunRecord.from_dict(load_json(record_path))
-    ckpt_path = os.path.join(ckpt_dir, "checkpoint.json")
-    state = load_json(ckpt_path) if os.path.exists(ckpt_path) else None
+    legacy = os.path.join(ckpt_dir, "checkpoint.json")
+    if os.path.exists(legacy):
+        raise CheckpointError(
+            f"{legacy}: field 'format_version' is 1 (a JSON checkpoint); this "
+            f"version resumes only format_version {FORMAT_VERSION} "
+            f"({CHECKPOINT_NAME})")
 
     env_factory = lambda: make_env(plan.task)
     env = env_factory()
@@ -208,13 +248,20 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
     two_stage = method != "ppo_only"
     ppo_budget = int(round(plan.split * budget)) if two_stage else budget
     ppo_cfg = _ppo_config(plan, seed, ppo_budget, env)
+    # the handoff rule decides where PPO stops, so it is checked like a config
+    handoff = {"success_threshold": plan.handoff_success_threshold,
+               "window": plan.handoff_window}
+    ckpt_path = os.path.join(ckpt_dir, CHECKPOINT_NAME)
+    state = (_load_state(ckpt_path, seed, ppo_cfg, handoff)
+             if os.path.exists(ckpt_path) else None)
 
     def ppo_ckpt(update, ac, optimizer, steps, curve):
-        save_json_atomic(ckpt_path, {
-            "format_version": FORMAT_VERSION, "stage": "ppo",
-            "update_index": update, "actor_critic": ac.to_dict(),
-            "optimizer": optimizer.to_dict(), "steps_used": steps,
-            "curve": curve, "config": ppo_cfg.to_dict(), "master_seed": seed})
+        save_checkpoint(ckpt_path, {
+            "stage": "ppo", "update_index": update,
+            "actor_critic": ac.to_dict(), "optimizer": optimizer.to_dict(),
+            "steps_used": steps, "curve": curve,
+            "ppo_config": ppo_cfg.to_dict(), "handoff": handoff,
+            "master_seed": seed})
 
     stop_condition = None
     if plan.handoff_success_threshold is not None:
@@ -225,32 +272,27 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
             recent = [c["success_rate"] for c in curve[-w:]]
             return float(np.mean(recent)) >= plan.handoff_success_threshold
 
-    if state is not None and state["stage"] == "ppo":
-        anchor_res = _train_anchor_resumable(
-            env_factory, ppo_cfg, ppo_ckpt, stop_condition,
-            start_update=state["update_index"] + 1,
-            initial=ppo.ActorCritic.from_dict(state["actor_critic"]),
-            initial_steps=state["steps_used"], curve=state["curve"],
-            optimizer_state=state["optimizer"])
-    elif state is not None and state["stage"] == "es":
-        anchor_res = None  # PPO stage already complete; state carries what we need
-    else:
-        anchor_res = _train_anchor_resumable(env_factory, ppo_cfg, ppo_ckpt,
-                                             stop_condition)
-
-    if anchor_res is not None:
-        ac = anchor_res.actor_critic
-        ppo_steps = anchor_res.steps_used
-        ppo_curve = anchor_res.curve
-        anchor_params = ac.actor_params
-        arch = ac.actor_arch
-        anchor_hash = _params_sha256(anchor_params)
-    else:
+    if state is not None and state["stage"] == "es":
+        # the PPO stage is complete; the checkpoint carries the anchor
         arch = MlpArchitecture.from_dict(state["architecture"])
-        anchor_params = np.array(state["anchor_params"], dtype=float)
+        anchor_params = state["anchor_params"]
         ppo_steps = state["ppo_steps"]
         ppo_curve = state["ppo_curve"]
         anchor_hash = state["anchor_sha256"]
+    else:
+        resume = {} if state is None else {
+            "start_update": state["update_index"] + 1,
+            "initial": ppo.ActorCritic.from_dict(state["actor_critic"]),
+            "initial_steps": state["steps_used"], "curve": state["curve"],
+            "optimizer_state": state["optimizer"]}
+        anchor_res = ppo.train_anchor(env_factory, ppo_cfg,
+                                      checkpoint_cb=ppo_ckpt,
+                                      stop_condition=stop_condition, **resume)
+        arch = anchor_res.actor_critic.actor_arch
+        anchor_params = anchor_res.actor_critic.actor_params
+        ppo_steps = anchor_res.steps_used
+        ppo_curve = anchor_res.curve
+        anchor_hash = _params_sha256(anchor_params)
 
     final_params = anchor_params
     es_records: list[dict] = []
@@ -260,21 +302,22 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
         es_cfg = _es_config(plan, seed, method, remaining, env)
 
         def es_ckpt(gen, theta, steps, records):
-            save_json_atomic(ckpt_path, {
-                "format_version": FORMAT_VERSION, "stage": "es",
-                "generation_index": gen, "params": theta.tolist(),
+            save_checkpoint(ckpt_path, {
+                "stage": "es", "generation_index": gen, "params": theta,
                 "steps_used": steps,
                 "records": [r.to_dict() for r in records],
-                "config": es_cfg.to_dict(), "master_seed": seed,
-                "architecture": arch.to_dict(),
-                "anchor_params": anchor_params.tolist(),
-                "anchor_sha256": anchor_hash,
+                "es_config": es_cfg.to_dict(),
+                "ppo_config": ppo_cfg.to_dict(), "handoff": handoff,
+                "master_seed": seed, "architecture": arch.to_dict(),
+                "anchor_params": anchor_params, "anchor_sha256": anchor_hash,
                 "ppo_steps": ppo_steps, "ppo_curve": ppo_curve})
 
         if state is not None and state["stage"] == "es":
+            _check_fields(ckpt_path, "es_config", state["es_config"],
+                          es_cfg.to_dict())
             result = engine.tdes_run(
-                np.array(state["params"], dtype=float), arch, env_factory,
-                es_cfg, start_generation=state["generation_index"] + 1,
+                state["params"], arch, env_factory, es_cfg,
+                start_generation=state["generation_index"] + 1,
                 initial_steps=state["steps_used"],
                 records=[engine.GenerationRecord.from_dict(r)
                          for r in state["records"]],
@@ -297,37 +340,12 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
         ppo_steps=ppo_steps, es_steps=es_steps, anchor_sha256=anchor_hash,
         ppo_curve=ppo_curve, es_records=es_records)
     save_json_atomic(os.path.join(ckpt_dir, "final.json"), {
-        "format_version": FORMAT_VERSION, "stage": "final",
+        "format_version": _FINAL_FORMAT_VERSION, "stage": "final",
         "architecture": arch.to_dict(), "params": final_params.tolist(),
         "master_seed": seed})
     _write_log_csv(os.path.join(cdir, "log.csv"), es_records)
     save_json_atomic(record_path, record.to_dict())
     return record
-
-
-def _train_anchor_resumable(env_factory, config, checkpoint_cb, stop_condition,
-                            **kwargs):
-    if stop_condition is None:
-        return ppo.train_anchor(env_factory, config, checkpoint_cb=checkpoint_cb,
-                                **kwargs)
-
-    # wrap the callback to raise a private signal once the handoff rule fires
-    class _Handoff(Exception):
-        pass
-
-    captured = {}
-
-    def cb(update, ac, optimizer, steps, curve):
-        checkpoint_cb(update, ac, optimizer, steps, curve)
-        if stop_condition(curve):
-            captured.update(ac=ac.copy(), steps=steps, curve=list(curve))
-            raise _Handoff()
-
-    try:
-        return ppo.train_anchor(env_factory, config, checkpoint_cb=cb, **kwargs)
-    except _Handoff:
-        return ppo.AnchorResult(captured["ac"], captured["curve"],
-                                captured["steps"])
 
 
 def _run_cell(args):

@@ -83,12 +83,13 @@ class ActorCritic:
                            self.critic_params.copy())
 
     def to_dict(self) -> dict:
+        """Checkpoint payload; the arrays are the live ones, not copies."""
         return {
             "actor_arch": self.actor_arch.to_dict(),
-            "actor_params": self.actor_params.tolist(),
-            "log_std": self.log_std.tolist(),
+            "actor_params": self.actor_params,
+            "log_std": self.log_std,
             "critic_arch": self.critic_arch.to_dict(),
-            "critic_params": self.critic_params.tolist(),
+            "critic_params": self.critic_params,
         }
 
     @classmethod
@@ -211,7 +212,7 @@ class _AdamState:
         return lr * mhat / (np.sqrt(vhat) + eps)
 
     def to_dict(self):
-        return {"m": self.m.tolist(), "v": self.v.tolist(), "t": self.t}
+        return {"m": self.m, "v": self.v, "t": self.t}
 
     @classmethod
     def from_dict(cls, d):
@@ -223,7 +224,8 @@ class _AdamState:
 
 
 class PpoOptimizer:
-    """SGD by default; optional Adam. State serializes for resume."""
+    """SGD by default; optional Adam. `to_dict` hands the Adam moments over
+    as arrays, for a checkpoint."""
 
     def __init__(self, ac: ActorCritic, config: PpoConfig):
         self.config = config
@@ -337,9 +339,12 @@ class AnchorResult:
 def train_anchor(env_factory, config: PpoConfig, start_update: int = 0,
                  initial: ActorCritic | None = None, initial_steps: int = 0,
                  curve: list | None = None, optimizer_state: dict | None = None,
-                 checkpoint_cb=None) -> AnchorResult:
+                 checkpoint_cb=None, stop_condition=None) -> AnchorResult:
     """Collect/update cycles until the step budget cannot fund another
-    update. Resumable from (start_update, initial, ...) bit-exactly."""
+    update, or until `stop_condition(curve)` holds. The stop rule is asked
+    before each collection, so a run resumed from any update's checkpoint
+    stops exactly where the uninterrupted run stopped. Resumable from
+    (start_update, initial, ...) bit-exactly."""
     env = env_factory()
     if initial is None:
         ac = init_actor_critic(env.observation_dim, env.action_dim, config)
@@ -353,6 +358,8 @@ def train_anchor(env_factory, config: PpoConfig, start_update: int = 0,
     update_cost = config.episodes_per_update * env.horizon
     u = start_update
     while steps_used + update_cost <= config.total_steps:
+        if stop_condition is not None and stop_condition(curve):
+            break
         buffer = collect_rollouts(ac, env_factory, config, u)
         parts = ppo_update(ac, buffer, config, optimizer, u)
         steps_used += buffer.steps

@@ -1,0 +1,77 @@
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from refine_es.checkpoint import (load_checkpoint, load_json, save_checkpoint,
+                                  save_json_atomic)
+from refine_es.errors import CheckpointError
+
+_F64 = st.floats(allow_nan=False, allow_infinity=True, allow_subnormal=True,
+                 width=64)
+_EDGES = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   1.7976931348623157e308, -1.7976931348623157e308, 1e-300,
+                   np.nextafter(1.0, 2.0), np.inf, -np.inf])
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=arrays(np.float64, st.integers(0, 40), elements=_F64),
+       b=arrays(np.float64, st.integers(0, 5), elements=_F64))
+@example(a=_EDGES, b=np.array([-0.0]))
+def test_checkpoint_roundtrip_bit_identical(tmp_path_factory, a, b):
+    path = str(tmp_path_factory.mktemp("ckpt") / "checkpoint.npz")
+    payload = {"stage": "es", "params": a, "nested": {"states": [
+        {"m": b, "t": 3}, {"m": a, "t": 3}]}, "curve": [{"x": 0.1}]}
+    save_checkpoint(path, payload)
+    back = load_checkpoint(path)
+    assert back["format_version"] == 2
+    assert back["stage"] == "es" and back["curve"] == [{"x": 0.1}]
+    for got, want in ((back["params"], a), (back["nested"]["states"][0]["m"], b),
+                      (back["nested"]["states"][1]["m"], a)):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert back["nested"]["states"][0]["t"] == 3
+
+
+_JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(), _F64,
+                       st.text(max_size=5))
+_JSON = st.recursive(_JSON_LEAF, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.dictionaries(st.text(max_size=4), kids,
+                                                max_size=4)), max_leaves=20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(payload=st.dictionaries(st.text(max_size=4), _JSON, max_size=5))
+def test_save_json_atomic_bytes_match_streaming_encoder(tmp_path_factory,
+                                                       payload):
+    # json.dump streams through the pure-Python encoder; the one-shot C
+    # encoder must produce the same bytes, so result files do not change
+    streamed = io.StringIO()
+    json.dump(payload, streamed)
+    path = str(tmp_path_factory.mktemp("json") / "out.json")
+    save_json_atomic(path, payload)
+    with open(path) as fh:
+        assert fh.read() == streamed.getvalue()
+    assert load_json(path) == json.loads(streamed.getvalue())
+
+
+def test_load_checkpoint_refuses_other_format_version(tmp_path):
+    path = str(tmp_path / "checkpoint.npz")
+    meta = json.dumps({"format_version": 1, "stage": "ppo"}).encode()
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.frombuffer(meta, dtype=np.uint8))
+    with pytest.raises(CheckpointError,
+                       match=r"checkpoint\.npz: field 'format_version' is 1"):
+        load_checkpoint(path)
+
+
+def test_save_checkpoint_writes_one_file(tmp_path):
+    path = str(tmp_path / "checkpoint.npz")
+    save_checkpoint(path, {"params": np.arange(3.0)})
+    save_checkpoint(path, {"params": np.arange(4.0)})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.npz"]
+    assert np.array_equal(load_checkpoint(path)["params"], np.arange(4.0))

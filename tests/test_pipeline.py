@@ -1,12 +1,13 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from refine_es.checkpoint import load_json
-from refine_es.errors import PlanError
+from refine_es.errors import CheckpointError, PlanError
 from refine_es.pipeline import (ExperimentPlan, cell_dir, plan_from_dict,
                                 run_method, sweep)
 
@@ -195,3 +196,191 @@ def test_handoff_heuristic_stops_ppo_early(tmp_path):
     rec = run_method(plan, "ppo_then_tdes", 0, str(tmp_path))
     assert rec.ppo_steps == 200  # exactly one update before handing off
     assert rec.es_steps > 0
+
+
+def _final_params(out, method="ppo_then_tdes", seed=0):
+    return load_json(os.path.join(cell_dir(out, "point-reach", method, seed),
+                                  "checkpoints", "final.json"))["params"]
+
+
+def test_resume_across_handoff_bitwise(tmp_path, monkeypatch):
+    # interrupt after the handoff PPO checkpoint, before the first ES one
+    import refine_es.pipeline as pipeline
+
+    plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
+                     handoff_success_threshold=0.0, handoff_window=1)
+    clean = run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "clean"))
+
+    original = pipeline._es_config
+    calls = []
+
+    def interrupt_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise KeyboardInterrupt("injected interrupt at the handoff")
+        return original(*args)
+
+    monkeypatch.setattr(pipeline, "_es_config", interrupt_once)
+    with pytest.raises(KeyboardInterrupt):
+        run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "cut"))
+    resumed = run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "cut"))
+
+    assert clean.ppo_steps == resumed.ppo_steps == 200
+    assert resumed.anchor_sha256 == clean.anchor_sha256
+    assert resumed.ppo_curve == clean.ppo_curve
+    assert _final_params(str(tmp_path / "cut")) == \
+        _final_params(str(tmp_path / "clean"))
+
+
+def _checkpoint_path(out, method="ppo_then_tdes", seed=0):
+    return os.path.join(cell_dir(out, "point-reach", method, seed),
+                        "checkpoints", "checkpoint.npz")
+
+
+def _es_records(rec):
+    return [r | {"wall_time": 0} for r in rec.es_records]
+
+
+def _interrupt_ppo_update(monkeypatch, n):
+    """Raise KeyboardInterrupt from the n-th ppo.ppo_update call."""
+    import refine_es.ppo as ppo
+
+    original = ppo.ppo_update
+    calls = []
+
+    def update(*args):
+        calls.append(1)
+        if len(calls) == n:
+            raise KeyboardInterrupt(f"injected interrupt in update {n}")
+        return original(*args)
+
+    monkeypatch.setattr(ppo, "ppo_update", update)
+
+
+def _cut_in_es(plan, out, monkeypatch):
+    from refine_es.engine import INTERRUPT_ENV_VAR
+
+    monkeypatch.setenv(INTERRUPT_ENV_VAR, "0")
+    with pytest.raises(KeyboardInterrupt):
+        run_method(plan, "ppo_then_tdes", 0, out)
+    monkeypatch.delenv(INTERRUPT_ENV_VAR)
+
+
+def test_resume_mid_ppo_with_adam_bitwise(tmp_path, monkeypatch):
+    plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
+                     total_step_budget=1400,
+                     ppo={"episodes_per_update": 2, "hidden_dims": [8],
+                          "optimizer": "adam"})
+    clean = run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "clean"))
+    assert len(clean.ppo_curve) == 3
+
+    with monkeypatch.context() as m:
+        _interrupt_ppo_update(m, 2)
+        with pytest.raises(KeyboardInterrupt):
+            run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "cut"))
+    resumed = run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "cut"))
+
+    assert resumed.anchor_sha256 == clean.anchor_sha256
+    assert resumed.ppo_curve == clean.ppo_curve
+    assert _es_records(resumed) == _es_records(clean)
+    assert _final_params(str(tmp_path / "cut")) == \
+        _final_params(str(tmp_path / "clean"))
+
+
+def test_resume_ignores_stale_tmp(tmp_path, monkeypatch):
+    plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
+                     total_step_budget=1400)
+    run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "clean"))
+    cut = str(tmp_path / "cut")
+    _cut_in_es(plan, cut, monkeypatch)
+    # a kill during a write leaves a partial temp file behind
+    with open(_checkpoint_path(cut) + ".tmp", "wb") as fh:
+        fh.write(b"PK\x03\x04 truncated")
+    run_method(plan, "ppo_then_tdes", 0, cut)
+    assert _final_params(cut) == _final_params(str(tmp_path / "clean"))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("format_version", 1, "field 'format_version' is 1"),
+    ("stage", "eval", "field 'stage' is 'eval'"),
+    ("master_seed", 7, "field 'master_seed' is 7, this cell is seed 0"),
+    ("anchor_sha256", "0" * 64, "field 'anchor_params' does not hash"),
+])
+def test_resume_refuses_mismatched_checkpoint(tmp_path, monkeypatch, field,
+                                              value, message):
+    import refine_es.checkpoint as checkpoint
+
+    plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
+                     total_step_budget=1400)
+    out = str(tmp_path)
+    _cut_in_es(plan, out, monkeypatch)
+    path = _checkpoint_path(out)
+    state = checkpoint.load_checkpoint(path)
+    if field == "format_version":
+        monkeypatch.setattr(checkpoint, "FORMAT_VERSION", value)
+    else:
+        state[field] = value
+    checkpoint.save_checkpoint(path, state)
+    monkeypatch.undo()
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
+        run_method(plan, "ppo_then_tdes", 0, out)
+
+
+def test_resume_refuses_changed_ppo_config(tmp_path, monkeypatch):
+    ppo_cfg = {"episodes_per_update": 2, "hidden_dims": [8]}
+    plan = tiny_plan(methods=["ppo_only"], seeds=[0], ppo=ppo_cfg)
+    out = str(tmp_path)
+    with monkeypatch.context() as m:
+        _interrupt_ppo_update(m, 2)
+        with pytest.raises(KeyboardInterrupt):
+            run_method(plan, "ppo_only", 0, out)
+    changed = tiny_plan(methods=["ppo_only"], seeds=[0],
+                        ppo={**ppo_cfg, "learning_rate": 0.01})
+    with pytest.raises(CheckpointError,
+                       match=r"checkpoint\.npz: field 'ppo_config\."
+                             r"learning_rate' is 0\.003 but the plan gives "
+                             r"0\.01"):
+        run_method(changed, "ppo_only", 0, out)
+
+
+def test_resume_refuses_changed_es_config(tmp_path, monkeypatch):
+    plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
+                     total_step_budget=1400)
+    out = str(tmp_path)
+    _cut_in_es(plan, out, monkeypatch)
+    changed = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
+                        total_step_budget=1400,
+                        es={"m": 2, "sigma_es": 0.05, "alpha": 0.02})
+    with pytest.raises(CheckpointError,
+                       match=r"checkpoint\.npz: field 'es_config\.alpha' is "
+                             r"0\.01 but the plan gives 0\.02"):
+        run_method(changed, "ppo_then_tdes", 0, out)
+
+
+def test_resume_refuses_json_checkpoint(tmp_path):
+    plan = tiny_plan(methods=["ppo_only"], seeds=[0])
+    legacy = os.path.join(cell_dir(str(tmp_path), "point-reach", "ppo_only", 0),
+                          "checkpoints", "checkpoint.json")
+    os.makedirs(os.path.dirname(legacy))
+    with open(legacy, "w") as fh:
+        json.dump({"format_version": 1, "stage": "ppo"}, fh)
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{legacy}: field 'format_version' "
+                                       f"is 1")):
+        run_method(plan, "ppo_only", 0, str(tmp_path))
+
+
+def test_resume_refuses_changed_handoff_rule(tmp_path, monkeypatch):
+    # the handoff rule sets where PPO stopped, so a changed rule is refused
+    plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
+                     total_step_budget=1400, handoff_success_threshold=0.0,
+                     handoff_window=1)
+    out = str(tmp_path)
+    _cut_in_es(plan, out, monkeypatch)
+    changed = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
+                        total_step_budget=1400)
+    with pytest.raises(CheckpointError,
+                       match=r"checkpoint\.npz: field 'handoff\."
+                             r"success_threshold' is 0\.0 but the plan gives "
+                             r"None"):
+        run_method(changed, "ppo_then_tdes", 0, out)
