@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,9 +57,11 @@ class EsConfig:
             raise ContractError("action_std must be >= 0")
         if self.episodes_per_candidate < 1:
             raise ContractError("episodes_per_candidate must be >= 1")
+        if self.center_eval_episodes < 1:
+            raise ContractError("center_eval_episodes must be >= 1")
 
     def noise_distribution(self) -> NoiseDistribution:
-        return NoiseDistribution(self.distribution, 1.0, self.standardize_noise)
+        return NoiseDistribution(self.distribution, self.standardize_noise)
 
     def to_dict(self) -> dict:
         return {
@@ -72,10 +74,6 @@ class EsConfig:
             "standardize_noise": self.standardize_noise,
             "center_eval_episodes": self.center_eval_episodes,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EsConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -91,10 +89,6 @@ class GenerationRecord:
 
     def to_dict(self) -> dict:
         return self.__dict__.copy()
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GenerationRecord":
-        return cls(**d)
 
 
 @dataclass
@@ -206,9 +200,3 @@ def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env_factory,
 
     return EsRunResult(theta, records, steps_used)
 
-
-def gaussian_es_run(anchor: np.ndarray, arch: MlpArchitecture, env_factory,
-                    config: EsConfig, **kwargs) -> EsRunResult:
-    """The ablation twin: identical loop with unbounded Gaussian noise."""
-    return tdes_run(anchor, arch, env_factory,
-                    replace(config, distribution="gaussian"), **kwargs)

@@ -16,36 +16,14 @@ lockstep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError
 
 
-@dataclass(frozen=True)
-class MdpSpec:
-    env_id: str
-    state_dim: int
-    action_dim: int
-    horizon: int
-    gamma: float
-    success: str
-
-    def to_dict(self) -> dict:
-        return {
-            "env_id": self.env_id,
-            "state_dim": self.state_dim,
-            "action_dim": self.action_dim,
-            "horizon": self.horizon,
-            "gamma": self.gamma,
-            "success": self.success,
-        }
-
-
 class ToyEnv:
     """Base episodic env over a batch of B episodes that step in lockstep.
-    Subclasses set spec fields and implement _reset/_observe/_step/
+    Subclasses set the class attributes and implement _reset/_observe/_step/
     _check_success/expert_action, each over the leading batch axis."""
 
     env_id = "base"
@@ -84,10 +62,6 @@ class ToyEnv:
         terminated = self._step_count >= self.horizon
         return self._observe(), reward, terminated, self._success.copy()
 
-    def spec(self) -> MdpSpec:
-        return MdpSpec(self.env_id, self.observation_dim, self.action_dim,
-                       self.horizon, self.gamma, self.success_desc)
-
     # subclass API
     def _reset(self, rngs):
         raise NotImplementedError
@@ -121,7 +95,6 @@ class PointReach(ToyEnv):
     gamma = 0.99
     dt = 0.05
     tolerance = 0.04
-    success_desc = "distance(pos, goal) < 0.04"
     # |pos| <= 0.5 + H*dt, |goal| <= 0.5
     reward_bound = np.sqrt(2.0) * (1.0 + 100 * 0.05)
 
@@ -156,7 +129,6 @@ class ArmReach(ToyEnv):
     dt = 0.05
     link = (0.5, 0.5)
     tolerance = 0.04
-    success_desc = "distance(end_effector, goal) < 0.04"
     reward_bound = 2.0  # ee and goal both inside radius-1 disc
 
     def _reset(self, rngs):
@@ -212,7 +184,6 @@ class PegInsert1d(ToyEnv):
     dt = 0.02
     tolerance = 0.0025
     overshoot_penalty = 2.0
-    success_desc = "|depth - target| < 0.0025"
     # |depth| <= H*dt = 4, target <= 1.2
     reward_bound = (4.0 + 1.2) * 3.0
 
@@ -248,7 +219,3 @@ def make_env(env_id: str) -> ToyEnv:
         raise ContractError(f"unknown env id: {env_id!r} (known: {env_ids()})")
     return _REGISTRY[env_id]()
 
-
-def env_specs() -> dict:
-    """Per-task spec dump, JSON-ready."""
-    return {eid: _REGISTRY[eid]().spec().to_dict() for eid in env_ids()}

@@ -40,16 +40,6 @@ class ReturnTable:
             raise ContractError("returns must be finite")
 
 
-@dataclass
-class CenteredRanks:
-    r_plus: np.ndarray
-    r_minus: np.ndarray
-
-    @property
-    def diff(self) -> np.ndarray:
-        return self.r_plus - self.r_minus
-
-
 def centered_rank_scores(values) -> np.ndarray:
     """Rank n values ascending (ties get their average rank), map 0-based
     rank k to k/(n-1) - 1/2, then center and divide by the population (1/n)
@@ -67,12 +57,13 @@ def centered_rank_scores(values) -> np.ndarray:
     return scores / std
 
 
-def centered_ranks(returns: ReturnTable) -> CenteredRanks:
-    """Centered-rank scores over the 2m returns of one generation."""
+def centered_ranks(returns: ReturnTable) -> tuple[np.ndarray, np.ndarray]:
+    """Centered-rank scores over the 2m returns of one generation, split
+    back into (r_plus, r_minus)."""
     m = returns.j_plus.shape[0]
     scores = centered_rank_scores(
         np.concatenate([returns.j_plus, returns.j_minus]))
-    return CenteredRanks(scores[:m], scores[m:])
+    return scores[:m], scores[m:]
 
 
 @dataclass
@@ -94,8 +85,11 @@ def fd_gradient(epsilons: np.ndarray, s_plus: np.ndarray, s_minus: np.ndarray,
     return (diff @ epsilons) / (m * sigma_es)
 
 
-def tdes_gradient(batch: PerturbationBatch, ranks: CenteredRanks) -> GradientEstimate:
-    g = fd_gradient(batch.epsilons, ranks.r_plus, ranks.r_minus, batch.sigma_es)
+def tdes_gradient(batch: PerturbationBatch,
+                  ranks: tuple[np.ndarray, np.ndarray]) -> GradientEstimate:
+    """Antithetic step from the (r_plus, r_minus) pair of centered_ranks."""
+    r_plus, r_minus = ranks
+    g = fd_gradient(batch.epsilons, r_plus, r_minus, batch.sigma_es)
     if not np.all(np.isfinite(g)):
         raise ContractError("gradient estimate is not finite")
     return GradientEstimate(g, {"g_norm": float(np.linalg.norm(g))})
@@ -136,8 +130,8 @@ def estimator_variance(objective, center: np.ndarray, sigma_es: float, m: int,
             j_plus = np.array([objective(p) for p in plus])
             j_minus = np.array([objective(p) for p in minus])
             if use_ranks:
-                r = centered_ranks(ReturnTable(j_plus, j_minus))
-                grads[t] = fd_gradient(batch.epsilons, r.r_plus, r.r_minus, sigma_es)
+                r_plus, r_minus = centered_ranks(ReturnTable(j_plus, j_minus))
+                grads[t] = fd_gradient(batch.epsilons, r_plus, r_minus, sigma_es)
             else:
                 grads[t] = fd_gradient(batch.epsilons, j_plus, j_minus, sigma_es)
         out[kind] = float(np.sum(np.var(grads, axis=0)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .rng import TAG_NOISE, make_stream, stream_seed
+from .rng import TAG_NOISE, make_stream
 
 SQRT6 = np.sqrt(6.0)
 
@@ -28,20 +28,17 @@ KINDS = ("triangular", "gaussian")
 @dataclass(frozen=True)
 class NoiseDistribution:
     kind: str
-    scale: float = 1.0          # half-width (triangular) or std (gaussian)
     standardize: bool = False   # triangular only: multiply by sqrt(6) so var = 1
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ContractError(f"unknown noise kind {self.kind!r}")
-        if self.scale <= 0:
-            raise ContractError("noise scale must be > 0")
 
     def sample(self, dim: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "triangular":
-            eps = sample_triangular(self.scale, dim, rng)
+            eps = sample_triangular(1.0, dim, rng)
             return eps * SQRT6 if self.standardize else eps
-        return sample_gaussian(self.scale, dim, rng)
+        return sample_gaussian(1.0, dim, rng)
 
 
 def sample_triangular(half_width: float, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -63,18 +60,9 @@ def sample_gaussian(std: float, dim: int, rng: np.random.Generator) -> np.ndarra
 
 @dataclass
 class PerturbationBatch:
-    """m base-noise vectors for one generation, plus everything needed to
-    regenerate them."""
+    """The m base-noise vectors of one generation and their scale."""
     epsilons: np.ndarray        # (m, d)
     sigma_es: float
-    generation_index: int
-    seed_table: np.ndarray      # (m,) uint64 stream seeds
-    kind: str
-    standardized: bool
-
-    @property
-    def m(self) -> int:
-        return self.epsilons.shape[0]
 
     @property
     def dim(self) -> int:
@@ -83,20 +71,17 @@ class PerturbationBatch:
 
 def make_batch(distribution: NoiseDistribution, sigma_es: float, m: int, dim: int,
                generation_index: int, master_seed: int) -> PerturbationBatch:
-    """Generate the m base-noise vectors of one generation."""
+    """Generate the m base-noise vectors of one generation; row i is drawn
+    from the stream (master_seed, TAG_NOISE, generation_index, i)."""
     if m < 1:
         raise ContractError("m must be >= 1")
     if sigma_es <= 0:
         raise ContractError("sigma_es must be > 0")
-    seeds = np.array(
-        [stream_seed(master_seed, TAG_NOISE, generation_index, i) for i in range(m)],
-        dtype=np.uint64)
     eps = np.empty((m, dim))
     for i in range(m):
-        rng = np.random.Generator(np.random.PCG64(int(seeds[i])))
-        eps[i] = distribution.sample(dim, rng)
-    return PerturbationBatch(eps, float(sigma_es), int(generation_index), seeds,
-                             distribution.kind, distribution.standardize)
+        eps[i] = distribution.sample(
+            dim, make_stream(master_seed, TAG_NOISE, generation_index, i))
+    return PerturbationBatch(eps, float(sigma_es))
 
 
 def antithetic_candidates(center: np.ndarray, batch: PerturbationBatch):
@@ -110,9 +95,3 @@ def antithetic_candidates(center: np.ndarray, batch: PerturbationBatch):
     offset = batch.sigma_es * batch.epsilons
     return center + offset, center - offset
 
-
-def regenerate_epsilon(distribution: NoiseDistribution, dim: int,
-                       generation_index: int, i: int, master_seed: int) -> np.ndarray:
-    """Rebuild a single candidate's base noise from counters alone."""
-    rng = make_stream(master_seed, TAG_NOISE, generation_index, i)
-    return distribution.sample(dim, rng)

@@ -153,10 +153,6 @@ class RunRecord:
     def to_dict(self) -> dict:
         return self.__dict__.copy()
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunRecord":
-        return cls(**d)
-
 
 def _params_sha256(params: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(params, dtype="<f8").tobytes()).hexdigest()
@@ -234,7 +230,7 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
     os.makedirs(ckpt_dir, exist_ok=True)
     record_path = os.path.join(cdir, "record.json")
     if os.path.exists(record_path):
-        return RunRecord.from_dict(load_json(record_path))
+        return RunRecord(**load_json(record_path))
     legacy = os.path.join(ckpt_dir, "checkpoint.json")
     if os.path.exists(legacy):
         raise CheckpointError(
@@ -319,7 +315,7 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
                 state["params"], arch, env_factory, es_cfg,
                 start_generation=state["generation_index"] + 1,
                 initial_steps=state["steps_used"],
-                records=[engine.GenerationRecord.from_dict(r)
+                records=[engine.GenerationRecord(**r)
                          for r in state["records"]],
                 checkpoint_cb=es_ckpt)
         else:
@@ -374,7 +370,7 @@ def sweep(plan: ExperimentPlan, out_dir: str, workers: int = 1):
             raw = list(pool.map(_run_cell, cells))
     else:
         raw = [_run_cell(c) for c in cells]
-    records = sorted((RunRecord.from_dict(r) for r in raw),
+    records = sorted((RunRecord(**r) for r in raw),
                      key=lambda r: (r.method, r.seed))
 
     matrices = {}

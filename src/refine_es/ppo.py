@@ -56,17 +56,16 @@ class PpoConfig:
             raise ContractError("gamma must be in (0, 1]")
         if self.optimizer not in ("sgd", "adam"):
             raise ContractError("optimizer must be 'sgd' or 'adam'")
+        if self.episodes_per_update < 1 or self.minibatch_size < 1:
+            raise ContractError(
+                "episodes_per_update and minibatch_size must be >= 1")
+        if any(h < 1 for h in self.hidden_dims):
+            raise ContractError("hidden_dims must all be >= 1")
 
     def to_dict(self) -> dict:
         d = self.__dict__.copy()
         d["hidden_dims"] = list(self.hidden_dims)
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PpoConfig":
-        d = dict(d)
-        d["hidden_dims"] = tuple(d["hidden_dims"])
-        return cls(**d)
 
 
 @dataclass

@@ -38,15 +38,18 @@ def pooled_mean(matrix: dict) -> float:
 def stratified_bootstrap_ci(matrix: dict, statistic, resamples: int = 2000,
                             level: float = 0.95, seed: int = 0):
     """Percentile bootstrap CI for statistic(matrix); seeds are resampled with
-    replacement independently within each task stratum."""
+    replacement independently within each task stratum. Seeds lie on the
+    last axis, so the rows of a stacked (k, n_seeds) array are resampled
+    jointly (paired)."""
     rng = np.random.Generator(np.random.PCG64(seed))
     tasks = sorted(matrix)
     arrays = {t: np.asarray(matrix[t], dtype=float) for t in tasks}
     stats = np.empty(resamples)
     for b in range(resamples):
-        resampled = {
-            t: arrays[t][rng.integers(0, arrays[t].shape[0], arrays[t].shape[0])]
-            for t in tasks}
+        resampled = {}
+        for t in tasks:
+            n = arrays[t].shape[-1]
+            resampled[t] = arrays[t][..., rng.integers(0, n, n)]
         stats[b] = statistic(resampled)
     tail = (1.0 - level) / 2.0
     lo, hi = np.quantile(stats, [tail, 1.0 - tail])
@@ -100,26 +103,13 @@ def aggregate_report(matrices: dict, baseline: str | None = None,
             entry["p_improvement"] = prob_improvement(
                 np.concatenate([np.asarray(v) for v in matrix.values()]),
                 np.concatenate([np.asarray(v) for v in base.values()]))
-            paired = {t: np.stack([np.asarray(matrix[t], dtype=float),
-                                   np.asarray(base[t], dtype=float)])
+            # (method, baseline) rows per task, so seed columns resample jointly
+            paired = {t: np.stack([matrix[t], base[t]])
                       for t in matrix if t in base}
-
-            def paired_poi(res, _paired=paired):
-                return prob_improvement(
-                    np.concatenate([res[t][0] for t in res]),
-                    np.concatenate([res[t][1] for t in res]))
-
-            # resample seed columns jointly so the comparison stays paired
-            rng = np.random.Generator(np.random.PCG64(seed))
-            stats = np.empty(resamples)
-            for b in range(resamples):
-                res = {}
-                for t, both in paired.items():
-                    idx = rng.integers(0, both.shape[1], both.shape[1])
-                    res[t] = both[:, idx]
-                stats[b] = paired_poi(res)
-            entry["p_improvement_ci"] = (float(np.quantile(stats, 0.025)),
-                                         float(np.quantile(stats, 0.975)))
+            entry["p_improvement_ci"] = stratified_bootstrap_ci(
+                paired, lambda res: prob_improvement(
+                    *np.concatenate(list(res.values()), axis=1)),
+                resamples, seed=seed)
         report["methods"][method] = entry
     tasks = sorted({t for m in matrices.values() for t in m})
     for task in tasks:

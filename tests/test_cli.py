@@ -141,3 +141,22 @@ def test_interrupt_exit_130_then_resume(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert os.path.exists(os.path.join(
         out, "runs", "point-reach", "ppo_then_tdes", "0", "record.json"))
+
+
+def test_report_after_interrupted_sweep(tmp_path, monkeypatch, capsys):
+    # an interrupted sweep writes no report.json; report reads the finished
+    # cells' record.json files and names the cell that is missing
+    from refine_es.engine import INTERRUPT_ENV_VAR
+
+    out = str(tmp_path / "out")
+    monkeypatch.setenv(INTERRUPT_ENV_VAR, "0")
+    code = main(["run", "--plan", write_plan(tmp_path), "--out", out])
+    capsys.readouterr()
+    assert code == 130
+    assert not os.path.exists(os.path.join(out, "report.json"))
+    code = main(["report", "--dir", out])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    assert "ppo_only" in stdout
+    assert "missing cells (1)" in stdout
+    assert "ppo_then_tdes seed 0" in stdout

@@ -1,11 +1,11 @@
 import os
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from refine_es.engine import (INTERRUPT_ENV_VAR, EsConfig, GenerationRecord,
-                              evaluate_center, gaussian_es_run, sigma_at,
-                              tdes_run)
+                              evaluate_center, sigma_at, tdes_run)
 from refine_es.errors import ContractError, RolloutError
 from refine_es.policy import MlpArchitecture, param_count
 
@@ -71,11 +71,15 @@ def test_config_validation():
         small_config(sigma_min=0.5)  # above sigma_es
     with pytest.raises(ContractError):
         small_config(m=0)
+    with pytest.raises(ContractError, match="center_eval_episodes"):
+        small_config(center_eval_episodes=0)
 
 
 def test_config_roundtrip():
     c = small_config(step_cap=100)
-    assert EsConfig.from_dict(c.to_dict()) == c
+    d = c.to_dict()
+    assert set(d) == {f.name for f in fields(EsConfig)}
+    assert EsConfig(**d) == c
 
 
 def test_sigma_schedule_closed_form():
@@ -161,9 +165,10 @@ def test_resume_bitwise_equal_to_uninterrupted():
 
 
 def test_gaussian_twin_differs_from_triangular():
-    tri = tdes_run(np.zeros(2), ARCH, TargetEnv, small_config(generations=3))
-    gau = gaussian_es_run(np.zeros(2), ARCH, TargetEnv,
-                          small_config(generations=3))
+    cfg = small_config(generations=3)
+    tri = tdes_run(np.zeros(2), ARCH, TargetEnv, cfg)
+    gau = tdes_run(np.zeros(2), ARCH, TargetEnv,
+                   replace(cfg, distribution="gaussian"))
     assert not np.array_equal(tri.params, gau.params)
     assert gau.steps_used == tri.steps_used
 
@@ -212,4 +217,4 @@ def test_candidate_rollout_failure_names_pair_and_episode():
 
 def test_generation_record_roundtrip():
     r = GenerationRecord(3, 0.1, 0.2, 0.3, 0.05, 1.5, 640, 0.01)
-    assert GenerationRecord.from_dict(r.to_dict()) == r
+    assert GenerationRecord(**r.to_dict()) == r

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from refine_es.envs import ArmReach, env_ids, env_specs, make_env
+from refine_es.envs import ArmReach, env_ids, make_env
 from refine_es.errors import ContractError
 
 ALL_IDS = ("arm-reach", "peg-insert-1d", "point-reach")
@@ -25,18 +25,6 @@ def test_registry():
     assert env_ids() == sorted(ALL_IDS)
     with pytest.raises(ContractError):
         make_env("cartpole")
-
-
-def test_spec_dump_json_ready():
-    import json
-    specs = env_specs()
-    assert set(specs) == set(ALL_IDS)
-    json.dumps(specs)  # must be serializable as-is
-    for eid, s in specs.items():
-        env = make_env(eid)
-        assert s["state_dim"] == env.observation_dim
-        assert s["action_dim"] == env.action_dim
-        assert s["horizon"] == env.horizon
 
 
 def test_reset_goldens_seed_zero():

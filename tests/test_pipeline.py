@@ -52,6 +52,14 @@ def test_plan_rejects_missing_and_invalid():
         tiny_plan(ppo={"learning_rate": -1.0})
     with pytest.raises(PlanError, match="'ppo'.*learning_rate"):
         tiny_plan(ppo={"learning_rate": 0.0})
+    with pytest.raises(PlanError, match="'es'.*center_eval_episodes"):
+        tiny_plan(es={"center_eval_episodes": 0})
+    with pytest.raises(PlanError, match="'ppo'.*minibatch_size"):
+        tiny_plan(ppo={"minibatch_size": 0})
+    with pytest.raises(PlanError, match="'ppo'.*episodes_per_update"):
+        tiny_plan(ppo={"episodes_per_update": 0})
+    with pytest.raises(PlanError, match="'ppo'.*hidden_dims"):
+        tiny_plan(ppo={"hidden_dims": [0]})
 
 
 def test_plan_roundtrip():

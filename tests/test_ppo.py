@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -28,11 +30,19 @@ def test_config_validation():
         tiny_config(optimizer="rmsprop")
     with pytest.raises(ContractError):
         tiny_config(learning_rate=0.0)
+    with pytest.raises(ContractError, match="minibatch_size"):
+        tiny_config(minibatch_size=0)
+    with pytest.raises(ContractError, match="episodes_per_update"):
+        tiny_config(episodes_per_update=0)
+    with pytest.raises(ContractError, match="hidden_dims"):
+        tiny_config(hidden_dims=(0,))
 
 
 def test_config_roundtrip():
     c = tiny_config(optimizer="adam")
-    assert PpoConfig.from_dict(c.to_dict()) == c
+    d = c.to_dict()
+    assert set(d) == {f.name for f in fields(PpoConfig)}
+    assert PpoConfig(**{**d, "hidden_dims": tuple(d["hidden_dims"])}) == c
 
 
 def test_gae_lambda_zero_is_one_step_td():

@@ -142,6 +142,39 @@ def test_aggregate_report_structure():
     assert set(report["per_task"]) == {"t1", "t2"}
 
 
+# fixed 2-task x 9-seed success rates for the paired-bootstrap tests
+PAIRED_MATRICES = {
+    "ppo_only": {
+        "arm-reach": [0.42, 0.5, 0.38, 0.6, 0.44, 0.52, 0.3, 0.48, 0.56],
+        "peg-insert-1d": [0.1, 0.22, 0.08, 0.16, 0.3, 0.12, 0.2, 0.04, 0.18],
+    },
+    "ppo_then_tdes": {
+        "arm-reach": [0.46, 0.58, 0.36, 0.66, 0.5, 0.52, 0.4, 0.54, 0.62],
+        "peg-insert-1d": [0.24, 0.3, 0.1, 0.28, 0.36, 0.2, 0.26, 0.06, 0.34],
+    },
+}
+
+
+def test_paired_bootstrap_identical_methods_gives_half():
+    # every resample draws the same seed columns for method and baseline,
+    # so each resampled P(improvement) is exactly 1/2
+    base = PAIRED_MATRICES["ppo_only"]
+    matrices = {"a": base, "b": {t: list(v) for t, v in base.items()}}
+    report = aggregate_report(matrices, baseline="a", resamples=200)
+    assert report["methods"]["b"]["p_improvement_ci"] == (0.5, 0.5)
+
+
+def test_paired_bootstrap_golden():
+    # recorded with the earlier inline paired-bootstrap loop
+    report = aggregate_report(PAIRED_MATRICES, resamples=200)
+    base, tdes = (report["methods"][m] for m in ("ppo_only", "ppo_then_tdes"))
+    assert base["iqm_ci"] == (0.2678, 0.34815)
+    assert base["mean_ci"] == (0.27549999999999997, 0.34450000000000003)
+    assert tdes["iqm_ci"] == (0.3439, 0.41425000000000006)
+    assert tdes["mean_ci"] == (0.34108333333333335, 0.4178055555555556)
+    assert tdes["p_improvement"] == 0.6049382716049383
+    assert tdes["p_improvement_ci"] == (0.5693672839506173, 0.6697530864197531)
+
 def test_render_report_text():
     matrices = {"ppo_only": {"t": [0.2, 0.4, 0.3]},
                 "ppo_then_tdes": {"t": [0.8, 0.9, 0.7]}}
