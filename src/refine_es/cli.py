@@ -83,11 +83,12 @@ def _collect_records(results_dir: str) -> list[dict]:
         return records
     for task in sorted(os.listdir(runs)):
         for method in sorted(os.listdir(os.path.join(runs, task))):
-            for seed in sorted(os.listdir(os.path.join(runs, task, method))):
+            for seed in os.listdir(os.path.join(runs, task, method)):
                 path = os.path.join(runs, task, method, seed, "record.json")
                 if os.path.exists(path):
                     records.append(load_json(path))
-    return records
+    # integer seed order, as in `sweep` (directory names sort "10" before "2")
+    return sorted(records, key=lambda r: (r["task"], r["method"], r["seed"]))
 
 
 def cmd_report(args) -> int:
@@ -103,8 +104,8 @@ def cmd_report(args) -> int:
                     for s in plan["seeds"]}
     matrices: dict = {}
     for r in records:
-        matrices.setdefault(r["method"], {}).setdefault(r["task"], []).append(
-            r["final_success_rate"])
+        matrices.setdefault(r["method"], {}).setdefault(
+            r["task"], {})[r["seed"]] = r["final_success_rate"]
     report = stats.aggregate_report(matrices, baseline=args.baseline)
     print(stats.render_report(report))
     if expected is not None:
@@ -120,7 +121,7 @@ def cmd_report(args) -> int:
     thresholds = np.linspace(0.0, 1.0, 101)
     profile_series = {}
     for method, per_task in sorted(matrices.items()):
-        scores = np.concatenate([np.asarray(v) for v in per_task.values()])
+        scores = np.concatenate([list(v.values()) for v in per_task.values()])
         profile_series[method] = (thresholds,
                                   stats.performance_profile(scores, thresholds))
     svgplot.write_line_svg(os.path.join(args.dir, "performance_profile.svg"),

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ContractError
 from .noise import NoiseDistribution, PerturbationBatch, antithetic_candidates, make_batch
@@ -48,7 +47,14 @@ def centered_rank_scores(values) -> np.ndarray:
     n = values.shape[0]
     if n < 2:
         raise ContractError("need at least 2 values to rank")
-    ranks = rankdata(values, method="average") - 1.0
+    # 0-based average ranks: a run of equal values at sorted positions
+    # start..end-1 shares the rank (start + end - 1) / 2, which is exact
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], n]
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1), ends - starts)
     scores = ranks / (n - 1) - 0.5
     scores = scores - scores.mean()
     std = np.sqrt(np.mean(scores ** 2))

@@ -377,7 +377,8 @@ def sweep(plan: ExperimentPlan, out_dir: str, workers: int = 1):
     for method in plan.methods:
         ok = [r for r in records if r.method == method and not r.failed]
         if ok:
-            matrices[method] = {plan.task: [r.final_success_rate for r in ok]}
+            matrices[method] = {plan.task: {r.seed: r.final_success_rate
+                                            for r in ok}}
     report = stats.aggregate_report(matrices) if matrices else {}
     failures = [{"method": r.method, "seed": r.seed, "failure": r.failure}
                 for r in records if r.failed]

@@ -59,6 +59,8 @@ class PpoConfig:
         if self.episodes_per_update < 1 or self.minibatch_size < 1:
             raise ContractError(
                 "episodes_per_update and minibatch_size must be >= 1")
+        if self.epochs < 1:
+            raise ContractError("epochs must be >= 1")
         if any(h < 1 for h in self.hidden_dims):
             raise ContractError("hidden_dims must all be >= 1")
 

@@ -2,37 +2,65 @@
 stratified bootstrap confidence intervals, Mann-Whitney probability of
 improvement, and performance profiles.
 
-A score matrix maps task id -> per-seed final success rates (same seed count
-per task). The aggregate statistic for a method pools every task x seed value.
+A score matrix maps task id -> per-seed final success rates. The aggregate
+statistic for a method pools every task x seed value. The statistics work on
+the last axis and accept leading (resample) axes; on 1-D input they return a
+Python float.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 
 import numpy as np
 
 from .errors import ContractError
 
+# elements of one (resamples, n_a, n_b) comparison block in prob_improvement
+_COMPARE_BLOCK = 1 << 20
 
-def iqm(samples) -> float:
+
+def _as_float(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def iqm(samples):
     """Mean of the middle 50%: sort, drop floor(n/4) from each end. For
     n <= 4 nothing is dropped and this equals the plain mean."""
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = x.shape[0]
+    x = np.sort(np.asarray(samples, dtype=float), axis=-1)
+    n = x.shape[-1]
     if n == 0:
         raise ContractError("iqm of an empty sample")
     k = n // 4
-    return float(x[k:n - k].mean())
+    return _as_float(x[..., k:n - k].mean(axis=-1))
 
 
-def pooled_iqm(matrix: dict) -> float:
-    return iqm(np.concatenate([np.asarray(v, dtype=float) for v in matrix.values()]))
+def _pooled(matrix: dict) -> np.ndarray:
+    return np.concatenate([np.asarray(v, dtype=float) for v in matrix.values()],
+                          axis=-1)
 
 
-def pooled_mean(matrix: dict) -> float:
-    return float(np.mean(np.concatenate(
-        [np.asarray(v, dtype=float) for v in matrix.values()])))
+def pooled_iqm(matrix: dict):
+    return iqm(_pooled(matrix))
+
+
+def pooled_mean(matrix: dict):
+    return _as_float(np.mean(_pooled(matrix), axis=-1))
+
+
+@functools.lru_cache(maxsize=8)
+def _resample_indices(counts: tuple[int, ...], resamples: int,
+                      seed: int) -> tuple[np.ndarray, ...]:
+    """Read-only (resamples, n) seed-index draws per task, in the stream
+    order of one rng.integers(0, n, n) call per resample and task."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = tuple(np.empty((resamples, n), dtype=np.int64) for n in counts)
+    for b in range(resamples):
+        for rows, n in zip(draws, counts):
+            rows[b] = rng.integers(0, n, n)
+    for rows in draws:
+        rows.flags.writeable = False
+    return draws
 
 
 def stratified_bootstrap_ci(matrix: dict, statistic, resamples: int = 2000,
@@ -40,32 +68,44 @@ def stratified_bootstrap_ci(matrix: dict, statistic, resamples: int = 2000,
     """Percentile bootstrap CI for statistic(matrix); seeds are resampled with
     replacement independently within each task stratum. Seeds lie on the
     last axis, so the rows of a stacked (k, n_seeds) array are resampled
-    jointly (paired)."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+    jointly (paired). The statistic is called once, with every task's
+    resamples stacked on a new leading axis, (resamples, ..., n_seeds), and
+    returns one value per resample."""
     tasks = sorted(matrix)
-    arrays = {t: np.asarray(matrix[t], dtype=float) for t in tasks}
-    stats = np.empty(resamples)
-    for b in range(resamples):
-        resampled = {}
-        for t in tasks:
-            n = arrays[t].shape[-1]
-            resampled[t] = arrays[t][..., rng.integers(0, n, n)]
-        stats[b] = statistic(resampled)
+    arrays = [np.asarray(matrix[t], dtype=float) for t in tasks]
+    draws = _resample_indices(tuple(a.shape[-1] for a in arrays), resamples,
+                              seed)
+    resampled = {t: np.moveaxis(a[..., idx], -2, 0)
+                 for t, a, idx in zip(tasks, arrays, draws)}
+    stats = np.asarray(statistic(resampled), dtype=float)
+    if stats.shape != (resamples,):
+        raise ContractError(f"the statistic returned shape {stats.shape}, "
+                            f"expected one value per resample ({resamples},)")
     tail = (1.0 - level) / 2.0
     lo, hi = np.quantile(stats, [tail, 1.0 - tail])
     return float(lo), float(hi)
 
 
-def prob_improvement(a, b) -> float:
+def prob_improvement(a, b):
     """Mann-Whitney probability that a random score from a beats one from b,
-    ties counted half."""
+    ties counted half. Leading axes of a and b are paired batch axes."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.size == 0 or b.size == 0:
+    na, nb = a.shape[-1], b.shape[-1]
+    if na == 0 or nb == 0:
         raise ContractError("prob_improvement needs non-empty samples")
-    gt = (a[:, None] > b[None, :]).sum()
-    eq = (a[:, None] == b[None, :]).sum()
-    return float((gt + 0.5 * eq) / (a.size * b.size))
+    lead = a.shape[:-1]
+    if b.shape[:-1] != lead:
+        raise ContractError("prob_improvement needs equal leading axes")
+    a, b = a.reshape(-1, na), b.reshape(-1, nb)
+    out = np.empty(a.shape[0])
+    step = max(1, _COMPARE_BLOCK // (na * nb))
+    for s in range(0, a.shape[0], step):
+        x, y = a[s:s + step, :, None], b[s:s + step, None, :]
+        gt = (x > y).sum(axis=(1, 2))
+        eq = (x == y).sum(axis=(1, 2))
+        out[s:s + step] = (gt + 0.5 * eq) / (na * nb)
+    return float(out[0]) if not lead else out.reshape(lead)
 
 
 def performance_profile(scores, thresholds) -> np.ndarray:
@@ -75,12 +115,22 @@ def performance_profile(scores, thresholds) -> np.ndarray:
     return (scores[None, :] > thresholds[:, None]).mean(axis=1)
 
 
+def _by_seed(scores) -> dict:
+    """{seed id: score} in ascending seed order; the scores of a plain
+    sequence are keyed by their position."""
+    pairs = scores.items() if isinstance(scores, dict) else enumerate(scores)
+    return dict(sorted((int(s), float(v)) for s, v in pairs))
+
+
 def aggregate_report(matrices: dict, baseline: str | None = None,
                      resamples: int = 2000, seed: int = 0) -> dict:
     """Per-method IQM/mean with 95% stratified bootstrap CIs, probability of
     improvement vs the baseline method, and per-task mean +/- std.
 
-    matrices: method -> {task -> per-seed scores}.
+    matrices: method -> {task -> per-seed scores}, either {seed id: score}
+    or a sequence indexed by seed. Seed columns are taken in ascending seed
+    order; the paired P(improvement) CI resamples only the seeds that the
+    method and the baseline both have.
     """
     methods = sorted(matrices)
     if baseline is None:
@@ -88,8 +138,12 @@ def aggregate_report(matrices: dict, baseline: str | None = None,
     report = {"baseline": baseline, "methods": {}, "per_task": {},
               "ci": {"kind": "stratified percentile bootstrap",
                      "resamples": resamples, "level": 0.95}}
+    by_seed = {m: {t: _by_seed(v) for t, v in matrices[m].items()}
+               for m in methods}
+    columns = {m: {t: np.array(list(c.values())) for t, c in by_seed[m].items()}
+               for m in methods}
     for method in methods:
-        matrix = matrices[method]
+        matrix = columns[method]
         entry = {
             "iqm": pooled_iqm(matrix),
             "iqm_ci": stratified_bootstrap_ci(matrix, pooled_iqm, resamples,
@@ -99,24 +153,29 @@ def aggregate_report(matrices: dict, baseline: str | None = None,
                                                seed=seed),
         }
         if method != baseline and baseline in matrices:
-            base = matrices[baseline]
             entry["p_improvement"] = prob_improvement(
-                np.concatenate([np.asarray(v) for v in matrix.values()]),
-                np.concatenate([np.asarray(v) for v in base.values()]))
-            # (method, baseline) rows per task, so seed columns resample jointly
-            paired = {t: np.stack([matrix[t], base[t]])
-                      for t in matrix if t in base}
-            entry["p_improvement_ci"] = stratified_bootstrap_ci(
-                paired, lambda res: prob_improvement(
-                    *np.concatenate(list(res.values()), axis=1)),
-                resamples, seed=seed)
+                _pooled(matrix), _pooled(columns[baseline]))
+            # (method, baseline) rows per task over their common seeds, so
+            # seed columns resample jointly
+            paired = {}
+            for t, own in by_seed[method].items():
+                base = by_seed[baseline].get(t, {})
+                common = sorted(own.keys() & base.keys())
+                if common:
+                    paired[t] = np.array([[own[s] for s in common],
+                                          [base[s] for s in common]])
+            if paired:
+                entry["p_improvement_ci"] = stratified_bootstrap_ci(
+                    paired, lambda res: prob_improvement(
+                        *_pooled(res).swapaxes(0, 1)),
+                    resamples, seed=seed)
         report["methods"][method] = entry
     tasks = sorted({t for m in matrices.values() for t in m})
     for task in tasks:
         report["per_task"][task] = {
-            method: {"mean": float(np.mean(matrices[method][task])),
-                     "std": float(np.std(matrices[method][task]))}
-            for method in methods if task in matrices[method]}
+            method: {"mean": float(np.mean(columns[method][task])),
+                     "std": float(np.std(columns[method][task]))}
+            for method in methods if task in columns[method]}
     return report
 
 

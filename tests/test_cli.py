@@ -4,6 +4,7 @@ import os
 import pytest
 
 from refine_es.cli import SEED_ENV_VAR, main
+from refine_es.stats import render_report
 
 TINY_PLAN = {
     "task": "point-reach",
@@ -160,3 +161,34 @@ def test_report_after_interrupted_sweep(tmp_path, monkeypatch, capsys):
     assert "ppo_only" in stdout
     assert "missing cells (1)" in stdout
     assert "ppo_then_tdes seed 0" in stdout
+
+
+def test_report_matches_report_json_for_eleven_seeds(tmp_path, capsys):
+    # seed directories list "10" before "2"; `report` must resample the seed
+    # columns in the integer order that `sweep` used for report.json
+    out = str(tmp_path / "out")
+    plan = dict(TINY_PLAN, seeds=list(range(11)), eval_episodes=10)
+    assert main(["run", "--plan", write_plan(tmp_path, plan),
+                 "--out", out]) == 0
+    capsys.readouterr()
+    with open(os.path.join(out, "report.json")) as fh:
+        swept = json.load(fh)["report"]
+    assert main(["report", "--dir", out]) == 0
+    assert render_report(swept) in capsys.readouterr().out
+
+
+def test_report_with_one_missing_record(tmp_path, capsys):
+    # method and baseline finished different seeds: the paired CI uses the
+    # seeds both have instead of failing on mismatched shapes
+    out = str(tmp_path / "out")
+    plan = dict(TINY_PLAN, seeds=[0, 1])
+    assert main(["run", "--plan", write_plan(tmp_path, plan),
+                 "--out", out]) == 0
+    capsys.readouterr()
+    os.remove(os.path.join(out, "runs", "point-reach", "ppo_then_tdes", "1",
+                           "record.json"))
+    assert main(["report", "--dir", out]) == 0
+    stdout = capsys.readouterr().out
+    assert "P(Improvement" in stdout
+    assert "missing cells (1)" in stdout
+    assert "ppo_then_tdes seed 1" in stdout

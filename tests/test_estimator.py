@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from refine_es.errors import ContractError
@@ -44,6 +44,40 @@ def test_ranks_table_split():
     scores = centered_rank_scores([1.0, 4.0, 2.0, 3.0])
     assert np.array_equal(r_plus, scores[:2])
     assert np.array_equal(r_minus, scores[2:])
+
+
+def rank_scores_oracle(values) -> np.ndarray:
+    """The documented score formula on brute-force average ranks:
+    rank_i = #(x < x_i) + (#(x == x_i) - 1) / 2."""
+    x = [float(v) for v in values]
+    n = len(x)
+    ranks = np.array([sum(v < xi for v in x) + (sum(v == xi for v in x) - 1) / 2
+                      for xi in x])
+    scores = ranks / (n - 1) - 0.5
+    scores = scores - scores.mean()
+    std = np.sqrt(np.mean(scores ** 2))
+    if std < 1e-12:
+        return np.zeros(n)
+    return scores / std
+
+
+# a few distinct values (plus both signed zeros) drawn repeatedly, so that
+# most vectors hold ties
+_TIED_VECTORS = st.lists(
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool + [0.0, -0.0]),
+                              min_size=2, max_size=40))
+
+
+@given(_TIED_VECTORS)
+@example([0.0, -0.0])
+@example([-0.0, 0.0, 0.0, 1.0])
+@example([2.0, 1.0])
+@settings(max_examples=300, deadline=None)
+def test_ranks_match_brute_force_oracle_bytewise(values):
+    assert centered_rank_scores(values).tobytes() == \
+        rank_scores_oracle(values).tobytes()
 
 
 @given(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=40,

@@ -60,6 +60,8 @@ def test_plan_rejects_missing_and_invalid():
         tiny_plan(ppo={"episodes_per_update": 0})
     with pytest.raises(PlanError, match="'ppo'.*hidden_dims"):
         tiny_plan(ppo={"hidden_dims": [0]})
+    with pytest.raises(PlanError, match="'ppo'.*epochs"):
+        tiny_plan(ppo={"epochs": 0})
 
 
 def test_plan_roundtrip():

@@ -36,6 +36,8 @@ def test_config_validation():
         tiny_config(episodes_per_update=0)
     with pytest.raises(ContractError, match="hidden_dims"):
         tiny_config(hidden_dims=(0,))
+    with pytest.raises(ContractError, match="epochs"):
+        tiny_config(epochs=0)
 
 
 def test_config_roundtrip():

@@ -3,8 +3,8 @@ import pytest
 
 from refine_es.errors import ContractError
 from refine_es.stats import (aggregate_report, iqm, performance_profile,
-                             pooled_iqm, prob_improvement, render_report,
-                             stratified_bootstrap_ci)
+                             pooled_iqm, pooled_mean, prob_improvement,
+                             render_report, stratified_bootstrap_ci)
 from refine_es.rng import make_stream
 
 
@@ -107,6 +107,13 @@ def test_bootstrap_reproducible_and_contains_point():
     assert lo <= pooled_iqm(matrix) <= hi
 
 
+def test_bootstrap_rejects_unbatched_statistic():
+    # a statistic that collapses the resample axis would give a zero-width CI
+    with pytest.raises(ContractError, match="one value per resample"):
+        stratified_bootstrap_ci({"t": [0.1, 0.5, 0.9]},
+                                lambda m: float(np.mean(m["t"])), 100)
+
+
 def test_bootstrap_matches_second_implementation():
     # independent percentile-bootstrap of the plain mean on one stratum
     rng = make_stream(14, 0)
@@ -114,7 +121,7 @@ def test_bootstrap_matches_second_implementation():
     matrix = {"t": data}
 
     def mean_stat(m):
-        return float(np.mean(m["t"]))
+        return np.mean(m["t"], axis=-1)  # one mean per resample row
 
     lo, hi = stratified_bootstrap_ci(matrix, mean_stat, resamples=4000, seed=1)
     oracle_rng = np.random.Generator(np.random.PCG64(99))
@@ -122,6 +129,55 @@ def test_bootstrap_matches_second_implementation():
         data[oracle_rng.integers(0, 30, 30)].mean() for _ in range(4000)])
     olo, ohi = np.quantile(stats, [0.025, 0.975])
     assert abs(lo - olo) < 0.01 and abs(hi - ohi) < 0.01
+
+
+def bootstrap_loop_reference(matrix, statistic, resamples, seed):
+    """The per-resample loop: one index draw per resample and task (sorted
+    task order), one scalar statistic call per resample."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    tasks = sorted(matrix)
+    stats = np.empty(resamples)
+    for b in range(resamples):
+        resampled = {}
+        for t in tasks:
+            a = np.asarray(matrix[t], dtype=float)
+            n = a.shape[-1]
+            resampled[t] = a[..., rng.integers(0, n, n)]
+        stats[b] = statistic(resampled)
+    tail = (1.0 - 0.95) / 2.0  # the helper's tail, not the literal 0.025
+    lo, hi = np.quantile(stats, [tail, 1.0 - tail])
+    return float(lo), float(hi)
+
+
+def paired_poi(res):
+    return prob_improvement(*np.concatenate(list(res.values()), axis=-1))
+
+
+def paired_poi_batched(res):
+    return prob_improvement(*np.concatenate(list(res.values()),
+                                            axis=-1).swapaxes(0, 1))
+
+
+def test_bootstrap_batched_matches_per_resample_loop():
+    # the batched statistics must reproduce the loop bit for bit, including
+    # pooled sums long enough (>= 8 kept values) for pairwise summation
+    rng = make_stream(16, 0)
+    for case in range(40):
+        n_tasks = int(rng.integers(1, 4))
+        matrix, paired = {}, {}
+        for t in range(n_tasks):
+            n = int(rng.integers(1, 31))
+            scores = (rng.integers(0, 21, (2, n)) / 20.0 if case % 2
+                      else rng.uniform(0, 1, (2, n)))
+            matrix[f"t{t}"] = scores[0]
+            paired[f"t{t}"] = scores
+        seed = int(rng.integers(0, 1000))
+        for stat in (pooled_iqm, pooled_mean):
+            assert stratified_bootstrap_ci(matrix, stat, 300, seed=seed) == \
+                bootstrap_loop_reference(matrix, stat, 300, seed)
+        assert stratified_bootstrap_ci(paired, paired_poi_batched, 300,
+                                       seed=seed) == \
+            bootstrap_loop_reference(paired, paired_poi, 300, seed)
 
 
 def test_aggregate_report_structure():
@@ -174,6 +230,39 @@ def test_paired_bootstrap_golden():
     assert tdes["mean_ci"] == (0.34108333333333335, 0.4178055555555556)
     assert tdes["p_improvement"] == 0.6049382716049383
     assert tdes["p_improvement_ci"] == (0.5693672839506173, 0.6697530864197531)
+
+
+def test_aggregate_report_pairs_seeds_by_id():
+    base = dict(enumerate(PAIRED_MATRICES["ppo_only"]["arm-reach"]))
+    tdes = dict(enumerate(PAIRED_MATRICES["ppo_then_tdes"]["arm-reach"]))
+    del base[3], tdes[7]
+    # the insertion order of the seed ids must not matter
+    shuffled = dict(reversed(list(tdes.items())))
+    report = aggregate_report({"ppo_only": {"t": base},
+                               "ppo_then_tdes": {"t": shuffled}},
+                              resamples=200)
+    got = report["methods"]["ppo_then_tdes"]
+    common = [s for s in range(9) if s not in (3, 7)]
+    paired_only = aggregate_report(
+        {"ppo_only": {"t": [base[s] for s in common]},
+         "ppo_then_tdes": {"t": [tdes[s] for s in common]}}, resamples=200)
+    assert got["p_improvement_ci"] == \
+        paired_only["methods"]["ppo_then_tdes"]["p_improvement_ci"]
+    # the unpaired statistics keep every seed the method has
+    alone = aggregate_report({"ppo_then_tdes": {"t": [tdes[s] for s in
+                                                      sorted(tdes)]}},
+                             resamples=200)["methods"]["ppo_then_tdes"]
+    for key in ("iqm", "iqm_ci", "mean", "mean_ci"):
+        assert got[key] == alone[key]
+    assert got["p_improvement"] == prob_improvement(list(tdes.values()),
+                                                    list(base.values()))
+    # no seed in common: the point estimate stays, the paired CI is omitted
+    disjoint = aggregate_report({"ppo_only": {"t": {0: 0.1, 1: 0.2}},
+                                 "ppo_then_tdes": {"t": {2: 0.3, 3: 0.4}}},
+                                resamples=50)["methods"]["ppo_then_tdes"]
+    assert disjoint["p_improvement"] == 1.0
+    assert "p_improvement_ci" not in disjoint
+
 
 def test_render_report_text():
     matrices = {"ppo_only": {"t": [0.2, 0.4, 0.3]},

@@ -1,9 +1,13 @@
 """Surface guard: every public module-level function or class in
 src/refine_es is referenced somewhere in src/ outside its own definition.
-A name that only tests use belongs in the tests, not in the package."""
+A name that only tests use belongs in the tests, not in the package. The
+import path of the CLI stays free of scipy, a test-only dependency."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "refine_es"
 
@@ -50,3 +54,14 @@ def test_no_unreferenced_public_names():
     assert sorted(set(unused) - set(ALLOWED)) == []
     # an allow-listed name that gets a caller should leave the list
     assert sorted(ALLOWED) == sorted(set(unused) & set(ALLOWED))
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only oracle
+    probe = ("import sys, refine_es.cli; print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
