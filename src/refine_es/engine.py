@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ContractError, RolloutError
 from .estimator import ReturnTable, centered_ranks, tdes_gradient
 from .noise import NoiseDistribution, antithetic_candidates, make_batch
-from .policy import MlpArchitecture, action_noise, rollout
+from .policy import MlpArchitecture, action_noise, param_count, rollout
 from .rng import (TAG_ACTION, TAG_CENTER_EVAL, TAG_ENV, TAG_EVAL, make_stream,
                   stream_seed)
 
@@ -155,7 +155,6 @@ def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env_factory,
     checkpoint_cb(generation_index_completed, params, steps_used, records)
     is invoked after every generation's update.
     """
-    from .policy import param_count
     if anchor.shape != (param_count(arch),):
         raise ContractError("anchor does not match the architecture")
 

@@ -5,11 +5,7 @@ unit-variance rank scores (average-rank ties, population 1/n variance), which
 makes the update invariant to any strictly increasing reward transform.
 tdes_gradient forms the antithetic finite-difference direction
 
-    g = (1 / (m * sigma_es)) * sum_i (score_plus_i - score_minus_i) * eps_i
-
-and classic_es_gradient is the score-function baseline
-
-    g = (1 / (n * sigma_es)) * sum_i J(theta_i) * delta_i.
+    g = (1 / (m * sigma_es)) * sum_i (score_plus_i - score_minus_i) * eps_i.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .noise import NoiseDistribution, PerturbationBatch, antithetic_candidates, make_batch
+from .noise import PerturbationBatch
 
 _TIE_EPS = 1e-12
 
@@ -99,46 +95,3 @@ def tdes_gradient(batch: PerturbationBatch,
     if not np.all(np.isfinite(g)):
         raise ContractError("gradient estimate is not finite")
     return GradientEstimate(g, {"g_norm": float(np.linalg.norm(g))})
-
-
-def classic_es_gradient(deltas: np.ndarray, returns: np.ndarray,
-                        sigma_es: float) -> GradientEstimate:
-    """Score-function estimator over n Gaussian perturbations and their raw
-    returns."""
-    if sigma_es <= 0:
-        raise ContractError("sigma_es must be > 0")
-    returns = np.asarray(returns, dtype=float)
-    n = deltas.shape[0]
-    if returns.shape != (n,):
-        raise ContractError("returns are not aligned with the perturbations")
-    g = (returns @ deltas) / (n * sigma_es)
-    return GradientEstimate(g, {"g_norm": float(np.linalg.norm(g))})
-
-
-def estimator_variance(objective, center: np.ndarray, sigma_es: float, m: int,
-                       trials: int, master_seed: int = 0,
-                       use_ranks: bool = False) -> dict:
-    """Trace of the empirical covariance of the antithetic estimator over
-    independent batches, for each noise kind at equal sigma_es.
-
-    objective: deterministic callable theta -> float.
-    """
-    if trials < 2:
-        raise ContractError("trials must be >= 2")
-    center = np.asarray(center, dtype=float)
-    out = {}
-    for kind in ("triangular", "gaussian"):
-        dist = NoiseDistribution(kind)
-        grads = np.empty((trials, center.shape[0]))
-        for t in range(trials):
-            batch = make_batch(dist, sigma_es, m, center.shape[0], t, master_seed)
-            plus, minus = antithetic_candidates(center, batch)
-            j_plus = np.array([objective(p) for p in plus])
-            j_minus = np.array([objective(p) for p in minus])
-            if use_ranks:
-                r_plus, r_minus = centered_ranks(ReturnTable(j_plus, j_minus))
-                grads[t] = fd_gradient(batch.epsilons, r_plus, r_minus, sigma_es)
-            else:
-                grads[t] = fd_gradient(batch.epsilons, j_plus, j_minus, sigma_es)
-        out[kind] = float(np.sum(np.var(grads, axis=0)))
-    return out

@@ -25,7 +25,6 @@ import csv
 import hashlib
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -366,6 +365,8 @@ def sweep(plan: ExperimentPlan, out_dir: str, workers: int = 1):
     cells = [(plan.to_dict(), method, seed, out_dir)
              for method in plan.methods for seed in plan.seeds]
     if workers > 1:
+        # imported here, as it costs every other process about 25 ms
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_run_cell, cells))
     else:

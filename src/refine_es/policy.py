@@ -14,6 +14,7 @@ policy mean plus optional pre-drawn Gaussian noise (B, horizon, k).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,10 +35,12 @@ class MlpArchitecture:
             raise ContractError(f"unsupported activation: {self.activation}")
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
 
-    def layer_shapes(self) -> list[tuple[int, int]]:
-        """(fan_in, fan_out) per layer, input to output."""
+    @cached_property
+    def layer_shapes(self) -> tuple[tuple[int, int], ...]:
+        """(fan_in, fan_out) per layer, input to output; computed once per
+        architecture."""
         dims = [self.input_dim, *self.hidden_dims, self.output_dim]
-        return list(zip(dims[:-1], dims[1:]))
+        return tuple(zip(dims[:-1], dims[1:]))
 
     def to_dict(self) -> dict:
         return {
@@ -54,14 +57,14 @@ class MlpArchitecture:
 
 def param_count(arch: MlpArchitecture) -> int:
     """Total flat parameter count: sum of (fan_in + 1) * fan_out over layers."""
-    return sum((fi + 1) * fo for fi, fo in arch.layer_shapes())
+    return sum((fi + 1) * fo for fi, fo in arch.layer_shapes)
 
 
 def init_params(arch: MlpArchitecture, rng: np.random.Generator,
                 final_scale: float = 1.0) -> np.ndarray:
     """Xavier-uniform init; the last layer is additionally scaled by final_scale."""
     chunks = []
-    shapes = arch.layer_shapes()
+    shapes = arch.layer_shapes
     for li, (fi, fo) in enumerate(shapes):
         limit = np.sqrt(6.0 / (fi + fo))
         if li == len(shapes) - 1:
@@ -82,7 +85,7 @@ def unpack_params(params: np.ndarray, arch: MlpArchitecture) -> list[tuple[np.nd
     lead = params.shape[:-1]
     out = []
     off = 0
-    for fi, fo in arch.layer_shapes():
+    for fi, fo in arch.layer_shapes:
         w = params[..., off:off + fi * fo].reshape(*lead, fo, fi)
         off += fi * fo
         b = params[..., off:off + fo]
@@ -108,17 +111,16 @@ def mlp_backward(params: np.ndarray, arch: MlpArchitecture,
                  acts: list[np.ndarray], dout: np.ndarray) -> np.ndarray:
     """Gradient of sum(out * dout) w.r.t. the flat parameter vector."""
     layers = unpack_params(params, arch)
-    grads = [None] * len(layers)
+    grad = np.empty(params.shape[-1])
+    grads = unpack_params(grad, arch)  # views to write each layer into
     d = dout
     for li in range(len(layers) - 1, -1, -1):
-        w, _ = layers[li]
-        h_prev = acts[li]
-        gw = d.T @ h_prev
-        gb = d.sum(axis=0)
-        grads[li] = (gw, gb)
+        gw, gb = grads[li]
+        gw[...] = d.T @ acts[li]
+        gb[...] = d.sum(axis=0)
         if li > 0:
-            d = (d @ w) * (1.0 - acts[li] ** 2)
-    return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+            d = (d @ layers[li][0]) * (1.0 - acts[li] ** 2)
+    return grad
 
 
 @dataclass

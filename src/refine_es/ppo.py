@@ -2,9 +2,13 @@
 
 Actor and critic are small tanh MLPs over flat parameter vectors (same layout
 as the ES stage, so the trained actor hands off directly). The policy is
-diagonal Gaussian with a state-independent learnable log-std vector.
-Gradients of the clipped surrogate + value loss + entropy bonus are derived
-by hand in reverse mode; tests check them against central finite differences.
+diagonal Gaussian with a state-independent learnable log-std vector. All
+trainable parameters live in one float64 vector laid out
+actor | log_std | critic; the loss gradient comes back in the same layout,
+and the optimizer takes one SGD step, or keeps one Adam state, over the whole
+vector. Gradients of the clipped surrogate + value loss + entropy bonus are
+derived by hand in reverse mode; tests check them against central finite
+differences.
 
 All randomness (env seeds, action noise, minibatch shuffles) comes from
 counter-based streams keyed on (seed, purpose, update_index, ...), so
@@ -70,21 +74,35 @@ class PpoConfig:
         return d
 
 
-@dataclass
 class ActorCritic:
-    actor_arch: MlpArchitecture
-    actor_params: np.ndarray
-    log_std: np.ndarray
-    critic_arch: MlpArchitecture
-    critic_params: np.ndarray
+    """Actor, log-std and critic parameters in one float64 vector `params`,
+    laid out actor | log_std | critic. `actor_params`, `log_std` and
+    `critic_params` are views into it, with no setter: write into them in
+    place (`ac.log_std[:] = x`); rebinding one raises AttributeError."""
+
+    def __init__(self, actor_arch: MlpArchitecture, actor_params, log_std,
+                 critic_arch: MlpArchitecture, critic_params):
+        self.actor_arch, self.critic_arch = actor_arch, critic_arch
+        self.params = np.concatenate([actor_params, log_std, critic_params],
+                                     dtype=float)
+        a, k = len(actor_params), len(log_std)
+        self._slices = (slice(0, a), slice(a, a + k), slice(a + k, None))
+
+    actor_params = property(lambda self: self.params[self._slices[0]])
+    log_std = property(lambda self: self.params[self._slices[1]])
+    critic_params = property(lambda self: self.params[self._slices[2]])
+
+    def split(self, vec: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Views (actor, log_std, critic) into a vector laid out like
+        `params`."""
+        return tuple(vec[s] for s in self._slices)
 
     def copy(self) -> "ActorCritic":
-        return ActorCritic(self.actor_arch, self.actor_params.copy(),
-                           self.log_std.copy(), self.critic_arch,
-                           self.critic_params.copy())
+        return ActorCritic(self.actor_arch, self.actor_params, self.log_std,
+                           self.critic_arch, self.critic_params)
 
     def to_dict(self) -> dict:
-        """Checkpoint payload; the arrays are the live ones, not copies."""
+        """Checkpoint payload; the arrays are the live views, not copies."""
         return {
             "actor_arch": self.actor_arch.to_dict(),
             "actor_params": self.actor_params,
@@ -96,10 +114,9 @@ class ActorCritic:
     @classmethod
     def from_dict(cls, d: dict) -> "ActorCritic":
         return cls(MlpArchitecture.from_dict(d["actor_arch"]),
-                   np.array(d["actor_params"], dtype=float),
-                   np.array(d["log_std"], dtype=float),
+                   d["actor_params"], d["log_std"],
                    MlpArchitecture.from_dict(d["critic_arch"]),
-                   np.array(d["critic_params"], dtype=float))
+                   d["critic_params"])
 
 
 def init_actor_critic(obs_dim: int, act_dim: int, config: PpoConfig) -> ActorCritic:
@@ -161,7 +178,7 @@ def loss_and_grads(ac: ActorCritic, states, actions, log_probs_old, advantages,
     """Loss = -mean(min(rho*A, clip(rho)*A)) + c_v*mean((V-R)^2) - c_e*H(pi),
     with exact reverse-mode gradients w.r.t. (actor, log_std, critic).
 
-    Returns (loss, parts, g_actor, g_log_std, g_critic).
+    Returns (loss, parts, grad), grad laid out like `ac.params`.
     """
     n = states.shape[0]
     mu, actor_acts = mlp_forward(ac.actor_params, ac.actor_arch, states)
@@ -195,68 +212,48 @@ def loss_and_grads(ac: ActorCritic, states, actions, log_probs_old, advantages,
 
     parts = {"policy_loss": float(policy_loss), "value_loss": value_loss,
              "entropy": entropy}
-    return float(loss), parts, g_actor, g_log_std, g_critic
+    return float(loss), parts, np.concatenate([g_actor, g_log_std, g_critic])
 
 
-class _AdamState:
-    def __init__(self, dim):
-        self.m = np.zeros(dim)
-        self.v = np.zeros(dim)
+class PpoOptimizer:
+    """SGD by default; optional Adam. A step updates the whole vector
+    `ac.params` at once, and Adam keeps one state (m, v, t) for it. Every
+    Adam operation is elementwise with shared scalars, so this is
+    bit-identical to one Adam per part. `to_dict` hands the moments over per
+    part (actor, log_std, critic), as checkpoint format 2 stores them."""
+
+    def __init__(self, ac: ActorCritic, config: PpoConfig):
+        self.config = config
+        self._split = ac.split
+        adam = config.optimizer == "adam"
+        self.m = np.zeros_like(ac.params) if adam else None
+        self.v = np.zeros_like(ac.params) if adam else None
         self.t = 0
 
-    def step(self, grad, lr, b1, b2, eps):
+    def apply(self, ac: ActorCritic, grad: np.ndarray):
+        c = self.config
+        if self.m is None:
+            ac.params -= c.learning_rate * grad
+            return
+        b1, b2 = c.adam_beta1, c.adam_beta2
         self.t += 1
         self.m = b1 * self.m + (1 - b1) * grad
         self.v = b2 * self.v + (1 - b2) * grad ** 2
         mhat = self.m / (1 - b1 ** self.t)
         vhat = self.v / (1 - b2 ** self.t)
-        return lr * mhat / (np.sqrt(vhat) + eps)
+        ac.params -= c.learning_rate * mhat / (np.sqrt(vhat) + c.adam_eps)
 
     def to_dict(self):
-        return {"m": self.m, "v": self.v, "t": self.t}
-
-    @classmethod
-    def from_dict(cls, d):
-        st = cls(len(d["m"]))
-        st.m = np.array(d["m"], dtype=float)
-        st.v = np.array(d["v"], dtype=float)
-        st.t = d["t"]
-        return st
-
-
-class PpoOptimizer:
-    """SGD by default; optional Adam. `to_dict` hands the Adam moments over
-    as arrays, for a checkpoint."""
-
-    def __init__(self, ac: ActorCritic, config: PpoConfig):
-        self.config = config
-        if config.optimizer == "adam":
-            self.states = [_AdamState(ac.actor_params.shape[0]),
-                           _AdamState(ac.log_std.shape[0]),
-                           _AdamState(ac.critic_params.shape[0])]
-        else:
-            self.states = None
-
-    def apply(self, ac: ActorCritic, g_actor, g_log_std, g_critic):
-        c = self.config
-        if self.states is None:
-            ac.actor_params -= c.learning_rate * g_actor
-            ac.log_std -= c.learning_rate * g_log_std
-            ac.critic_params -= c.learning_rate * g_critic
-        else:
-            for st, target, grad in zip(
-                    self.states,
-                    (ac.actor_params, ac.log_std, ac.critic_params),
-                    (g_actor, g_log_std, g_critic)):
-                target -= st.step(grad, c.learning_rate, c.adam_beta1,
-                                  c.adam_beta2, c.adam_eps)
-
-    def to_dict(self):
-        return {"states": [s.to_dict() for s in self.states]} if self.states else {}
+        if self.m is None:
+            return {}
+        return {"states": [{"m": m, "v": v, "t": self.t} for m, v in
+                           zip(self._split(self.m), self._split(self.v))]}
 
     def load_dict(self, d):
-        if self.states is not None and d.get("states"):
-            self.states = [_AdamState.from_dict(s) for s in d["states"]]
+        if self.m is not None and d.get("states"):
+            self.m = np.concatenate([s["m"] for s in d["states"]], dtype=float)
+            self.v = np.concatenate([s["v"] for s in d["states"]], dtype=float)
+            self.t = d["states"][0]["t"]
 
 
 def normalize_advantages(adv: np.ndarray) -> np.ndarray:
@@ -319,13 +316,13 @@ def ppo_update(ac: ActorCritic, buffer: RolloutBuffer, config: PpoConfig,
                            epoch).permutation(n)
         for start in range(0, n, config.minibatch_size):
             idx = perm[start:start + config.minibatch_size]
-            loss, parts, ga, gs, gc = loss_and_grads(
+            loss, parts, grad = loss_and_grads(
                 ac, buffer.states[idx], buffer.actions[idx],
                 buffer.log_probs[idx], adv[idx], buffer.returns[idx], config)
             if not np.isfinite(loss):
                 raise RolloutError(
                     f"non-finite PPO loss at update {update_index}: {parts}")
-            optimizer.apply(ac, ga, gs, gc)
+            optimizer.apply(ac, grad)
             last_parts = parts
     return last_parts
 

@@ -177,7 +177,7 @@ def test_criterion_08_ppo_gradient_correctness():
                            entropy_coef=0.01, seed=seed)
         ac = init_actor_critic(3, 2, config)
         rng = make_stream(seed, 0xAC)
-        ac.log_std = rng.uniform(-1.0, 0.0, 2)
+        ac.log_std[:] = rng.uniform(-1.0, 0.0, 2)
         n = 6
         states = rng.standard_normal((n, 3))
         mu, _ = mlp_forward(ac.actor_params, ac.actor_arch, states)
@@ -187,17 +187,18 @@ def test_criterion_08_ppo_gradient_correctness():
         adv = rng.standard_normal(n) + 0.1
         ret = rng.standard_normal(n)
 
-        _, _, ga, gs, gc = loss_and_grads(ac, states, actions, lp_old, adv,
-                                          ret, config)
+        _, _, grad = loss_and_grads(ac, states, actions, lp_old, adv, ret,
+                                    config)
+        ga, gs, gc = ac.split(grad)
 
         def loss_with(actor=None, log_std=None, critic=None):
             trial = ac.copy()
             if actor is not None:
-                trial.actor_params = actor
+                trial.actor_params[:] = actor
             if log_std is not None:
-                trial.log_std = log_std
+                trial.log_std[:] = log_std
             if critic is not None:
-                trial.critic_params = critic
+                trial.critic_params[:] = critic
             return loss_and_grads(trial, states, actions, lp_old, adv, ret,
                                   config)[0]
 

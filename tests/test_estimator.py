@@ -3,10 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from es_oracles import classic_es_gradient, estimator_variance
 from refine_es.errors import ContractError
 from refine_es.estimator import (GradientEstimate, ReturnTable,
                                  centered_rank_scores, centered_ranks,
-                                 classic_es_gradient, estimator_variance,
                                  fd_gradient, tdes_gradient)
 from refine_es.noise import NoiseDistribution, antithetic_candidates, make_batch
 from refine_es.rng import make_stream

@@ -297,6 +297,40 @@ def test_resume_mid_ppo_with_adam_bitwise(tmp_path, monkeypatch):
         _final_params(str(tmp_path / "clean"))
 
 
+def test_ppo_checkpoint_keeps_format_2_members(tmp_path, monkeypatch):
+    # the member set of format 2, so checkpoints written before the
+    # actor-critic became one vector still resume, and vice versa
+    plan = tiny_plan(methods=["ppo_only"], seeds=[0], total_step_budget=800,
+                     ppo={"episodes_per_update": 2, "hidden_dims": [8],
+                          "optimizer": "adam"})
+    clean = run_method(plan, "ppo_only", 0, str(tmp_path / "clean"))
+    with monkeypatch.context() as m:
+        _interrupt_ppo_update(m, 3)
+        with pytest.raises(KeyboardInterrupt):
+            run_method(plan, "ppo_only", 0, str(tmp_path / "cut"))
+
+    parts = ("actor_params", "log_std", "critic_params")
+    with np.load(_checkpoint_path(str(tmp_path / "cut"), "ppo_only")) as npz:
+        members = {name: npz[name] for name in npz.files}
+    meta = json.loads(members["meta"].tobytes())
+    assert sorted(members) == sorted(
+        ["meta"] + [f"actor_critic.{p}" for p in parts]
+        + [f"optimizer.states.{i}.{k}" for i in range(3) for k in "mv"])
+    assert meta["format_version"] == 2 and meta["update_index"] == 1
+    assert [s["t"] for s in meta["optimizer"]["states"]] == [32, 32, 32]
+    for i, p in enumerate(parts):
+        assert members[f"actor_critic.{p}"].dtype == np.float64
+        for k in "mv":
+            assert members[f"optimizer.states.{i}.{k}"].shape == \
+                members[f"actor_critic.{p}"].shape
+
+    resumed = run_method(plan, "ppo_only", 0, str(tmp_path / "cut"))
+    assert resumed.anchor_sha256 == clean.anchor_sha256
+    assert resumed.ppo_curve == clean.ppo_curve
+    assert _final_params(str(tmp_path / "cut"), "ppo_only") == \
+        _final_params(str(tmp_path / "clean"), "ppo_only")
+
+
 def test_resume_ignores_stale_tmp(tmp_path, monkeypatch):
     plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
                      total_step_budget=1400)

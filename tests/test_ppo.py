@@ -121,7 +121,7 @@ def _random_instance(seed, n=6, obs_dim=3, act_dim=2):
                        value_coef=0.5, entropy_coef=0.01, seed=seed)
     ac = init_actor_critic(obs_dim, act_dim, config)
     rng = make_stream(seed, 0xFD)
-    ac.log_std = rng.uniform(-1.0, 0.0, act_dim)
+    ac.log_std[:] = rng.uniform(-1.0, 0.0, act_dim)
     states = rng.standard_normal((n, obs_dim))
     mu, _ = __import__("refine_es.policy", fromlist=["mlp_forward"]).mlp_forward(
         ac.actor_params, ac.actor_arch, states)
@@ -147,17 +147,17 @@ def _fd_grad(f, x, h=1e-6):
 
 def _check_instance(seed):
     ac, states, actions, lp_old, adv, ret, config = _random_instance(seed)
-    _, _, g_actor, g_log_std, g_critic = loss_and_grads(
-        ac, states, actions, lp_old, adv, ret, config)
+    _, _, grad = loss_and_grads(ac, states, actions, lp_old, adv, ret, config)
+    g_actor, g_log_std, g_critic = ac.split(grad)
 
     def loss_with(actor=None, log_std=None, critic=None):
         trial = ac.copy()
         if actor is not None:
-            trial.actor_params = actor
+            trial.actor_params[:] = actor
         if log_std is not None:
-            trial.log_std = log_std
+            trial.log_std[:] = log_std
         if critic is not None:
-            trial.critic_params = critic
+            trial.critic_params[:] = critic
         return loss_and_grads(trial, states, actions, lp_old, adv, ret,
                               config)[0]
 
@@ -187,8 +187,9 @@ def test_clip_engagement_zeroes_policy_gradient():
     logp = gaussian_log_prob(actions, mu, ac.log_std)
     log_probs_old = logp - 1.0  # ratio = e > 1.2
     advantages = np.ones(3)
-    _, _, g_actor, g_log_std, _ = loss_and_grads(
+    _, _, grad = loss_and_grads(
         ac, states, actions, log_probs_old, advantages, np.zeros(3), config)
+    g_actor, g_log_std, _ = ac.split(grad)
     assert np.array_equal(g_actor, np.zeros_like(g_actor))
     assert np.array_equal(g_log_std, np.zeros_like(g_log_std))
 
@@ -198,8 +199,9 @@ def test_sgd_step_exact():
     ac = init_actor_critic(2, 1, config)
     before = ac.actor_params.copy()
     opt = PpoOptimizer(ac, config)
-    g = np.ones_like(ac.actor_params)
-    opt.apply(ac, g, np.zeros_like(ac.log_std), np.zeros_like(ac.critic_params))
+    g = np.zeros_like(ac.params)
+    ac.split(g)[0][:] = 1.0
+    opt.apply(ac, g)
     assert np.allclose(ac.actor_params, before - config.learning_rate, atol=0)
 
 
@@ -207,14 +209,48 @@ def test_adam_state_roundtrip():
     config = tiny_config(optimizer="adam")
     ac = init_actor_critic(2, 1, config)
     opt = PpoOptimizer(ac, config)
-    g = make_stream(5, 0).standard_normal(ac.actor_params.shape[0])
-    opt.apply(ac, g, np.zeros_like(ac.log_std), np.zeros_like(ac.critic_params))
+    g = make_stream(5, 0).standard_normal(ac.params.shape[0])
+    opt.apply(ac, g)
     twin = PpoOptimizer(ac.copy(), config)
     twin.load_dict(opt.to_dict())
     a, b = ac.copy(), ac.copy()
-    opt.apply(a, g, np.zeros_like(a.log_std), np.zeros_like(a.critic_params))
-    twin.apply(b, g, np.zeros_like(b.log_std), np.zeros_like(b.critic_params))
+    opt.apply(a, g)
+    twin.apply(b, g)
     assert np.array_equal(a.actor_params, b.actor_params)
+    assert np.array_equal(a.log_std, b.log_std)
+    assert np.array_equal(a.critic_params, b.critic_params)
+    assert not np.array_equal(a.log_std, ac.log_std)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_apply_updates_all_three_views(optimizer):
+    config = tiny_config(optimizer=optimizer)
+    ac = init_actor_critic(2, 1, config)
+    views = (ac.actor_params, ac.log_std, ac.critic_params)
+    before = [v.copy() for v in views]
+    grad = make_stream(6, 0).standard_normal(ac.params.shape[0])
+    PpoOptimizer(ac, config).apply(ac, grad)
+    for view, old, now in zip(views, before, ac.split(ac.params)):
+        assert np.array_equal(view, now)
+        assert np.all(view != old)
+    if optimizer == "sgd":
+        assert np.array_equal(
+            np.concatenate(views),
+            np.concatenate(before) - config.learning_rate * grad)
+
+
+def test_actor_critic_views_alias_params_only():
+    ac = init_actor_critic(3, 2, tiny_config())
+    twin = ac.copy()
+    for name in ("params", "actor_params", "log_std", "critic_params"):
+        assert not np.shares_memory(getattr(ac, name), getattr(twin, name))
+    for name in ("actor_params", "log_std", "critic_params"):
+        assert np.shares_memory(getattr(ac, name), ac.params)
+        with pytest.raises(AttributeError):
+            setattr(ac, name, np.zeros_like(getattr(ac, name)))
+    ac.log_std[:] = 0.25
+    assert np.array_equal(ac.split(ac.params)[1], [0.25, 0.25])
+    assert not np.array_equal(twin.log_std, ac.log_std)
 
 
 def test_actor_critic_roundtrip():

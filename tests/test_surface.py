@@ -1,7 +1,8 @@
 """Surface guard: every public module-level function or class in
 src/refine_es is referenced somewhere in src/ outside its own definition.
 A name that only tests use belongs in the tests, not in the package. The
-import path of the CLI stays free of scipy, a test-only dependency."""
+import path of the CLI stays free of scipy, a test-only dependency, and of
+the process pool, which only a multi-worker sweep needs."""
 
 import ast
 import os
@@ -12,12 +13,7 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "refine_es"
 
 # name -> why it stays although nothing in src/ calls it
-ALLOWED = {
-    "classic_es_gradient": "score-function baseline of the paper's "
-                           "variance claim, kept with the estimator",
-    "estimator_variance": "the paper's triangular-vs-Gaussian variance "
-                          "measurement, kept with the estimator",
-}
+ALLOWED = {}
 
 
 def _references(node) -> list[str]:
@@ -57,9 +53,11 @@ def test_no_unreferenced_public_names():
 
 
 def test_cli_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy is a test-only oracle
+    # numpy is the only runtime dependency; scipy is a test-only oracle.
+    # The process pool is imported only by a sweep with more than one worker.
     probe = ("import sys, refine_es.cli; print(sorted(m for m in sys.modules "
-             "if m == 'scipy' or m.startswith('scipy.')))")
+             "if m in ('scipy', 'concurrent.futures.process') "
+             "or m.startswith('scipy.')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
