@@ -108,6 +108,11 @@ def cmd_report(args) -> int:
             r["task"], {})[r["seed"]] = r["final_success_rate"]
     report = stats.aggregate_report(matrices, baseline=args.baseline)
     print(stats.render_report(report))
+    print("\nsteps consumed per method (min, max over seeds; budget):")
+    for method in sorted(matrices):
+        steps = [r["steps_consumed"] for r in records if r["method"] == method]
+        budget = max(r["budget"] for r in records if r["method"] == method)
+        print(f"  {method:<24} {min(steps):>9} {max(steps):>9} {budget:>9}")
     if expected is not None:
         have = {(r["task"], r["method"], str(r["seed"])) for r in records}
         missing = sorted((t, m, s) for (t, m, s) in

@@ -60,6 +60,11 @@ class EsConfig:
         if self.center_eval_episodes < 1:
             raise ContractError("center_eval_episodes must be >= 1")
 
+    def generation_steps(self, horizon: int) -> int:
+        """Env steps of one generation: 2m candidates, each run for
+        episodes_per_candidate full-horizon episodes."""
+        return 2 * self.m * self.episodes_per_candidate * horizon
+
     def noise_distribution(self) -> NoiseDistribution:
         return NoiseDistribution(self.distribution, self.standardize_noise)
 
@@ -167,7 +172,7 @@ def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env_factory,
     interrupt_after = os.environ.get(INTERRUPT_ENV_VAR)
 
     for t in range(start_generation, config.generations):
-        gen_cost = 2 * config.m * config.episodes_per_candidate * env.horizon
+        gen_cost = config.generation_steps(env.horizon)
         if config.step_cap is not None and steps_used + gen_cost > config.step_cap:
             break
         t0 = time.perf_counter()

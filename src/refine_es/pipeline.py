@@ -7,8 +7,19 @@ the remainder to the ES stage, whose generation count is derived from the
 remaining steps (2m rollouts of `horizon` steps per generation) with a hard
 step cap as a guard.
 
-Stage-1 streams depend only on (seed, ppo config), never on the method, so
-within one seed every two-stage method refines the identical anchor.
+Stage-1 streams depend only on (seed, update, ...), never on the method or
+the budget, so within one seed every PPO run is a prefix of the ppo_only run
+and passes through the fork, the update where the two-stage methods stop PPO
+(the last one that fits split*budget, or the handoff rule). ppo_only ignores
+the handoff rule and spends its whole budget on PPO. The sweep therefore
+trains PPO once per seed: the pool runs seeds, and a seed runs its cells in
+plan order. The first cell whose PPO run reaches the fork forks its
+siblings: it writes into each sibling that has neither a checkpoint nor a
+record the checkpoint that the sibling's own run would write there, then
+goes on as itself. The siblings resume from those checkpoints; if the first
+cell fails before the fork, the next one trains PPO itself. Every sweep
+checks the equal-budget premise: a cell that overspends, or leaves more than
+one unit of its last stage (PPO update or ES generation) unspent, fails.
 
 Results layout: <out>/runs/<task>/<method>/<seed>/{checkpoints/, log.csv,
 record.json}. Cells checkpoint after every PPO update / ES generation into
@@ -25,7 +36,7 @@ import csv
 import hashlib
 import os
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -165,15 +176,79 @@ def _ppo_config(plan: ExperimentPlan, seed: int, budget: int, env) -> ppo.PpoCon
     return ppo.PpoConfig(total_steps=budget, seed=seed, **kwargs)
 
 
+def _ppo_stage(plan: ExperimentPlan, seed: int, env, two_stage: bool):
+    """(config, checked fields) of a cell's PPO stage. A two-stage cell stops
+    PPO at the fork: after the last update that fits split * budget, or
+    earlier where the plan's handoff rule fires. ppo_only trains to the full
+    budget and ignores the rule, so its recorded rule has no threshold. The
+    fields are what a checkpoint of the cell stores, and a resume checks,
+    besides its state."""
+    budget = plan.total_step_budget
+    if two_stage:
+        budget = int(round(plan.split * budget))
+    config = _ppo_config(plan, seed, budget, env)
+    threshold = plan.handoff_success_threshold if two_stage else None
+    return config, {"ppo_config": config.to_dict(),
+                    "handoff": {"success_threshold": threshold,
+                                "window": plan.handoff_window},
+                    "master_seed": seed}
+
+
+def _stop_condition(handoff: dict):
+    """The handoff rule as a `ppo.train_anchor` stop condition, or None."""
+    if handoff["success_threshold"] is None:
+        return None
+
+    def stop(curve):
+        w = handoff["window"]
+        if len(curve) < w:
+            return False
+        recent = [c["success_rate"] for c in curve[-w:]]
+        return float(np.mean(recent)) >= handoff["success_threshold"]
+    return stop
+
+
+def _past_fork(curve: list, fork_cfg: ppo.PpoConfig, stop, horizon: int) -> bool:
+    """Whether the two-stage PPO run, a prefix of every PPO run of the seed,
+    stops before the end of `curve`: the loop condition of
+    `ppo.train_anchor`, asked of each proper prefix."""
+    update_cost = fork_cfg.episodes_per_update * horizon
+    for k in range(len(curve)):
+        steps = curve[k - 1]["steps_used"] if k else 0
+        if steps + update_cost > fork_cfg.total_steps or \
+                (stop is not None and stop(curve[:k])):
+            return True
+    return False
+
+
 def _es_config(plan: ExperimentPlan, seed: int, method: str, remaining: int,
                env) -> engine.EsConfig:
     kwargs = dict(_ES_DEFAULTS)
     kwargs.update(plan.es)
-    per_gen = 2 * kwargs["m"] * kwargs.get("episodes_per_candidate", 1) * env.horizon
-    generations = max(remaining // per_gen, 0)
     distribution = "triangular" if method == "ppo_then_tdes" else "gaussian"
-    return engine.EsConfig(generations=generations, step_cap=remaining,
-                           distribution=distribution, seed=seed, **kwargs)
+    config = engine.EsConfig(generations=0, step_cap=remaining,
+                             distribution=distribution, seed=seed, **kwargs)
+    generations = max(remaining // config.generation_steps(env.horizon), 0)
+    return replace(config, generations=generations)
+
+
+def _ppo_payload(update, ac, optimizer, steps, curve, fields: dict) -> dict:
+    return {"stage": "ppo", "update_index": update,
+            "actor_critic": ac.to_dict(), "optimizer": optimizer.to_dict(),
+            "steps_used": steps, "curve": curve, **fields}
+
+
+def _anchor_fields(fields: dict, arch, params, ppo_steps, ppo_curve) -> dict:
+    """What an ES checkpoint stores of the PPO stage it refines."""
+    return {**fields, "architecture": arch.to_dict(), "anchor_params": params,
+            "anchor_sha256": _params_sha256(params), "ppo_steps": ppo_steps,
+            "ppo_curve": ppo_curve}
+
+
+def _es_payload(gen, theta, steps, records, es_cfg, anchor: dict) -> dict:
+    return {"stage": "es", "generation_index": gen, "params": theta,
+            "steps_used": steps, "records": [r.to_dict() for r in records],
+            "es_config": es_cfg.to_dict(), **anchor}
 
 
 def cell_dir(out_dir: str, task: str, method: str, seed: int) -> str:
@@ -201,19 +276,18 @@ def _check_fields(path: str, name: str, stored: dict, expected: dict) -> None:
                 f"different configuration")
 
 
-def _load_state(path: str, seed: int, ppo_cfg: ppo.PpoConfig,
-                handoff: dict) -> dict:
+def _load_state(path: str, fields: dict) -> dict:
     """The checkpoint at `path`, after the checks that need no ES config."""
     state = load_checkpoint(path)
     if state.get("stage") not in ("ppo", "es"):
         raise CheckpointError(f"{path}: field 'stage' is "
                               f"{state.get('stage')!r}, expected 'ppo' or 'es'")
-    if state.get("master_seed") != seed:
+    if state.get("master_seed") != fields["master_seed"]:
         raise CheckpointError(f"{path}: field 'master_seed' is "
                               f"{state.get('master_seed')!r}, this cell is "
-                              f"seed {seed}")
-    _check_fields(path, "ppo_config", state["ppo_config"], ppo_cfg.to_dict())
-    _check_fields(path, "handoff", state["handoff"], handoff)
+                              f"seed {fields['master_seed']}")
+    _check_fields(path, "ppo_config", state["ppo_config"], fields["ppo_config"])
+    _check_fields(path, "handoff", state["handoff"], fields["handoff"])
     if state["stage"] == "es" and \
             _params_sha256(state["anchor_params"]) != state["anchor_sha256"]:
         raise CheckpointError(f"{path}: field 'anchor_params' does not hash "
@@ -221,9 +295,41 @@ def _load_state(path: str, seed: int, ppo_cfg: ppo.PpoConfig,
     return state
 
 
+def _fork(plan: ExperimentPlan, method: str, seed: int, out_dir: str, env,
+          res: ppo.AnchorResult) -> None:
+    """Start the other cells of this seed from `res`, the PPO state at the
+    fork. Each sibling with neither a checkpoint nor a record gets the
+    checkpoint that its own run writes at this point: a two-stage method its
+    generation -1 ES checkpoint, ppo_only its PPO checkpoint of the fork
+    update (none if the fork comes before update 0). The sibling then
+    resumes from it like from any checkpoint."""
+    ac = res.actor_critic
+    anchor = _anchor_fields(_ppo_stage(plan, seed, env, True)[1], ac.actor_arch,
+                            ac.actor_params, res.steps_used, res.curve)
+    for sibling in plan.methods:
+        cdir = cell_dir(out_dir, plan.task, sibling, seed)
+        path = os.path.join(cdir, "checkpoints", CHECKPOINT_NAME)
+        if sibling == method or os.path.exists(path) or \
+                os.path.exists(os.path.join(cdir, "record.json")):
+            continue
+        if sibling != "ppo_only":
+            es_cfg = _es_config(plan, seed, sibling,
+                                plan.total_step_budget - res.steps_used, env)
+            payload = _es_payload(-1, ac.actor_params, 0, [], es_cfg, anchor)
+        elif res.curve:
+            payload = _ppo_payload(len(res.curve) - 1, ac, res.optimizer,
+                                   res.steps_used, res.curve,
+                                   _ppo_stage(plan, seed, env, False)[1])
+        else:
+            continue
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        save_checkpoint(path, payload)
+
+
 def run_method(plan: ExperimentPlan, method: str, seed: int,
                out_dir: str) -> RunRecord:
-    """Execute (or resume) one sweep cell and write its artifacts."""
+    """Execute (or resume) one sweep cell and write its artifacts. If this
+    cell's PPO run reaches the fork, it starts its siblings there (`_fork`)."""
     cdir = cell_dir(out_dir, plan.task, method, seed)
     ckpt_dir = os.path.join(cdir, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
@@ -241,31 +347,14 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
     env = env_factory()
     budget = plan.total_step_budget
     two_stage = method != "ppo_only"
-    ppo_budget = int(round(plan.split * budget)) if two_stage else budget
-    ppo_cfg = _ppo_config(plan, seed, ppo_budget, env)
-    # the handoff rule decides where PPO stops, so it is checked like a config
-    handoff = {"success_threshold": plan.handoff_success_threshold,
-               "window": plan.handoff_window}
+    ppo_cfg, fields = _ppo_stage(plan, seed, env, two_stage)
     ckpt_path = os.path.join(ckpt_dir, CHECKPOINT_NAME)
-    state = (_load_state(ckpt_path, seed, ppo_cfg, handoff)
+    state = (_load_state(ckpt_path, fields)
              if os.path.exists(ckpt_path) else None)
 
     def ppo_ckpt(update, ac, optimizer, steps, curve):
-        save_checkpoint(ckpt_path, {
-            "stage": "ppo", "update_index": update,
-            "actor_critic": ac.to_dict(), "optimizer": optimizer.to_dict(),
-            "steps_used": steps, "curve": curve,
-            "ppo_config": ppo_cfg.to_dict(), "handoff": handoff,
-            "master_seed": seed})
-
-    stop_condition = None
-    if plan.handoff_success_threshold is not None:
-        def stop_condition(curve):
-            w = plan.handoff_window
-            if len(curve) < w:
-                return False
-            recent = [c["success_rate"] for c in curve[-w:]]
-            return float(np.mean(recent)) >= plan.handoff_success_threshold
+        save_checkpoint(ckpt_path, _ppo_payload(update, ac, optimizer, steps,
+                                                curve, fields))
 
     if state is not None and state["stage"] == "es":
         # the PPO stage is complete; the checkpoint carries the anchor
@@ -273,39 +362,44 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
         anchor_params = state["anchor_params"]
         ppo_steps = state["ppo_steps"]
         ppo_curve = state["ppo_curve"]
-        anchor_hash = state["anchor_sha256"]
     else:
         resume = {} if state is None else {
             "start_update": state["update_index"] + 1,
             "initial": ppo.ActorCritic.from_dict(state["actor_critic"]),
             "initial_steps": state["steps_used"], "curve": state["curve"],
             "optimizer_state": state["optimizer"]}
-        anchor_res = ppo.train_anchor(env_factory, ppo_cfg,
-                                      checkpoint_cb=ppo_ckpt,
-                                      stop_condition=stop_condition, **resume)
-        arch = anchor_res.actor_critic.actor_arch
-        anchor_params = anchor_res.actor_critic.actor_params
-        ppo_steps = anchor_res.steps_used
-        ppo_curve = anchor_res.curve
-        anchor_hash = _params_sha256(anchor_params)
+        # every PPO run of this seed passes through the two-stage anchor
+        fork_cfg, fork_fields = _ppo_stage(plan, seed, env, True)
+        stop = _stop_condition(fork_fields["handoff"])
+        if not _past_fork(resume.get("curve", []), fork_cfg, stop,
+                          env.horizon):
+            res = ppo.train_anchor(env_factory, fork_cfg,
+                                   checkpoint_cb=ppo_ckpt,
+                                   stop_condition=stop, **resume)
+            _fork(plan, method, seed, out_dir, env, res)
+            resume = {"start_update": len(res.curve),
+                      "initial": res.actor_critic,
+                      "initial_steps": res.steps_used, "curve": res.curve,
+                      "optimizer_state": res.optimizer.to_dict()}
+        if not two_stage:  # ppo_only goes on to its full budget
+            res = ppo.train_anchor(env_factory, ppo_cfg,
+                                   checkpoint_cb=ppo_ckpt, **resume)
+        arch = res.actor_critic.actor_arch
+        anchor_params = res.actor_critic.actor_params
+        ppo_steps = res.steps_used
+        ppo_curve = res.curve
 
     final_params = anchor_params
     es_records: list[dict] = []
     es_steps = 0
     if two_stage:
-        remaining = budget - ppo_steps
-        es_cfg = _es_config(plan, seed, method, remaining, env)
+        es_cfg = _es_config(plan, seed, method, budget - ppo_steps, env)
+        anchor = _anchor_fields(fields, arch, anchor_params, ppo_steps,
+                                ppo_curve)
 
         def es_ckpt(gen, theta, steps, records):
-            save_checkpoint(ckpt_path, {
-                "stage": "es", "generation_index": gen, "params": theta,
-                "steps_used": steps,
-                "records": [r.to_dict() for r in records],
-                "es_config": es_cfg.to_dict(),
-                "ppo_config": ppo_cfg.to_dict(), "handoff": handoff,
-                "master_seed": seed, "architecture": arch.to_dict(),
-                "anchor_params": anchor_params, "anchor_sha256": anchor_hash,
-                "ppo_steps": ppo_steps, "ppo_curve": ppo_curve})
+            save_checkpoint(ckpt_path, _es_payload(gen, theta, steps, records,
+                                                   es_cfg, anchor))
 
         if state is not None and state["stage"] == "es":
             _check_fields(ckpt_path, "es_config", state["es_config"],
@@ -332,7 +426,8 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
         task=plan.task, method=method, seed=seed,
         final_success_rate=success, final_mean_return=mean_ret,
         steps_consumed=ppo_steps + es_steps, budget=budget,
-        ppo_steps=ppo_steps, es_steps=es_steps, anchor_sha256=anchor_hash,
+        ppo_steps=ppo_steps, es_steps=es_steps,
+        anchor_sha256=_params_sha256(anchor_params),
         ppo_curve=ppo_curve, es_records=es_records)
     save_json_atomic(os.path.join(ckpt_dir, "final.json"), {
         "format_version": _FINAL_FORMAT_VERSION, "stage": "final",
@@ -343,11 +438,40 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
     return record
 
 
-def _run_cell(args):
-    plan_dict, method, seed, out_dir = args
-    plan = ExperimentPlan(**plan_dict)
+def _budget_shortfall(plan: ExperimentPlan, record: RunRecord) -> str | None:
+    """How `record` breaks the equal-budget premise, or None. A cell may
+    not overspend the budget, and may leave at most one unit of its last
+    stage unspent: a PPO update for ppo_only, an ES generation otherwise."""
+    unspent = record.budget - record.steps_consumed
+    where = (f"{record.method} seed {record.seed} consumed "
+             f"{record.steps_consumed} of {record.budget} steps")
+    if unspent < 0:
+        return f"{where}: {-unspent} over budget"
+    env = make_env(plan.task)
+    if record.method == "ppo_only":
+        unit = _ppo_config(plan, record.seed, record.budget,
+                           env).episodes_per_update * env.horizon
+        name = "PPO update"
+    else:
+        unit = _es_config(plan, record.seed, record.method, 0,
+                          env).generation_steps(env.horizon)
+        name = "ES generation"
+    if unspent > unit:
+        return (f"{where}: {unspent} unspent, more than one {name} "
+                f"({unit} steps)")
+    return None
+
+
+def _run_cell(plan: ExperimentPlan, method: str, seed: int,
+              out_dir: str) -> dict:
+    """One cell's record; a cell that raises or breaks the equal-budget
+    premise gives a failed record, so it never aborts the rest."""
     try:
-        return run_method(plan, method, seed, out_dir).to_dict()
+        record = run_method(plan, method, seed, out_dir)
+        shortfall = _budget_shortfall(plan, record)
+        if shortfall is not None:
+            record.failed, record.failure = True, shortfall
+        return record.to_dict()
     except KeyboardInterrupt:
         raise
     except Exception:
@@ -358,19 +482,26 @@ def _run_cell(args):
             es_records=[], failed=True, failure=traceback.format_exc()).to_dict()
 
 
+def _run_seed(args) -> list[dict]:
+    """The cells of one seed in plan order: the first whose PPO run reaches
+    the fork starts the others from there."""
+    plan_dict, seed, out_dir = args
+    plan = ExperimentPlan(**plan_dict)
+    return [_run_cell(plan, method, seed, out_dir) for method in plan.methods]
+
+
 def sweep(plan: ExperimentPlan, out_dir: str, workers: int = 1):
-    """Run all (method, seed) cells; one cell's failure never aborts the rest.
-    Returns (records, report_dict). Results merge deterministically by
-    (method, seed) regardless of scheduling."""
-    cells = [(plan.to_dict(), method, seed, out_dir)
-             for method in plan.methods for seed in plan.seeds]
+    """Run all (method, seed) cells, one task per seed; one cell's failure
+    never aborts the rest. Returns (records, report_dict). Results merge
+    deterministically by (method, seed) regardless of scheduling."""
+    tasks = [(plan.to_dict(), seed, out_dir) for seed in plan.seeds]
     if workers > 1:
         # imported here, as it costs every other process about 25 ms
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_run_cell, cells))
+            raw = [r for cells in pool.map(_run_seed, tasks) for r in cells]
     else:
-        raw = [_run_cell(c) for c in cells]
+        raw = [r for task in tasks for r in _run_seed(task)]
     records = sorted((RunRecord(**r) for r in raw),
                      key=lambda r: (r.method, r.seed))
 

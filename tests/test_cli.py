@@ -192,3 +192,20 @@ def test_report_with_one_missing_record(tmp_path, capsys):
     assert "P(Improvement" in stdout
     assert "missing cells (1)" in stdout
     assert "ppo_then_tdes seed 1" in stdout
+
+
+def test_report_prints_steps_consumed_per_method(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    plan = dict(TINY_PLAN, seeds=[0, 1])
+    assert main(["run", "--plan", write_plan(tmp_path, plan),
+                 "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["report", "--dir", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index(
+        "steps consumed per method (min, max over seeds; budget):")
+    # ppo_only: 5 updates of 200 steps; ppo_then_tdes: 2 updates, then one
+    # ES generation of 400 steps
+    assert [line.split() for line in lines[start + 1:start + 3]] == [
+        ["ppo_only", "1000", "1000", "1000"],
+        ["ppo_then_tdes", "800", "800", "1000"]]

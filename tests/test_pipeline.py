@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -6,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from refine_es.checkpoint import load_json
+from refine_es.checkpoint import load_checkpoint, load_json
 from refine_es.errors import CheckpointError, PlanError
 from refine_es.pipeline import (ExperimentPlan, cell_dir, plan_from_dict,
                                 run_method, sweep)
@@ -428,3 +429,273 @@ def test_resume_refuses_changed_handoff_rule(tmp_path, monkeypatch):
                              r"success_threshold' is 0\.0 but the plan gives "
                              r"None"):
         run_method(changed, "ppo_then_tdes", 0, out)
+
+
+def _handoff_plan(**kw):
+    # the handoff rule fires after PPO's first update
+    return tiny_plan(total_step_budget=4000, handoff_success_threshold=0.0,
+                     handoff_window=1, **kw)
+
+
+def test_ppo_only_ignores_handoff_rule(tmp_path):
+    plan = _handoff_plan(methods=["ppo_only"], seeds=[0])
+    rec = run_method(plan, "ppo_only", 0, str(tmp_path))
+    assert rec.ppo_steps == rec.steps_consumed == 4000
+    assert len(rec.ppo_curve) == 20
+
+
+def test_ppo_only_refuses_checkpoint_with_handoff_rule(tmp_path, monkeypatch):
+    # before ppo_only ignored the handoff rule, its checkpoints recorded the
+    # plan's rule; resuming one would mix two different runs
+    import refine_es.checkpoint as checkpoint
+
+    plan = _handoff_plan(methods=["ppo_only"], seeds=[0])
+    out = str(tmp_path)
+    with monkeypatch.context() as m:
+        _interrupt_ppo_update(m, 2)
+        with pytest.raises(KeyboardInterrupt):
+            run_method(plan, "ppo_only", 0, out)
+    path = _checkpoint_path(out, "ppo_only")
+    state = checkpoint.load_checkpoint(path)
+    assert state["handoff"] == {"success_threshold": None, "window": 1}
+    state["handoff"] = {"success_threshold": 0.0, "window": 1}
+    checkpoint.save_checkpoint(path, state)
+    with pytest.raises(CheckpointError,
+                       match=r"checkpoint\.npz: field 'handoff\."
+                             r"success_threshold' is 0\.0 but the plan gives "
+                             r"None"):
+        run_method(plan, "ppo_only", 0, out)
+
+
+def test_handoff_sweep_keeps_equal_budgets(tmp_path):
+    records, payload = sweep(_handoff_plan(seeds=[0]), str(tmp_path))
+    assert payload["failures"] == []
+    steps = {r.method: (r.ppo_steps, r.es_steps) for r in records}
+    assert steps == {"ppo_only": (4000, 0), "ppo_then_tdes": (200, 3600),
+                     "ppo_then_gaussian_es": (200, 3600)}
+
+
+@pytest.mark.parametrize("method, delta, message", [
+    ("ppo_only", -400, "ppo_only seed 1 consumed 600 of 1000 steps: 400 "
+                       "unspent, more than one PPO update (200 steps)"),
+    ("ppo_then_tdes", -400, "ppo_then_tdes seed 1 consumed 400 of 1000 "
+                            "steps: 600 unspent, more than one ES generation "
+                            "(400 steps)"),
+    ("ppo_only", 200, "ppo_only seed 1 consumed 1200 of 1000 steps: 200 "
+                      "over budget"),
+])
+def test_sweep_fails_cell_with_unequal_budget(tmp_path, monkeypatch, method,
+                                              delta, message):
+    import refine_es.pipeline as pipeline
+
+    original = pipeline.run_method
+
+    def skewed(plan_, method_, seed, out_dir):
+        rec = original(plan_, method_, seed, out_dir)
+        if (method_, seed) == (method, 1):
+            rec.steps_consumed += delta
+        return rec
+
+    monkeypatch.setattr(pipeline, "run_method", skewed)
+    records, payload = sweep(tiny_plan(), str(tmp_path))
+    assert [(f["method"], f["seed"]) for f in payload["failures"]] == \
+        [(method, 1)]
+    assert payload["failures"][0]["failure"] == message
+    assert sum(r.failed for r in records) == 1
+
+
+def _cell_bits(out, rec):
+    """Everything a cell computes, apart from wall times."""
+    params = _final_params(out, rec.method, rec.seed)
+    return {
+        "final_sha256": hashlib.sha256(
+            np.asarray(params, dtype="<f8").tobytes()).hexdigest(),
+        "anchor_sha256": rec.anchor_sha256, "ppo_curve": rec.ppo_curve,
+        "es_records": _es_records(rec), "final": (rec.final_success_rate,
+                                                  rec.final_mean_return),
+        "steps": (rec.steps_consumed, rec.ppo_steps, rec.es_steps),
+        "failed": rec.failed,
+    }
+
+
+def _sweep_bits(out, records):
+    return {(r.method, r.seed): _cell_bits(out, r) for r in records}
+
+
+def _count_ppo_updates(monkeypatch):
+    import refine_es.ppo as ppo
+
+    original = ppo.ppo_update
+    seeds = []
+
+    def update(ac, buffer, config, optimizer, update_index):
+        seeds.append(config.seed)
+        return original(ac, buffer, config, optimizer, update_index)
+
+    monkeypatch.setattr(ppo, "ppo_update", update)
+    return seeds
+
+
+def test_sweep_trains_ppo_once_per_seed(tmp_path, monkeypatch):
+    plan = tiny_plan()
+    alone = {}
+    for method in plan.methods:
+        for seed in plan.seeds:
+            out = str(tmp_path / f"{method}-{seed}")
+            rec = run_method(tiny_plan(methods=[method]), method, seed, out)
+            alone[(method, seed)] = _cell_bits(out, rec)
+
+    updates = _count_ppo_updates(monkeypatch)
+    records, _ = sweep(plan, str(tmp_path / "sweep"))
+    ppo_only = {r.seed: len(r.ppo_curve) for r in records
+                if r.method == "ppo_only"}
+    assert ppo_only == {0: 5, 1: 5}
+    assert {s: updates.count(s) for s in plan.seeds} == ppo_only
+    assert _sweep_bits(str(tmp_path / "sweep"), records) == alone
+
+
+def test_resume_after_cut_past_fork_bitwise(tmp_path, monkeypatch):
+    # the fork is after update 1; cut ppo_only at update 3
+    plan = tiny_plan(seeds=[0])
+    clean, _ = sweep(plan, str(tmp_path / "clean"))
+    cut = str(tmp_path / "cut")
+    with monkeypatch.context() as m:
+        _interrupt_ppo_update(m, 4)
+        with pytest.raises(KeyboardInterrupt):
+            sweep(plan, cut)
+    for method in ("ppo_then_tdes", "ppo_then_gaussian_es"):
+        state = load_checkpoint(_checkpoint_path(cut, method))
+        assert (state["stage"], state["generation_index"]) == ("es", -1)
+    assert load_checkpoint(_checkpoint_path(cut, "ppo_only"))[
+        "update_index"] == 2
+    updates = _count_ppo_updates(monkeypatch)
+    resumed, _ = sweep(plan, cut)
+    assert updates == [0, 0]  # updates 3 and 4 of ppo_only
+    assert _sweep_bits(cut, resumed) == \
+        _sweep_bits(str(tmp_path / "clean"), clean)
+
+
+def test_resume_after_cut_mid_es_past_fork_bitwise(tmp_path, monkeypatch):
+    from refine_es.engine import INTERRUPT_ENV_VAR
+
+    plan = tiny_plan(seeds=[0], total_step_budget=1400)
+    clean, _ = sweep(plan, str(tmp_path / "clean"))
+    cut = str(tmp_path / "cut")
+    monkeypatch.setenv(INTERRUPT_ENV_VAR, "0")
+    with pytest.raises(KeyboardInterrupt):
+        sweep(plan, cut)
+    monkeypatch.delenv(INTERRUPT_ENV_VAR)
+    assert os.path.exists(os.path.join(
+        cell_dir(cut, "point-reach", "ppo_only", 0), "record.json"))
+    state = load_checkpoint(_checkpoint_path(cut, "ppo_then_tdes"))
+    assert state["generation_index"] == 0
+    updates = _count_ppo_updates(monkeypatch)
+    resumed, _ = sweep(plan, cut)
+    assert updates == []
+    assert _sweep_bits(cut, resumed) == \
+        _sweep_bits(str(tmp_path / "clean"), clean)
+
+
+def test_fork_leaves_started_sibling_alone(tmp_path, monkeypatch):
+    import refine_es.engine as engine
+    from refine_es.engine import INTERRUPT_ENV_VAR
+
+    plan = tiny_plan(seeds=[0], total_step_budget=3000)
+    clean, _ = sweep(plan, str(tmp_path / "clean"))
+    out = str(tmp_path / "out")
+    monkeypatch.setenv(INTERRUPT_ENV_VAR, "2")
+    with pytest.raises(KeyboardInterrupt):
+        run_method(tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
+                             total_step_budget=3000), "ppo_then_tdes", 0, out)
+    monkeypatch.delenv(INTERRUPT_ENV_VAR)
+    path = _checkpoint_path(out, "ppo_then_tdes")
+    with open(path, "rb") as fh:
+        before = fh.read()
+
+    run_method(plan, "ppo_only", 0, out)
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert load_checkpoint(_checkpoint_path(out, "ppo_then_gaussian_es"))[
+        "generation_index"] == -1
+
+    original = engine.tdes_run
+    starts = {}
+
+    def tdes_run(anchor, arch, env_factory, config, **kw):
+        starts[config.distribution] = kw.get("start_generation")
+        return original(anchor, arch, env_factory, config, **kw)
+
+    monkeypatch.setattr(engine, "tdes_run", tdes_run)
+    records, _ = sweep(plan, out)
+    assert starts == {"triangular": 3, "gaussian": 0}
+    assert _sweep_bits(out, records) == \
+        _sweep_bits(str(tmp_path / "clean"), clean)
+
+
+def test_first_cell_failure_after_fork_spares_siblings(tmp_path,
+                                                       monkeypatch):
+    import refine_es.engine as engine
+
+    plan = tiny_plan(seeds=[0])
+    clean, _ = sweep(plan, str(tmp_path / "clean"))
+    original = engine.evaluate_center
+    calls = []
+
+    def evaluate_center(*args):
+        calls.append(1)
+        if len(calls) == 1:  # ppo_only's final evaluation
+            raise RuntimeError("synthetic failure after the fork")
+        return original(*args)
+
+    monkeypatch.setattr(engine, "evaluate_center", evaluate_center)
+    updates = _count_ppo_updates(monkeypatch)
+    out = str(tmp_path / "out")
+    records, payload = sweep(plan, out)
+    assert len(updates) == 5
+    assert [(f["method"], f["seed"]) for f in payload["failures"]] == \
+        [("ppo_only", 0)]
+    assert "synthetic failure after the fork" in \
+        payload["failures"][0]["failure"]
+    ok = [r for r in records if not r.failed]
+    assert _sweep_bits(out, ok) == {
+        k: v for k, v in _sweep_bits(str(tmp_path / "clean"), clean).items()
+        if k[0] != "ppo_only"}
+
+
+def test_ppo_only_past_fork_plants_nothing(tmp_path, monkeypatch):
+    # an older version ran every ppo_only cell first, so an interrupted
+    # sweep can hold a ppo_only checkpoint beyond the fork and nothing in
+    # its siblings; those must train their own PPO, not start from it
+    plan = tiny_plan(seeds=[0])
+    clean, _ = sweep(plan, str(tmp_path / "clean"))
+    out = str(tmp_path / "out")
+    with monkeypatch.context() as m:
+        _interrupt_ppo_update(m, 4)
+        with pytest.raises(KeyboardInterrupt):
+            run_method(tiny_plan(methods=["ppo_only"], seeds=[0]),
+                       "ppo_only", 0, out)
+    updates = _count_ppo_updates(monkeypatch)
+    run_method(plan, "ppo_only", 0, out)
+    assert len(updates) == 2
+    assert not os.path.exists(_checkpoint_path(out, "ppo_then_tdes"))
+    records, _ = sweep(plan, out)
+    assert len(updates) == 4  # ppo_then_tdes trained its own anchor
+    assert _sweep_bits(out, records) == \
+        _sweep_bits(str(tmp_path / "clean"), clean)
+
+
+def test_past_fork_asks_every_prefix():
+    import refine_es.pipeline as pipeline
+    from refine_es.envs import make_env
+
+    plan = tiny_plan(handoff_success_threshold=0.5, handoff_window=1)
+    cfg, fields = pipeline._ppo_stage(plan, 0, make_env("point-reach"), True)
+    stop = pipeline._stop_condition(fields["handoff"])
+    # the rule fires after update 0 and no longer holds after update 1
+    curve = [{"success_rate": s, "steps_used": 200 * (i + 1)}
+             for i, s in enumerate([1.0, 0.0])]
+    assert not pipeline._past_fork(curve[:1], cfg, stop, 100)
+    assert pipeline._past_fork(curve, cfg, stop, 100)
+    # without the rule the fork is the step bound: 2 updates fit 500 steps
+    assert not pipeline._past_fork(curve, cfg, None, 100)
+    assert pipeline._past_fork(curve + [{"steps_used": 600}], cfg, None, 100)
