@@ -23,7 +23,7 @@ import numpy as np
 from . import stats, svgplot
 from .checkpoint import load_json, save_json_atomic
 from .errors import PlanError
-from .pipeline import ExperimentPlan, plan_from_dict, sweep
+from .pipeline import ExperimentPlan, plan_from_dict, success_matrices, sweep
 
 SEED_ENV_VAR = "REFINE_ES_SEED"
 
@@ -102,10 +102,7 @@ def cmd_report(args) -> int:
         plan = load_json(plan_path)
         expected = {(plan["task"], m, s) for m in plan["methods"]
                     for s in plan["seeds"]}
-    matrices: dict = {}
-    for r in records:
-        matrices.setdefault(r["method"], {}).setdefault(
-            r["task"], {})[r["seed"]] = r["final_success_rate"]
+    matrices = success_matrices(records)
     report = stats.aggregate_report(matrices, baseline=args.baseline)
     print(stats.render_report(report))
     print("\nsteps consumed per method (min, max over seeds; budget):")
@@ -114,9 +111,8 @@ def cmd_report(args) -> int:
         budget = max(r["budget"] for r in records if r["method"] == method)
         print(f"  {method:<24} {min(steps):>9} {max(steps):>9} {budget:>9}")
     if expected is not None:
-        have = {(r["task"], r["method"], str(r["seed"])) for r in records}
-        missing = sorted((t, m, s) for (t, m, s) in
-                         {(t, m, str(s)) for t, m, s in expected} - have)
+        missing = sorted(expected - {(r["task"], r["method"], r["seed"])
+                                     for r in records})
         if missing:
             print(f"\nmissing cells ({len(missing)}):")
             for t, m, s in missing:

@@ -12,7 +12,6 @@ difference identically.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -24,9 +23,6 @@ from .noise import NoiseDistribution, antithetic_candidates, make_batch
 from .policy import MlpArchitecture, action_noise, param_count, rollout
 from .rng import (TAG_ACTION, TAG_CENTER_EVAL, TAG_ENV, TAG_EVAL, make_stream,
                   stream_seed)
-
-INTERRUPT_ENV_VAR = "REFINE_ES_INTERRUPT_AFTER_GENERATION"
-
 
 @dataclass(frozen=True)
 class EsConfig:
@@ -169,7 +165,6 @@ def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env_factory,
     dist = config.noise_distribution()
     env = env_factory()
     d = theta.shape[0]
-    interrupt_after = os.environ.get(INTERRUPT_ENV_VAR)
 
     for t in range(start_generation, config.generations):
         gen_cost = config.generation_steps(env.horizon)
@@ -199,8 +194,6 @@ def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env_factory,
             steps_used=steps_used, wall_time=time.perf_counter() - t0))
         if checkpoint_cb is not None:
             checkpoint_cb(t, theta, steps_used, records)
-        if interrupt_after is not None and t == int(interrupt_after):
-            raise KeyboardInterrupt(f"injected interrupt after generation {t}")
 
     return EsRunResult(theta, records, steps_used)
 

@@ -13,13 +13,15 @@ and passes through the fork, the update where the two-stage methods stop PPO
 (the last one that fits split*budget, or the handoff rule). ppo_only ignores
 the handoff rule and spends its whole budget on PPO. The sweep therefore
 trains PPO once per seed: the pool runs seeds, and a seed runs its cells in
-plan order. The first cell whose PPO run reaches the fork forks its
-siblings: it writes into each sibling that has neither a checkpoint nor a
-record the checkpoint that the sibling's own run would write there, then
-goes on as itself. The siblings resume from those checkpoints; if the first
-cell fails before the fork, the next one trains PPO itself. Every sweep
-checks the equal-budget premise: a cell that overspends, or leaves more than
-one unit of its last stage (PPO update or ES generation) unspent, fails.
+plan order. A cell makes one PPO run and, if two-stage, one ES run. The fork
+is an event of the PPO run: when an update ends the two-stage run
+(`_at_fork`), the cell first writes into each sibling with neither a
+checkpoint nor a record the checkpoint that the sibling's own run would
+write there, then its own. Siblings resume from those; a run resumed past
+the fork plants nothing, and if the first cell fails before the fork, the
+next one trains PPO itself. Every sweep checks the equal-budget premise: a
+cell that overspends, or leaves more than one unit of its last stage (PPO
+update or ES generation) unspent, fails.
 
 Results layout: <out>/runs/<task>/<method>/<seed>/{checkpoints/, log.csv,
 record.json}. Cells checkpoint after every PPO update / ES generation into
@@ -36,7 +38,7 @@ import csv
 import hashlib
 import os
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 
 import numpy as np
 
@@ -59,9 +61,6 @@ _PPO_PLAN_KEYS = {"learning_rate", "episodes_per_update", "epochs",
                   "minibatch_size", "value_coef", "entropy_coef",
                   "init_log_std", "hidden_dims", "optimizer", "gamma",
                   "gae_lambda", "clip_epsilon"}
-_PLAN_KEYS = {"task", "methods", "total_step_budget", "split", "seeds",
-              "eval_episodes", "es", "ppo", "handoff_success_threshold",
-              "handoff_window"}
 
 # desk-scale defaults, calibrated on the toy suite (see tests/plans)
 _ES_DEFAULTS = {"sigma_es": 0.01, "alpha": 0.001, "m": 8, "lambda_sigma": 0.99,
@@ -83,7 +82,7 @@ class ExperimentPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(self.seeds))
         if not (0 < self.split <= 1):
             raise PlanError("split must be in (0, 1]")
         if self.total_step_budget < 1:
@@ -112,17 +111,40 @@ class ExperimentPlan:
         }
 
 
+_KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str,
+          "float | None": (int, float, type(None)), "dict": dict}
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether a plan value fits the annotation of its field. A bool is no
+    number, and a tuple field takes a list."""
+    if annotation.startswith("tuple["):  # "tuple[int, ...]"
+        return isinstance(value, (list, tuple)) and all(
+            _fits(v, annotation[6:-6]) for v in value)
+    return isinstance(value, _KINDS[annotation]) and \
+        isinstance(value, bool) == (annotation == "bool")
+
+
+def _check_keys(values: dict, cls, allowed=None, prefix: str = "") -> None:
+    """Reject, by name, a key that is not `allowed` (default: every field of
+    the dataclass `cls`) or whose value does not fit the type of its field."""
+    types = {f.name: f.type for f in dataclass_fields(cls)}
+    for key, value in values.items():
+        if key not in (allowed or types):
+            raise PlanError(f"unknown plan key: {prefix}{key!r}")
+        if not _fits(value, types[key]):
+            raise PlanError(f"plan key '{prefix}{key}' must be of type "
+                            f"{types[key]}, not {value!r}")
+
+
 def plan_from_dict(raw: dict) -> ExperimentPlan:
-    """Validate a plan document; unknown keys are rejected by name."""
+    """Validate a plan document; unknown keys and values of the wrong type
+    are rejected by name."""
     if not isinstance(raw, dict):
         raise PlanError("plan must be a JSON object")
-    for key in raw:
-        if key not in _PLAN_KEYS:
-            raise PlanError(f"unknown plan key: {key!r}")
-    for section, allowed in (("es", _ES_PLAN_KEYS), ("ppo", _PPO_PLAN_KEYS)):
-        for key in raw.get(section, {}):
-            if key not in allowed:
-                raise PlanError(f"unknown plan key: {section}.{key!r}")
+    _check_keys(raw, ExperimentPlan)
+    _check_keys(raw.get("es", {}), engine.EsConfig, _ES_PLAN_KEYS, "es.")
+    _check_keys(raw.get("ppo", {}), ppo.PpoConfig, _PPO_PLAN_KEYS, "ppo.")
     for required in ("task", "methods", "total_step_budget"):
         if required not in raw:
             raise PlanError(f"missing plan key: {required!r}")
@@ -134,11 +156,11 @@ def plan_from_dict(raw: dict) -> ExperimentPlan:
     # build each stage's config once, so that a bad value fails at load time
     try:
         _ppo_config(plan, 0, plan.total_step_budget, env)
-    except (ContractError, TypeError) as exc:
+    except ContractError as exc:
         raise PlanError(f"invalid plan section 'ppo': {exc}") from exc
     try:
         engine.EsConfig(generations=0, **{**_ES_DEFAULTS, **plan.es})
-    except (ContractError, TypeError) as exc:
+    except ContractError as exc:
         raise PlanError(f"invalid plan section 'es': {exc}") from exc
     return plan
 
@@ -208,17 +230,17 @@ def _stop_condition(handoff: dict):
     return stop
 
 
-def _past_fork(curve: list, fork_cfg: ppo.PpoConfig, stop, horizon: int) -> bool:
+def _at_fork(curve: list, fork_cfg: ppo.PpoConfig, stop, horizon: int) -> bool:
     """Whether the two-stage PPO run, a prefix of every PPO run of the seed,
-    stops before the end of `curve`: the loop condition of
-    `ppo.train_anchor`, asked of each proper prefix."""
+    ends exactly after `curve`: the loop condition of `ppo.train_anchor`
+    stops it there, and at no shorter prefix."""
     update_cost = fork_cfg.episodes_per_update * horizon
-    for k in range(len(curve)):
+
+    def ends(k):
         steps = curve[k - 1]["steps_used"] if k else 0
-        if steps + update_cost > fork_cfg.total_steps or \
-                (stop is not None and stop(curve[:k])):
-            return True
-    return False
+        return steps + update_cost > fork_cfg.total_steps or \
+            (stop is not None and stop(curve[:k]))
+    return ends(len(curve)) and not any(map(ends, range(len(curve))))
 
 
 def _es_config(plan: ExperimentPlan, seed: int, method: str, remaining: int,
@@ -238,17 +260,19 @@ def _ppo_payload(update, ac, optimizer, steps, curve, fields: dict) -> dict:
             "steps_used": steps, "curve": curve, **fields}
 
 
-def _anchor_fields(fields: dict, arch, params, ppo_steps, ppo_curve) -> dict:
-    """What an ES checkpoint stores of the PPO stage it refines."""
-    return {**fields, "architecture": arch.to_dict(), "anchor_params": params,
+def _es_start(plan: ExperimentPlan, seed: int, method: str, env, arch,
+              params, ppo_steps, ppo_curve) -> dict:
+    """The generation -1 checkpoint of a two-stage cell whose PPO stage
+    ended with actor `params`: its ES stage before the first generation,
+    with the PPO stage it refines."""
+    es_cfg = _es_config(plan, seed, method, plan.total_step_budget - ppo_steps,
+                        env)
+    return {"stage": "es", "generation_index": -1, "params": params,
+            "steps_used": 0, "records": [], "es_config": es_cfg.to_dict(),
+            **_ppo_stage(plan, seed, env, True)[1],
+            "architecture": arch.to_dict(), "anchor_params": params,
             "anchor_sha256": _params_sha256(params), "ppo_steps": ppo_steps,
             "ppo_curve": ppo_curve}
-
-
-def _es_payload(gen, theta, steps, records, es_cfg, anchor: dict) -> dict:
-    return {"stage": "es", "generation_index": gen, "params": theta,
-            "steps_used": steps, "records": [r.to_dict() for r in records],
-            "es_config": es_cfg.to_dict(), **anchor}
 
 
 def cell_dir(out_dir: str, task: str, method: str, seed: int) -> str:
@@ -296,40 +320,34 @@ def _load_state(path: str, fields: dict) -> dict:
 
 
 def _fork(plan: ExperimentPlan, method: str, seed: int, out_dir: str, env,
-          res: ppo.AnchorResult) -> None:
-    """Start the other cells of this seed from `res`, the PPO state at the
-    fork. Each sibling with neither a checkpoint nor a record gets the
-    checkpoint that its own run writes at this point: a two-stage method its
-    generation -1 ES checkpoint, ppo_only its PPO checkpoint of the fork
-    update (none if the fork comes before update 0). The sibling then
-    resumes from it like from any checkpoint."""
-    ac = res.actor_critic
-    anchor = _anchor_fields(_ppo_stage(plan, seed, env, True)[1], ac.actor_arch,
-                            ac.actor_params, res.steps_used, res.curve)
+          update, ac, optimizer, steps, curve) -> None:
+    """Start the other cells of this seed from the PPO state at the fork,
+    after update `update`. Each sibling with neither a checkpoint nor a
+    record gets the checkpoint that its own run writes at this point: a
+    two-stage method its generation -1 ES checkpoint, ppo_only its PPO
+    checkpoint of this update. The sibling then resumes from it like from
+    any checkpoint."""
     for sibling in plan.methods:
         cdir = cell_dir(out_dir, plan.task, sibling, seed)
         path = os.path.join(cdir, "checkpoints", CHECKPOINT_NAME)
         if sibling == method or os.path.exists(path) or \
                 os.path.exists(os.path.join(cdir, "record.json")):
             continue
-        if sibling != "ppo_only":
-            es_cfg = _es_config(plan, seed, sibling,
-                                plan.total_step_budget - res.steps_used, env)
-            payload = _es_payload(-1, ac.actor_params, 0, [], es_cfg, anchor)
-        elif res.curve:
-            payload = _ppo_payload(len(res.curve) - 1, ac, res.optimizer,
-                                   res.steps_used, res.curve,
+        if sibling == "ppo_only":
+            payload = _ppo_payload(update, ac, optimizer, steps, curve,
                                    _ppo_stage(plan, seed, env, False)[1])
         else:
-            continue
+            payload = _es_start(plan, seed, sibling, env, ac.actor_arch,
+                                ac.actor_params, steps, curve)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         save_checkpoint(path, payload)
 
 
 def run_method(plan: ExperimentPlan, method: str, seed: int,
                out_dir: str) -> RunRecord:
-    """Execute (or resume) one sweep cell and write its artifacts. If this
-    cell's PPO run reaches the fork, it starts its siblings there (`_fork`)."""
+    """Execute (or resume) one sweep cell and write its artifacts: one PPO
+    run, then, for a two-stage method, one ES run. If the PPO run reaches
+    the fork, it starts this seed's other cells there (`_fork`)."""
     cdir = cell_dir(out_dir, plan.task, method, seed)
     ckpt_dir = os.path.join(cdir, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
@@ -348,42 +366,34 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
     budget = plan.total_step_budget
     two_stage = method != "ppo_only"
     ppo_cfg, fields = _ppo_stage(plan, seed, env, two_stage)
+    fork_cfg, fork_fields = _ppo_stage(plan, seed, env, True)
+    fork_stop = _stop_condition(fork_fields["handoff"])
     ckpt_path = os.path.join(ckpt_dir, CHECKPOINT_NAME)
     state = (_load_state(ckpt_path, fields)
-             if os.path.exists(ckpt_path) else None)
+             if os.path.exists(ckpt_path) else {})
 
-    def ppo_ckpt(update, ac, optimizer, steps, curve):
-        save_checkpoint(ckpt_path, _ppo_payload(update, ac, optimizer, steps,
-                                                curve, fields))
+    def ppo_ckpt(*args):  # (update, ac, optimizer, steps, curve)
+        # plant the siblings before this cell's own checkpoint: a run
+        # resumed past the fork never reaches it again
+        if _at_fork(args[-1], fork_cfg, fork_stop, env.horizon):
+            _fork(plan, method, seed, out_dir, env, *args)
+        save_checkpoint(ckpt_path, _ppo_payload(*args, fields))
 
-    if state is not None and state["stage"] == "es":
+    if state.get("stage") == "es":
         # the PPO stage is complete; the checkpoint carries the anchor
         arch = MlpArchitecture.from_dict(state["architecture"])
         anchor_params = state["anchor_params"]
         ppo_steps = state["ppo_steps"]
         ppo_curve = state["ppo_curve"]
     else:
-        resume = {} if state is None else {
+        resume = {} if not state else {
             "start_update": state["update_index"] + 1,
             "initial": ppo.ActorCritic.from_dict(state["actor_critic"]),
             "initial_steps": state["steps_used"], "curve": state["curve"],
             "optimizer_state": state["optimizer"]}
-        # every PPO run of this seed passes through the two-stage anchor
-        fork_cfg, fork_fields = _ppo_stage(plan, seed, env, True)
-        stop = _stop_condition(fork_fields["handoff"])
-        if not _past_fork(resume.get("curve", []), fork_cfg, stop,
-                          env.horizon):
-            res = ppo.train_anchor(env_factory, fork_cfg,
-                                   checkpoint_cb=ppo_ckpt,
-                                   stop_condition=stop, **resume)
-            _fork(plan, method, seed, out_dir, env, res)
-            resume = {"start_update": len(res.curve),
-                      "initial": res.actor_critic,
-                      "initial_steps": res.steps_used, "curve": res.curve,
-                      "optimizer_state": res.optimizer.to_dict()}
-        if not two_stage:  # ppo_only goes on to its full budget
-            res = ppo.train_anchor(env_factory, ppo_cfg,
-                                   checkpoint_cb=ppo_ckpt, **resume)
+        res = ppo.train_anchor(env_factory, ppo_cfg, checkpoint_cb=ppo_ckpt,
+                               stop_condition=_stop_condition(fields["handoff"]),
+                               **resume)
         arch = res.actor_critic.actor_arch
         anchor_params = res.actor_critic.actor_params
         ppo_steps = res.steps_used
@@ -393,28 +403,25 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
     es_records: list[dict] = []
     es_steps = 0
     if two_stage:
+        if state.get("stage") != "es":
+            state = _es_start(plan, seed, method, env, arch, anchor_params,
+                              ppo_steps, ppo_curve)
+            save_checkpoint(ckpt_path, state)
         es_cfg = _es_config(plan, seed, method, budget - ppo_steps, env)
-        anchor = _anchor_fields(fields, arch, anchor_params, ppo_steps,
-                                ppo_curve)
+        _check_fields(ckpt_path, "es_config", state["es_config"],
+                      es_cfg.to_dict())
 
         def es_ckpt(gen, theta, steps, records):
-            save_checkpoint(ckpt_path, _es_payload(gen, theta, steps, records,
-                                                   es_cfg, anchor))
+            save_checkpoint(ckpt_path, {
+                **state, "generation_index": gen, "params": theta,
+                "steps_used": steps, "records": [r.to_dict() for r in records]})
 
-        if state is not None and state["stage"] == "es":
-            _check_fields(ckpt_path, "es_config", state["es_config"],
-                          es_cfg.to_dict())
-            result = engine.tdes_run(
-                state["params"], arch, env_factory, es_cfg,
-                start_generation=state["generation_index"] + 1,
-                initial_steps=state["steps_used"],
-                records=[engine.GenerationRecord(**r)
-                         for r in state["records"]],
-                checkpoint_cb=es_ckpt)
-        else:
-            es_ckpt(-1, anchor_params, 0, [])
-            result = engine.tdes_run(anchor_params, arch, env_factory, es_cfg,
-                                     checkpoint_cb=es_ckpt)
+        result = engine.tdes_run(
+            state["params"], arch, env_factory, es_cfg,
+            start_generation=state["generation_index"] + 1,
+            initial_steps=state["steps_used"],
+            records=[engine.GenerationRecord(**r) for r in state["records"]],
+            checkpoint_cb=es_ckpt)
         final_params = result.params
         es_records = [r.to_dict() for r in result.records]
         es_steps = result.steps_used
@@ -490,6 +497,17 @@ def _run_seed(args) -> list[dict]:
     return [_run_cell(plan, method, seed, out_dir) for method in plan.methods]
 
 
+def success_matrices(records: list[dict]) -> dict:
+    """method -> {task -> {seed: final success rate}} over the records that
+    did not fail: the input of `stats.aggregate_report`."""
+    matrices: dict = {}
+    for r in records:
+        if not r.get("failed"):
+            matrices.setdefault(r["method"], {}).setdefault(
+                r["task"], {})[r["seed"]] = r["final_success_rate"]
+    return matrices
+
+
 def sweep(plan: ExperimentPlan, out_dir: str, workers: int = 1):
     """Run all (method, seed) cells, one task per seed; one cell's failure
     never aborts the rest. Returns (records, report_dict). Results merge
@@ -504,21 +522,14 @@ def sweep(plan: ExperimentPlan, out_dir: str, workers: int = 1):
         raw = [r for task in tasks for r in _run_seed(task)]
     records = sorted((RunRecord(**r) for r in raw),
                      key=lambda r: (r.method, r.seed))
-
-    matrices = {}
-    for method in plan.methods:
-        ok = [r for r in records if r.method == method and not r.failed]
-        if ok:
-            matrices[method] = {plan.task: {r.seed: r.final_success_rate
-                                            for r in ok}}
-    report = stats.aggregate_report(matrices) if matrices else {}
-    failures = [{"method": r.method, "seed": r.seed, "failure": r.failure}
-                for r in records if r.failed]
+    rows = [r.to_dict() for r in records]
+    matrices = success_matrices(rows)
     payload = {
         "plan": plan.to_dict(),
-        "report": report,
-        "failures": failures,
-        "records": [r.to_dict() for r in records],
+        "report": stats.aggregate_report(matrices) if matrices else {},
+        "failures": [{"method": r.method, "seed": r.seed, "failure": r.failure}
+                     for r in records if r.failed],
+        "records": rows,
     }
     save_json_atomic(os.path.join(out_dir, "report.json"), payload)
     return records, payload

@@ -332,7 +332,6 @@ class AnchorResult:
     actor_critic: ActorCritic
     curve: list[dict] = field(default_factory=list)
     steps_used: int = 0
-    optimizer: PpoOptimizer | None = None
 
 
 def train_anchor(env_factory, config: PpoConfig, start_update: int = 0,
@@ -368,4 +367,4 @@ def train_anchor(env_factory, config: PpoConfig, start_update: int = 0,
         if checkpoint_cb is not None:
             checkpoint_cb(u, ac, optimizer, steps_used, curve)
         u += 1
-    return AnchorResult(ac, curve, steps_used, optimizer)
+    return AnchorResult(ac, curve, steps_used)

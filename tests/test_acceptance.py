@@ -12,8 +12,8 @@ import time
 
 import numpy as np
 import pytest
+from interrupts import interrupt_after_generation
 
-from refine_es.engine import INTERRUPT_ENV_VAR
 from refine_es.estimator import (ReturnTable, centered_rank_scores,
                                  centered_ranks, fd_gradient, tdes_gradient)
 from refine_es.noise import NoiseDistribution, antithetic_candidates, make_batch
@@ -243,7 +243,7 @@ def test_criterion_09_end_to_end_direction(tmp_path):
                  f"{elapsed / 60:.1f} min")
 
 
-def test_criterion_10_resume_equivalence(tmp_path, monkeypatch):
+def test_criterion_10_resume_equivalence(tmp_path):
     plan = plan_from_dict({
         "task": "point-reach",
         "methods": ["ppo_then_tdes"],
@@ -258,10 +258,8 @@ def test_criterion_10_resume_equivalence(tmp_path, monkeypatch):
     cut_dir = str(tmp_path / "cut")
     run_method(plan, "ppo_then_tdes", 0, clean_dir)
 
-    monkeypatch.setenv(INTERRUPT_ENV_VAR, "1")
-    with pytest.raises(KeyboardInterrupt):
+    with interrupt_after_generation(1), pytest.raises(KeyboardInterrupt):
         run_method(plan, "ppo_then_tdes", 0, cut_dir)
-    monkeypatch.delenv(INTERRUPT_ENV_VAR)
     run_method(plan, "ppo_then_tdes", 0, cut_dir)
 
     def final_params(d):

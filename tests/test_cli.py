@@ -2,6 +2,7 @@ import json
 import os
 
 import pytest
+from interrupts import interrupt_after_generation
 
 from refine_es.cli import SEED_ENV_VAR, main
 from refine_es.stats import render_report
@@ -31,6 +32,19 @@ def test_malformed_json_exit_2_with_location(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "not valid JSON" in err and "line 3" in err
+
+
+@pytest.mark.parametrize("key, value", [("total_step_budget", "1000"),
+                                        ("total_step_budget", 1000.5),
+                                        ("seeds", [0.7])])
+def test_mistyped_plan_value_exit_2_at_load(tmp_path, capsys, key, value):
+    out = str(tmp_path / "out")
+    code = main(["run", "--plan", write_plan(tmp_path, dict(TINY_PLAN,
+                                                            **{key: value})),
+                 "--out", out])
+    assert code == 2
+    assert f"plan key '{key}' must be" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_unknown_plan_key_named(tmp_path, capsys):
@@ -126,17 +140,15 @@ def test_seed_env_override(tmp_path, monkeypatch, capsys):
     assert seeds_run == ["5"]
 
 
-def test_interrupt_exit_130_then_resume(tmp_path, monkeypatch, capsys):
-    from refine_es.engine import INTERRUPT_ENV_VAR
-
+def test_interrupt_exit_130_then_resume(tmp_path, capsys):
     out = str(tmp_path / "out")
     plan = dict(TINY_PLAN, methods=["ppo_then_tdes"])
-    monkeypatch.setenv(INTERRUPT_ENV_VAR, "0")
-    code = main(["run", "--plan", write_plan(tmp_path, plan), "--out", out])
+    with interrupt_after_generation(0):
+        code = main(["run", "--plan", write_plan(tmp_path, plan),
+                     "--out", out])
     err = capsys.readouterr().err
     assert code == 130
     assert "resume" in err
-    monkeypatch.delenv(INTERRUPT_ENV_VAR)
     code = main(["resume", "--dir", out])
     capsys.readouterr()
     assert code == 0
@@ -144,14 +156,12 @@ def test_interrupt_exit_130_then_resume(tmp_path, monkeypatch, capsys):
         out, "runs", "point-reach", "ppo_then_tdes", "0", "record.json"))
 
 
-def test_report_after_interrupted_sweep(tmp_path, monkeypatch, capsys):
+def test_report_after_interrupted_sweep(tmp_path, capsys):
     # an interrupted sweep writes no report.json; report reads the finished
     # cells' record.json files and names the cell that is missing
-    from refine_es.engine import INTERRUPT_ENV_VAR
-
     out = str(tmp_path / "out")
-    monkeypatch.setenv(INTERRUPT_ENV_VAR, "0")
-    code = main(["run", "--plan", write_plan(tmp_path), "--out", out])
+    with interrupt_after_generation(0):
+        code = main(["run", "--plan", write_plan(tmp_path), "--out", out])
     capsys.readouterr()
     assert code == 130
     assert not os.path.exists(os.path.join(out, "report.json"))
@@ -209,3 +219,19 @@ def test_report_prints_steps_consumed_per_method(tmp_path, capsys):
     assert [line.split() for line in lines[start + 1:start + 3]] == [
         ["ppo_only", "1000", "1000", "1000"],
         ["ppo_then_tdes", "800", "800", "1000"]]
+
+
+def test_report_lists_missing_seeds_in_integer_order(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    plan = dict(TINY_PLAN, methods=["ppo_only"], seeds=[1, 2, 10])
+    assert main(["run", "--plan", write_plan(tmp_path, plan),
+                 "--out", out]) == 0
+    for seed in ("2", "10"):
+        os.remove(os.path.join(out, "runs", "point-reach", "ppo_only", seed,
+                               "record.json"))
+    capsys.readouterr()
+    assert main(["report", "--dir", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("missing cells (2):")
+    assert lines[start + 1:start + 3] == ["  point-reach ppo_only seed 2",
+                                          "  point-reach ppo_only seed 10"]

@@ -4,8 +4,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from refine_es.engine import (INTERRUPT_ENV_VAR, EsConfig, GenerationRecord,
-                              evaluate_center, sigma_at, tdes_run)
+from refine_es.engine import (EsConfig, GenerationRecord, evaluate_center,
+                              sigma_at, tdes_run)
 from refine_es.errors import ContractError, RolloutError
 from refine_es.policy import MlpArchitecture, param_count
 
@@ -171,16 +171,6 @@ def test_gaussian_twin_differs_from_triangular():
                    replace(cfg, distribution="gaussian"))
     assert not np.array_equal(tri.params, gau.params)
     assert gau.steps_used == tri.steps_used
-
-
-def test_interrupt_injection(monkeypatch):
-    seen = []
-    monkeypatch.setenv(INTERRUPT_ENV_VAR, "2")
-    with pytest.raises(KeyboardInterrupt):
-        tdes_run(np.zeros(2), ARCH, TargetEnv, small_config(generations=10),
-                 checkpoint_cb=lambda t, th, s, r: seen.append(t))
-    # the interrupt fires only after generation 2 was checkpointed
-    assert seen == [0, 1, 2]
 
 
 def test_evaluate_center_success_rates():

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from interrupts import interrupt_after_generation
 
 from refine_es.checkpoint import load_checkpoint, load_json
 from refine_es.errors import CheckpointError, PlanError
@@ -63,6 +64,34 @@ def test_plan_rejects_missing_and_invalid():
         tiny_plan(ppo={"hidden_dims": [0]})
     with pytest.raises(PlanError, match="'ppo'.*epochs"):
         tiny_plan(ppo={"epochs": 0})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("total_step_budget", "1000"),
+    ("total_step_budget", 1000.5),
+    ("total_step_budget", True),
+    ("eval_episodes", 2.5),
+    ("seeds", [0.7]),
+    ("seeds", [False]),
+    ("split", "0.5"),
+    ("handoff_window", 1.0),
+    ("handoff_success_threshold", "high"),
+    ("es.m", 2.5),
+    ("es.alpha", "0.01"),
+    ("es.standardize_noise", 1),
+    ("ppo.episodes_per_update", 2.5),
+    ("ppo.hidden_dims", [8.0]),
+    ("ppo.optimizer", 1),
+    ("es", [["m", 2]]),
+    ("methods", "ppo_only"),
+    ("task", ["point-reach"]),
+])
+def test_plan_rejects_mistyped_value_by_name(key, value):
+    raw = tiny_plan().to_dict()
+    section, _, name = key.rpartition(".")
+    (raw[section] if section else raw)[name] = value
+    with pytest.raises(PlanError, match=re.escape(f"plan key '{key}' must be")):
+        plan_from_dict(raw)
 
 
 def test_plan_roundtrip():
@@ -175,17 +204,13 @@ def test_budget_never_exceeded(tmp_path):
         assert r.steps_consumed <= r.budget
 
 
-def test_resume_after_interrupt_bitwise(tmp_path, monkeypatch):
-    from refine_es.engine import INTERRUPT_ENV_VAR
-
+def test_resume_after_interrupt_bitwise(tmp_path):
     plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
                      total_step_budget=1400)
     clean = run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "clean"))
 
-    monkeypatch.setenv(INTERRUPT_ENV_VAR, "0")
-    with pytest.raises(KeyboardInterrupt):
+    with interrupt_after_generation(0), pytest.raises(KeyboardInterrupt):
         run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "cut"))
-    monkeypatch.delenv(INTERRUPT_ENV_VAR)
     resumed = run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "cut"))
 
     assert resumed.anchor_sha256 == clean.anchor_sha256
@@ -268,13 +293,9 @@ def _interrupt_ppo_update(monkeypatch, n):
     monkeypatch.setattr(ppo, "ppo_update", update)
 
 
-def _cut_in_es(plan, out, monkeypatch):
-    from refine_es.engine import INTERRUPT_ENV_VAR
-
-    monkeypatch.setenv(INTERRUPT_ENV_VAR, "0")
-    with pytest.raises(KeyboardInterrupt):
+def _cut_in_es(plan, out):
+    with interrupt_after_generation(0), pytest.raises(KeyboardInterrupt):
         run_method(plan, "ppo_then_tdes", 0, out)
-    monkeypatch.delenv(INTERRUPT_ENV_VAR)
 
 
 def test_resume_mid_ppo_with_adam_bitwise(tmp_path, monkeypatch):
@@ -332,12 +353,12 @@ def test_ppo_checkpoint_keeps_format_2_members(tmp_path, monkeypatch):
         _final_params(str(tmp_path / "clean"), "ppo_only")
 
 
-def test_resume_ignores_stale_tmp(tmp_path, monkeypatch):
+def test_resume_ignores_stale_tmp(tmp_path):
     plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
                      total_step_budget=1400)
     run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "clean"))
     cut = str(tmp_path / "cut")
-    _cut_in_es(plan, cut, monkeypatch)
+    _cut_in_es(plan, cut)
     # a kill during a write leaves a partial temp file behind
     with open(_checkpoint_path(cut) + ".tmp", "wb") as fh:
         fh.write(b"PK\x03\x04 truncated")
@@ -358,7 +379,7 @@ def test_resume_refuses_mismatched_checkpoint(tmp_path, monkeypatch, field,
     plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
                      total_step_budget=1400)
     out = str(tmp_path)
-    _cut_in_es(plan, out, monkeypatch)
+    _cut_in_es(plan, out)
     path = _checkpoint_path(out)
     state = checkpoint.load_checkpoint(path)
     if field == "format_version":
@@ -388,11 +409,11 @@ def test_resume_refuses_changed_ppo_config(tmp_path, monkeypatch):
         run_method(changed, "ppo_only", 0, out)
 
 
-def test_resume_refuses_changed_es_config(tmp_path, monkeypatch):
+def test_resume_refuses_changed_es_config(tmp_path):
     plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
                      total_step_budget=1400)
     out = str(tmp_path)
-    _cut_in_es(plan, out, monkeypatch)
+    _cut_in_es(plan, out)
     changed = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
                         total_step_budget=1400,
                         es={"m": 2, "sigma_es": 0.05, "alpha": 0.02})
@@ -415,13 +436,13 @@ def test_resume_refuses_json_checkpoint(tmp_path):
         run_method(plan, "ppo_only", 0, str(tmp_path))
 
 
-def test_resume_refuses_changed_handoff_rule(tmp_path, monkeypatch):
+def test_resume_refuses_changed_handoff_rule(tmp_path):
     # the handoff rule sets where PPO stopped, so a changed rule is refused
     plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
                      total_step_budget=1400, handoff_success_threshold=0.0,
                      handoff_window=1)
     out = str(tmp_path)
-    _cut_in_es(plan, out, monkeypatch)
+    _cut_in_es(plan, out)
     changed = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
                         total_step_budget=1400)
     with pytest.raises(CheckpointError,
@@ -536,13 +557,22 @@ def _count_ppo_updates(monkeypatch):
     return seeds
 
 
-def test_sweep_trains_ppo_once_per_seed(tmp_path, monkeypatch):
-    plan = tiny_plan()
+@pytest.mark.parametrize("methods", [
+    ["ppo_only", "ppo_then_tdes", "ppo_then_gaussian_es"],
+    ["ppo_then_tdes", "ppo_only", "ppo_then_gaussian_es"],
+    ["ppo_then_tdes", "ppo_then_gaussian_es", "ppo_only"],
+], ids=["ppo_only_first", "ppo_only_middle", "ppo_only_last"])
+def test_sweep_trains_ppo_once_per_seed(tmp_path, monkeypatch, methods):
+    # unless ppo_only runs first, a two-stage cell plants ppo_only's PPO
+    # checkpoint at the fork, Adam moments included
+    adam = {"episodes_per_update": 2, "hidden_dims": [8], "optimizer": "adam"}
+    plan = tiny_plan(methods=methods, ppo=adam)
     alone = {}
     for method in plan.methods:
         for seed in plan.seeds:
             out = str(tmp_path / f"{method}-{seed}")
-            rec = run_method(tiny_plan(methods=[method]), method, seed, out)
+            rec = run_method(tiny_plan(methods=[method], ppo=adam), method,
+                             seed, out)
             alone[(method, seed)] = _cell_bits(out, rec)
 
     updates = _count_ppo_updates(monkeypatch)
@@ -576,15 +606,11 @@ def test_resume_after_cut_past_fork_bitwise(tmp_path, monkeypatch):
 
 
 def test_resume_after_cut_mid_es_past_fork_bitwise(tmp_path, monkeypatch):
-    from refine_es.engine import INTERRUPT_ENV_VAR
-
     plan = tiny_plan(seeds=[0], total_step_budget=1400)
     clean, _ = sweep(plan, str(tmp_path / "clean"))
     cut = str(tmp_path / "cut")
-    monkeypatch.setenv(INTERRUPT_ENV_VAR, "0")
-    with pytest.raises(KeyboardInterrupt):
+    with interrupt_after_generation(0), pytest.raises(KeyboardInterrupt):
         sweep(plan, cut)
-    monkeypatch.delenv(INTERRUPT_ENV_VAR)
     assert os.path.exists(os.path.join(
         cell_dir(cut, "point-reach", "ppo_only", 0), "record.json"))
     state = load_checkpoint(_checkpoint_path(cut, "ppo_then_tdes"))
@@ -598,16 +624,13 @@ def test_resume_after_cut_mid_es_past_fork_bitwise(tmp_path, monkeypatch):
 
 def test_fork_leaves_started_sibling_alone(tmp_path, monkeypatch):
     import refine_es.engine as engine
-    from refine_es.engine import INTERRUPT_ENV_VAR
 
     plan = tiny_plan(seeds=[0], total_step_budget=3000)
     clean, _ = sweep(plan, str(tmp_path / "clean"))
     out = str(tmp_path / "out")
-    monkeypatch.setenv(INTERRUPT_ENV_VAR, "2")
-    with pytest.raises(KeyboardInterrupt):
+    with interrupt_after_generation(2), pytest.raises(KeyboardInterrupt):
         run_method(tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
                              total_step_budget=3000), "ppo_then_tdes", 0, out)
-    monkeypatch.delenv(INTERRUPT_ENV_VAR)
     path = _checkpoint_path(out, "ppo_then_tdes")
     with open(path, "rb") as fh:
         before = fh.read()
@@ -684,7 +707,36 @@ def test_ppo_only_past_fork_plants_nothing(tmp_path, monkeypatch):
         _sweep_bits(str(tmp_path / "clean"), clean)
 
 
-def test_past_fork_asks_every_prefix():
+def test_cut_while_planting_plants_again_on_resume(tmp_path, monkeypatch):
+    # the fork plants the siblings before the cell's own checkpoint of that
+    # update, so a cut between the two leaves the cell before the fork
+    import refine_es.pipeline as pipeline
+
+    plan = tiny_plan(seeds=[0])
+    clean, _ = sweep(plan, str(tmp_path / "clean"))
+    cut = str(tmp_path / "cut")
+    gaussian = _checkpoint_path(cut, "ppo_then_gaussian_es")
+    original = pipeline.save_checkpoint
+
+    def save_checkpoint(path, payload):
+        if path == gaussian:
+            raise KeyboardInterrupt("injected interrupt while planting")
+        original(path, payload)
+
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "save_checkpoint", save_checkpoint)
+        with pytest.raises(KeyboardInterrupt):
+            sweep(plan, cut)
+    assert load_checkpoint(_checkpoint_path(cut, "ppo_only"))[
+        "update_index"] == 0
+    updates = _count_ppo_updates(monkeypatch)
+    resumed, _ = sweep(plan, cut)
+    assert len(updates) == 4  # ppo_only's updates 1 to 4, none of a sibling
+    assert _sweep_bits(cut, resumed) == \
+        _sweep_bits(str(tmp_path / "clean"), clean)
+
+
+def test_at_fork_asks_every_prefix():
     import refine_es.pipeline as pipeline
     from refine_es.envs import make_env
 
@@ -694,8 +746,10 @@ def test_past_fork_asks_every_prefix():
     # the rule fires after update 0 and no longer holds after update 1
     curve = [{"success_rate": s, "steps_used": 200 * (i + 1)}
              for i, s in enumerate([1.0, 0.0])]
-    assert not pipeline._past_fork(curve[:1], cfg, stop, 100)
-    assert pipeline._past_fork(curve, cfg, stop, 100)
+    assert pipeline._at_fork(curve[:1], cfg, stop, 100)
+    # the step bound stops the run after update 1, but it ended before
+    assert not pipeline._at_fork(curve, cfg, stop, 100)
     # without the rule the fork is the step bound: 2 updates fit 500 steps
-    assert not pipeline._past_fork(curve, cfg, None, 100)
-    assert pipeline._past_fork(curve + [{"steps_used": 600}], cfg, None, 100)
+    assert pipeline._at_fork(curve, cfg, None, 100)
+    assert not pipeline._at_fork(curve + [{"steps_used": 600}], cfg, None,
+                                 100)

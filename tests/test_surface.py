@@ -2,7 +2,8 @@
 src/refine_es is referenced somewhere in src/ outside its own definition.
 A name that only tests use belongs in the tests, not in the package. The
 import path of the CLI stays free of scipy, a test-only dependency, and of
-the process pool, which only a multi-worker sweep needs."""
+the process pool, which only a multi-worker sweep needs. Only the CLI reads
+the environment, so no test hook can hide in the package."""
 
 import ast
 import os
@@ -50,6 +51,15 @@ def test_no_unreferenced_public_names():
     assert sorted(set(unused) - set(ALLOWED)) == []
     # an allow-listed name that gets a caller should leave the list
     assert sorted(ALLOWED) == sorted(set(unused) & set(ALLOWED))
+
+
+def test_only_cli_reads_the_environment():
+    # cli.py reads the documented REFINE_ES_SEED; nothing else may read
+    # a variable, as the interrupt hook of the ES loop once did
+    readers = sorted(p.name for p in SRC.glob("*.py")
+                     if {"environ", "getenv"} & set(
+                         _references(ast.parse(p.read_text()))))
+    assert readers == ["cli.py"]
 
 
 def test_cli_import_loads_no_scipy():
