@@ -13,7 +13,8 @@ string, member `meta`, in which each array is replaced by a reference
 
 Both writers go to `<path>.tmp`, flush, fsync and rename into place, so an
 interrupted write leaves the previous file intact; a stale `.tmp` is never
-read.
+read. A checkpoint is resume state only: once a cell's record.json is
+durable, the pipeline deletes the checkpoint and any stale `.tmp`.
 """
 
 from __future__ import annotations

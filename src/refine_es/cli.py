@@ -37,7 +37,11 @@ def _load_plan(path: str) -> ExperimentPlan:
                         f"(line {exc.lineno}, column {exc.colno})") from exc
     seeds_override = os.environ.get(SEED_ENV_VAR)
     if seeds_override:
-        raw["seeds"] = [int(s) for s in seeds_override.split(",")]
+        try:
+            raw["seeds"] = [int(s) for s in seeds_override.split(",")]
+        except ValueError:
+            raise PlanError(f"{SEED_ENV_VAR} must be comma-separated "
+                            f"integers, not {seeds_override!r}") from None
     return plan_from_dict(raw)
 
 

@@ -29,7 +29,14 @@ one atomic `checkpoints/checkpoint.npz` (see checkpoint.py) and resume
 bit-exactly from it, the PPO->ES handoff included. On resume the checkpoint
 must match the cell: format version, stage, master seed, the handoff rule,
 and the PPO and ES configs recomputed from the plan; any mismatch is refused with a
-`CheckpointError` naming the file and the field.
+`CheckpointError` naming the file and the field. A finished cell keeps its
+results (`checkpoints/final.json`, log.csv, record.json), not its resume
+state: once record.json is durable, the checkpoint is deleted. A cell that
+raises keeps it, so `resume` continues the cell.
+
+A pool worker runs numpy's OpenBLAS on cpus // workers threads (at least
+one), so that the workers do not contend for the CPUs; the serial path keeps
+OpenBLAS's own count.
 """
 
 from __future__ import annotations
@@ -343,6 +350,23 @@ def _fork(plan: ExperimentPlan, method: str, seed: int, out_dir: str, env,
         save_checkpoint(path, payload)
 
 
+def _drop_resume_state(cdir: str) -> None:
+    """Delete the checkpoint and any stale `.tmp` of a cell whose record.json
+    exists: nothing reads them once the record is there. The cell directory
+    is fsynced first, so that a crash never leaves the cell with neither a
+    durable record nor a checkpoint."""
+    path = os.path.join(cdir, "checkpoints", CHECKPOINT_NAME)
+    stale = [p for p in (path, path + ".tmp") if os.path.exists(p)]
+    if stale:
+        fd = os.open(cdir, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        for p in stale:
+            os.unlink(p)
+
+
 def run_method(plan: ExperimentPlan, method: str, seed: int,
                out_dir: str) -> RunRecord:
     """Execute (or resume) one sweep cell and write its artifacts: one PPO
@@ -353,6 +377,7 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
     os.makedirs(ckpt_dir, exist_ok=True)
     record_path = os.path.join(cdir, "record.json")
     if os.path.exists(record_path):
+        _drop_resume_state(cdir)  # left by a crash or an older version
         return RunRecord(**load_json(record_path))
     legacy = os.path.join(ckpt_dir, "checkpoint.json")
     if os.path.exists(legacy):
@@ -442,6 +467,7 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
         "master_seed": seed})
     _write_log_csv(os.path.join(cdir, "log.csv"), es_records)
     save_json_atomic(record_path, record.to_dict())
+    _drop_resume_state(cdir)
     return record
 
 
@@ -477,7 +503,11 @@ def _run_cell(plan: ExperimentPlan, method: str, seed: int,
         record = run_method(plan, method, seed, out_dir)
         shortfall = _budget_shortfall(plan, record)
         if shortfall is not None:
+            # on disk too, so that `report` and `resume` see the failure
             record.failed, record.failure = True, shortfall
+            save_json_atomic(os.path.join(cell_dir(
+                out_dir, plan.task, method, seed), "record.json"),
+                record.to_dict())
         return record.to_dict()
     except KeyboardInterrupt:
         raise
@@ -495,6 +525,28 @@ def _run_seed(args) -> list[dict]:
     plan_dict, seed, out_dir = args
     plan = ExperimentPlan(**plan_dict)
     return [_run_cell(plan, method, seed, out_dir) for method in plan.methods]
+
+
+def _set_blas_threads(count: int) -> None:
+    """Pool initializer: run numpy's OpenBLAS on `count` threads. OpenBLAS
+    starts one thread per CPU in every process, so the workers of a pool
+    would otherwise contend for the CPUs. Does nothing for another BLAS."""
+    import ctypes  # only pool workers need it
+
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath
+    # looking a symbol up in numpy's extension also searches the BLAS it
+    # links: numpy.libs/libscipy_openblas* in a wheel, libopenblas otherwise
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    for name in ("scipy_openblas_set_num_threads64_",
+                 "scipy_openblas_set_num_threads", "openblas_set_num_threads"):
+        if hasattr(lib, name):
+            set_threads = getattr(lib, name)
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(count)
+            return
 
 
 def success_matrices(records: list[dict]) -> dict:
@@ -516,7 +568,11 @@ def sweep(plan: ExperimentPlan, out_dir: str, workers: int = 1):
     if workers > 1:
         # imported here, as it costs every other process about 25 ms
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_set_blas_threads,
+                                 initargs=(max(1, cpus // workers),)) as pool:
             raw = [r for cells in pool.map(_run_seed, tasks) for r in cells]
     else:
         raw = [r for task in tasks for r in _run_seed(task)]

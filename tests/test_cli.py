@@ -140,6 +140,16 @@ def test_seed_env_override(tmp_path, monkeypatch, capsys):
     assert seeds_run == ["5"]
 
 
+@pytest.mark.parametrize("value", ["0.5", " ", "0,x"])
+def test_bad_seed_env_exit_2_at_load(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv(SEED_ENV_VAR, value)
+    out = str(tmp_path / "out")
+    code = main(["run", "--plan", write_plan(tmp_path), "--out", out])
+    assert code == 2
+    assert SEED_ENV_VAR in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_interrupt_exit_130_then_resume(tmp_path, capsys):
     out = str(tmp_path / "out")
     plan = dict(TINY_PLAN, methods=["ppo_then_tdes"])

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from interrupts import interrupt_after_generation
 
-from refine_es.checkpoint import load_checkpoint, load_json
+from refine_es.checkpoint import load_checkpoint, load_json, save_json_atomic
+from refine_es.cli import main
+from refine_es import pipeline as pipeline_module
 from refine_es.errors import CheckpointError, PlanError
 from refine_es.pipeline import (ExperimentPlan, cell_dir, plan_from_dict,
                                 run_method, sweep)
@@ -366,6 +368,136 @@ def test_resume_ignores_stale_tmp(tmp_path):
     assert _final_params(cut) == _final_params(str(tmp_path / "clean"))
 
 
+def _blas_threads():
+    """The thread count of numpy's OpenBLAS, or None for another BLAS."""
+    import ctypes
+
+    core = getattr(np, "_core", None) or np.core  # numpy 2 or numpy 1
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    for name in ("scipy_openblas_get_num_threads64_",
+                 "openblas_get_num_threads"):
+        if hasattr(lib, name):
+            get_threads = getattr(lib, name)
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            return get_threads()
+    return None
+
+
+_RUN_SEED = pipeline_module._run_seed
+
+
+def _run_seed_noting_blas_threads(args):
+    """`pipeline._run_seed`, which first writes the BLAS thread count of
+    the process it runs in to <out>/blas-<seed>."""
+    _plan, seed, out_dir = args
+    with open(os.path.join(out_dir, f"blas-{seed}"), "w") as fh:
+        fh.write(str(_blas_threads()))
+    return _RUN_SEED(args)
+
+
+def test_pool_workers_share_the_cpus_among_blas_threads(tmp_path,
+                                                        monkeypatch):
+    before = _blas_threads()
+    if before is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    monkeypatch.setattr(pipeline_module, "_run_seed",
+                        _run_seed_noting_blas_threads)
+    _, payload = sweep(tiny_plan(methods=["ppo_only"]), str(tmp_path),
+                       workers=2)
+    assert payload["failures"] == []
+    cpus = len(os.sched_getaffinity(0))
+    assert [(tmp_path / f"blas-{s}").read_text() for s in (0, 1)] == \
+        [str(max(1, cpus // 2))] * 2
+    assert _blas_threads() == before  # the sweep process keeps its own
+
+
+def _resume_state(out):
+    """Every checkpoint and stale temp file left under `out`/runs."""
+    return sorted(os.path.relpath(os.path.join(d, f), out)
+                  for d, _, files in os.walk(os.path.join(out, "runs"))
+                  for f in files if f == "checkpoint.npz" or f.endswith(".tmp"))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_finished_cells_keep_no_resume_state(tmp_path, workers):
+    out = str(tmp_path)
+    records, payload = sweep(tiny_plan(), out, workers=workers)
+    assert payload["failures"] == [] and len(records) == 6
+    assert _resume_state(out) == []
+    for r in records:
+        cdir = cell_dir(out, "point-reach", r.method, r.seed)
+        assert sorted(os.listdir(cdir)) == ["checkpoints", "log.csv",
+                                            "record.json"]
+        assert os.listdir(os.path.join(cdir, "checkpoints")) == ["final.json"]
+
+
+def test_cell_cut_mid_es_keeps_checkpoint_until_done(tmp_path):
+    plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
+                     total_step_budget=1400)
+    clean = run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "clean"))
+    cut = str(tmp_path / "cut")
+    _cut_in_es(plan, cut)
+    assert load_checkpoint(_checkpoint_path(cut))["generation_index"] == 0
+    resumed = run_method(plan, "ppo_then_tdes", 0, cut)
+    assert _cell_bits(cut, resumed) == \
+        _cell_bits(str(tmp_path / "clean"), clean)
+    assert _resume_state(cut) == []
+
+
+def test_cell_that_raises_keeps_its_checkpoint(tmp_path, monkeypatch):
+    import refine_es.engine as engine
+
+    plan = tiny_plan(methods=["ppo_only"], seeds=[0])
+    clean, _ = sweep(plan, str(tmp_path / "clean"))
+    out = str(tmp_path / "out")
+
+    def evaluate_center(*args):  # ppo_only's final evaluation
+        raise RuntimeError("synthetic failure in the final evaluation")
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "evaluate_center", evaluate_center)
+        records, _ = sweep(plan, out)
+    assert records[0].failed
+    cdir = cell_dir(out, "point-reach", "ppo_only", 0)
+    assert not os.path.exists(os.path.join(cdir, "record.json"))
+    assert load_checkpoint(_checkpoint_path(out, "ppo_only"))[
+        "update_index"] == 4
+    updates = _count_ppo_updates(monkeypatch)
+    resumed, _ = sweep(plan, out)
+    assert updates == []
+    assert _sweep_bits(out, resumed) == \
+        _sweep_bits(str(tmp_path / "clean"), clean)
+    assert _resume_state(out) == []
+
+
+def test_resume_removes_resume_state_of_finished_cells(tmp_path):
+    # an older version kept the last checkpoint of a finished cell, and a
+    # crash between the record and the unlink keeps it too; the stale bytes
+    # would fail to load, so resume must delete them without reading them
+    out = str(tmp_path)
+    plan = tiny_plan()
+    records, _ = sweep(plan, out)
+    save_json_atomic(os.path.join(out, "plan.json"), plan.to_dict())
+    kept = {}
+    for r in records:
+        cdir = cell_dir(out, "point-reach", r.method, r.seed)
+        for name in ("checkpoint.npz", "checkpoint.npz.tmp"):
+            with open(os.path.join(cdir, "checkpoints", name), "wb") as fh:
+                fh.write(b"PK\x03\x04 stale")
+        for name in ("record.json", "log.csv",
+                     os.path.join("checkpoints", "final.json")):
+            with open(os.path.join(cdir, name), "rb") as fh:
+                kept[(r.method, r.seed, name)] = fh.read()
+    assert len(_resume_state(out)) == 12
+
+    assert main(["resume", "--dir", out]) == 0
+    assert _resume_state(out) == []
+    for (method, seed, name), data in kept.items():
+        with open(os.path.join(cell_dir(out, "point-reach", method, seed),
+                               name), "rb") as fh:
+            assert fh.read() == data
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("format_version", 1, "field 'format_version' is 1"),
     ("stage", "eval", "field 'stage' is 'eval'"),
@@ -505,8 +637,8 @@ def test_handoff_sweep_keeps_equal_budgets(tmp_path):
     ("ppo_only", 200, "ppo_only seed 1 consumed 1200 of 1000 steps: 200 "
                       "over budget"),
 ])
-def test_sweep_fails_cell_with_unequal_budget(tmp_path, monkeypatch, method,
-                                              delta, message):
+def test_sweep_fails_cell_with_unequal_budget(tmp_path, monkeypatch, capsys,
+                                              method, delta, message):
     import refine_es.pipeline as pipeline
 
     original = pipeline.run_method
@@ -518,11 +650,26 @@ def test_sweep_fails_cell_with_unequal_budget(tmp_path, monkeypatch, method,
         return rec
 
     monkeypatch.setattr(pipeline, "run_method", skewed)
-    records, payload = sweep(tiny_plan(), str(tmp_path))
+    out = str(tmp_path)
+    records, payload = sweep(tiny_plan(), out)
     assert [(f["method"], f["seed"]) for f in payload["failures"]] == \
         [(method, 1)]
     assert payload["failures"][0]["failure"] == message
     assert sum(r.failed for r in records) == 1
+
+    # the failed record is on disk: report leaves the cell out, and a
+    # resume fails it again with the same message
+    monkeypatch.undo()
+    stored = load_json(os.path.join(cell_dir(out, "point-reach", method, 1),
+                                    "record.json"))
+    assert (stored["failed"], stored["failure"]) == (True, message)
+    save_json_atomic(os.path.join(out, "plan.json"), tiny_plan().to_dict())
+    assert main(["report", "--dir", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("missing cells (1):")
+    assert lines[start + 1] == f"  point-reach {method} seed 1"
+    _, again = sweep(tiny_plan(), out)
+    assert again["failures"] == payload["failures"]
 
 
 def _cell_bits(out, rec):

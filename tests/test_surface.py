@@ -1,9 +1,10 @@
 """Surface guard: every public module-level function or class in
 src/refine_es is referenced somewhere in src/ outside its own definition.
 A name that only tests use belongs in the tests, not in the package. The
-import path of the CLI stays free of scipy, a test-only dependency, and of
-the process pool, which only a multi-worker sweep needs. Only the CLI reads
-the environment, so no test hook can hide in the package."""
+import path of the CLI stays free of scipy, a test-only dependency, of the
+process pool, which only a multi-worker sweep needs, and of ctypes, which
+only its workers need. Only the CLI reads the environment, so no test hook
+can hide in the package."""
 
 import ast
 import os
@@ -64,8 +65,11 @@ def test_only_cli_reads_the_environment():
 
 def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency; scipy is a test-only oracle.
-    # The process pool is imported only by a sweep with more than one worker.
-    probe = ("import sys, refine_es.cli; print(sorted(m for m in sys.modules "
+    # The process pool is imported only by a sweep with more than one worker,
+    # and ctypes only inside its workers. numpy imports ctypes too when it
+    # can, so the probe makes ctypes unimportable: the CLI must load without.
+    probe = ("import sys; sys.modules['ctypes'] = None; import refine_es.cli; "
+             "print(sorted(m for m in sys.modules "
              "if m in ('scipy', 'concurrent.futures.process') "
              "or m.startswith('scipy.')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
