@@ -107,6 +107,10 @@ def cmd_report(args) -> int:
         expected = {(plan["task"], m, s) for m in plan["methods"]
                     for s in plan["seeds"]}
     matrices = success_matrices(records)
+    if args.baseline is not None and args.baseline not in matrices:
+        print(f"error: baseline {args.baseline!r} is not a method of these "
+              f"results {sorted(matrices)}", file=sys.stderr)
+        return 2
     report = stats.aggregate_report(matrices, baseline=args.baseline)
     print(stats.render_report(report))
     print("\nsteps consumed per method (min, max over seeds; budget):")
@@ -177,6 +181,8 @@ def main(argv=None) -> int:
     p_res.set_defaults(fn=cmd_resume)
 
     args = parser.parse_args(argv)
+    if getattr(args, "workers", 1) < 1:
+        parser.error(f"argument --workers: must be >= 1, not {args.workers}")
     try:
         return args.fn(args)
     except PlanError as exc:

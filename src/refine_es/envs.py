@@ -56,7 +56,7 @@ class ToyEnv:
         if actions.shape != expected:
             raise ContractError(
                 f"actions have shape {actions.shape}, env expects {expected}")
-        reward = self._step(np.clip(actions, -1.0, 1.0))
+        reward = self._step(np.minimum(np.maximum(actions, -1.0), 1.0))
         self._step_count += 1
         self._success |= self._check_success()
         terminated = self._step_count >= self.horizon
@@ -192,15 +192,18 @@ class PegInsert1d(ToyEnv):
         self.target = np.array([rng.uniform(0.8, 1.2) for rng in rngs])
 
     def _observe(self):
-        return np.stack([self.depth, self.target], axis=1)
+        obs = np.empty((self.depth.shape[0], 2))
+        obs[:, 0], obs[:, 1] = self.depth, self.target
+        return obs
 
     def _step(self, actions):
         self.depth = self.depth + self.dt * actions[:, 0]
         err = self.depth - self.target
-        return -np.abs(err) - self.overshoot_penalty * np.maximum(0.0, err)
+        self._gap = np.abs(err)
+        return -self._gap - self.overshoot_penalty * np.maximum(0.0, err)
 
     def _check_success(self):
-        return np.abs(self.depth - self.target) < self.tolerance
+        return self._gap < self.tolerance
 
     def expert_action(self, obs):
         depth, target = obs[:, 0], obs[:, 1]

@@ -101,6 +101,9 @@ class ExperimentPlan:
                 raise PlanError(f"unknown method {m!r} (known: {list(METHODS)})")
         if not self.methods or not self.seeds:
             raise PlanError("methods and seeds must be non-empty")
+        for s in self.seeds:  # streams fold seeds to 64 bits (rng.py)
+            if not 0 <= s < 1 << 64:
+                raise PlanError(f"seed {s} is outside [0, 2**64)")
         duplicates = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
         if duplicates:
             raise PlanError(f"duplicate seeds: {duplicates}")

@@ -9,6 +9,8 @@ of vectors (B, d) gives each row of a batch its own weights.
 episodes together over a leading batch axis: ES candidates (per-row
 weights), PPO collection and evaluation (shared weights). Actions are the
 policy mean plus optional pre-drawn Gaussian noise (B, horizon, k).
+The passes save numpy calls by working in place, but keep each matmul's
+operands, shape and order: a reshaped or batched matmul changes bits.
 """
 
 from __future__ import annotations
@@ -42,6 +44,15 @@ class MlpArchitecture:
         dims = [self.input_dim, *self.hidden_dims, self.output_dim]
         return tuple(zip(dims[:-1], dims[1:]))
 
+    @cached_property
+    def layer_offsets(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """(start, bias start, end, fan_in, fan_out) per layer, cached."""
+        out, off = [], 0
+        for fi, fo in self.layer_shapes:
+            out.append((off, off + fi * fo, off + (fi + 1) * fo, fi, fo))
+            off += (fi + 1) * fo
+        return tuple(out)
+
     def to_dict(self) -> dict:
         return {
             "input_dim": self.input_dim,
@@ -57,7 +68,7 @@ class MlpArchitecture:
 
 def param_count(arch: MlpArchitecture) -> int:
     """Total flat parameter count: sum of (fan_in + 1) * fan_out over layers."""
-    return sum((fi + 1) * fo for fi, fo in arch.layer_shapes)
+    return arch.layer_offsets[-1][2]
 
 
 def init_params(arch: MlpArchitecture, rng: np.random.Generator,
@@ -83,15 +94,8 @@ def unpack_params(params: np.ndarray, arch: MlpArchitecture) -> list[tuple[np.nd
         raise ContractError(
             f"parameter vector has length {params.shape}, architecture needs {param_count(arch)}")
     lead = params.shape[:-1]
-    out = []
-    off = 0
-    for fi, fo in arch.layer_shapes:
-        w = params[..., off:off + fi * fo].reshape(*lead, fo, fi)
-        off += fi * fo
-        b = params[..., off:off + fo]
-        off += fo
-        out.append((w, b))
-    return out
+    return [(params[..., s:sb].reshape(*lead, fo, fi), params[..., sb:e])
+            for s, sb, e, fi, fo in arch.layer_offsets]
 
 
 def mlp_forward(params: np.ndarray, arch: MlpArchitecture, x: np.ndarray):
@@ -99,27 +103,30 @@ def mlp_forward(params: np.ndarray, arch: MlpArchitecture, x: np.ndarray):
     cache holds post-activation values per layer for backprop."""
     layers = unpack_params(params, arch)
     acts = [x]
-    h = x
-    for li, (w, b) in enumerate(layers):
-        z = h @ w.T + b
-        h = z if li == len(layers) - 1 else np.tanh(z)
+    for w, b in layers:
+        h = acts[-1] @ w.T
+        h += b
+        if len(acts) < len(layers):
+            np.tanh(h, out=h)
         acts.append(h)
     return h, acts
 
 
 def mlp_backward(params: np.ndarray, arch: MlpArchitecture,
-                 acts: list[np.ndarray], dout: np.ndarray) -> np.ndarray:
-    """Gradient of sum(out * dout) w.r.t. the flat parameter vector."""
+                 acts: list[np.ndarray], dout: np.ndarray,
+                 grad: np.ndarray) -> np.ndarray:
+    """Gradient of sum(out * dout) w.r.t. the flat parameters, into grad."""
     layers = unpack_params(params, arch)
-    grad = np.empty(params.shape[-1])
     grads = unpack_params(grad, arch)  # views to write each layer into
     d = dout
     for li in range(len(layers) - 1, -1, -1):
         gw, gb = grads[li]
-        gw[...] = d.T @ acts[li]
-        gb[...] = d.sum(axis=0)
-        if li > 0:
-            d = (d @ layers[li][0]) * (1.0 - acts[li] ** 2)
+        np.matmul(d.T, acts[li], out=gw)
+        np.add.reduce(d, axis=0, out=gb)
+        if li > 0:  # tanh' = 1 - a**2
+            slope = np.square(acts[li])
+            d = d @ layers[li][0]
+            d *= np.subtract(1.0, slope, out=slope)
     return grad
 
 
@@ -179,11 +186,10 @@ def rollout(params: np.ndarray, arch: MlpArchitecture, env, seeds,
     if noise is not None and noise.shape != (n, horizon, env.action_dim):
         raise ContractError(f"noise has shape {noise.shape}, batch needs "
                             f"{(n, horizon, env.action_dim)}")
-    # The stacked per-row matmul reproduces the single-state forward bit for
-    # bit; the plain 2-D (B, n) @ W.T gemm does not.
-    layers = [((w if w.ndim == 3 else w[None]).transpose(0, 2, 1), b)
+    # (B, 1, fan_in) @ (1|B, fan_in, fan_out) is bit-identical to B = 1.
+    layers = [((w if w.ndim == 3 else w[None]).transpose(0, 2, 1),
+               b[..., None, :], np.empty((n, 1, w.shape[-2])))
               for w, b in unpack_params(params, arch)]
-    last = len(layers) - 1
     obs = env.reset(seeds)
     rewards = np.empty((n, horizon))
     success = np.zeros(n, dtype=bool)
@@ -191,18 +197,21 @@ def rollout(params: np.ndarray, arch: MlpArchitecture, env, seeds,
         states = np.empty((n, horizon, env.observation_dim))
         actions = np.empty((n, horizon, env.action_dim))
     for t in range(horizon):
-        h = obs
-        for li, (wt, b) in enumerate(layers):
-            z = (h[:, None, :] @ wt)[:, 0, :] + b
-            h = z if li == last else np.tanh(z)
-        action = h if noise is None else h + noise[:, t]
+        h = obs[:, None, :]
+        for wt, b, z in layers:
+            np.matmul(h, wt, out=z)
+            z += b
+            if z is not layers[-1][2]:
+                np.tanh(z, out=z)
+            h = z
+        action = h[:, 0] if noise is None else h[:, 0] + noise[:, t]
         if record:
             states[:, t] = obs
             actions[:, t] = action
         obs, rewards[:, t], _, reached = env.step(action)
         success |= reached
-        bad = ~(np.isfinite(rewards[:, t]) & np.isfinite(obs).all(axis=1))
-        if bad.any():
+        if not (np.isfinite(rewards[:, t]).all() and np.isfinite(obs).all()):
+            bad = ~(np.isfinite(rewards[:, t]) & np.isfinite(obs).all(axis=1))
             raise RolloutError(f"non-finite reward or state at step {t}",
                                row=int(np.flatnonzero(bad)[0]))
     batch = RolloutBatch(discounted_return(rewards, env.gamma), success,

@@ -3,12 +3,12 @@
 Actor and critic are small tanh MLPs over flat parameter vectors (same layout
 as the ES stage, so the trained actor hands off directly). The policy is
 diagonal Gaussian with a state-independent learnable log-std vector. All
-trainable parameters live in one float64 vector laid out
-actor | log_std | critic; the loss gradient comes back in the same layout,
-and the optimizer takes one SGD step, or keeps one Adam state, over the whole
-vector. Gradients of the clipped surrogate + value loss + entropy bonus are
-derived by hand in reverse mode; tests check them against central finite
-differences.
+trainable parameters live in one float64 vector laid out actor | log_std |
+critic. The gradient of the clipped surrogate + value loss + entropy bonus is
+derived by hand in reverse mode (tests check it against finite differences)
+and written into one vector of that layout; the optimizer takes one SGD step,
+or updates one Adam state in place, over it. GAE runs over all episodes at
+once, but each episode keeps its own forward: one batched matmul changes bits.
 
 All randomness (env seeds, action noise, minibatch shuffles) comes from
 counter-based streams keyed on (seed, purpose, update_index, ...), so
@@ -130,31 +130,32 @@ def init_actor_critic(obs_dim: int, act_dim: int, config: PpoConfig) -> ActorCri
 
 
 def gae_advantages(rewards: np.ndarray, values: np.ndarray, gamma: float,
-                   lam: float, bootstrap_value: float = 0.0) -> np.ndarray:
+                   lam: float, bootstrap_value=0.0) -> np.ndarray:
     """Backward GAE recursion A_t = delta_t + gamma*lam*A_{t+1} with
-    delta_t = r_t + gamma*V(s_{t+1}) - V(s_t). values has one entry per step;
-    bootstrap_value stands in for V(s_T) (0 if the episode truly terminated)."""
+    delta_t = r_t + gamma*V(s_{t+1}) - V(s_t) over the last axis; a row of
+    a (E, T) input is bit-identical to its own 1-D call. values has one entry
+    per step; bootstrap_value (a scalar or one per row) stands in for V(s_T)."""
     rewards = np.asarray(rewards, dtype=float)
     values = np.asarray(values, dtype=float)
     if rewards.shape != values.shape:
         raise ContractError("rewards and values are not aligned")
-    n = rewards.shape[0]
-    adv = np.empty(n)
-    next_adv = 0.0
+    adv = np.empty(rewards.shape)
+    next_adv = np.zeros(rewards.shape[:-1])
     next_value = bootstrap_value
-    for t in range(n - 1, -1, -1):
-        delta = rewards[t] + gamma * next_value - values[t]
+    for t in range(rewards.shape[-1] - 1, -1, -1):
+        delta = rewards[..., t] + gamma * next_value - values[..., t]
         next_adv = delta + gamma * lam * next_adv
-        adv[t] = next_adv
-        next_value = values[t]
+        adv[..., t] = next_adv
+        next_value = values[..., t]
     return adv
 
 
+def _log_prob(z2, log_std):  # z2 = (a - mu)**2 / sigma**2
+    return -0.5 * z2.sum(axis=-1) - log_std.sum() - 0.5 * z2.shape[-1] * _LOG_2PI
+
+
 def gaussian_log_prob(actions, means, log_std):
-    sigma2 = np.exp(2.0 * log_std)
-    z2 = (actions - means) ** 2 / sigma2
-    k = actions.shape[-1]
-    return -0.5 * z2.sum(axis=-1) - log_std.sum() - 0.5 * k * _LOG_2PI
+    return _log_prob((actions - means) ** 2 / np.exp(2.0 * log_std), log_std)
 
 
 def policy_entropy(log_std: np.ndarray) -> float:
@@ -181,46 +182,49 @@ def loss_and_grads(ac: ActorCritic, states, actions, log_probs_old, advantages,
     Returns (loss, parts, grad), grad laid out like `ac.params`.
     """
     n = states.shape[0]
+    lo, hi = 1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon
     mu, actor_acts = mlp_forward(ac.actor_params, ac.actor_arch, states)
     sigma2 = np.exp(2.0 * ac.log_std)
-    log_probs = gaussian_log_prob(actions, mu, ac.log_std)
-    ratio = np.exp(log_probs - log_probs_old)
+    diff = actions - mu
+    z2 = diff ** 2 / sigma2
+    ratio = np.exp(_log_prob(z2, ac.log_std) - log_probs_old)
     surr1 = ratio * advantages
-    clipped = np.clip(ratio, 1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon)
-    surr2 = clipped * advantages
-    policy_loss = -np.minimum(surr1, surr2).mean()
+    surr2 = np.minimum(np.maximum(ratio, lo), hi) * advantages
+    policy_loss = -(np.add.reduce(np.minimum(surr1, surr2)) / n)
 
     v, critic_acts = mlp_forward(ac.critic_params, ac.critic_arch, states)
-    v = v[:, 0]
-    value_loss = float(np.mean((v - returns) ** 2))
+    dv = v[:, 0] - returns
+    value_loss = float(np.add.reduce(np.square(dv)) / n)
     entropy = policy_entropy(ac.log_std)
     loss = policy_loss + config.value_coef * value_loss - config.entropy_coef * entropy
 
+    grad = np.empty_like(ac.params)
+    g_actor, g_log_std, g_critic = ac.split(grad)
     # d loss / d logp: the clipped branch has zero derivative whenever it is
     # strictly selected (the clip is then active).
-    use_unclipped = surr1 <= surr2
-    d_logp = -(advantages * ratio * use_unclipped) / n
+    d_logp = -(advantages * ratio * (surr1 <= surr2)) / n
 
-    d_mu = d_logp[:, None] * (actions - mu) / sigma2
-    g_actor = mlp_backward(ac.actor_params, ac.actor_arch, actor_acts, d_mu)
+    mlp_backward(ac.actor_params, ac.actor_arch, actor_acts,
+                 d_logp[:, None] * diff / sigma2, g_actor)
     # d logp / d log_std_k = ((a-mu)^2/sigma^2 - 1)_k ; entropy adds 1 per coord
-    g_log_std = (d_logp[:, None] * ((actions - mu) ** 2 / sigma2 - 1.0)).sum(axis=0)
-    g_log_std = g_log_std - config.entropy_coef
+    np.add.reduce(d_logp[:, None] * (z2 - 1.0), axis=0, out=g_log_std)
+    g_log_std -= config.entropy_coef
 
-    d_v = (config.value_coef * 2.0 * (v - returns) / n)[:, None]
-    g_critic = mlp_backward(ac.critic_params, ac.critic_arch, critic_acts, d_v)
+    d_v = (config.value_coef * 2.0 * dv / n)[:, None]
+    mlp_backward(ac.critic_params, ac.critic_arch, critic_acts, d_v, g_critic)
 
     parts = {"policy_loss": float(policy_loss), "value_loss": value_loss,
              "entropy": entropy}
-    return float(loss), parts, np.concatenate([g_actor, g_log_std, g_critic])
+    return float(loss), parts, grad
 
 
 class PpoOptimizer:
     """SGD by default; optional Adam. A step updates the whole vector
     `ac.params` at once, and Adam keeps one state (m, v, t) for it. Every
     Adam operation is elementwise with shared scalars, so this is
-    bit-identical to one Adam per part. `to_dict` hands the moments over per
-    part (actor, log_std, critic), as checkpoint format 2 stores them."""
+    bit-identical to one Adam per part. A step updates m and v in place.
+    `to_dict` hands the moments over per part (actor, log_std, critic), as
+    checkpoint format 2 stores them; the arrays are live views, not copies."""
 
     def __init__(self, ac: ActorCritic, config: PpoConfig):
         self.config = config
@@ -237,8 +241,10 @@ class PpoOptimizer:
             return
         b1, b2 = c.adam_beta1, c.adam_beta2
         self.t += 1
-        self.m = b1 * self.m + (1 - b1) * grad
-        self.v = b2 * self.v + (1 - b2) * grad ** 2
+        self.m *= b1
+        self.m += (1 - b1) * grad
+        self.v *= b2
+        self.v += (1 - b2) * np.square(grad)
         mhat = self.m / (1 - b1 ** self.t)
         vhat = self.v / (1 - b2 ** self.t)
         ac.params -= c.learning_rate * mhat / (np.sqrt(vhat) + c.adam_eps)
@@ -283,23 +289,22 @@ def collect_rollouts(ac: ActorCritic, env_factory, config: PpoConfig,
     except RolloutError as exc:
         raise RolloutError(
             f"update {update_index}, episode {exc.row}: {exc}") from exc
-    all_logp, all_adv, all_ret, ep_returns = [], [], [], []
+    # per episode: an actor forward, a critic forward with the final obs
+    mus = np.empty_like(batch.actions)
+    values = np.empty((n_ep, horizon + 1))
+    states_ext = np.concatenate([batch.states, batch.final_obs[:, None]], axis=1)
     for ep in range(n_ep):
-        states, rewards = batch.states[ep], batch.rewards[ep]
-        mus, _ = mlp_forward(ac.actor_params, ac.actor_arch, states)
-        all_logp.append(gaussian_log_prob(batch.actions[ep], mus, ac.log_std))
-        v_all, _ = mlp_forward(ac.critic_params, ac.critic_arch,
-                               np.vstack([states, batch.final_obs[ep][None, :]]))
-        values, bootstrap = v_all[:-1, 0], float(v_all[-1, 0])
-        adv = gae_advantages(rewards, values, gamma, config.gae_lambda, bootstrap)
-        all_adv.append(adv)
-        all_ret.append(adv + values)
-        ep_returns.append(float(np.sum(rewards * gamma ** np.arange(horizon))))
+        mus[ep] = mlp_forward(ac.actor_params, ac.actor_arch, batch.states[ep])[0]
+        values[ep] = mlp_forward(ac.critic_params, ac.critic_arch,
+                                 states_ext[ep])[0][:, 0]
+    adv = gae_advantages(batch.rewards, values[:, :-1], gamma,
+                         config.gae_lambda, values[:, -1])
+    ep_returns = (batch.rewards * gamma ** np.arange(horizon)).sum(axis=1)
     return RolloutBuffer(
         batch.states.reshape(n_ep * horizon, -1),
         batch.actions.reshape(n_ep * horizon, -1),
-        np.concatenate(all_logp), np.concatenate(all_adv),
-        np.concatenate(all_ret),
+        gaussian_log_prob(batch.actions, mus, ac.log_std).ravel(),
+        adv.ravel(), (adv + values[:, :-1]).ravel(),
         mean_return=float(np.mean(ep_returns)),
         success_rate=int(batch.success.sum()) / n_ep,
         steps=batch.length)
@@ -314,11 +319,13 @@ def ppo_update(ac: ActorCritic, buffer: RolloutBuffer, config: PpoConfig,
     for epoch in range(config.epochs):
         perm = make_stream(config.seed, TAG_PPO_SHUFFLE, update_index,
                            epoch).permutation(n)
+        # shuffled once per epoch; each minibatch is a contiguous row slice
+        shuffled = [a[perm] for a in (buffer.states, buffer.actions,
+                                      buffer.log_probs, adv, buffer.returns)]
         for start in range(0, n, config.minibatch_size):
-            idx = perm[start:start + config.minibatch_size]
+            stop = start + config.minibatch_size
             loss, parts, grad = loss_and_grads(
-                ac, buffer.states[idx], buffer.actions[idx],
-                buffer.log_probs[idx], adv[idx], buffer.returns[idx], config)
+                ac, *(a[start:stop] for a in shuffled), config)
             if not np.isfinite(loss):
                 raise RolloutError(
                     f"non-finite PPO loss at update {update_index}: {parts}")

@@ -150,6 +150,44 @@ def test_bad_seed_env_exit_2_at_load(tmp_path, monkeypatch, capsys, value):
     assert not os.path.exists(out)
 
 
+def test_seed_env_outside_64_bits_exit_2_at_load(tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.setenv(SEED_ENV_VAR, "-1")
+    out = str(tmp_path / "out")
+    code = main(["run", "--plan", write_plan(tmp_path), "--out", out])
+    assert code == 2
+    assert "seed -1 " in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["run", "resume"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_rejected_at_parsing(tmp_path, capsys, command,
+                                               workers):
+    out = str(tmp_path / "out")
+    args = (["run", "--plan", write_plan(tmp_path), "--out", out]
+            if command == "run" else ["resume", "--dir", out])
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_report_unknown_baseline_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["run", "--plan", write_plan(tmp_path), "--out", out]) == 0
+    capsys.readouterr()
+    code = main(["report", "--dir", out, "--baseline", "ppo_onyl"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "ppo_onyl" in captured.err
+    assert "['ppo_only', 'ppo_then_tdes']" in captured.err
+    assert "P(Improvement" not in captured.out
+    assert main(["report", "--dir", out, "--baseline", "ppo_then_tdes"]) == 0
+    assert "P(Improvement vs ppo_then_tdes)" in capsys.readouterr().out
+
+
 def test_interrupt_exit_130_then_resume(tmp_path, capsys):
     out = str(tmp_path / "out")
     plan = dict(TINY_PLAN, methods=["ppo_then_tdes"])

@@ -76,6 +76,31 @@ def test_episode_length_exact_and_step_after_done():
             env.step(np.zeros((2, env.action_dim)))
 
 
+def clip_step(env, actions):
+    """ToyEnv.step with np.clip, as a bit-level oracle for its clip."""
+    reward = env._step(np.clip(np.asarray(actions, dtype=float), -1.0, 1.0))
+    env._step_count += 1
+    env._success |= env._check_success()
+    return env._observe(), reward, env._success.copy()
+
+
+@pytest.mark.parametrize("eid", ALL_IDS)
+def test_step_clips_special_actions_like_np_clip(eid):
+    special = np.array([np.nan, np.inf, -np.inf, 1.5, -1.5, -0.0, 0.0, 0.3])
+    env, oracle = make_env(eid), make_env(eid)
+    seeds = list(range(len(special)))
+    assert env.reset(seeds).tobytes() == oracle.reset(seeds).tobytes()
+    with np.errstate(invalid="ignore"):
+        for t in range(4):  # NaN and inf rows stay non-finite from here on
+            actions = np.stack([np.roll(special, t + j)
+                                for j in range(env.action_dim)], axis=1)
+            obs, reward, _, success = env.step(actions)
+            ref_obs, ref_reward, ref_success = clip_step(oracle, actions)
+            assert obs.tobytes() == ref_obs.tobytes()
+            assert reward.tobytes() == ref_reward.tobytes()
+            assert success.tobytes() == ref_success.tobytes()
+
+
 def test_action_shape_contract():
     env = make_env("point-reach")
     env.reset([0, 1])

@@ -68,6 +68,21 @@ def test_plan_rejects_missing_and_invalid():
         tiny_plan(ppo={"epochs": 0})
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, -(2 ** 64) + 5])
+def test_plan_rejects_seeds_outside_64_bits(seed):
+    # streams fold the master seed to 64 bits, so -1 and 2**64 - 1 would run
+    # the same cells as two seeds
+    with pytest.raises(PlanError, match=re.escape(f"seed {seed} ")):
+        tiny_plan(seeds=[0, seed])
+    with pytest.raises(PlanError, match=re.escape(f"seed {seed} ")):
+        ExperimentPlan(task="point-reach", methods=("ppo_only",),
+                       total_step_budget=10, seeds=(seed,))
+
+
+def test_plan_accepts_seeds_at_the_64_bit_ends():
+    assert tiny_plan(seeds=[0, 2 ** 64 - 1]).seeds == (0, 2 ** 64 - 1)
+
+
 @pytest.mark.parametrize("key, value", [
     ("total_step_budget", "1000"),
     ("total_step_budget", 1000.5),

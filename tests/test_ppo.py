@@ -85,6 +85,33 @@ def test_gae_matches_brute_force_double_loop():
     assert np.allclose(adv, oracle, atol=1e-10)
 
 
+def scalar_gae(rewards, values, gamma, lam, bootstrap_value):
+    """The recursion one Python float at a time, as a bit-level oracle."""
+    adv = np.empty(len(rewards))
+    next_adv, next_value = 0.0, bootstrap_value
+    for t in range(len(rewards) - 1, -1, -1):
+        delta = rewards[t] + gamma * next_value - values[t]
+        next_adv = delta + gamma * lam * next_adv
+        adv[t] = next_adv
+        next_value = values[t]
+    return adv
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.95, 1.0])
+def test_gae_over_episode_axis_matches_rows_bitwise(lam):
+    rng = make_stream(3, int(lam * 100))
+    rewards = rng.standard_normal((5, 40)) * 10.0
+    values = rng.standard_normal((5, 40))
+    boot = rng.standard_normal(5)
+    rewards[1, 7], values[2, 0] = -0.0, -0.0
+    adv = gae_advantages(rewards, values, 0.99, lam, boot)
+    assert adv.shape == (5, 40)
+    for e in range(5):
+        row = gae_advantages(rewards[e], values[e], 0.99, lam, float(boot[e]))
+        oracle = scalar_gae(rewards[e], values[e], 0.99, lam, float(boot[e]))
+        assert adv[e].tobytes() == row.tobytes() == oracle.tobytes()
+
+
 def test_gae_alignment_contract():
     with pytest.raises(ContractError):
         gae_advantages(np.zeros(3), np.zeros(4), 0.9, 0.9)
