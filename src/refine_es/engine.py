@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, RolloutError
-from .estimator import ReturnTable, centered_ranks, tdes_gradient
+from .estimator import centered_ranks, tdes_gradient
 from .noise import NoiseDistribution, antithetic_candidates, make_batch
 from .policy import MlpArchitecture, action_noise, param_count, rollout
 from .rng import (TAG_ACTION, TAG_CENTER_EVAL, TAG_ENV, TAG_EVAL, make_stream,
@@ -65,16 +65,7 @@ class EsConfig:
         return NoiseDistribution(self.distribution, self.standardize_noise)
 
     def to_dict(self) -> dict:
-        return {
-            "sigma_es": self.sigma_es, "alpha": self.alpha, "m": self.m,
-            "generations": self.generations, "lambda_sigma": self.lambda_sigma,
-            "sigma_min": self.sigma_min, "distribution": self.distribution,
-            "action_std": self.action_std, "seed": self.seed,
-            "episodes_per_candidate": self.episodes_per_candidate,
-            "step_cap": self.step_cap,
-            "standardize_noise": self.standardize_noise,
-            "center_eval_episodes": self.center_eval_episodes,
-        }
+        return self.__dict__.copy()
 
 
 @dataclass
@@ -135,7 +126,7 @@ def _candidate_returns(plus, minus, arch, env, config, gen):
     return j_plus, j_minus, batch.length
 
 
-def evaluate_center(params: np.ndarray, arch: MlpArchitecture, env_factory,
+def evaluate_center(params: np.ndarray, arch: MlpArchitecture, env,
                     episodes: int, master_seed: int):
     """Deterministic-action evaluation over independently seeded episodes,
     run as one lockstep batch. Returns (mean_return, success_rate)."""
@@ -143,11 +134,11 @@ def evaluate_center(params: np.ndarray, arch: MlpArchitecture, env_factory,
         raise ContractError("episodes must be >= 1")
     seeds = [make_stream(master_seed, TAG_EVAL, e).integers(1 << 62)
              for e in range(episodes)]
-    batch = rollout(params, arch, env_factory(), seeds)
+    batch = rollout(params, arch, env, seeds)
     return float(np.mean(batch.returns)), int(batch.success.sum()) / episodes
 
 
-def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env_factory,
+def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env,
              config: EsConfig, start_generation: int = 0,
              initial_steps: int = 0, records: list | None = None,
              checkpoint_cb=None) -> EsRunResult:
@@ -163,7 +154,6 @@ def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env_factory,
     records = list(records) if records else []
     steps_used = initial_steps
     dist = config.noise_distribution()
-    env = env_factory()
     d = theta.shape[0]
 
     for t in range(start_generation, config.generations):
@@ -177,20 +167,19 @@ def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env_factory,
         j_plus, j_minus, steps = _candidate_returns(plus, minus, arch, env,
                                                     config, t)
         steps_used += steps
-        ranks = centered_ranks(ReturnTable(j_plus, j_minus))
-        grad = tdes_gradient(batch, ranks)
-        theta = theta + config.alpha * grad.g
+        g = tdes_gradient(batch, *centered_ranks(j_plus, j_minus))
+        theta = theta + config.alpha * g
 
         # logging-only center evaluation; not counted against the budget
         center_ret, _ = evaluate_center(
-            theta, arch, env_factory, config.center_eval_episodes,
+            theta, arch, env, config.center_eval_episodes,
             stream_seed(config.seed, TAG_CENTER_EVAL, t))
         all_returns = np.concatenate([j_plus, j_minus])
         records.append(GenerationRecord(
             generation=t, center_return=center_ret,
             mean_return=float(all_returns.mean()),
             best_return=float(all_returns.max()),
-            sigma_es=sigma, g_norm=grad.diagnostics["g_norm"],
+            sigma_es=sigma, g_norm=float(np.linalg.norm(g)),
             steps_used=steps_used, wall_time=time.perf_counter() - t0))
         if checkpoint_cb is not None:
             checkpoint_cb(t, theta, steps_used, records)

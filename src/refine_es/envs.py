@@ -1,7 +1,7 @@
 """Toy continuous-control tasks: three goal-conditioned episodic MDPs graded
 by success tolerance (loose / medium / tight), each deterministic given
-(seed, action sequence) and each shipping a scripted proportional-controller
-expert used as a solvability oracle in the tests.
+(seed, action sequence). The tests solve each with a scripted
+proportional-controller expert (tests/experts.py).
 
 Every env is batch-native: `reset(seeds)` starts B episodes, one per seed,
 and `step` advances all of them together, taking actions (B, action_dim)
@@ -24,14 +24,13 @@ from .errors import ContractError
 class ToyEnv:
     """Base episodic env over a batch of B episodes that step in lockstep.
     Subclasses set the class attributes and implement _reset/_observe/_step/
-    _check_success/expert_action, each over the leading batch axis."""
+    _check_success, each over the leading batch axis."""
 
     env_id = "base"
     observation_dim = 0
     action_dim = 0
     horizon = 0
     gamma = 0.99
-    reward_bound = np.inf  # |r_t| never exceeds this for clipped actions
 
     def __init__(self):
         self._step_count = 0
@@ -75,9 +74,6 @@ class ToyEnv:
     def _check_success(self) -> np.ndarray:
         raise NotImplementedError
 
-    def expert_action(self, obs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
 
 def _norm(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of x (B, n). Bit-identical to
@@ -95,8 +91,6 @@ class PointReach(ToyEnv):
     gamma = 0.99
     dt = 0.05
     tolerance = 0.04
-    # |pos| <= 0.5 + H*dt, |goal| <= 0.5
-    reward_bound = np.sqrt(2.0) * (1.0 + 100 * 0.05)
 
     def _reset(self, rngs):
         self.pos = np.zeros((len(rngs), 2))
@@ -113,10 +107,6 @@ class PointReach(ToyEnv):
     def _check_success(self):
         return self._dist < self.tolerance
 
-    def expert_action(self, obs):
-        pos, goal = obs[:, :2], obs[:, 2:]
-        return np.clip(8.0 * (goal - pos), -1.0, 1.0)
-
 
 class ArmReach(ToyEnv):
     """Two-link planar arm with joint-velocity control. Medium tolerance."""
@@ -129,7 +119,6 @@ class ArmReach(ToyEnv):
     dt = 0.05
     link = (0.5, 0.5)
     tolerance = 0.04
-    reward_bound = 2.0  # ee and goal both inside radius-1 disc
 
     def _reset(self, rngs):
         q, gq = [], []
@@ -158,19 +147,6 @@ class ArmReach(ToyEnv):
     def _check_success(self):
         return self._dist < self.tolerance
 
-    def expert_action(self, obs):
-        q, goal = obs[:, :2], obs[:, 2:]
-        # analytic IK for the elbow-up solution, then joint-space P control
-        l1, l2 = self.link
-        r2 = (goal ** 2).sum(axis=1)
-        c2 = np.clip((r2 - l1 ** 2 - l2 ** 2) / (2 * l1 * l2), -1.0, 1.0)
-        q2 = np.arccos(c2)
-        q1 = np.arctan2(goal[:, 1], goal[:, 0]) - np.arctan2(
-            l2 * np.sin(q2), l1 + l2 * np.cos(q2))
-        err = np.stack([q1, q2], axis=1) - q
-        err = (err + np.pi) % (2 * np.pi) - np.pi
-        return np.clip(8.0 * err, -1.0, 1.0)
-
 
 class PegInsert1d(ToyEnv):
     """Scalar insertion depth with a tight (2.5mm-scale) success band and an
@@ -184,8 +160,6 @@ class PegInsert1d(ToyEnv):
     dt = 0.02
     tolerance = 0.0025
     overshoot_penalty = 2.0
-    # |depth| <= H*dt = 4, target <= 1.2
-    reward_bound = (4.0 + 1.2) * 3.0
 
     def _reset(self, rngs):
         self.depth = np.zeros(len(rngs))
@@ -204,10 +178,6 @@ class PegInsert1d(ToyEnv):
 
     def _check_success(self):
         return self._gap < self.tolerance
-
-    def expert_action(self, obs):
-        depth, target = obs[:, 0], obs[:, 1]
-        return np.clip(6.0 * (target - depth), -1.0, 1.0)[:, None]
 
 
 _REGISTRY = {cls.env_id: cls for cls in (PointReach, ArmReach, PegInsert1d)}

@@ -10,29 +10,12 @@ tdes_gradient forms the antithetic finite-difference direction
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ContractError
 from .noise import PerturbationBatch
 
 _TIE_EPS = 1e-12
-
-
-@dataclass
-class ReturnTable:
-    """Episodic returns of the 2m candidates, aligned with the batch."""
-    j_plus: np.ndarray   # (m,)
-    j_minus: np.ndarray  # (m,)
-
-    def __post_init__(self):
-        self.j_plus = np.asarray(self.j_plus, dtype=float)
-        self.j_minus = np.asarray(self.j_minus, dtype=float)
-        if self.j_plus.shape != self.j_minus.shape or self.j_plus.ndim != 1:
-            raise ContractError("j_plus and j_minus must be aligned 1-D vectors")
-        if not (np.all(np.isfinite(self.j_plus)) and np.all(np.isfinite(self.j_minus))):
-            raise ContractError("returns must be finite")
 
 
 def centered_rank_scores(values) -> np.ndarray:
@@ -59,19 +42,18 @@ def centered_rank_scores(values) -> np.ndarray:
     return scores / std
 
 
-def centered_ranks(returns: ReturnTable) -> tuple[np.ndarray, np.ndarray]:
-    """Centered-rank scores over the 2m returns of one generation, split
-    back into (r_plus, r_minus)."""
-    m = returns.j_plus.shape[0]
-    scores = centered_rank_scores(
-        np.concatenate([returns.j_plus, returns.j_minus]))
+def centered_ranks(j_plus, j_minus) -> tuple[np.ndarray, np.ndarray]:
+    """Centered-rank scores over the 2m returns of one generation, given as
+    two aligned, finite 1-D vectors, split back into (r_plus, r_minus)."""
+    j_plus = np.asarray(j_plus, dtype=float)
+    j_minus = np.asarray(j_minus, dtype=float)
+    if j_plus.shape != j_minus.shape or j_plus.ndim != 1:
+        raise ContractError("j_plus and j_minus must be aligned 1-D vectors")
+    if not (np.all(np.isfinite(j_plus)) and np.all(np.isfinite(j_minus))):
+        raise ContractError("returns must be finite")
+    m = j_plus.shape[0]
+    scores = centered_rank_scores(np.concatenate([j_plus, j_minus]))
     return scores[:m], scores[m:]
-
-
-@dataclass
-class GradientEstimate:
-    g: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
 
 
 def fd_gradient(epsilons: np.ndarray, s_plus: np.ndarray, s_minus: np.ndarray,
@@ -87,11 +69,10 @@ def fd_gradient(epsilons: np.ndarray, s_plus: np.ndarray, s_minus: np.ndarray,
     return (diff @ epsilons) / (m * sigma_es)
 
 
-def tdes_gradient(batch: PerturbationBatch,
-                  ranks: tuple[np.ndarray, np.ndarray]) -> GradientEstimate:
-    """Antithetic step from the (r_plus, r_minus) pair of centered_ranks."""
-    r_plus, r_minus = ranks
+def tdes_gradient(batch: PerturbationBatch, r_plus: np.ndarray,
+                  r_minus: np.ndarray) -> np.ndarray:
+    """Antithetic step from the (r_plus, r_minus) scores of centered_ranks."""
     g = fd_gradient(batch.epsilons, r_plus, r_minus, batch.sigma_es)
     if not np.all(np.isfinite(g)):
         raise ContractError("gradient estimate is not finite")
-    return GradientEstimate(g, {"g_norm": float(np.linalg.norm(g))})
+    return g

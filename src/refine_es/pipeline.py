@@ -7,6 +7,11 @@ the remainder to the ES stage, whose generation count is derived from the
 remaining steps (2m rollouts of `horizon` steps per generation) with a hard
 step cap as a guard.
 
+Each cell is worked out once, as a `_Cell`: its paths, its one env (every
+PPO update, ES generation and evaluation of the cell runs on it), its PPO
+config and stop rule, the fields its checkpoints store, the ES config for a
+remaining budget, and the fork test.
+
 Stage-1 streams depend only on (seed, update, ...), never on the method or
 the budget, so within one seed every PPO run is a prefix of the ppo_only run
 and passes through the fork, the update where the two-stage methods stop PPO
@@ -15,24 +20,30 @@ the handoff rule and spends its whole budget on PPO. The sweep therefore
 trains PPO once per seed: the pool runs seeds, and a seed runs its cells in
 plan order. A cell makes one PPO run and, if two-stage, one ES run. The fork
 is an event of the PPO run: when an update ends the two-stage run
-(`_at_fork`), the cell first writes into each sibling with neither a
-checkpoint nor a record the checkpoint that the sibling's own run would
-write there, then its own. Siblings resume from those; a run resumed past
-the fork plants nothing, and if the first cell fails before the fork, the
-next one trains PPO itself. Every sweep checks the equal-budget premise: a
-cell that overspends, or leaves more than one unit of its last stage (PPO
-update or ES generation) unspent, fails.
+(`_Cell.at_fork`), the cell first writes into each sibling with neither a
+checkpoint nor a record the PPO checkpoint that the sibling's own run writes
+after that update (its config, its handoff rule, Adam moments included),
+then its own. A sibling resumes from it, and its PPO run stops at once.
+A run resumed past the fork plants nothing, and if the first cell fails
+before the fork, the next one trains PPO itself. Every sweep checks the
+equal-budget premise: a cell that overspends, or leaves more than one unit
+of its last stage (PPO update or ES generation) unspent, fails.
 
 Results layout: <out>/runs/<task>/<method>/<seed>/{checkpoints/, log.csv,
 record.json}. Cells checkpoint after every PPO update / ES generation into
 one atomic `checkpoints/checkpoint.npz` (see checkpoint.py) and resume
-bit-exactly from it, the PPO->ES handoff included. On resume the checkpoint
-must match the cell: format version, stage, master seed, the handoff rule,
-and the PPO and ES configs recomputed from the plan; any mismatch is refused with a
-`CheckpointError` naming the file and the field. A finished cell keeps its
-results (`checkpoints/final.json`, log.csv, record.json), not its resume
-state: once record.json is durable, the checkpoint is deleted. A cell that
-raises keeps it, so `resume` continues the cell.
+bit-exactly from it, the PPO->ES handoff included. A fresh ES stage starts
+from its state before the first generation, built in memory; a cut before
+its first generation resumes from the last PPO checkpoint. The ES
+checkpoint of generation -1 that older versions wrote there, and planted at
+the fork, resumes like any other. On resume the
+checkpoint must match the cell: format version, stage, master seed, the
+handoff rule, and the PPO and ES configs recomputed from the plan; any
+mismatch is refused with a `CheckpointError` naming the file and the field.
+A finished cell keeps its results (`checkpoints/final.json`, log.csv,
+record.json), not its resume state: once record.json is durable, the
+checkpoint is deleted. A cell that raises keeps it, so `resume` continues
+the cell.
 
 A pool worker runs numpy's OpenBLAS on cpus // workers threads (at least
 one), so that the workers do not contend for the CPUs; the serial path keeps
@@ -43,6 +54,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import os
 import traceback
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
@@ -104,9 +116,11 @@ class ExperimentPlan:
         for s in self.seeds:  # streams fold seeds to 64 bits (rng.py)
             if not 0 <= s < 1 << 64:
                 raise PlanError(f"seed {s} is outside [0, 2**64)")
-        duplicates = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
-        if duplicates:
-            raise PlanError(f"duplicate seeds: {duplicates}")
+        for name in ("methods", "seeds"):
+            values = getattr(self, name)
+            duplicates = sorted({v for v in values if values.count(v) > 1})
+            if duplicates:
+                raise PlanError(f"duplicate {name}: {duplicates}")
         if self.handoff_window < 1:
             raise PlanError("handoff_window must be >= 1")
 
@@ -127,12 +141,20 @@ _KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str,
 
 def _fits(value, annotation: str) -> bool:
     """Whether a plan value fits the annotation of its field. A bool is no
-    number, and a tuple field takes a list."""
+    number, a float field takes only finite numbers, and a tuple field takes
+    a list."""
     if annotation.startswith("tuple["):  # "tuple[int, ...]"
         return isinstance(value, (list, tuple)) and all(
             _fits(v, annotation[6:-6]) for v in value)
-    return isinstance(value, _KINDS[annotation]) and \
-        isinstance(value, bool) == (annotation == "bool")
+    if not isinstance(value, _KINDS[annotation]) or \
+            isinstance(value, bool) != (annotation == "bool"):
+        return False
+    if "float" not in annotation or value is None:
+        return True
+    try:
+        return math.isfinite(value)  # JSON's 1e999 parses to inf
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _check_keys(values: dict, cls, allowed=None, prefix: str = "") -> None:
@@ -143,8 +165,9 @@ def _check_keys(values: dict, cls, allowed=None, prefix: str = "") -> None:
         if key not in (allowed or types):
             raise PlanError(f"unknown plan key: {prefix}{key!r}")
         if not _fits(value, types[key]):
+            kind = types[key].replace("float", "finite float")
             raise PlanError(f"plan key '{prefix}{key}' must be of type "
-                            f"{types[key]}, not {value!r}")
+                            f"{kind}, not {value!r}")
 
 
 def plan_from_dict(raw: dict) -> ExperimentPlan:
@@ -159,17 +182,17 @@ def plan_from_dict(raw: dict) -> ExperimentPlan:
         if required not in raw:
             raise PlanError(f"missing plan key: {required!r}")
     try:
-        env = make_env(raw["task"])  # validates the task id
+        make_env(raw["task"])  # validates the task id
     except ContractError as exc:
         raise PlanError(str(exc)) from exc
     plan = ExperimentPlan(**raw)
     # build each stage's config once, so that a bad value fails at load time
     try:
-        _ppo_config(plan, 0, plan.total_step_budget, env)
+        cell = _Cell(plan, "ppo_then_tdes", 0, "")
     except ContractError as exc:
         raise PlanError(f"invalid plan section 'ppo': {exc}") from exc
     try:
-        engine.EsConfig(generations=0, **{**_ES_DEFAULTS, **plan.es})
+        cell.es_config(0)
     except ContractError as exc:
         raise PlanError(f"invalid plan section 'es': {exc}") from exc
     return plan
@@ -200,93 +223,100 @@ def _params_sha256(params: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(params, dtype="<f8").tobytes()).hexdigest()
 
 
-def _ppo_config(plan: ExperimentPlan, seed: int, budget: int, env) -> ppo.PpoConfig:
-    kwargs = {"gamma": env.gamma, "optimizer": "adam", "learning_rate": 3e-3}
-    kwargs.update(plan.ppo)
-    if "hidden_dims" in kwargs:
-        kwargs["hidden_dims"] = tuple(kwargs["hidden_dims"])
-    return ppo.PpoConfig(total_steps=budget, seed=seed, **kwargs)
+def cell_dir(out_dir: str, task: str, method: str, seed: int) -> str:
+    return os.path.join(out_dir, "runs", task, method, str(seed))
 
 
-def _ppo_stage(plan: ExperimentPlan, seed: int, env, two_stage: bool):
-    """(config, checked fields) of a cell's PPO stage. A two-stage cell stops
-    PPO at the fork: after the last update that fits split * budget, or
-    earlier where the plan's handoff rule fires. ppo_only trains to the full
-    budget and ignores the rule, so its recorded rule has no threshold. The
-    fields are what a checkpoint of the cell stores, and a resume checks,
-    besides its state."""
-    budget = plan.total_step_budget
-    if two_stage:
-        budget = int(round(plan.split * budget))
-    config = _ppo_config(plan, seed, budget, env)
-    threshold = plan.handoff_success_threshold if two_stage else None
-    return config, {"ppo_config": config.to_dict(),
-                    "handoff": {"success_threshold": threshold,
-                                "window": plan.handoff_window},
-                    "master_seed": seed}
-
-
-def _stop_condition(handoff: dict):
+def _stop_condition(threshold: float | None, window: int):
     """The handoff rule as a `ppo.train_anchor` stop condition, or None."""
-    if handoff["success_threshold"] is None:
+    if threshold is None:
         return None
 
     def stop(curve):
-        w = handoff["window"]
-        if len(curve) < w:
+        if len(curve) < window:
             return False
-        recent = [c["success_rate"] for c in curve[-w:]]
-        return float(np.mean(recent)) >= handoff["success_threshold"]
+        recent = [c["success_rate"] for c in curve[-window:]]
+        return float(np.mean(recent)) >= threshold
     return stop
 
 
-def _at_fork(curve: list, fork_cfg: ppo.PpoConfig, stop, horizon: int) -> bool:
-    """Whether the two-stage PPO run, a prefix of every PPO run of the seed,
-    ends exactly after `curve`: the loop condition of `ppo.train_anchor`
-    stops it there, and at no shorter prefix."""
-    update_cost = fork_cfg.episodes_per_update * horizon
+class _Cell:
+    """One (method, seed) cell of a plan, worked out once: its paths, its
+    env, its PPO config, the fields that its checkpoints store and a resume
+    checks besides the state, and its stop rule. A two-stage cell stops PPO
+    at the fork: after the last update that fits split * budget, or earlier
+    where the plan's handoff rule fires. ppo_only trains to the full budget
+    and ignores the rule, so its recorded rule has no threshold."""
 
-    def ends(k):
-        steps = curve[k - 1]["steps_used"] if k else 0
-        return steps + update_cost > fork_cfg.total_steps or \
-            (stop is not None and stop(curve[:k]))
-    return ends(len(curve)) and not any(map(ends, range(len(curve))))
+    def __init__(self, plan: ExperimentPlan, method: str, seed: int,
+                 out_dir: str):
+        self.plan, self.method, self.seed = plan, method, seed
+        self.out_dir = out_dir
+        self.dir = cell_dir(out_dir, plan.task, method, seed)
+        self.checkpoint = os.path.join(self.dir, "checkpoints",
+                                       CHECKPOINT_NAME)
+        self.record = os.path.join(self.dir, "record.json")
+        self.env = make_env(plan.task)
+        self.two_stage = method != "ppo_only"
+        self.fork_steps = int(round(plan.split * plan.total_step_budget))
+        self.fork_stop = _stop_condition(plan.handoff_success_threshold,
+                                         plan.handoff_window)
+        self.stop = self.fork_stop if self.two_stage else None
+        kwargs = {"gamma": self.env.gamma, "optimizer": "adam",
+                  "learning_rate": 3e-3, **plan.ppo}
+        if "hidden_dims" in kwargs:
+            kwargs["hidden_dims"] = tuple(kwargs["hidden_dims"])
+        self.ppo_config = ppo.PpoConfig(
+            total_steps=(self.fork_steps if self.two_stage
+                         else plan.total_step_budget), seed=seed, **kwargs)
+        threshold = plan.handoff_success_threshold if self.two_stage else None
+        self.fields = {"ppo_config": self.ppo_config.to_dict(),
+                       "handoff": {"success_threshold": threshold,
+                                   "window": plan.handoff_window},
+                       "master_seed": seed}
 
+    def es_config(self, remaining: int) -> engine.EsConfig:
+        """The ES stage's config for `remaining` steps: as many generations
+        as fit, with `remaining` as a hard step cap."""
+        config = engine.EsConfig(
+            generations=0, step_cap=remaining, seed=self.seed,
+            distribution=("triangular" if self.method == "ppo_then_tdes"
+                          else "gaussian"), **{**_ES_DEFAULTS, **self.plan.es})
+        return replace(config, generations=max(
+            remaining // config.generation_steps(self.env.horizon), 0))
 
-def _es_config(plan: ExperimentPlan, seed: int, method: str, remaining: int,
-               env) -> engine.EsConfig:
-    kwargs = dict(_ES_DEFAULTS)
-    kwargs.update(plan.es)
-    distribution = "triangular" if method == "ppo_then_tdes" else "gaussian"
-    config = engine.EsConfig(generations=0, step_cap=remaining,
-                             distribution=distribution, seed=seed, **kwargs)
-    generations = max(remaining // config.generation_steps(env.horizon), 0)
-    return replace(config, generations=generations)
+    def at_fork(self, curve: list) -> bool:
+        """Whether the two-stage PPO run, a prefix of every PPO run of the
+        seed, ends exactly after `curve`: the loop condition of
+        `ppo.train_anchor` stops it there, and at no shorter prefix."""
+        update_cost = self.ppo_config.episodes_per_update * self.env.horizon
 
+        def ends(k):
+            steps = curve[k - 1]["steps_used"] if k else 0
+            return steps + update_cost > self.fork_steps or \
+                (self.fork_stop is not None and self.fork_stop(curve[:k]))
+        return ends(len(curve)) and not any(map(ends, range(len(curve))))
 
-def _ppo_payload(update, ac, optimizer, steps, curve, fields: dict) -> dict:
-    return {"stage": "ppo", "update_index": update,
-            "actor_critic": ac.to_dict(), "optimizer": optimizer.to_dict(),
-            "steps_used": steps, "curve": curve, **fields}
+    def ppo_payload(self, update, ac, optimizer, steps, curve) -> dict:
+        """The checkpoint of this cell's PPO run after update `update`."""
+        return {"stage": "ppo", "update_index": update,
+                "actor_critic": ac.to_dict(), "optimizer": optimizer.to_dict(),
+                "steps_used": steps, "curve": curve, **self.fields}
 
-
-def _es_start(plan: ExperimentPlan, seed: int, method: str, env, arch,
-              params, ppo_steps, ppo_curve) -> dict:
-    """The generation -1 checkpoint of a two-stage cell whose PPO stage
-    ended with actor `params`: its ES stage before the first generation,
-    with the PPO stage it refines."""
-    es_cfg = _es_config(plan, seed, method, plan.total_step_budget - ppo_steps,
-                        env)
-    return {"stage": "es", "generation_index": -1, "params": params,
-            "steps_used": 0, "records": [], "es_config": es_cfg.to_dict(),
-            **_ppo_stage(plan, seed, env, True)[1],
-            "architecture": arch.to_dict(), "anchor_params": params,
-            "anchor_sha256": _params_sha256(params), "ppo_steps": ppo_steps,
-            "ppo_curve": ppo_curve}
-
-
-def cell_dir(out_dir: str, task: str, method: str, seed: int) -> str:
-    return os.path.join(out_dir, "runs", task, method, str(seed))
+    def after_ppo(self, ac, steps: int, curve: list) -> dict:
+        """The state of this cell once its PPO run ended with `ac`: the ES
+        stage before its first generation (a two-stage cell's ES config
+        included), with the PPO stage it refines. Older versions saved it
+        as an ES checkpoint of generation -1, which resumes like any other."""
+        params = ac.actor_params
+        es = {"es_config": self.es_config(
+            self.plan.total_step_budget - steps).to_dict()} \
+            if self.two_stage else {}
+        return {"stage": "es", "generation_index": -1, "params": params,
+                "steps_used": 0, "records": [], **es, **self.fields,
+                "architecture": ac.actor_arch.to_dict(),
+                "anchor_params": params, "anchor_sha256": _params_sha256(params),
+                "ppo_steps": steps, "ppo_curve": curve}
 
 
 def _write_log_csv(path: str, es_records: list[dict]) -> None:
@@ -329,28 +359,19 @@ def _load_state(path: str, fields: dict) -> dict:
     return state
 
 
-def _fork(plan: ExperimentPlan, method: str, seed: int, out_dir: str, env,
-          update, ac, optimizer, steps, curve) -> None:
+def _fork(cell: _Cell, *args) -> None:
     """Start the other cells of this seed from the PPO state at the fork,
-    after update `update`. Each sibling with neither a checkpoint nor a
-    record gets the checkpoint that its own run writes at this point: a
-    two-stage method its generation -1 ES checkpoint, ppo_only its PPO
-    checkpoint of this update. The sibling then resumes from it like from
+    after update `args[0]` (args as `_Cell.ppo_payload` takes them). Each
+    sibling with neither a checkpoint nor a record gets the PPO checkpoint
+    that its own run writes at this update, and resumes from it like from
     any checkpoint."""
-    for sibling in plan.methods:
-        cdir = cell_dir(out_dir, plan.task, sibling, seed)
-        path = os.path.join(cdir, "checkpoints", CHECKPOINT_NAME)
-        if sibling == method or os.path.exists(path) or \
-                os.path.exists(os.path.join(cdir, "record.json")):
+    for method in cell.plan.methods:
+        sibling = _Cell(cell.plan, method, cell.seed, cell.out_dir)
+        if method == cell.method or os.path.exists(sibling.checkpoint) or \
+                os.path.exists(sibling.record):
             continue
-        if sibling == "ppo_only":
-            payload = _ppo_payload(update, ac, optimizer, steps, curve,
-                                   _ppo_stage(plan, seed, env, False)[1])
-        else:
-            payload = _es_start(plan, seed, sibling, env, ac.actor_arch,
-                                ac.actor_params, steps, curve)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        save_checkpoint(path, payload)
+        os.makedirs(os.path.dirname(sibling.checkpoint), exist_ok=True)
+        save_checkpoint(sibling.checkpoint, sibling.ppo_payload(*args))
 
 
 def _drop_resume_state(cdir: str) -> None:
@@ -375,13 +396,12 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
     """Execute (or resume) one sweep cell and write its artifacts: one PPO
     run, then, for a two-stage method, one ES run. If the PPO run reaches
     the fork, it starts this seed's other cells there (`_fork`)."""
-    cdir = cell_dir(out_dir, plan.task, method, seed)
-    ckpt_dir = os.path.join(cdir, "checkpoints")
+    cell = _Cell(plan, method, seed, out_dir)
+    ckpt_dir = os.path.dirname(cell.checkpoint)
     os.makedirs(ckpt_dir, exist_ok=True)
-    record_path = os.path.join(cdir, "record.json")
-    if os.path.exists(record_path):
-        _drop_resume_state(cdir)  # left by a crash or an older version
-        return RunRecord(**load_json(record_path))
+    if os.path.exists(cell.record):
+        _drop_resume_state(cell.dir)  # left by a crash or an older version
+        return RunRecord(**load_json(cell.record))
     legacy = os.path.join(ckpt_dir, "checkpoint.json")
     if os.path.exists(legacy):
         raise CheckpointError(
@@ -389,63 +409,42 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
             f"version resumes only format_version {FORMAT_VERSION} "
             f"({CHECKPOINT_NAME})")
 
-    env_factory = lambda: make_env(plan.task)
-    env = env_factory()
-    budget = plan.total_step_budget
-    two_stage = method != "ppo_only"
-    ppo_cfg, fields = _ppo_stage(plan, seed, env, two_stage)
-    fork_cfg, fork_fields = _ppo_stage(plan, seed, env, True)
-    fork_stop = _stop_condition(fork_fields["handoff"])
-    ckpt_path = os.path.join(ckpt_dir, CHECKPOINT_NAME)
-    state = (_load_state(ckpt_path, fields)
-             if os.path.exists(ckpt_path) else {})
+    state = (_load_state(cell.checkpoint, cell.fields)
+             if os.path.exists(cell.checkpoint) else {})
+    if state.get("stage") != "es":
+        def ppo_ckpt(*args):  # (update, ac, optimizer, steps, curve)
+            # plant the siblings before this cell's own checkpoint: a run
+            # resumed past the fork never reaches it again
+            if cell.at_fork(args[-1]):
+                _fork(cell, *args)
+            save_checkpoint(cell.checkpoint, cell.ppo_payload(*args))
 
-    def ppo_ckpt(*args):  # (update, ac, optimizer, steps, curve)
-        # plant the siblings before this cell's own checkpoint: a run
-        # resumed past the fork never reaches it again
-        if _at_fork(args[-1], fork_cfg, fork_stop, env.horizon):
-            _fork(plan, method, seed, out_dir, env, *args)
-        save_checkpoint(ckpt_path, _ppo_payload(*args, fields))
-
-    if state.get("stage") == "es":
-        # the PPO stage is complete; the checkpoint carries the anchor
-        arch = MlpArchitecture.from_dict(state["architecture"])
-        anchor_params = state["anchor_params"]
-        ppo_steps = state["ppo_steps"]
-        ppo_curve = state["ppo_curve"]
-    else:
         resume = {} if not state else {
             "start_update": state["update_index"] + 1,
             "initial": ppo.ActorCritic.from_dict(state["actor_critic"]),
             "initial_steps": state["steps_used"], "curve": state["curve"],
             "optimizer_state": state["optimizer"]}
-        res = ppo.train_anchor(env_factory, ppo_cfg, checkpoint_cb=ppo_ckpt,
-                               stop_condition=_stop_condition(fields["handoff"]),
-                               **resume)
-        arch = res.actor_critic.actor_arch
-        anchor_params = res.actor_critic.actor_params
-        ppo_steps = res.steps_used
-        ppo_curve = res.curve
+        res = ppo.train_anchor(cell.env, cell.ppo_config,
+                               checkpoint_cb=ppo_ckpt,
+                               stop_condition=cell.stop, **resume)
+        state = cell.after_ppo(res.actor_critic, res.steps_used, res.curve)
 
-    final_params = anchor_params
+    arch = MlpArchitecture.from_dict(state["architecture"])
+    final_params = state["anchor_params"]
     es_records: list[dict] = []
     es_steps = 0
-    if two_stage:
-        if state.get("stage") != "es":
-            state = _es_start(plan, seed, method, env, arch, anchor_params,
-                              ppo_steps, ppo_curve)
-            save_checkpoint(ckpt_path, state)
-        es_cfg = _es_config(plan, seed, method, budget - ppo_steps, env)
-        _check_fields(ckpt_path, "es_config", state["es_config"],
+    if cell.two_stage:
+        es_cfg = cell.es_config(plan.total_step_budget - state["ppo_steps"])
+        _check_fields(cell.checkpoint, "es_config", state["es_config"],
                       es_cfg.to_dict())
 
         def es_ckpt(gen, theta, steps, records):
-            save_checkpoint(ckpt_path, {
+            save_checkpoint(cell.checkpoint, {
                 **state, "generation_index": gen, "params": theta,
                 "steps_used": steps, "records": [r.to_dict() for r in records]})
 
         result = engine.tdes_run(
-            state["params"], arch, env_factory, es_cfg,
+            state["params"], arch, cell.env, es_cfg,
             start_generation=state["generation_index"] + 1,
             initial_steps=state["steps_used"],
             records=[engine.GenerationRecord(**r) for r in state["records"]],
@@ -455,26 +454,26 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
         es_steps = result.steps_used
 
     mean_ret, success = engine.evaluate_center(
-        final_params, arch, env_factory, plan.eval_episodes,
+        final_params, arch, cell.env, plan.eval_episodes,
         stream_seed(seed, TAG_FINAL_EVAL))
     record = RunRecord(
         task=plan.task, method=method, seed=seed,
         final_success_rate=success, final_mean_return=mean_ret,
-        steps_consumed=ppo_steps + es_steps, budget=budget,
-        ppo_steps=ppo_steps, es_steps=es_steps,
-        anchor_sha256=_params_sha256(anchor_params),
-        ppo_curve=ppo_curve, es_records=es_records)
+        steps_consumed=state["ppo_steps"] + es_steps,
+        budget=plan.total_step_budget, ppo_steps=state["ppo_steps"],
+        es_steps=es_steps, anchor_sha256=state["anchor_sha256"],
+        ppo_curve=state["ppo_curve"], es_records=es_records)
     save_json_atomic(os.path.join(ckpt_dir, "final.json"), {
         "format_version": _FINAL_FORMAT_VERSION, "stage": "final",
         "architecture": arch.to_dict(), "params": final_params.tolist(),
         "master_seed": seed})
-    _write_log_csv(os.path.join(cdir, "log.csv"), es_records)
-    save_json_atomic(record_path, record.to_dict())
-    _drop_resume_state(cdir)
+    _write_log_csv(os.path.join(cell.dir, "log.csv"), es_records)
+    save_json_atomic(cell.record, record.to_dict())
+    _drop_resume_state(cell.dir)
     return record
 
 
-def _budget_shortfall(plan: ExperimentPlan, record: RunRecord) -> str | None:
+def _budget_shortfall(cell: _Cell, record: RunRecord) -> str | None:
     """How `record` breaks the equal-budget premise, or None. A cell may
     not overspend the budget, and may leave at most one unit of its last
     stage unspent: a PPO update for ppo_only, an ES generation otherwise."""
@@ -483,15 +482,12 @@ def _budget_shortfall(plan: ExperimentPlan, record: RunRecord) -> str | None:
              f"{record.steps_consumed} of {record.budget} steps")
     if unspent < 0:
         return f"{where}: {-unspent} over budget"
-    env = make_env(plan.task)
-    if record.method == "ppo_only":
-        unit = _ppo_config(plan, record.seed, record.budget,
-                           env).episodes_per_update * env.horizon
-        name = "PPO update"
-    else:
-        unit = _es_config(plan, record.seed, record.method, 0,
-                          env).generation_steps(env.horizon)
+    if cell.two_stage:
+        unit = cell.es_config(0).generation_steps(cell.env.horizon)
         name = "ES generation"
+    else:
+        unit = cell.ppo_config.episodes_per_update * cell.env.horizon
+        name = "PPO update"
     if unspent > unit:
         return (f"{where}: {unspent} unspent, more than one {name} "
                 f"({unit} steps)")
@@ -504,13 +500,12 @@ def _run_cell(plan: ExperimentPlan, method: str, seed: int,
     premise gives a failed record, so it never aborts the rest."""
     try:
         record = run_method(plan, method, seed, out_dir)
-        shortfall = _budget_shortfall(plan, record)
+        cell = _Cell(plan, method, seed, out_dir)
+        shortfall = _budget_shortfall(cell, record)
         if shortfall is not None:
             # on disk too, so that `report` and `resume` see the failure
             record.failed, record.failure = True, shortfall
-            save_json_atomic(os.path.join(cell_dir(
-                out_dir, plan.task, method, seed), "record.json"),
-                record.to_dict())
+            save_json_atomic(cell.record, record.to_dict())
         return record.to_dict()
     except KeyboardInterrupt:
         raise

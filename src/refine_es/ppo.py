@@ -269,12 +269,11 @@ def normalize_advantages(adv: np.ndarray) -> np.ndarray:
     return (adv - adv.mean()) / std
 
 
-def collect_rollouts(ac: ActorCritic, env_factory, config: PpoConfig,
+def collect_rollouts(ac: ActorCritic, env, config: PpoConfig,
                      update_index: int) -> RolloutBuffer:
     """Run episodes_per_update full-horizon episodes as one lockstep batch
     and assemble the buffer. GAE bootstraps with V(final obs) since the envs
     terminate on time limit."""
-    env = env_factory()
     horizon, gamma = env.horizon, env.gamma
     n_ep = config.episodes_per_update
     seeds = [make_stream(config.seed, TAG_PPO_ENV, update_index,
@@ -341,7 +340,7 @@ class AnchorResult:
     steps_used: int = 0
 
 
-def train_anchor(env_factory, config: PpoConfig, start_update: int = 0,
+def train_anchor(env, config: PpoConfig, start_update: int = 0,
                  initial: ActorCritic | None = None, initial_steps: int = 0,
                  curve: list | None = None, optimizer_state: dict | None = None,
                  checkpoint_cb=None, stop_condition=None) -> AnchorResult:
@@ -350,7 +349,6 @@ def train_anchor(env_factory, config: PpoConfig, start_update: int = 0,
     before each collection, so a run resumed from any update's checkpoint
     stops exactly where the uninterrupted run stopped. Resumable from
     (start_update, initial, ...) bit-exactly."""
-    env = env_factory()
     if initial is None:
         ac = init_actor_critic(env.observation_dim, env.action_dim, config)
     else:
@@ -365,7 +363,7 @@ def train_anchor(env_factory, config: PpoConfig, start_update: int = 0,
     while steps_used + update_cost <= config.total_steps:
         if stop_condition is not None and stop_condition(curve):
             break
-        buffer = collect_rollouts(ac, env_factory, config, u)
+        buffer = collect_rollouts(ac, env, config, u)
         parts = ppo_update(ac, buffer, config, optimizer, u)
         steps_used += buffer.steps
         curve.append({"update": u, "mean_return": buffer.mean_return,

@@ -12,13 +12,12 @@ the package calls either; they live here, next to the tests that use them.
 import numpy as np
 
 from refine_es.errors import ContractError
-from refine_es.estimator import (GradientEstimate, ReturnTable,
-                                 centered_ranks, fd_gradient)
+from refine_es.estimator import centered_ranks, fd_gradient
 from refine_es.noise import NoiseDistribution, antithetic_candidates, make_batch
 
 
 def classic_es_gradient(deltas: np.ndarray, returns: np.ndarray,
-                        sigma_es: float) -> GradientEstimate:
+                        sigma_es: float) -> np.ndarray:
     """Score-function estimator over n Gaussian perturbations and their raw
     returns."""
     if sigma_es <= 0:
@@ -27,8 +26,7 @@ def classic_es_gradient(deltas: np.ndarray, returns: np.ndarray,
     n = deltas.shape[0]
     if returns.shape != (n,):
         raise ContractError("returns are not aligned with the perturbations")
-    g = (returns @ deltas) / (n * sigma_es)
-    return GradientEstimate(g, {"g_norm": float(np.linalg.norm(g))})
+    return (returns @ deltas) / (n * sigma_es)
 
 
 def estimator_variance(objective, center: np.ndarray, sigma_es: float, m: int,
@@ -52,7 +50,7 @@ def estimator_variance(objective, center: np.ndarray, sigma_es: float, m: int,
             j_plus = np.array([objective(p) for p in plus])
             j_minus = np.array([objective(p) for p in minus])
             if use_ranks:
-                r_plus, r_minus = centered_ranks(ReturnTable(j_plus, j_minus))
+                r_plus, r_minus = centered_ranks(j_plus, j_minus)
                 grads[t] = fd_gradient(batch.epsilons, r_plus, r_minus, sigma_es)
             else:
                 grads[t] = fd_gradient(batch.epsilons, j_plus, j_minus, sigma_es)

@@ -47,6 +47,22 @@ def test_mistyped_plan_value_exit_2_at_load(tmp_path, capsys, key, value):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("section, key, text", [
+    ("es", "sigma_es", "1e999"), ("ppo", "learning_rate", "1e999"),
+    ("es", "alpha", "NaN"), ("ppo", "init_log_std", "-Infinity")])
+def test_non_finite_plan_number_exit_2_at_load(tmp_path, capsys, section,
+                                               key, text):
+    # strict JSON parses 1e999 to inf, and json.load takes NaN and Infinity
+    plan = dict(TINY_PLAN, **{section: dict(TINY_PLAN[section], **{key: 0})})
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan).replace(f'"{key}": 0', f'"{key}": {text}'))
+    out = str(tmp_path / "out")
+    code = main(["run", "--plan", str(path), "--out", out])
+    assert code == 2
+    assert f"plan key '{section}.{key}' must be" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_unknown_plan_key_named(tmp_path, capsys):
     plan = dict(TINY_PLAN, typo_key=1)
     code = main(["run", "--plan", write_plan(tmp_path, plan),

@@ -93,7 +93,7 @@ def test_sigma_schedule_closed_form():
 
 def test_zero_generations_is_noop():
     anchor = np.array([0.3, -0.2])
-    res = tdes_run(anchor, ARCH, TargetEnv, small_config(generations=0))
+    res = tdes_run(anchor, ARCH, TargetEnv(), small_config(generations=0))
     assert np.array_equal(res.params, anchor)
     assert res.steps_used == 0
     assert res.records == []
@@ -101,12 +101,12 @@ def test_zero_generations_is_noop():
 
 def test_anchor_shape_contract():
     with pytest.raises(ContractError):
-        tdes_run(np.zeros(3), ARCH, TargetEnv, small_config())
+        tdes_run(np.zeros(3), ARCH, TargetEnv(), small_config())
 
 
 def test_step_accounting_exact():
     c = small_config(generations=7)
-    res = tdes_run(np.zeros(2), ARCH, TargetEnv, c)
+    res = tdes_run(np.zeros(2), ARCH, TargetEnv(), c)
     assert res.steps_used == 7 * 2 * c.m * TargetEnv.horizon
     assert [r.generation for r in res.records] == list(range(7))
     assert res.records[-1].steps_used == res.steps_used
@@ -114,7 +114,7 @@ def test_step_accounting_exact():
 
 def test_step_cap_blocks_partial_generation():
     c = small_config(generations=10, step_cap=3 * 2 * 4 * 1 + 1)
-    res = tdes_run(np.zeros(2), ARCH, TargetEnv, c)
+    res = tdes_run(np.zeros(2), ARCH, TargetEnv(), c)
     assert len(res.records) == 3  # a fourth generation would exceed the cap
     assert res.steps_used <= c.step_cap
 
@@ -122,7 +122,7 @@ def test_step_cap_blocks_partial_generation():
 def test_quadratic_convergence_ten_fold():
     # J(theta) = -((w + b) - 0.5)^2; starting value -0.25
     c = small_config(generations=200, alpha=0.005, lambda_sigma=1.0)
-    res = tdes_run(np.zeros(2), ARCH, TargetEnv, c)
+    res = tdes_run(np.zeros(2), ARCH, TargetEnv(), c)
     final_j = -((res.params.sum() - 0.5) ** 2)
     assert abs(final_j) < 0.25 / 10
     # the center-return log should reflect the improvement
@@ -131,9 +131,9 @@ def test_quadratic_convergence_ten_fold():
 
 def test_update_locality_matches_g_norm():
     thetas = []
-    tdes_run(np.zeros(2), ARCH, TargetEnv, small_config(generations=5),
+    tdes_run(np.zeros(2), ARCH, TargetEnv(), small_config(generations=5),
              checkpoint_cb=lambda t, th, s, r: thetas.append(th.copy()))
-    res = tdes_run(np.zeros(2), ARCH, TargetEnv, small_config(generations=5))
+    res = tdes_run(np.zeros(2), ARCH, TargetEnv(), small_config(generations=5))
     prev = np.zeros(2)
     for theta, rec in zip(thetas, res.records):
         assert np.linalg.norm(theta - prev) == pytest.approx(
@@ -142,8 +142,8 @@ def test_update_locality_matches_g_norm():
 
 
 def test_run_bitwise_reproducible():
-    a = tdes_run(np.zeros(2), ARCH, TargetEnv, small_config())
-    b = tdes_run(np.zeros(2), ARCH, TargetEnv, small_config())
+    a = tdes_run(np.zeros(2), ARCH, TargetEnv(), small_config())
+    b = tdes_run(np.zeros(2), ARCH, TargetEnv(), small_config())
     assert np.array_equal(a.params, b.params)
     assert [r.to_dict() | {"wall_time": 0} for r in a.records] == \
            [r.to_dict() | {"wall_time": 0} for r in b.records]
@@ -151,10 +151,10 @@ def test_run_bitwise_reproducible():
 
 def test_resume_bitwise_equal_to_uninterrupted():
     c = small_config(generations=12)
-    full = tdes_run(np.zeros(2), ARCH, TargetEnv, c)
-    head = tdes_run(np.zeros(2), ARCH, TargetEnv,
+    full = tdes_run(np.zeros(2), ARCH, TargetEnv(), c)
+    head = tdes_run(np.zeros(2), ARCH, TargetEnv(),
                     small_config(generations=5))
-    tail = tdes_run(head.params, ARCH, TargetEnv, c, start_generation=5,
+    tail = tdes_run(head.params, ARCH, TargetEnv(), c, start_generation=5,
                     initial_steps=head.steps_used, records=head.records)
     assert np.array_equal(tail.params, full.params)
     assert tail.steps_used == full.steps_used
@@ -166,8 +166,8 @@ def test_resume_bitwise_equal_to_uninterrupted():
 
 def test_gaussian_twin_differs_from_triangular():
     cfg = small_config(generations=3)
-    tri = tdes_run(np.zeros(2), ARCH, TargetEnv, cfg)
-    gau = tdes_run(np.zeros(2), ARCH, TargetEnv,
+    tri = tdes_run(np.zeros(2), ARCH, TargetEnv(), cfg)
+    gau = tdes_run(np.zeros(2), ARCH, TargetEnv(),
                    replace(cfg, distribution="gaussian"))
     assert not np.array_equal(tri.params, gau.params)
     assert gau.steps_used == tri.steps_used
@@ -175,15 +175,15 @@ def test_gaussian_twin_differs_from_triangular():
 
 def test_evaluate_center_success_rates():
     params = np.zeros(2)
-    ret, sr = evaluate_center(params, ARCH, lambda: TargetEnv(success=True),
+    ret, sr = evaluate_center(params, ARCH, TargetEnv(success=True),
                               episodes=10, master_seed=0)
     assert sr == 1.0
     assert ret == pytest.approx(-0.25)
-    _, sr = evaluate_center(params, ARCH, lambda: TargetEnv(success=False),
+    _, sr = evaluate_center(params, ARCH, TargetEnv(success=False),
                             episodes=10, master_seed=0)
     assert sr == 0.0
     with pytest.raises(ContractError):
-        evaluate_center(params, ARCH, TargetEnv, episodes=0, master_seed=0)
+        evaluate_center(params, ARCH, TargetEnv(), episodes=0, master_seed=0)
 
 
 def test_center_eval_streams_disjoint_across_seeds():
@@ -191,7 +191,7 @@ def test_center_eval_streams_disjoint_across_seeds():
     # center-eval stream, because both keyed it on seed ^ (generation + 1)
     def center_return(seed, generation):
         c = small_config(generations=2, seed=seed, center_eval_episodes=4)
-        res = tdes_run(np.zeros(2), ARCH, SeedEnv, c)
+        res = tdes_run(np.zeros(2), ARCH, SeedEnv(), c)
         return res.records[generation].center_return
 
     assert center_return(0, 0) != center_return(3, 1)
@@ -202,7 +202,7 @@ def test_candidate_rollout_failure_names_pair_and_episode():
     c = small_config(episodes_per_candidate=2)
     with pytest.raises(RolloutError,
                        match="generation 0, pair 1, episode 1: .*step 0"):
-        tdes_run(np.zeros(2), ARCH, NanEnv, c)
+        tdes_run(np.zeros(2), ARCH, NanEnv(), c)
 
 
 def test_generation_record_roundtrip():

@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
+from experts import expert_action
 
 from refine_es.envs import ArmReach, env_ids, make_env
 from refine_es.errors import ContractError
 
 ALL_IDS = ("arm-reach", "peg-insert-1d", "point-reach")
+
+# |r_t| never exceeds these for clipped actions
+REWARD_BOUNDS = {
+    # |pos| <= 0.5 + H*dt, |goal| <= 0.5
+    "point-reach": np.sqrt(2.0) * (1.0 + 100 * 0.05),
+    # end effector and goal both inside the radius-1 disc
+    "arm-reach": 2.0,
+    # |depth| <= H*dt = 4, target <= 1.2
+    "peg-insert-1d": (4.0 + 1.2) * 3.0,
+}
 
 
 def run_expert(env, seeds):
@@ -14,7 +25,7 @@ def run_expert(env, seeds):
     success = np.zeros(len(seeds), dtype=bool)
     rewards = []
     for _ in range(env.horizon):
-        obs, r, terminated, s = env.step(env.expert_action(obs))
+        obs, r, terminated, s = env.step(expert_action(env, obs))
         rewards.append(r)
         success |= s
     assert terminated
@@ -117,7 +128,7 @@ def test_reward_bounds_random_actions():
         for _ in range(env.horizon):
             # out-of-range actions are clipped, so the bound still holds
             _, r, *_ = env.step(rng.uniform(-3, 3, (5, env.action_dim)))
-            assert np.all(np.abs(r) <= env.reward_bound)
+            assert np.all(np.abs(r) <= REWARD_BOUNDS[eid])
 
 
 @pytest.mark.parametrize("eid", ALL_IDS)
@@ -133,7 +144,7 @@ def test_success_latches():
     steps = 0
     success = [False]
     while not success[0] and steps < env.horizon:
-        obs, _, _, success = env.step(env.expert_action(obs))
+        obs, _, _, success = env.step(expert_action(env, obs))
         steps += 1
     assert success[0]
     for _ in range(env.horizon - steps):

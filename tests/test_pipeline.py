@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 
@@ -48,6 +49,10 @@ def test_plan_rejects_missing_and_invalid():
         plan_from_dict([1, 2])
     with pytest.raises(PlanError, match=r"duplicate seeds: \[0\]"):
         tiny_plan(seeds=[0, 1, 0])
+    with pytest.raises(PlanError, match=re.escape(
+            "duplicate methods: ['ppo_only', 'ppo_then_tdes']")):
+        tiny_plan(methods=["ppo_then_tdes", "ppo_only", "ppo_then_tdes",
+                           "ppo_only"])
     with pytest.raises(PlanError, match="handoff_window"):
         tiny_plan(handoff_window=0)
     with pytest.raises(PlanError, match="'es'.*m must be >= 1"):
@@ -83,6 +88,13 @@ def test_plan_accepts_seeds_at_the_64_bit_ends():
     assert tiny_plan(seeds=[0, 2 ** 64 - 1]).seeds == (0, 2 ** 64 - 1)
 
 
+_FLOAT_KEYS = ("split", "handoff_success_threshold", "es.sigma_es",
+               "es.alpha", "es.lambda_sigma", "es.sigma_min", "es.action_std",
+               "ppo.learning_rate", "ppo.value_coef", "ppo.entropy_coef",
+               "ppo.init_log_std", "ppo.gamma", "ppo.gae_lambda",
+               "ppo.clip_epsilon")
+
+
 @pytest.mark.parametrize("key, value", [
     ("total_step_budget", "1000"),
     ("total_step_budget", 1000.5),
@@ -102,7 +114,11 @@ def test_plan_accepts_seeds_at_the_64_bit_ends():
     ("es", [["m", 2]]),
     ("methods", "ppo_only"),
     ("task", ["point-reach"]),
-])
+] + [
+    # JSON's 1e999 parses to inf, and json.load takes NaN and Infinity
+    (key, value) for key in _FLOAT_KEYS
+    for value in (math.inf, -math.inf, math.nan)
+] + [pytest.param("es.sigma_es", 10 ** 400, id="es.sigma_es-10**400")])
 def test_plan_rejects_mistyped_value_by_name(key, value):
     raw = tiny_plan().to_dict()
     section, _, name = key.rpartition(".")
@@ -264,19 +280,23 @@ def test_resume_across_handoff_bitwise(tmp_path, monkeypatch):
                      handoff_success_threshold=0.0, handoff_window=1)
     clean = run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "clean"))
 
-    original = pipeline._es_config
+    original = pipeline._Cell.es_config
     calls = []
 
-    def interrupt_once(*args):
-        calls.append(args)
+    def interrupt_once(cell, remaining):
+        calls.append(remaining)
         if len(calls) == 1:
             raise KeyboardInterrupt("injected interrupt at the handoff")
-        return original(*args)
+        return original(cell, remaining)
 
-    monkeypatch.setattr(pipeline, "_es_config", interrupt_once)
+    monkeypatch.setattr(pipeline._Cell, "es_config", interrupt_once)
     with pytest.raises(KeyboardInterrupt):
         run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "cut"))
+    state = load_checkpoint(_checkpoint_path(str(tmp_path / "cut")))
+    assert (state["stage"], state["update_index"]) == ("ppo", 0)
+    updates = _count_ppo_updates(monkeypatch)
     resumed = run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "cut"))
+    assert updates == []  # the PPO run stops at once where it was cut
 
     assert clean.ppo_steps == resumed.ppo_steps == 200
     assert resumed.anchor_sha256 == clean.anchor_sha256
@@ -757,7 +777,7 @@ def test_resume_after_cut_past_fork_bitwise(tmp_path, monkeypatch):
             sweep(plan, cut)
     for method in ("ppo_then_tdes", "ppo_then_gaussian_es"):
         state = load_checkpoint(_checkpoint_path(cut, method))
-        assert (state["stage"], state["generation_index"]) == ("es", -1)
+        assert (state["stage"], state["update_index"]) == ("ppo", 1)
     assert load_checkpoint(_checkpoint_path(cut, "ppo_only"))[
         "update_index"] == 2
     updates = _count_ppo_updates(monkeypatch)
@@ -800,15 +820,15 @@ def test_fork_leaves_started_sibling_alone(tmp_path, monkeypatch):
     run_method(plan, "ppo_only", 0, out)
     with open(path, "rb") as fh:
         assert fh.read() == before
-    assert load_checkpoint(_checkpoint_path(out, "ppo_then_gaussian_es"))[
-        "generation_index"] == -1
+    state = load_checkpoint(_checkpoint_path(out, "ppo_then_gaussian_es"))
+    assert (state["stage"], state["update_index"]) == ("ppo", 6)
 
     original = engine.tdes_run
     starts = {}
 
-    def tdes_run(anchor, arch, env_factory, config, **kw):
+    def tdes_run(anchor, arch, env, config, **kw):
         starts[config.distribution] = kw.get("start_generation")
-        return original(anchor, arch, env_factory, config, **kw)
+        return original(anchor, arch, env, config, **kw)
 
     monkeypatch.setattr(engine, "tdes_run", tdes_run)
     records, _ = sweep(plan, out)
@@ -898,20 +918,120 @@ def test_cut_while_planting_plants_again_on_resume(tmp_path, monkeypatch):
         _sweep_bits(str(tmp_path / "clean"), clean)
 
 
+def _members(path):
+    """Each member of a checkpoint archive as (dtype, shape, bytes)."""
+    with np.load(path) as npz:
+        return {name: (npz[name].dtype.str, npz[name].shape,
+                       npz[name].tobytes()) for name in npz.files}
+
+
+def _snapshot_checkpoints(monkeypatch):
+    """Patch `pipeline.save_checkpoint` to keep the members of every file
+    it writes: a list of (path, members)."""
+    import refine_es.pipeline as pipeline
+
+    original = pipeline.save_checkpoint
+    written = []
+
+    def save_checkpoint(path, payload):
+        original(path, payload)
+        written.append((path, _members(path)))
+
+    monkeypatch.setattr(pipeline, "save_checkpoint", save_checkpoint)
+    return written
+
+
+@pytest.mark.parametrize("planter", ["ppo_only", "ppo_then_tdes"])
+def test_planted_checkpoint_is_the_siblings_own(tmp_path, monkeypatch,
+                                                planter):
+    # every sibling gets, member by member, the PPO checkpoint that its own
+    # run writes at the fork update (update 1), Adam moments included
+    adam = {"episodes_per_update": 2, "hidden_dims": [8], "optimizer": "adam"}
+    plan = tiny_plan(seeds=[0], ppo=adam)
+    planted = str(tmp_path / "planted")
+    with monkeypatch.context() as m:
+        written = _snapshot_checkpoints(m)
+        run_method(plan, planter, 0, planted)
+    siblings = [s for s in plan.methods if s != planter]
+    # each sibling is planted once
+    assert sorted(p for p, _ in written
+                  if p != _checkpoint_path(planted, planter)) == \
+        sorted(_checkpoint_path(planted, s) for s in siblings)
+    for sibling in siblings:
+        own = str(tmp_path / sibling)
+        with monkeypatch.context() as m:
+            written = _snapshot_checkpoints(m)
+            run_method(plan, sibling, 0, own)
+        at_fork = [members for path, members in written
+                   if path == _checkpoint_path(own, sibling)][1]
+        meta = json.loads(at_fork["meta"][2])
+        assert (meta["stage"], meta["update_index"]) == ("ppo", 1)
+        # 2 updates x 4 epochs x 4 minibatches
+        assert meta["optimizer"]["states"][0]["t"] == 32
+        assert _members(_checkpoint_path(planted, sibling)) == at_fork
+
+
+def test_parent_generation_minus_one_checkpoint_resumes_bitwise(
+        tmp_path, monkeypatch):
+    # before a fresh ES stage started in memory, every two-stage cell saved
+    # its ES stage before the first generation, and the fork planted it
+    import refine_es.checkpoint as checkpoint
+    import refine_es.pipeline as pipeline
+
+    plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
+                     total_step_budget=1400)
+    clean = run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "clean"))
+    cut = str(tmp_path / "cut")
+
+    def interrupt(cell, remaining):
+        raise KeyboardInterrupt("injected interrupt after PPO")
+
+    with monkeypatch.context() as m:
+        m.setattr(pipeline._Cell, "es_config", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_method(plan, "ppo_then_tdes", 0, cut)
+    path = _checkpoint_path(cut)
+    ppo_state = checkpoint.load_checkpoint(path)
+    params = ppo_state["actor_critic"]["actor_params"]
+    checkpoint.save_checkpoint(path, {
+        "stage": "es", "generation_index": -1, "params": params,
+        "steps_used": 0, "records": [],
+        "es_config": {"sigma_es": 0.05, "alpha": 0.01, "m": 2,
+                      "generations": 2, "lambda_sigma": 0.99,
+                      "sigma_min": 1e-3, "distribution": "triangular",
+                      "action_std": 0.01, "seed": 0,
+                      "episodes_per_candidate": 1, "step_cap": 800,
+                      "standardize_noise": False, "center_eval_episodes": 1},
+        "ppo_config": ppo_state["ppo_config"],
+        "handoff": ppo_state["handoff"], "master_seed": 0,
+        "architecture": ppo_state["actor_critic"]["actor_arch"],
+        "anchor_params": params,
+        "anchor_sha256": hashlib.sha256(params.astype("<f8").tobytes())
+        .hexdigest(), "ppo_steps": 600, "ppo_curve": ppo_state["curve"]})
+    updates = _count_ppo_updates(monkeypatch)
+    resumed = run_method(plan, "ppo_then_tdes", 0, cut)
+    assert updates == []
+    assert _cell_bits(cut, resumed) == \
+        _cell_bits(str(tmp_path / "clean"), clean)
+
+
 def test_at_fork_asks_every_prefix():
     import refine_es.pipeline as pipeline
-    from refine_es.envs import make_env
 
     plan = tiny_plan(handoff_success_threshold=0.5, handoff_window=1)
-    cfg, fields = pipeline._ppo_stage(plan, 0, make_env("point-reach"), True)
-    stop = pipeline._stop_condition(fields["handoff"])
-    # the rule fires after update 0 and no longer holds after update 1
-    curve = [{"success_rate": s, "steps_used": 200 * (i + 1)}
-             for i, s in enumerate([1.0, 0.0])]
-    assert pipeline._at_fork(curve[:1], cfg, stop, 100)
-    # the step bound stops the run after update 1, but it ended before
-    assert not pipeline._at_fork(curve, cfg, stop, 100)
-    # without the rule the fork is the step bound: 2 updates fit 500 steps
-    assert pipeline._at_fork(curve, cfg, None, 100)
-    assert not pipeline._at_fork(curve + [{"steps_used": 600}], cfg, None,
-                                 100)
+    # the fork is the two-stage run's, whichever cell asks
+    for method in plan.methods:
+        cell = pipeline._Cell(plan, method, 0, "")
+        # the rule fires after update 0 and no longer holds after update 1
+        curve = [{"success_rate": s, "steps_used": 200 * (i + 1)}
+                 for i, s in enumerate([1.0, 0.0])]
+        assert cell.at_fork(curve[:1])
+        # the step bound stops the run after update 1, but it ended before
+        assert not cell.at_fork(curve)
+        # without the rule the fork is the step bound: 2 updates fit 500
+        # steps
+        cell = pipeline._Cell(tiny_plan(), method, 0, "")
+        assert not cell.at_fork(curve[:1])
+        assert cell.at_fork(curve)
+        assert not cell.at_fork(curve + [{"success_rate": 0.0,
+                                          "steps_used": 600}])

@@ -292,7 +292,7 @@ def test_actor_critic_roundtrip():
 def test_collect_rollouts_shapes_and_budget():
     config = tiny_config(episodes_per_update=2)
     ac = init_actor_critic(4, 2, config)
-    buf = collect_rollouts(ac, lambda: make_env("point-reach"), config, 0)
+    buf = collect_rollouts(ac, make_env("point-reach"), config, 0)
     n = 2 * 100
     assert buf.states.shape == (n, 4)
     assert buf.actions.shape == (n, 2)
@@ -302,7 +302,7 @@ def test_collect_rollouts_shapes_and_budget():
 
 def test_budget_below_one_update_is_noop():
     config = tiny_config(total_steps=100, episodes_per_update=8)
-    res = train_anchor(lambda: make_env("point-reach"), config)
+    res = train_anchor(make_env("point-reach"), config)
     fresh = init_actor_critic(4, 2, config)
     assert np.array_equal(res.actor_critic.actor_params, fresh.actor_params)
     assert res.steps_used == 0
@@ -311,7 +311,7 @@ def test_budget_below_one_update_is_noop():
 
 def test_train_anchor_bitwise_deterministic():
     config = tiny_config(total_steps=1700, episodes_per_update=2)
-    runs = [train_anchor(lambda: make_env("point-reach"), config)
+    runs = [train_anchor(make_env("point-reach"), config)
             for _ in range(2)]
     a, b = runs
     assert np.array_equal(a.actor_critic.actor_params,
@@ -323,14 +323,14 @@ def test_train_anchor_bitwise_deterministic():
 
 def test_train_anchor_resume_bitwise():
     config = tiny_config(total_steps=1000, episodes_per_update=2)
-    env_factory = lambda: make_env("point-reach")
-    full = train_anchor(env_factory, config)
+    env = make_env("point-reach")
+    full = train_anchor(env, config)
     snaps = []
-    train_anchor(env_factory, config,
+    train_anchor(env, config,
                  checkpoint_cb=lambda u, ac, opt, steps, curve: snaps.append(
                      (u, ac.copy(), opt.to_dict(), steps, list(curve))))
     u, ac, opt_state, steps, curve = snaps[1]  # resume after update 1
-    resumed = train_anchor(env_factory, config, start_update=u + 1, initial=ac,
+    resumed = train_anchor(env, config, start_update=u + 1, initial=ac,
                            initial_steps=steps, curve=curve,
                            optimizer_state=opt_state)
     assert np.array_equal(resumed.actor_critic.actor_params,
@@ -343,7 +343,7 @@ def test_train_anchor_resume_bitwise():
 def test_ppo_update_rejects_nonfinite():
     config = tiny_config(episodes_per_update=1, minibatch_size=8)
     ac = init_actor_critic(4, 2, config)
-    buf = collect_rollouts(ac, lambda: make_env("point-reach"), config, 0)
+    buf = collect_rollouts(ac, make_env("point-reach"), config, 0)
     buf.returns[:] = np.nan
     with pytest.raises(RolloutError, match="non-finite PPO loss at update 3"):
         ppo_update(ac, buf, config, PpoOptimizer(ac, config), 3)
@@ -363,12 +363,12 @@ def test_collect_rollouts_rejects_nonfinite():
     ac = init_actor_critic(4, 2, config)
     with pytest.raises(RolloutError,
                        match="update 5, episode 1: non-finite .* step 4"):
-        collect_rollouts(ac, NanRewardEnv, config, 5)
+        collect_rollouts(ac, NanRewardEnv(), config, 5)
 
 
 def test_training_improves_return():
     config = tiny_config(total_steps=8000, episodes_per_update=4,
                          optimizer="adam", seed=1)
-    res = train_anchor(lambda: make_env("point-reach"), config)
+    res = train_anchor(make_env("point-reach"), config)
     first, last = res.curve[0]["mean_return"], res.curve[-1]["mean_return"]
     assert last > first

@@ -41,7 +41,7 @@ def config(env_id: str, optimizer: str) -> PpoConfig:
 
 
 def train_digest(env_id: str, optimizer: str) -> str:
-    res = train_anchor(lambda: make_env(env_id), config(env_id, optimizer))
+    res = train_anchor(make_env(env_id), config(env_id, optimizer))
     assert len(res.curve) == 3
     curve = [[row[k] for k in CURVE_KEYS] for row in res.curve]
     return digest(res.actor_critic.params, curve, [res.steps_used])
@@ -49,7 +49,7 @@ def train_digest(env_id: str, optimizer: str) -> str:
 
 def adam_state_digest(env_id: str) -> str:
     states = []
-    res = train_anchor(lambda: make_env(env_id), config(env_id, "adam"),
+    res = train_anchor(make_env(env_id), config(env_id, "adam"),
                        checkpoint_cb=lambda u, ac, opt, steps, curve:
                        states.append((opt.m.copy(), opt.v.copy(), opt.t)))
     m, v, t = states[-1]
@@ -60,7 +60,7 @@ def loss_digest(env_id: str) -> str:
     env = make_env(env_id)
     cfg = config(env_id, "sgd")
     ac = init_actor_critic(env.observation_dim, env.action_dim, cfg)
-    buf = collect_rollouts(ac, lambda: make_env(env_id), cfg, 1)
+    buf = collect_rollouts(ac, env, cfg, 1)
     adv = normalize_advantages(buf.advantages)
     idx = np.arange(buf.states.shape[0])[::-1][:128]
     loss, parts, grad = loss_and_grads(

@@ -33,7 +33,7 @@ def collect_digest(env_id: str) -> str:
     config = PpoConfig(total_steps=0, episodes_per_update=3, seed=7,
                        init_log_std=float(np.log(0.3)))
     ac = init_actor_critic(env.observation_dim, env.action_dim, config)
-    buf = collect_rollouts(ac, lambda: make_env(env_id), config, 2)
+    buf = collect_rollouts(ac, env, config, 2)
     return digest(buf.states, buf.actions, buf.log_probs, buf.advantages,
                   buf.returns, [buf.mean_return, buf.success_rate, buf.steps])
 
@@ -44,7 +44,7 @@ def es_digest(env_id: str, action_std: float) -> str:
     anchor = init_params(arch, make_stream(5, 0))
     config = EsConfig(sigma_es=0.05, alpha=0.01, m=3, generations=3, seed=4,
                       action_std=action_std, episodes_per_candidate=2)
-    res = tdes_run(anchor, arch, lambda: make_env(env_id), config)
+    res = tdes_run(anchor, arch, env, config)
     rows = [[r.generation, r.mean_return, r.best_return, r.sigma_es,
              r.g_norm, r.steps_used] for r in res.records]
     return digest(res.params, rows, [res.steps_used])
@@ -54,8 +54,7 @@ def eval_digest(env_id: str) -> str:
     env = make_env(env_id)
     arch = MlpArchitecture(env.observation_dim, (16, 16), env.action_dim)
     params = init_params(arch, make_stream(6, 0))
-    return digest(evaluate_center(params, arch, lambda: make_env(env_id),
-                                  7, 12345))
+    return digest(evaluate_center(params, arch, env, 7, 12345))
 
 
 GOLDEN_COLLECT = {

@@ -1,10 +1,12 @@
 """Surface guard: every public module-level function or class in
-src/refine_es is referenced somewhere in src/ outside its own definition.
-A name that only tests use belongs in the tests, not in the package. The
-import path of the CLI stays free of scipy, a test-only dependency, of the
-process pool, which only a multi-worker sweep needs, and of ctypes, which
-only its workers need. Only the CLI reads the environment, so no test hook
-can hide in the package."""
+src/refine_es, and every public method or class attribute of a public class
+there, is referenced somewhere in src/ outside its own definition. An
+assignment is no reference, and the fields of a dataclass are its record
+schema, not members. A name that only tests use belongs in the tests, not
+in the package. The import path of the CLI stays free of scipy, a test-only
+dependency, of the process pool, which only a multi-worker sweep needs, and
+of ctypes, which only its workers need. Only the CLI reads the environment,
+so no test hook can hide in the package."""
 
 import ast
 import os
@@ -18,9 +20,17 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "refine_es"
 ALLOWED = {}
 
 
-def _references(node) -> list[str]:
+def _references(node, skip=None) -> list[str]:
+    """The names that `node` reads, outside its subtree `skip`."""
     names = []
-    for sub in ast.walk(node):
+    stack = [node]
+    while stack:
+        sub = stack.pop()
+        if sub is skip:
+            continue
+        stack.extend(ast.iter_child_nodes(sub))
+        if isinstance(getattr(sub, "ctx", None), ast.Store):
+            continue
         if isinstance(sub, ast.Name):
             names.append(sub.id)
         elif isinstance(sub, ast.Attribute):
@@ -30,20 +40,33 @@ def _references(node) -> list[str]:
     return names
 
 
+def _members(cls: ast.ClassDef):
+    """(name, node) of each method and class attribute of `cls`."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
 def unreferenced_public_names() -> list[str]:
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    defined = [(node.name, node) for tree in trees.values()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    defined += [(f"{cls.name}.{name}", node) for _, cls in list(defined)
+                if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                for name, node in _members(cls)]
     unused = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("_"):
-                continue
-            refs = [name for other, t in trees.items() for top in t.body
-                    if not (other == module and top is node)
-                    for name in _references(top)]
-            if node.name not in refs:
-                unused.append(node.name)
+    for qualified, node in defined:
+        name = qualified.rpartition(".")[2]
+        if name.startswith("_"):
+            continue
+        if not any(name in _references(tree, skip=node)
+                   for tree in trees.values()):
+            unused.append(qualified)
     return sorted(unused)
 
 
