@@ -4,45 +4,48 @@
     refine-es report --dir results/ [--baseline METHOD]
     refine-es resume --dir results/ [--workers N]
 
-`run` refuses to reuse a populated output directory without --force.
-`resume` re-runs the sweep in the same directory: completed cells are
-detected by their record.json and skipped, interrupted cells continue from
-their last checkpoint. REFINE_ES_SEED (comma-separated ints) overrides the
-plan's seed list, for smoke tests.
+All three read a plan file only through `plan.load_plan`, so a plan file
+that cannot be read or fails validation stops each of them with exit status
+2 and an error naming the file. The sweep writes its plan to
+<out>/plan.json. `run` refuses to reuse a populated output directory without
+--force, and even with --force one whose plan.json differs from the new plan
+in a key other than `methods` and `seeds`. `resume` re-runs the sweep of
+<dir>/plan.json in the same directory: completed cells are detected by their
+record.json and skipped, interrupted cells continue from their last
+checkpoint. `report` reads the record.json of exactly the cells of
+<dir>/plan.json, one per (method, seed). REFINE_ES_SEED (comma-separated
+ints) overrides the seed list of the plan that `run` reads, for smoke tests.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
 from . import stats, svgplot
-from .checkpoint import load_json, save_json_atomic
+# the CLI writes no file itself (`sweep` writes plan.json), but the
+# benchmark's tracer wraps cli.save_json_atomic, so the name stays here
+from .checkpoint import load_json, save_json_atomic  # noqa: F401
 from .errors import PlanError
-from .pipeline import ExperimentPlan, plan_from_dict, success_matrices, sweep
+from .pipeline import cell_dir, success_matrices, sweep
+from .plan import load_plan
 
 SEED_ENV_VAR = "REFINE_ES_SEED"
 
 
-def _load_plan(path: str) -> ExperimentPlan:
+def _seeds_override() -> list[int] | None:
+    """The seed list that REFINE_ES_SEED gives, or None if it is unset."""
+    value = os.environ.get(SEED_ENV_VAR)
+    if not value:
+        return None
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise PlanError(f"plan file {path} is not valid JSON: {exc.msg} "
-                        f"(line {exc.lineno}, column {exc.colno})") from exc
-    seeds_override = os.environ.get(SEED_ENV_VAR)
-    if seeds_override:
-        try:
-            raw["seeds"] = [int(s) for s in seeds_override.split(",")]
-        except ValueError:
-            raise PlanError(f"{SEED_ENV_VAR} must be comma-separated "
-                            f"integers, not {seeds_override!r}") from None
-    return plan_from_dict(raw)
+        return [int(s) for s in value.split(",")]
+    except ValueError:
+        raise PlanError(f"{SEED_ENV_VAR} must be comma-separated "
+                        f"integers, not {value!r}") from None
 
 
 def _finish_sweep(plan, out_dir, workers) -> int:
@@ -59,53 +62,56 @@ def _finish_sweep(plan, out_dir, workers) -> int:
 
 
 def cmd_run(args) -> int:
-    plan = _load_plan(args.plan)
+    plan = load_plan(args.plan, _seeds_override())
     out_dir = args.out
-    if os.path.isdir(out_dir) and os.listdir(out_dir) and not args.force:
-        print(f"error: output directory {out_dir!r} is not empty "
-              f"(use --force to reuse it)", file=sys.stderr)
-        return 2
-    os.makedirs(out_dir, exist_ok=True)
-    save_json_atomic(os.path.join(out_dir, "plan.json"), plan.to_dict())
+    if os.path.isdir(out_dir) and os.listdir(out_dir):
+        if not args.force:
+            print(f"error: output directory {out_dir!r} is not empty "
+                  f"(use --force to reuse it)", file=sys.stderr)
+            return 2
+        _refuse_another_plan(os.path.join(out_dir, "plan.json"), plan)
     return _finish_sweep(plan, out_dir, args.workers)
 
 
+def _refuse_another_plan(path: str, plan) -> None:
+    """Raise a PlanError if the plan at `path` differs from `plan` in a key
+    other than methods and seeds: a finished cell is not run again, so its
+    record would be that other plan's."""
+    if not os.path.exists(path):
+        return
+    old, new = load_plan(path).to_dict(), plan.to_dict()
+    for key in new:
+        if key not in ("methods", "seeds") and old[key] != new[key]:
+            raise PlanError(
+                f"{path}: plan key {key!r} is {old[key]!r} there and "
+                f"{new[key]!r} in the new plan; --force reuses a directory "
+                f"only for a plan that differs in methods or seeds alone")
+
+
 def cmd_resume(args) -> int:
-    plan_path = os.path.join(args.dir, "plan.json")
-    if not os.path.exists(plan_path):
-        print(f"error: {args.dir!r} has no plan.json to resume from",
-              file=sys.stderr)
-        return 2
-    plan = plan_from_dict(load_json(plan_path))
+    plan = load_plan(os.path.join(args.dir, "plan.json"))
     return _finish_sweep(plan, args.dir, args.workers)
 
 
-def _collect_records(results_dir: str) -> list[dict]:
-    records = []
-    runs = os.path.join(results_dir, "runs")
-    if not os.path.isdir(runs):
-        return records
-    for task in sorted(os.listdir(runs)):
-        for method in sorted(os.listdir(os.path.join(runs, task))):
-            for seed in os.listdir(os.path.join(runs, task, method)):
-                path = os.path.join(runs, task, method, seed, "record.json")
-                if os.path.exists(path):
-                    records.append(load_json(path))
-    # integer seed order, as in `sweep` (directory names sort "10" before "2")
-    return sorted(records, key=lambda r: (r["task"], r["method"], r["seed"]))
-
-
 def cmd_report(args) -> int:
-    records = [r for r in _collect_records(args.dir) if not r.get("failed")]
+    plan_path = os.path.join(args.dir, "plan.json")
+    if not os.path.exists(plan_path):
+        print("no runs found", file=sys.stderr)
+        return 1
+    plan = load_plan(plan_path)
+    records, missing = [], []
+    for method in sorted(plan.methods):
+        for seed in sorted(plan.seeds):  # the (method, seed) order of `sweep`
+            path = os.path.join(cell_dir(args.dir, plan.task, method, seed),
+                                "record.json")
+            record = load_json(path) if os.path.exists(path) else None
+            if record is None or record["failed"]:
+                missing.append((method, seed))
+            else:
+                records.append(record)
     if not records:
         print("no runs found", file=sys.stderr)
         return 1
-    plan_path = os.path.join(args.dir, "plan.json")
-    expected = None
-    if os.path.exists(plan_path):
-        plan = load_json(plan_path)
-        expected = {(plan["task"], m, s) for m in plan["methods"]
-                    for s in plan["seeds"]}
     matrices = success_matrices(records)
     if args.baseline is not None and args.baseline not in matrices:
         print(f"error: baseline {args.baseline!r} is not a method of these "
@@ -118,13 +124,10 @@ def cmd_report(args) -> int:
         steps = [r["steps_consumed"] for r in records if r["method"] == method]
         budget = max(r["budget"] for r in records if r["method"] == method)
         print(f"  {method:<24} {min(steps):>9} {max(steps):>9} {budget:>9}")
-    if expected is not None:
-        missing = sorted(expected - {(r["task"], r["method"], r["seed"])
-                                     for r in records})
-        if missing:
-            print(f"\nmissing cells ({len(missing)}):")
-            for t, m, s in missing:
-                print(f"  {t} {m} seed {s}")
+    if missing:
+        print(f"\nmissing cells ({len(missing)}):")
+        for method, seed in missing:
+            print(f"  {plan.task} {method} seed {seed}")
 
     # performance profiles + per-generation diagnostics
     thresholds = np.linspace(0.0, 1.0, 101)

@@ -1,16 +1,10 @@
 """Two-stage scheduler and sweep runner.
 
-A plan fixes one task, a list of methods, a shared interaction budget, a
-PPO/ES split, and a seed list. Every method in a plan gets exactly the same
-step budget; two-stage methods spend split*budget on the PPO anchor and hand
-the remainder to the ES stage, whose generation count is derived from the
-remaining steps (2m rollouts of `horizon` steps per generation) with a hard
-step cap as a guard.
-
-Each cell is worked out once, as a `_Cell`: its paths, its one env (every
-PPO update, ES generation and evaluation of the cell runs on it), its PPO
-config and stop rule, the fields its checkpoints store, the ES config for a
-remaining budget, and the fork test.
+The plan (plan.py) fixes the cells, one per (method, seed), and their equal
+step budget. Each cell is worked out once, as a `_Cell`: its paths, its one
+env (every PPO update, ES generation and evaluation of the cell runs on it),
+its PPO config and stop rule, the fields its checkpoints store, the ES
+config for a remaining budget, and the fork test.
 
 Stage-1 streams depend only on (seed, update, ...), never on the method or
 the budget, so within one seed every PPO run is a prefix of the ppo_only run
@@ -29,8 +23,9 @@ before the fork, the next one trains PPO itself. Every sweep checks the
 equal-budget premise: a cell that overspends, or leaves more than one unit
 of its last stage (PPO update or ES generation) unspent, fails.
 
-Results layout: <out>/runs/<task>/<method>/<seed>/{checkpoints/, log.csv,
-record.json}. Cells checkpoint after every PPO update / ES generation into
+Results layout: <out>/plan.json, <out>/report.json and
+<out>/runs/<task>/<method>/<seed>/{checkpoints/, log.csv, record.json}.
+Cells checkpoint after every PPO update / ES generation into
 one atomic `checkpoints/checkpoint.npz` (see checkpoint.py) and resume
 bit-exactly from it, the PPO->ES handoff included. A fresh ES stage starts
 from its state before the first generation, built in memory; a cut before
@@ -45,19 +40,18 @@ record.json), not its resume state: once record.json is durable, the
 checkpoint is deleted. A cell that raises keeps it, so `resume` continues
 the cell.
 
-A pool worker runs numpy's OpenBLAS on cpus // workers threads (at least
-one), so that the workers do not contend for the CPUs; the serial path keeps
-OpenBLAS's own count.
+A sweep runs numpy's OpenBLAS on one thread, in its own process and in
+every pool worker, so that no BLAS thread spins waiting for a CPU that a
+cell wants; the caller's thread count is restored when the sweep returns.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import math
 import os
 import traceback
-from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,137 +59,14 @@ from . import engine, ppo, stats
 from .checkpoint import (FORMAT_VERSION, load_checkpoint, load_json,
                          save_checkpoint, save_json_atomic)
 from .envs import make_env
-from .errors import CheckpointError, ContractError, PlanError
+from .errors import CheckpointError
+# plan_from_dict is imported for the benchmark, which loads it from here
+from .plan import ExperimentPlan, es_config, plan_from_dict, ppo_config
 from .policy import MlpArchitecture
 from .rng import TAG_FINAL_EVAL, stream_seed
 
-METHODS = ("ppo_only", "ppo_then_tdes", "ppo_then_gaussian_es")
 CHECKPOINT_NAME = "checkpoint.npz"
 _FINAL_FORMAT_VERSION = 1  # layout of final.json, which is still JSON
-
-_ES_PLAN_KEYS = {"sigma_es", "alpha", "m", "lambda_sigma", "sigma_min",
-                 "action_std", "episodes_per_candidate", "standardize_noise",
-                 "center_eval_episodes"}
-_PPO_PLAN_KEYS = {"learning_rate", "episodes_per_update", "epochs",
-                  "minibatch_size", "value_coef", "entropy_coef",
-                  "init_log_std", "hidden_dims", "optimizer", "gamma",
-                  "gae_lambda", "clip_epsilon"}
-
-# desk-scale defaults, calibrated on the toy suite (see tests/plans)
-_ES_DEFAULTS = {"sigma_es": 0.01, "alpha": 0.001, "m": 8, "lambda_sigma": 0.99,
-                "sigma_min": 1e-3, "action_std": 0.01}
-
-
-@dataclass(frozen=True)
-class ExperimentPlan:
-    task: str
-    methods: tuple[str, ...]
-    total_step_budget: int
-    split: float = 0.67
-    seeds: tuple[int, ...] = tuple(range(9))
-    eval_episodes: int = 50
-    es: dict = field(default_factory=dict)
-    ppo: dict = field(default_factory=dict)
-    handoff_success_threshold: float | None = None
-    handoff_window: int = 5
-
-    def __post_init__(self):
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-        if not (0 < self.split <= 1):
-            raise PlanError("split must be in (0, 1]")
-        if self.total_step_budget < 1:
-            raise PlanError("total_step_budget must be >= 1")
-        if self.eval_episodes < 1:
-            raise PlanError("eval_episodes must be >= 1")
-        for m in self.methods:
-            if m not in METHODS:
-                raise PlanError(f"unknown method {m!r} (known: {list(METHODS)})")
-        if not self.methods or not self.seeds:
-            raise PlanError("methods and seeds must be non-empty")
-        for s in self.seeds:  # streams fold seeds to 64 bits (rng.py)
-            if not 0 <= s < 1 << 64:
-                raise PlanError(f"seed {s} is outside [0, 2**64)")
-        for name in ("methods", "seeds"):
-            values = getattr(self, name)
-            duplicates = sorted({v for v in values if values.count(v) > 1})
-            if duplicates:
-                raise PlanError(f"duplicate {name}: {duplicates}")
-        if self.handoff_window < 1:
-            raise PlanError("handoff_window must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "task": self.task, "methods": list(self.methods),
-            "total_step_budget": self.total_step_budget, "split": self.split,
-            "seeds": list(self.seeds), "eval_episodes": self.eval_episodes,
-            "es": dict(self.es), "ppo": dict(self.ppo),
-            "handoff_success_threshold": self.handoff_success_threshold,
-            "handoff_window": self.handoff_window,
-        }
-
-
-_KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str,
-          "float | None": (int, float, type(None)), "dict": dict}
-
-
-def _fits(value, annotation: str) -> bool:
-    """Whether a plan value fits the annotation of its field. A bool is no
-    number, a float field takes only finite numbers, and a tuple field takes
-    a list."""
-    if annotation.startswith("tuple["):  # "tuple[int, ...]"
-        return isinstance(value, (list, tuple)) and all(
-            _fits(v, annotation[6:-6]) for v in value)
-    if not isinstance(value, _KINDS[annotation]) or \
-            isinstance(value, bool) != (annotation == "bool"):
-        return False
-    if "float" not in annotation or value is None:
-        return True
-    try:
-        return math.isfinite(value)  # JSON's 1e999 parses to inf
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def _check_keys(values: dict, cls, allowed=None, prefix: str = "") -> None:
-    """Reject, by name, a key that is not `allowed` (default: every field of
-    the dataclass `cls`) or whose value does not fit the type of its field."""
-    types = {f.name: f.type for f in dataclass_fields(cls)}
-    for key, value in values.items():
-        if key not in (allowed or types):
-            raise PlanError(f"unknown plan key: {prefix}{key!r}")
-        if not _fits(value, types[key]):
-            kind = types[key].replace("float", "finite float")
-            raise PlanError(f"plan key '{prefix}{key}' must be of type "
-                            f"{kind}, not {value!r}")
-
-
-def plan_from_dict(raw: dict) -> ExperimentPlan:
-    """Validate a plan document; unknown keys and values of the wrong type
-    are rejected by name."""
-    if not isinstance(raw, dict):
-        raise PlanError("plan must be a JSON object")
-    _check_keys(raw, ExperimentPlan)
-    _check_keys(raw.get("es", {}), engine.EsConfig, _ES_PLAN_KEYS, "es.")
-    _check_keys(raw.get("ppo", {}), ppo.PpoConfig, _PPO_PLAN_KEYS, "ppo.")
-    for required in ("task", "methods", "total_step_budget"):
-        if required not in raw:
-            raise PlanError(f"missing plan key: {required!r}")
-    try:
-        make_env(raw["task"])  # validates the task id
-    except ContractError as exc:
-        raise PlanError(str(exc)) from exc
-    plan = ExperimentPlan(**raw)
-    # build each stage's config once, so that a bad value fails at load time
-    try:
-        cell = _Cell(plan, "ppo_then_tdes", 0, "")
-    except ContractError as exc:
-        raise PlanError(f"invalid plan section 'ppo': {exc}") from exc
-    try:
-        cell.es_config(0)
-    except ContractError as exc:
-        raise PlanError(f"invalid plan section 'es': {exc}") from exc
-    return plan
 
 
 @dataclass
@@ -258,17 +129,10 @@ class _Cell:
         self.record = os.path.join(self.dir, "record.json")
         self.env = make_env(plan.task)
         self.two_stage = method != "ppo_only"
-        self.fork_steps = int(round(plan.split * plan.total_step_budget))
         self.fork_stop = _stop_condition(plan.handoff_success_threshold,
                                          plan.handoff_window)
         self.stop = self.fork_stop if self.two_stage else None
-        kwargs = {"gamma": self.env.gamma, "optimizer": "adam",
-                  "learning_rate": 3e-3, **plan.ppo}
-        if "hidden_dims" in kwargs:
-            kwargs["hidden_dims"] = tuple(kwargs["hidden_dims"])
-        self.ppo_config = ppo.PpoConfig(
-            total_steps=(self.fork_steps if self.two_stage
-                         else plan.total_step_budget), seed=seed, **kwargs)
+        self.ppo_config = ppo_config(plan, self.env, method, seed)
         threshold = plan.handoff_success_threshold if self.two_stage else None
         self.fields = {"ppo_config": self.ppo_config.to_dict(),
                        "handoff": {"success_threshold": threshold,
@@ -276,14 +140,9 @@ class _Cell:
                        "master_seed": seed}
 
     def es_config(self, remaining: int) -> engine.EsConfig:
-        """The ES stage's config for `remaining` steps: as many generations
-        as fit, with `remaining` as a hard step cap."""
-        config = engine.EsConfig(
-            generations=0, step_cap=remaining, seed=self.seed,
-            distribution=("triangular" if self.method == "ppo_then_tdes"
-                          else "gaussian"), **{**_ES_DEFAULTS, **self.plan.es})
-        return replace(config, generations=max(
-            remaining // config.generation_steps(self.env.horizon), 0))
+        """The ES stage's config for `remaining` steps (`plan.es_config`)."""
+        return es_config(self.plan, self.env, self.method, self.seed,
+                         remaining)
 
     def at_fork(self, curve: list) -> bool:
         """Whether the two-stage PPO run, a prefix of every PPO run of the
@@ -293,7 +152,7 @@ class _Cell:
 
         def ends(k):
             steps = curve[k - 1]["steps_used"] if k else 0
-            return steps + update_cost > self.fork_steps or \
+            return steps + update_cost > self.plan.fork_steps or \
                 (self.fork_stop is not None and self.fork_stop(curve[:k]))
         return ends(len(curve)) and not any(map(ends, range(len(curve))))
 
@@ -520,8 +379,7 @@ def _run_cell(plan: ExperimentPlan, method: str, seed: int,
 def _run_seed(args) -> list[dict]:
     """The cells of one seed in plan order: the first whose PPO run reaches
     the fork starts the others from there."""
-    plan_dict, seed, out_dir = args
-    plan = ExperimentPlan(**plan_dict)
+    plan, seed, out_dir = args
     return [_run_cell(plan, method, seed, out_dir) for method in plan.methods]
 
 
@@ -561,8 +419,12 @@ def success_matrices(records: list[dict]) -> dict:
 def sweep(plan: ExperimentPlan, out_dir: str, workers: int = 1):
     """Run all (method, seed) cells, one task per seed; one cell's failure
     never aborts the rest. Returns (records, report_dict). Results merge
-    deterministically by (method, seed) regardless of scheduling."""
-    tasks = [(plan.to_dict(), seed, out_dir) for seed in plan.seeds]
+    deterministically by (method, seed) regardless of scheduling. The plan
+    goes to <out_dir>/plan.json first, so every results directory holds
+    the plan of its cells."""
+    os.makedirs(out_dir, exist_ok=True)
+    save_json_atomic(os.path.join(out_dir, "plan.json"), plan.to_dict())
+    tasks = [(plan, seed, out_dir) for seed in plan.seeds]
     if workers > 1:
         # imported here, as it costs every other process about 25 ms
         from concurrent.futures import ProcessPoolExecutor

@@ -17,7 +17,8 @@ from interrupts import interrupt_after_generation
 from refine_es.estimator import (centered_rank_scores, centered_ranks,
                                  fd_gradient, tdes_gradient)
 from refine_es.noise import NoiseDistribution, antithetic_candidates, make_batch
-from refine_es.pipeline import plan_from_dict, run_method, sweep
+from refine_es.pipeline import run_method, sweep
+from refine_es.plan import plan_from_dict
 from refine_es.ppo import gaussian_log_prob, init_actor_critic, loss_and_grads
 from refine_es.rng import make_stream
 from refine_es.stats import iqm, prob_improvement

@@ -299,3 +299,109 @@ def test_report_lists_missing_seeds_in_integer_order(tmp_path, capsys):
     start = lines.index("missing cells (2):")
     assert lines[start + 1:start + 3] == ["  point-reach ppo_only seed 2",
                                           "  point-reach ppo_only seed 10"]
+
+
+def test_seed_env_with_non_object_plan_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(SEED_ENV_VAR, "0")
+    path = write_plan(tmp_path, [1, 2])
+    out = str(tmp_path / "out")
+    code = main(["run", "--plan", path, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert path in err and "plan must be a JSON object" in err
+    assert not os.path.exists(out)
+
+
+def test_run_missing_plan_file_exit_2(tmp_path, capsys):
+    path = str(tmp_path / "missing.json")
+    out = str(tmp_path / "out")
+    code = main(["run", "--plan", path, "--out", out])
+    assert code == 2
+    assert path in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_resume_truncated_plan_exit_2(tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(TINY_PLAN)[:40])
+    code = main(["resume", "--dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(path) in err and "not valid JSON" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param(json.dumps(TINY_PLAN)[:40], "not valid JSON", id="truncated"),
+    pytest.param('{"task": "point-reach"}', "missing plan key: 'methods'",
+                 id="no-methods")])
+def test_report_broken_plan_exit_2(tmp_path, capsys, text, message):
+    out = str(tmp_path / "out")
+    assert main(["run", "--plan", write_plan(tmp_path), "--out", out]) == 0
+    capsys.readouterr()
+    path = os.path.join(out, "plan.json")
+    with open(path, "w") as fh:
+        fh.write(text)
+    code = main(["report", "--dir", out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert path in err and message in err
+
+
+def test_report_without_plan_finds_no_runs(tmp_path, capsys):
+    # report reads the plan's cells; without a plan there are none
+    out = str(tmp_path / "out")
+    assert main(["run", "--plan", write_plan(tmp_path), "--out", out]) == 0
+    capsys.readouterr()
+    os.remove(os.path.join(out, "plan.json"))
+    assert main(["report", "--dir", out]) == 1
+    assert "no runs found" in capsys.readouterr().err
+
+
+def test_report_reads_exactly_the_plans_cells(tmp_path, capsys):
+    # a forced rerun with other methods and seeds leaves the old cells on
+    # disk; report pools the new plan's cells only, as report.json does
+    out = str(tmp_path / "out")
+    assert main(["run", "--plan", write_plan(tmp_path, dict(TINY_PLAN,
+                                                            seeds=[0, 1])),
+                 "--out", out]) == 0
+    plan = dict(TINY_PLAN, methods=["ppo_only"], seeds=[2])
+    assert main(["run", "--plan", write_plan(tmp_path, plan), "--out", out,
+                 "--force"]) == 0
+    capsys.readouterr()
+    with open(os.path.join(out, "report.json")) as fh:
+        swept = json.load(fh)
+    assert [(r["method"], r["seed"]) for r in swept["records"]] == \
+        [("ppo_only", 2)]
+    assert main(["report", "--dir", out]) == 0
+    stdout = capsys.readouterr().out
+    assert render_report(swept["report"]) in stdout
+    assert "ppo_then_tdes" not in stdout and "missing cells" not in stdout
+
+
+@pytest.mark.parametrize("key, value", [("total_step_budget", 2000),
+                                        ("task", "arm-reach")])
+def test_force_refuses_a_directory_of_another_plan(tmp_path, capsys, key,
+                                                   value):
+    # the cells on disk belong to the old plan, and a finished cell is not
+    # run again: reusing them under another budget or task would report
+    # results that the new plan never produced
+    out = str(tmp_path / "out")
+    plan = dict(TINY_PLAN, methods=["ppo_only"])
+    assert main(["run", "--plan", write_plan(tmp_path, plan),
+                 "--out", out]) == 0
+    capsys.readouterr()
+    with open(os.path.join(out, "report.json")) as fh:
+        before = fh.read()
+    code = main(["run", "--plan", write_plan(tmp_path, dict(plan,
+                                                            **{key: value})),
+                 "--out", out, "--force"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert os.path.join(out, "plan.json") in err and f"'{key}'" in err
+    with open(os.path.join(out, "plan.json")) as fh:
+        assert json.load(fh)[key] == plan[key]
+    with open(os.path.join(out, "report.json")) as fh:
+        assert fh.read() == before
+    assert main(["report", "--dir", out]) == 0
+    assert render_report(json.loads(before)["report"]) in \
+        capsys.readouterr().out

@@ -13,8 +13,8 @@ from refine_es.checkpoint import load_checkpoint, load_json, save_json_atomic
 from refine_es.cli import main
 from refine_es import pipeline as pipeline_module
 from refine_es.errors import CheckpointError, PlanError
-from refine_es.pipeline import (ExperimentPlan, cell_dir, plan_from_dict,
-                                run_method, sweep)
+from refine_es.pipeline import cell_dir, run_method, sweep
+from refine_es.plan import ExperimentPlan, plan_from_dict
 
 
 def tiny_plan(**kw):

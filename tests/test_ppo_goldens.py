@@ -40,11 +40,14 @@ def config(env_id: str, optimizer: str) -> PpoConfig:
                      entropy_coef=0.01 if optimizer == "sgd" else 0.0)
 
 
-def train_digest(env_id: str, optimizer: str) -> str:
+def train_digests(env_id: str, optimizer: str) -> tuple[str, str]:
+    """(params, curve): the trained parameters with the steps used, and the
+    curve, digested apart, so that a change to the curve alone shows as
+    one."""
     res = train_anchor(make_env(env_id), config(env_id, optimizer))
     assert len(res.curve) == 3
     curve = [[row[k] for k in CURVE_KEYS] for row in res.curve]
-    return digest(res.actor_critic.params, curve, [res.steps_used])
+    return digest(res.actor_critic.params, [res.steps_used]), digest(curve)
 
 
 def adam_state_digest(env_id: str) -> str:
@@ -72,17 +75,31 @@ def loss_digest(env_id: str) -> str:
 
 GOLDEN_TRAIN = {
     ("arm-reach", "adam"):
-        "af1eff8e6262324dd7bdb8329bf2ef54fd93b87224e5f4817a6f19fa4790160f",
+        "7b73e9efb7fee7c23f6e54fc2d305b858735998b292468214a0defe8e1da55da",
     ("arm-reach", "sgd"):
-        "34106e21f23c36811e3a27daa608e380b5456b0ca93e2915b420d1faced05035",
+        "4203d68755334b84bd5317443e19ac2aea2af0b9490a2340c981b389871ce2c0",
     ("peg-insert-1d", "adam"):
-        "cc51468affbdd91bc5947a2d8392959b449842f564725004bb0ad346a34aef2c",
+        "b8cf6e76e1ec0cd0bf9f425d554ec8ac3a85325b5f1ba203b2b44f6661e01739",
     ("peg-insert-1d", "sgd"):
-        "c149cc921a6e866cb82d64dcfa6b9ebd9ddd18bc4ba9648a9e64bc57f7422aec",
+        "fc24cb1e49a72ade946c0b8a5c9bba0c31cac0e42e5067ae63bbfe00e3901346",
     ("point-reach", "adam"):
-        "b407aae6512d9138425cb1ba408457ebdff48a61cdd0c464faf411b99060a713",
+        "a1e8cfe2d73f1ec9617f15d047f6eb889ac7725327b8ff753474878135c33d1d",
     ("point-reach", "sgd"):
-        "c1eacdeefa6b1288c12b560580127cb4fbc18a0307a00d48292f30121bfb7fc8",
+        "1f75aa108a9dc237b4cbbd51a53ece44030d2e0e8d098d0876d0617398a92778",
+}
+GOLDEN_CURVE = {
+    ("arm-reach", "adam"):
+        "04d7bd8f08c86f93c28073f407690be242c42eb8781379020c512c27b2e8ef95",
+    ("arm-reach", "sgd"):
+        "b2fe7c8808a7162ca0bab731d85a7800c569dc18480813b10b34e5674da920ee",
+    ("peg-insert-1d", "adam"):
+        "cbb5d95425f9fa16e404b63a28df9dccd9096dd5bd8c45b6460472a98f4979c3",
+    ("peg-insert-1d", "sgd"):
+        "b12a0b43165063e79549136063892724379604420a3da4a436995ae5552e8366",
+    ("point-reach", "adam"):
+        "4965cd355f57bcaf12af8f6658b84d0a3b89541eaa3552f016d9645a741f93c7",
+    ("point-reach", "sgd"):
+        "105ad3b5c6e97e1ed371bf82e8e64933cb376193f165c56ca011f47c6665cdd6",
 }
 GOLDEN_ADAM_STATE = {
     "arm-reach":
@@ -105,7 +122,15 @@ GOLDEN_LOSS = {
 @pytest.mark.parametrize("env_id", ENV_IDS)
 @pytest.mark.parametrize("optimizer", ("adam", "sgd"))
 def test_train_anchor_golden(env_id, optimizer):
-    assert train_digest(env_id, optimizer) == GOLDEN_TRAIN[(env_id, optimizer)]
+    assert train_digests(env_id, optimizer)[0] == \
+        GOLDEN_TRAIN[(env_id, optimizer)]
+
+
+@pytest.mark.parametrize("env_id", ENV_IDS)
+@pytest.mark.parametrize("optimizer", ("adam", "sgd"))
+def test_train_anchor_curve_golden(env_id, optimizer):
+    assert train_digests(env_id, optimizer)[1] == \
+        GOLDEN_CURVE[(env_id, optimizer)]
 
 
 @pytest.mark.parametrize("env_id", ENV_IDS)
