@@ -383,11 +383,10 @@ def _run_seed(args) -> list[dict]:
     return [_run_cell(plan, method, seed, out_dir) for method in plan.methods]
 
 
-def _set_blas_threads(count: int) -> None:
-    """Pool initializer: run numpy's OpenBLAS on `count` threads. OpenBLAS
-    starts one thread per CPU in every process, so the workers of a pool
-    would otherwise contend for the CPUs. Does nothing for another BLAS."""
-    import ctypes  # only pool workers need it
+def _set_blas_threads(count: int) -> int | None:
+    """Run numpy's OpenBLAS on `count` threads; returns the count it had.
+    Does nothing, and returns None, for another BLAS."""
+    import ctypes  # kept off the import path of the CLI
 
     try:
         from numpy._core import _multiarray_umath
@@ -396,13 +395,14 @@ def _set_blas_threads(count: int) -> None:
     # looking a symbol up in numpy's extension also searches the BLAS it
     # links: numpy.libs/libscipy_openblas* in a wheel, libopenblas otherwise
     lib = ctypes.CDLL(_multiarray_umath.__file__)
-    for name in ("scipy_openblas_set_num_threads64_",
-                 "scipy_openblas_set_num_threads", "openblas_set_num_threads"):
-        if hasattr(lib, name):
-            set_threads = getattr(lib, name)
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            set_threads(count)
-            return
+    # ctypes passes the count and reads the result as C ints by default
+    for name in ("scipy_openblas_{}_num_threads64_",
+                 "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
+        if hasattr(lib, name.format("set")):
+            previous = getattr(lib, name.format("get"))()
+            getattr(lib, name.format("set"))(count)
+            return previous
+    return None
 
 
 def success_matrices(records: list[dict]) -> dict:
@@ -425,17 +425,21 @@ def sweep(plan: ExperimentPlan, out_dir: str, workers: int = 1):
     os.makedirs(out_dir, exist_ok=True)
     save_json_atomic(os.path.join(out_dir, "plan.json"), plan.to_dict())
     tasks = [(plan, seed, out_dir) for seed in plan.seeds]
-    if workers > 1:
-        # imported here, as it costs every other process about 25 ms
-        from concurrent.futures import ProcessPoolExecutor
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_set_blas_threads,
-                                 initargs=(max(1, cpus // workers),)) as pool:
-            raw = [r for cells in pool.map(_run_seed, tasks) for r in cells]
-    else:
-        raw = [r for task in tasks for r in _run_seed(task)]
+    previous = _set_blas_threads(1)
+    try:
+        if workers > 1:
+            # imported here, as it costs every other process about 25 ms
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers,
+                                     initializer=_set_blas_threads,
+                                     initargs=(1,)) as pool:
+                raw = [r for cells in pool.map(_run_seed, tasks)
+                       for r in cells]
+        else:
+            raw = [r for task in tasks for r in _run_seed(task)]
+    finally:
+        if previous is not None:
+            _set_blas_threads(previous)
     records = sorted((RunRecord(**r) for r in raw),
                      key=lambda r: (r.method, r.seed))
     rows = [r.to_dict() for r in records]

@@ -298,13 +298,12 @@ def collect_rollouts(ac: ActorCritic, env, config: PpoConfig,
                                  states_ext[ep])[0][:, 0]
     adv = gae_advantages(batch.rewards, values[:, :-1], gamma,
                          config.gae_lambda, values[:, -1])
-    ep_returns = (batch.rewards * gamma ** np.arange(horizon)).sum(axis=1)
     return RolloutBuffer(
         batch.states.reshape(n_ep * horizon, -1),
         batch.actions.reshape(n_ep * horizon, -1),
         gaussian_log_prob(batch.actions, mus, ac.log_std).ravel(),
         adv.ravel(), (adv + values[:, :-1]).ravel(),
-        mean_return=float(np.mean(ep_returns)),
+        mean_return=float(np.mean(batch.returns)),
         success_rate=int(batch.success.sum()) / n_ep,
         steps=batch.length)
 

@@ -432,6 +432,8 @@ def _run_seed_noting_blas_threads(args):
 
 def test_pool_workers_share_the_cpus_among_blas_threads(tmp_path,
                                                         monkeypatch):
+    # one BLAS thread per worker, whatever the CPU count: a thread that
+    # spins waiting for a CPU only slows the cells down
     before = _blas_threads()
     if before is None:
         pytest.skip("numpy's BLAS is not OpenBLAS")
@@ -440,10 +442,26 @@ def test_pool_workers_share_the_cpus_among_blas_threads(tmp_path,
     _, payload = sweep(tiny_plan(methods=["ppo_only"]), str(tmp_path),
                        workers=2)
     assert payload["failures"] == []
-    cpus = len(os.sched_getaffinity(0))
-    assert [(tmp_path / f"blas-{s}").read_text() for s in (0, 1)] == \
-        [str(max(1, cpus // 2))] * 2
+    assert [(tmp_path / f"blas-{s}").read_text() for s in (0, 1)] == ["1"] * 2
     assert _blas_threads() == before  # the sweep process keeps its own
+
+
+def test_serial_sweep_runs_blas_on_one_thread_then_restores_it(tmp_path,
+                                                               monkeypatch):
+    if _blas_threads() is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    monkeypatch.setattr(pipeline_module, "_run_seed",
+                        _run_seed_noting_blas_threads)
+    # a count other than 1, so that the restore shows
+    original = pipeline_module._set_blas_threads(2)
+    try:
+        _, payload = sweep(tiny_plan(methods=["ppo_only"]), str(tmp_path))
+        after = _blas_threads()
+    finally:
+        pipeline_module._set_blas_threads(original)
+    assert payload["failures"] == []
+    assert [(tmp_path / f"blas-{s}").read_text() for s in (0, 1)] == ["1"] * 2
+    assert after == 2
 
 
 def _resume_state(out):

@@ -300,6 +300,27 @@ def test_collect_rollouts_shapes_and_budget():
     assert buf.steps == n
 
 
+def test_curve_mean_return_is_the_rollouts_episode_return(monkeypatch):
+    # one definition of an episode's return: the discounted return that
+    # policy.rollout accumulates, which ES and every evaluation use too
+    import refine_es.ppo as ppo_module
+
+    original, batches = ppo_module.rollout, []
+
+    def noting_rollout(*args, **kw):
+        batches.append(original(*args, **kw))
+        return batches[-1]
+
+    monkeypatch.setattr(ppo_module, "rollout", noting_rollout)
+    env = make_env("peg-insert-1d")
+    cfg = PpoConfig(total_steps=8 * env.horizon, episodes_per_update=8,
+                    hidden_dims=(64, 64), optimizer="adam", seed=0)
+    buf = collect_rollouts(init_actor_critic(env.observation_dim,
+                                             env.action_dim, cfg), env, cfg, 0)
+    assert len(batches) == 1
+    assert buf.mean_return == float(np.mean(batches[0].returns))
+
+
 def test_budget_below_one_update_is_noop():
     config = tiny_config(total_steps=100, episodes_per_update=8)
     res = train_anchor(make_env("point-reach"), config)

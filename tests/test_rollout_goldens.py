@@ -4,7 +4,10 @@ The digests were recorded with the per-episode rollout loops that preceded the
 lockstep batched engine; the engine must reproduce them bit for bit. Center
 returns are left out of the ES digest because the center-eval streams were
 re-keyed (see test_center_eval_streams_disjoint_across_seeds in
-test_engine.py); everything the update consumes is included.
+test_engine.py); everything the update consumes is included. The mean
+episode return of a PPO batch has its own digests, re-recorded when it became
+the mean of the rollout's discounted returns; the buffer digests stayed
+equal.
 """
 
 import hashlib
@@ -28,14 +31,17 @@ def digest(*arrays) -> str:
     return h.hexdigest()
 
 
-def collect_digest(env_id: str) -> str:
+def collect_digests(env_id: str) -> tuple[str, str]:
+    """(buffer, mean return): what the update consumes, and the curve's
+    mean episode return, which feeds no decision, digested apart."""
     env = make_env(env_id)
     config = PpoConfig(total_steps=0, episodes_per_update=3, seed=7,
                        init_log_std=float(np.log(0.3)))
     ac = init_actor_critic(env.observation_dim, env.action_dim, config)
     buf = collect_rollouts(ac, env, config, 2)
-    return digest(buf.states, buf.actions, buf.log_probs, buf.advantages,
-                  buf.returns, [buf.mean_return, buf.success_rate, buf.steps])
+    return (digest(buf.states, buf.actions, buf.log_probs, buf.advantages,
+                   buf.returns, [buf.success_rate, buf.steps]),
+            digest([buf.mean_return]))
 
 
 def es_digest(env_id: str, action_std: float) -> str:
@@ -59,11 +65,19 @@ def eval_digest(env_id: str) -> str:
 
 GOLDEN_COLLECT = {
     "arm-reach":
-        "fb7cb68ac57f643b0578673e3e5f0e1af5fec2cc7bf402406882039e6bae5dde",
+        "7b3f25d4a1652320eb5f4849d8c53062f41894382b3f2871c9fd41c59681f2aa",
     "peg-insert-1d":
-        "788a3a2b1ed9ee9ec7fe241647d0e0faec75bed5720c399aad8e3241f67999e2",
+        "649daa56024a607d6a2f83286f64ed40ba04f531d111e01f8fd6682c7b667d6b",
     "point-reach":
-        "488aba4f3c72a19447140b33b2b56167d0096f074f179928accaf411431a9ca0",
+        "7a890d4b31dbe016e0d789d72756d94d1a05d798ed81037c0b1bd5333b4b92d9",
+}
+GOLDEN_COLLECT_MEAN_RETURN = {
+    "arm-reach":
+        "99b1c0832709cb446d72e61739a8949f66266ee09d242d6fd131a7df270b76c4",
+    "peg-insert-1d":
+        "26118b92e9331f74e66d9ecf55e26d8fb92bd107ea769a83fb90eda3955fea35",
+    "point-reach":
+        "70d90cfb08455336e6b34051d9a214c3267a3dc63b970123a43efbef7c1c93ed",
 }
 GOLDEN_ES = {
     ("arm-reach", 0.0):
@@ -91,7 +105,12 @@ GOLDEN_EVAL = {
 
 @pytest.mark.parametrize("env_id", ENV_IDS)
 def test_collect_rollouts_golden(env_id):
-    assert collect_digest(env_id) == GOLDEN_COLLECT[env_id]
+    assert collect_digests(env_id)[0] == GOLDEN_COLLECT[env_id]
+
+
+@pytest.mark.parametrize("env_id", ENV_IDS)
+def test_collect_rollouts_mean_return_golden(env_id):
+    assert collect_digests(env_id)[1] == GOLDEN_COLLECT_MEAN_RETURN[env_id]
 
 
 @pytest.mark.parametrize("env_id,action_std", sorted(GOLDEN_ES))
