@@ -395,12 +395,15 @@ def _set_blas_threads(count: int) -> int | None:
     # looking a symbol up in numpy's extension also searches the BLAS it
     # links: numpy.libs/libscipy_openblas* in a wheel, libopenblas otherwise
     lib = ctypes.CDLL(_multiarray_umath.__file__)
-    # ctypes passes the count and reads the result as C ints by default
     for name in ("scipy_openblas_{}_num_threads64_",
                  "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
         if hasattr(lib, name.format("set")):
-            previous = getattr(lib, name.format("get"))()
-            getattr(lib, name.format("set"))(count)
+            get_threads = getattr(lib, name.format("get"))
+            set_threads = getattr(lib, name.format("set"))
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            previous = get_threads()
+            set_threads(count)
             return previous
     return None
 
