@@ -23,18 +23,19 @@ before the fork, the next one trains PPO itself. Every sweep checks the
 equal-budget premise: a cell that overspends, or leaves more than one unit
 of its last stage (PPO update or ES generation) unspent, fails.
 
-Results layout: <out>/plan.json, <out>/report.json and
+Results layout: a sweep writes <out>/plan.json before its first cell and
+<out>/report.json after its last, and each cell writes
 <out>/runs/<task>/<method>/<seed>/{checkpoints/, log.csv, record.json}.
-Cells checkpoint after every PPO update / ES generation into
-one atomic `checkpoints/checkpoint.npz` (see checkpoint.py) and resume
-bit-exactly from it, the PPO->ES handoff included. A fresh ES stage starts
-from its state before the first generation, built in memory; a cut before
-its first generation resumes from the last PPO checkpoint. The ES
-checkpoint of generation -1 that older versions wrote there, and planted at
-the fork, resumes like any other. On resume the
-checkpoint must match the cell: format version, stage, master seed, the
-handoff rule, and the PPO and ES configs recomputed from the plan; any
-mismatch is refused with a `CheckpointError` naming the file and the field.
+Cells checkpoint after every PPO update / ES generation into one atomic
+`checkpoints/checkpoint.npz` (see checkpoint.py) and resume bit-exactly
+from it, the PPO->ES handoff included. A fresh ES stage starts from its
+state before the first generation, built in memory; a cut before its first
+generation resumes from the last PPO checkpoint. The ES checkpoint of
+generation -1 that older versions wrote there, and planted at the fork,
+resumes like any other. On resume the checkpoint must match the cell:
+format version, stage, master seed, the handoff rule, and the PPO and ES
+configs recomputed from the plan; any mismatch is refused with a
+`CheckpointError` naming the file and the field.
 A finished cell keeps its results (`checkpoints/final.json`, log.csv,
 record.json), not its resume state: once record.json is durable, the
 checkpoint is deleted. A cell that raises keeps it, so `resume` continues

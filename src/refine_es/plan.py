@@ -151,10 +151,10 @@ def plan_from_dict(raw: dict) -> ExperimentPlan:
     _check_keys(raw, ExperimentPlan)
     # a section takes its config's fields but those that a cell sets, and
     # Adam's betas and eps
-    _check_keys(raw.get("es", {}), engine.EsConfig, "es.",
-                ("generations", "step_cap", "seed", "distribution"))
-    _check_keys(raw.get("ppo", {}), ppo.PpoConfig, "ppo.",
-                ("total_steps", "seed", "adam_beta1", "adam_beta2", "adam_eps"))
+    _check_keys(raw.get("es", {}), engine.EsConfig, "es.", (
+        "generations", "step_cap", "seed", "distribution"))
+    _check_keys(raw.get("ppo", {}), ppo.PpoConfig, "ppo.", (
+        "total_steps", "seed", "adam_beta1", "adam_beta2", "adam_eps"))
     for required in ("task", "methods", "total_step_budget"):
         if required not in raw:
             raise PlanError(f"missing plan key: {required!r}")
@@ -174,7 +174,7 @@ def plan_from_dict(raw: dict) -> ExperimentPlan:
     return plan
 
 
-def load_plan(path: str, seeds=None) -> ExperimentPlan:
+def load_plan(path: str, seeds: list[int] | None = None) -> ExperimentPlan:
     """The plan in the JSON file at `path`, with its seed list replaced by
     `seeds` if given. Any failure, from an unreadable file to an invalid
     value, is a `PlanError` that names the file."""

@@ -34,6 +34,16 @@ def test_plan_rejects_unknown_keys_by_name():
     with pytest.raises(PlanError, match="es.'sigma'"):
         plan_from_dict({"task": "point-reach", "methods": ["ppo_only"],
                         "total_step_budget": 10, "es": {"sigma": 0.1}})
+    # a section takes no config field that a cell sets, nor Adam's betas
+    # and eps
+    for section, names in (
+            ("es", ("generations", "step_cap", "seed", "distribution")),
+            ("ppo", ("total_steps", "seed", "adam_beta1", "adam_beta2",
+                     "adam_eps"))):
+        for name in names:
+            with pytest.raises(PlanError, match=re.escape(
+                    f"unknown plan key: {section}.'{name}'")):
+                tiny_plan(**{section: {name: 1}})
 
 
 def test_plan_rejects_missing_and_invalid():

@@ -8,8 +8,9 @@ optimizer and the MLP passes were rewritten to make fewer numpy calls, which
 must leave every bit unchanged. The curve has its own digests: they were
 re-recorded when its `mean_return` became the mean of the rollout's
 discounted returns, the definition of an episode's return that ES and every
-evaluation use; the parameter digests stayed equal. The shapes are the acceptance plan's
-((64, 64) hidden layers, 128-row minibatches) with a short last minibatch.
+evaluation use; the parameter digests stayed equal. The shapes are the
+acceptance plan's ((64, 64) hidden layers, 128-row minibatches) with a short
+last minibatch.
 """
 
 import hashlib
