@@ -5,8 +5,8 @@ assignment is no reference, and the fields of a dataclass are its record
 schema, not members. A name that only tests use belongs in the tests, not
 in the package. The import path of the CLI stays free of scipy, a test-only
 dependency, of the process pool, which only a multi-worker sweep needs, and
-of ctypes, which only its workers need. Only the CLI reads the environment,
-so no test hook can hide in the package."""
+of ctypes, which only a sweep needs, to set the BLAS threads. Only the CLI
+reads the environment, so no test hook can hide in the package."""
 
 import ast
 import os
@@ -89,8 +89,8 @@ def test_only_cli_reads_the_environment():
 def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency; scipy is a test-only oracle.
     # The process pool is imported only by a sweep with more than one worker,
-    # and ctypes only inside its workers. numpy imports ctypes too when it
-    # can, so the probe makes ctypes unimportable: the CLI must load without.
+    # and ctypes only by a sweep. numpy imports ctypes too when it can, so
+    # the probe makes ctypes unimportable: the CLI must load without.
     probe = ("import sys; sys.modules['ctypes'] = None; import refine_es.cli; "
              "print(sorted(m for m in sys.modules "
              "if m in ('scipy', 'concurrent.futures.process') "
