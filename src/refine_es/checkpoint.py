@@ -1,8 +1,9 @@
 """Atomic result files and binary checkpoints.
 
 `save_json_atomic` writes the small JSON results (plan, records, final
-parameters, report). Python's float repr round trips exactly, so parameters
-stored there as decimal text still reload bit-identically.
+parameters, report), `save_text_atomic` other text (log.csv). Python's
+float repr round trips exactly, so parameters stored there as decimal text
+still reload bit-identically.
 
 `save_checkpoint` writes the per-cell resume state as one uncompressed
 `.npz` archive: every ndarray in the payload is stored as its own member in
@@ -11,7 +12,7 @@ conversion and an exact round trip), and everything else goes in as one JSON
 string, member `meta`, in which each array is replaced by a reference
 `{"npz": <member>}`. One file keeps the write atomic.
 
-Both writers go to `<path>.tmp`, flush, fsync and rename into place, so an
+All writers go to `<path>.tmp`, flush, fsync and rename into place, so an
 interrupted write leaves the previous file intact; a stale `.tmp` is never
 read. A checkpoint is resume state only: once a cell's record.json is
 durable, the pipeline deletes the checkpoint and any stale `.tmp`.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 
 import numpy as np
 
@@ -29,14 +31,19 @@ from .errors import CheckpointError
 FORMAT_VERSION = 2
 
 
-def save_json_atomic(path: str, payload: dict) -> None:
-    text = json.dumps(payload)  # one-shot dumps takes the C encoder
+def save_text_atomic(path: str, text: str) -> None:
+    """Write `text` to `path` as is, newlines untranslated, atomically."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    with open(tmp, "w", newline="") as fh:
         fh.write(text)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+
+
+def save_json_atomic(path: str, payload: dict) -> None:
+    # one-shot dumps takes the C encoder
+    save_text_atomic(path, json.dumps(payload))
 
 
 def load_json(path: str) -> dict:
@@ -85,12 +92,19 @@ def save_checkpoint(path: str, payload: dict) -> None:
 
 
 def load_checkpoint(path: str) -> dict:
-    """Read a checkpoint written by `save_checkpoint`; refuses any other
-    `format_version` with a `CheckpointError` naming the file."""
-    with np.load(path, allow_pickle=False) as archive:
-        arrays = {name: archive[name] for name in archive.files}
-    meta = json.loads(arrays.pop("meta").tobytes())
-    version = meta.get("format_version")
+    """Read a checkpoint written by `save_checkpoint`. A file that does not
+    read as one (empty, cut short, another kind of file) or has another
+    `format_version` raises a `CheckpointError` naming the file."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        meta = json.loads(arrays.pop("meta").tobytes())
+        version = meta.get("format_version")
+    except (AttributeError, EOFError, KeyError, TypeError, ValueError,
+            zipfile.BadZipFile) as exc:
+        raise CheckpointError(
+            f"{path}: unreadable checkpoint ({type(exc).__name__}: {exc}); "
+            f"delete it to restart the cell") from exc
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: field 'format_version' is {version!r}, "
                               f"this version reads {FORMAT_VERSION}")

@@ -2,6 +2,15 @@
 antithetic candidates in one lockstep batch, form centered ranks, take the
 finite-difference step, decay sigma_es toward its floor.
 
+Most of a rollout step's cost is fixed (one row costs about half of what
+17 rows do), so no evaluation runs as a batch of its own. The logging-only
+center evaluation of generation t rides, as noiseless rows, in the candidate
+batch of generation t + 1, whose candidates perturb the same parameters;
+that of the last generation rides in the batch of the final evaluation,
+which `tdes_run` runs too. An ES stage of G generations runs G + 1 batches.
+A generation is complete, and checkpointed, once its center return is
+known.
+
 Everything random is drawn from counter-based streams keyed on
 (config.seed, purpose, generation, pair, episode), so a run is a pure
 function of (anchor, config) and can resume bit-exactly from any completed
@@ -13,7 +22,7 @@ difference identically.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,6 +79,9 @@ class EsConfig:
 
 @dataclass
 class GenerationRecord:
+    """One generation's log line. wall_time is the seconds from the start
+    of the generation to its update; its center evaluation runs later, in
+    the next batch."""
     generation: int
     center_return: float
     mean_return: float
@@ -86,8 +98,10 @@ class GenerationRecord:
 @dataclass
 class EsRunResult:
     params: np.ndarray
-    records: list[GenerationRecord] = field(default_factory=list)
-    steps_used: int = 0
+    records: list[GenerationRecord]
+    steps_used: int
+    final_mean_return: float
+    final_success_rate: float
 
 
 def sigma_at(config: EsConfig, generation: int) -> float:
@@ -96,34 +110,63 @@ def sigma_at(config: EsConfig, generation: int) -> float:
     return max(config.sigma_es * config.lambda_sigma ** generation, config.sigma_min)
 
 
-def _candidate_returns(plus, minus, arch, env, config, gen):
-    """(j_plus, j_minus, env steps) of one generation. All 2m x
-    episodes_per_candidate episodes run as one lockstep batch; the env seed
-    and action noise of each (pair, episode) are drawn once and shared by
-    the + and - candidates (common random numbers)."""
-    m, n_ep = config.m, config.episodes_per_candidate
-    keys = [(i, e) for i in range(m) for e in range(n_ep)]
-    seeds = [make_stream(config.seed, TAG_ENV, gen, i, e).integers(1 << 62)
-             for i, e in keys]
-    noise = None
-    if config.action_std > 0:
-        noise = action_noise(
-            [make_stream(config.seed, TAG_ACTION, gen, i, e) for i, e in keys],
-            env.horizon, env.action_dim, config.action_std)
-        noise = np.concatenate([noise, noise])
-    params = np.repeat(np.concatenate([plus, minus]), n_ep, axis=0)
+def _lockstep_batch(theta, arch, env, evaluations, config=None, gen=None,
+                    plus=None, minus=None):
+    """One lockstep batch: generation `gen`'s 2m x episodes_per_candidate
+    candidate episodes (none if gen is None), then the noiseless episodes
+    of each evaluation (name, episodes, master_seed) of `theta`. Returns
+    (j_plus, j_minus), or None, and (mean_return, success_rate) per
+    evaluation. The + and - candidates of a (pair, episode) share its env
+    seed and action noise (common random numbers); evaluation rows get zero
+    noise, which leaves every state as a noiseless run leaves it."""
+    seeds, noise, params = [], None, theta
+    if gen is not None:
+        m, n_ep = config.m, config.episodes_per_candidate
+        keys = [(i, e) for i in range(m) for e in range(n_ep)]
+        seeds = [make_stream(config.seed, TAG_ENV, gen, i, e).integers(1 << 62)
+                 for i, e in keys] * 2
+        if config.action_std > 0:
+            noise = action_noise(
+                [make_stream(config.seed, TAG_ACTION, gen, i, e)
+                 for i, e in keys],
+                env.horizon, env.action_dim, config.action_std)
+    n_cand = len(seeds)
+    for _name, episodes, master_seed in evaluations:
+        seeds += [make_stream(master_seed, TAG_EVAL, e).integers(1 << 62)
+                  for e in range(episodes)]
+    if n_cand:
+        n_eval = len(seeds) - n_cand
+        params = np.repeat(np.concatenate([plus, minus, theta[None]]),
+                           [n_ep] * 2 * m + [n_eval], axis=0)
+        if noise is not None:
+            noise = np.concatenate([noise, noise, np.zeros(
+                (n_eval, env.horizon, env.action_dim))])
     try:
-        batch = rollout(params, arch, env, seeds + seeds, noise)
+        batch = rollout(params, arch, env, seeds, noise)
     except RolloutError as exc:
-        pair, e = divmod(exc.row % (m * n_ep), n_ep)
-        raise RolloutError(
-            f"generation {gen}, pair {pair}, episode {e}: {exc}") from exc
-    returns = batch.returns.reshape(2, m, n_ep)
+        if exc.row < n_cand:
+            pair, e = divmod(exc.row % (m * n_ep), n_ep)
+            raise RolloutError(
+                f"generation {gen}, pair {pair}, episode {e}: {exc}") from exc
+        row = exc.row - n_cand
+        for name, episodes, _seed in evaluations:
+            if row < episodes:
+                raise RolloutError(f"{name}, episode {row}: {exc}") from exc
+            row -= episodes
+        raise
+    results, start = [], n_cand
+    for _name, episodes, _seed in evaluations:
+        rows = slice(start, start + episodes)
+        results.append((float(np.mean(batch.returns[rows])),
+                        int(batch.success[rows].sum()) / episodes))
+        start += episodes
+    if not n_cand:
+        return None, results
+    returns = batch.returns[:n_cand].reshape(2, m, n_ep)
     total = np.zeros((2, m))
     for e in range(n_ep):  # sum in episode order, as a per-episode loop would
         total += returns[:, :, e]
-    j_plus, j_minus = total / n_ep
-    return j_plus, j_minus, batch.length
+    return total / n_ep, results
 
 
 def evaluate_center(params: np.ndarray, arch: MlpArchitecture, env,
@@ -132,57 +175,75 @@ def evaluate_center(params: np.ndarray, arch: MlpArchitecture, env,
     run as one lockstep batch. Returns (mean_return, success_rate)."""
     if episodes < 1:
         raise ContractError("episodes must be >= 1")
-    seeds = [make_stream(master_seed, TAG_EVAL, e).integers(1 << 62)
-             for e in range(episodes)]
-    batch = rollout(params, arch, env, seeds)
-    return float(np.mean(batch.returns)), int(batch.success.sum()) / episodes
+    return _lockstep_batch(params, arch, env,
+                           [("evaluation", episodes, master_seed)])[1][0]
 
 
 def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env,
-             config: EsConfig, start_generation: int = 0,
-             initial_steps: int = 0, records: list | None = None,
+             config: EsConfig, *, final_eval: tuple[int, int],
+             start_generation: int = 0, initial_steps: int = 0,
+             records: list | None = None,
              checkpoint_cb=None) -> EsRunResult:
-    """Run the generation loop from `start_generation` to completion.
+    """Run the generation loop from `start_generation` to completion, then
+    the final evaluation `final_eval` = (episodes, master_seed) of the final
+    parameters, seeded as `evaluate_center` seeds it.
 
+    Each generation runs one lockstep batch, whose rows past the candidates
+    are the center evaluation of the generation before; the last one's runs
+    in the final evaluation's batch. A generation's record is appended and
     checkpoint_cb(generation_index_completed, params, steps_used, records)
-    is invoked after every generation's update.
+    called once its center return is known, after the next batch.
+    Evaluation rows never count toward the steps used.
     """
     if anchor.shape != (param_count(arch),):
         raise ContractError("anchor does not match the architecture")
+    if final_eval[0] < 1:
+        raise ContractError("episodes must be >= 1")
 
     theta = np.array(anchor, dtype=float, copy=True)
     records = list(records) if records else []
     steps_used = initial_steps
     dist = config.noise_distribution()
     d = theta.shape[0]
+    gen_cost = config.generation_steps(env.horizon)
+    pending = None  # the last generation's record, without its center return
+
+    def center_eval():
+        return [] if pending is None else [
+            (f"generation {pending.generation} center evaluation",
+             config.center_eval_episodes,
+             stream_seed(config.seed, TAG_CENTER_EVAL, pending.generation))]
+
+    def close(results):  # theta is still what pending's update gave
+        if pending is not None:
+            pending.center_return = results[0][0]
+            records.append(pending)
+            if checkpoint_cb is not None:
+                checkpoint_cb(pending.generation, theta, pending.steps_used,
+                              records)
 
     for t in range(start_generation, config.generations):
-        gen_cost = config.generation_steps(env.horizon)
         if config.step_cap is not None and steps_used + gen_cost > config.step_cap:
             break
         t0 = time.perf_counter()
         sigma = sigma_at(config, t)
         batch = make_batch(dist, sigma, config.m, d, t, config.seed)
         plus, minus = antithetic_candidates(theta, batch)
-        j_plus, j_minus, steps = _candidate_returns(plus, minus, arch, env,
-                                                    config, t)
-        steps_used += steps
+        (j_plus, j_minus), centers = _lockstep_batch(
+            theta, arch, env, center_eval(), config, t, plus, minus)
+        close(centers)
+        steps_used += gen_cost
         g = tdes_gradient(batch, *centered_ranks(j_plus, j_minus))
         theta = theta + config.alpha * g
-
-        # logging-only center evaluation; not counted against the budget
-        center_ret, _ = evaluate_center(
-            theta, arch, env, config.center_eval_episodes,
-            stream_seed(config.seed, TAG_CENTER_EVAL, t))
         all_returns = np.concatenate([j_plus, j_minus])
-        records.append(GenerationRecord(
-            generation=t, center_return=center_ret,
+        pending = GenerationRecord(
+            generation=t, center_return=None,
             mean_return=float(all_returns.mean()),
             best_return=float(all_returns.max()),
             sigma_es=sigma, g_norm=float(np.linalg.norm(g)),
-            steps_used=steps_used, wall_time=time.perf_counter() - t0))
-        if checkpoint_cb is not None:
-            checkpoint_cb(t, theta, steps_used, records)
+            steps_used=steps_used, wall_time=time.perf_counter() - t0)
 
-    return EsRunResult(theta, records, steps_used)
-
+    _, results = _lockstep_batch(theta, arch, env, center_eval() + [
+        ("final evaluation", *final_eval)])
+    close(results)
+    return EsRunResult(theta, records, steps_used, *results[-1])

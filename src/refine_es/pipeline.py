@@ -28,7 +28,12 @@ Results layout: a sweep writes <out>/plan.json before its first cell and
 <out>/runs/<task>/<method>/<seed>/{checkpoints/, log.csv, record.json}.
 Cells checkpoint after every PPO update / ES generation into one atomic
 `checkpoints/checkpoint.npz` (see checkpoint.py) and resume bit-exactly
-from it, the PPO->ES handoff included. A fresh ES stage starts from its
+from it, the PPO->ES handoff included. An ES generation is checkpointed
+once its center evaluation has run, in the next generation's batch, the
+last generation's in the final evaluation's (see engine.py); a cut in
+between resumes from the generation before and redoes one. A two-stage
+cell's final evaluation is run by `engine.tdes_run`, ppo_only's by
+`engine.evaluate_center`. A fresh ES stage starts from its
 state before the first generation, built in memory; a cut before its first
 generation resumes from the last PPO checkpoint. The ES checkpoint of
 generation -1 that older versions wrote there, and planted at the fork,
@@ -37,8 +42,8 @@ format version, stage, master seed, the handoff rule, and the PPO and ES
 configs recomputed from the plan; any mismatch is refused with a
 `CheckpointError` naming the file and the field.
 A finished cell keeps its results (`checkpoints/final.json`, log.csv,
-record.json), not its resume state: once record.json is durable, the
-checkpoint is deleted. A cell that raises keeps it, so `resume` continues
+record.json), each written atomically and durable before record.json, not
+its resume state: once record.json is durable, the checkpoint is deleted. A cell that raises keeps it, so `resume` continues
 the cell.
 
 A sweep runs numpy's OpenBLAS on one thread, in its own process and in
@@ -50,6 +55,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import os
 import traceback
 from dataclasses import dataclass
@@ -58,7 +64,7 @@ import numpy as np
 
 from . import engine, ppo, stats
 from .checkpoint import (FORMAT_VERSION, load_checkpoint, load_json,
-                         save_checkpoint, save_json_atomic)
+                         save_checkpoint, save_json_atomic, save_text_atomic)
 from .envs import make_env
 from .errors import CheckpointError
 # plan_from_dict is imported for the benchmark, which loads it from here
@@ -179,16 +185,18 @@ class _Cell:
                 "ppo_steps": steps, "ppo_curve": curve}
 
 
-def _write_log_csv(path: str, es_records: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("# refine-es generation log, format 1\n")
-        writer = csv.writer(fh)
-        writer.writerow(["generation", "g_norm", "mean_return", "best_return",
-                         "sigma_es", "center_return", "steps_used"])
-        for r in es_records:
-            writer.writerow([r["generation"], r["g_norm"], r["mean_return"],
-                             r["best_return"], r["sigma_es"],
-                             r["center_return"], r["steps_used"]])
+def _log_csv(es_records: list[dict]) -> str:
+    """The text of a cell's log.csv."""
+    fh = io.StringIO(newline="")
+    fh.write("# refine-es generation log, format 1\n")
+    writer = csv.writer(fh)
+    writer.writerow(["generation", "g_norm", "mean_return", "best_return",
+                     "sigma_es", "center_return", "steps_used"])
+    for r in es_records:
+        writer.writerow([r["generation"], r["g_norm"], r["mean_return"],
+                         r["best_return"], r["sigma_es"],
+                         r["center_return"], r["steps_used"]])
+    return fh.getvalue()
 
 
 def _check_fields(path: str, name: str, stored: dict, expected: dict) -> None:
@@ -291,6 +299,7 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
 
     arch = MlpArchitecture.from_dict(state["architecture"])
     final_params = state["anchor_params"]
+    final_eval = (plan.eval_episodes, stream_seed(seed, TAG_FINAL_EVAL))
     es_records: list[dict] = []
     es_steps = 0
     if cell.two_stage:
@@ -308,14 +317,14 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
             start_generation=state["generation_index"] + 1,
             initial_steps=state["steps_used"],
             records=[engine.GenerationRecord(**r) for r in state["records"]],
-            checkpoint_cb=es_ckpt)
+            checkpoint_cb=es_ckpt, final_eval=final_eval)
         final_params = result.params
         es_records = [r.to_dict() for r in result.records]
         es_steps = result.steps_used
-
-    mean_ret, success = engine.evaluate_center(
-        final_params, arch, cell.env, plan.eval_episodes,
-        stream_seed(seed, TAG_FINAL_EVAL))
+        mean_ret, success = result.final_mean_return, result.final_success_rate
+    else:
+        mean_ret, success = engine.evaluate_center(final_params, arch,
+                                                   cell.env, *final_eval)
     record = RunRecord(
         task=plan.task, method=method, seed=seed,
         final_success_rate=success, final_mean_return=mean_ret,
@@ -327,7 +336,7 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
         "format_version": _FINAL_FORMAT_VERSION, "stage": "final",
         "architecture": arch.to_dict(), "params": final_params.tolist(),
         "master_seed": seed})
-    _write_log_csv(os.path.join(cell.dir, "log.csv"), es_records)
+    save_text_atomic(os.path.join(cell.dir, "log.csv"), _log_csv(es_records))
     save_json_atomic(cell.record, record.to_dict())
     _drop_resume_state(cell.dir)
     return record

@@ -75,3 +75,38 @@ def test_save_checkpoint_writes_one_file(tmp_path):
     save_checkpoint(path, {"params": np.arange(4.0)})
     assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.npz"]
     assert np.array_equal(load_checkpoint(path)["params"], np.arange(4.0))
+
+
+def _npz_bytes(**members) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **members)
+    return buf.getvalue()
+
+
+def _npy_bytes() -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, np.arange(3.0))
+    return buf.getvalue()
+
+
+def _checkpoint_bytes() -> bytes:
+    meta = json.dumps({"format_version": 2, "stage": "ppo"}).encode()
+    return _npz_bytes(meta=np.frombuffer(meta, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b"", id="zero-length"),
+    pytest.param(_checkpoint_bytes()[:60], id="truncated-zip"),
+    pytest.param(_npz_bytes(params=np.arange(3.0)), id="no-meta-member"),
+    pytest.param(_npz_bytes(meta=np.frombuffer(b"{not json", dtype=np.uint8)),
+                 id="meta-not-json"),
+    pytest.param(_npz_bytes(meta=np.frombuffer(b"[2]", dtype=np.uint8)),
+                 id="meta-not-an-object"),
+    pytest.param(_npy_bytes(), id="npy-not-npz"),
+])
+def test_unreadable_checkpoint_raises_checkpoint_error(tmp_path, content):
+    path = tmp_path / "checkpoint.npz"
+    path.write_bytes(content)
+    with pytest.raises(CheckpointError,
+                       match=r"checkpoint\.npz: unreadable checkpoint"):
+        load_checkpoint(str(path))

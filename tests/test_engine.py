@@ -54,6 +54,9 @@ class NanEnv(TargetEnv):
 
 ARCH = MlpArchitecture(1, (), 1)  # params (w, b); action = w + b
 
+# the final evaluation every run ends with: (episodes, master seed)
+FINAL = (2, 99)
+
 
 def small_config(**kw):
     base = dict(sigma_es=0.1, alpha=0.02, m=4, generations=20, seed=0,
@@ -93,7 +96,8 @@ def test_sigma_schedule_closed_form():
 
 def test_zero_generations_is_noop():
     anchor = np.array([0.3, -0.2])
-    res = tdes_run(anchor, ARCH, TargetEnv(), small_config(generations=0))
+    res = tdes_run(anchor, ARCH, TargetEnv(), small_config(generations=0),
+                   final_eval=FINAL)
     assert np.array_equal(res.params, anchor)
     assert res.steps_used == 0
     assert res.records == []
@@ -101,12 +105,13 @@ def test_zero_generations_is_noop():
 
 def test_anchor_shape_contract():
     with pytest.raises(ContractError):
-        tdes_run(np.zeros(3), ARCH, TargetEnv(), small_config())
+        tdes_run(np.zeros(3), ARCH, TargetEnv(), small_config(),
+                 final_eval=FINAL)
 
 
 def test_step_accounting_exact():
     c = small_config(generations=7)
-    res = tdes_run(np.zeros(2), ARCH, TargetEnv(), c)
+    res = tdes_run(np.zeros(2), ARCH, TargetEnv(), c, final_eval=FINAL)
     assert res.steps_used == 7 * 2 * c.m * TargetEnv.horizon
     assert [r.generation for r in res.records] == list(range(7))
     assert res.records[-1].steps_used == res.steps_used
@@ -114,7 +119,7 @@ def test_step_accounting_exact():
 
 def test_step_cap_blocks_partial_generation():
     c = small_config(generations=10, step_cap=3 * 2 * 4 * 1 + 1)
-    res = tdes_run(np.zeros(2), ARCH, TargetEnv(), c)
+    res = tdes_run(np.zeros(2), ARCH, TargetEnv(), c, final_eval=FINAL)
     assert len(res.records) == 3  # a fourth generation would exceed the cap
     assert res.steps_used <= c.step_cap
 
@@ -122,7 +127,7 @@ def test_step_cap_blocks_partial_generation():
 def test_quadratic_convergence_ten_fold():
     # J(theta) = -((w + b) - 0.5)^2; starting value -0.25
     c = small_config(generations=200, alpha=0.005, lambda_sigma=1.0)
-    res = tdes_run(np.zeros(2), ARCH, TargetEnv(), c)
+    res = tdes_run(np.zeros(2), ARCH, TargetEnv(), c, final_eval=FINAL)
     final_j = -((res.params.sum() - 0.5) ** 2)
     assert abs(final_j) < 0.25 / 10
     # the center-return log should reflect the improvement
@@ -132,8 +137,10 @@ def test_quadratic_convergence_ten_fold():
 def test_update_locality_matches_g_norm():
     thetas = []
     tdes_run(np.zeros(2), ARCH, TargetEnv(), small_config(generations=5),
-             checkpoint_cb=lambda t, th, s, r: thetas.append(th.copy()))
-    res = tdes_run(np.zeros(2), ARCH, TargetEnv(), small_config(generations=5))
+             checkpoint_cb=lambda t, th, s, r: thetas.append(th.copy()),
+             final_eval=FINAL)
+    res = tdes_run(np.zeros(2), ARCH, TargetEnv(), small_config(generations=5),
+                   final_eval=FINAL)
     prev = np.zeros(2)
     for theta, rec in zip(thetas, res.records):
         assert np.linalg.norm(theta - prev) == pytest.approx(
@@ -142,8 +149,10 @@ def test_update_locality_matches_g_norm():
 
 
 def test_run_bitwise_reproducible():
-    a = tdes_run(np.zeros(2), ARCH, TargetEnv(), small_config())
-    b = tdes_run(np.zeros(2), ARCH, TargetEnv(), small_config())
+    a = tdes_run(np.zeros(2), ARCH, TargetEnv(), small_config(),
+                 final_eval=FINAL)
+    b = tdes_run(np.zeros(2), ARCH, TargetEnv(), small_config(),
+                 final_eval=FINAL)
     assert np.array_equal(a.params, b.params)
     assert [r.to_dict() | {"wall_time": 0} for r in a.records] == \
            [r.to_dict() | {"wall_time": 0} for r in b.records]
@@ -151,11 +160,12 @@ def test_run_bitwise_reproducible():
 
 def test_resume_bitwise_equal_to_uninterrupted():
     c = small_config(generations=12)
-    full = tdes_run(np.zeros(2), ARCH, TargetEnv(), c)
+    full = tdes_run(np.zeros(2), ARCH, TargetEnv(), c, final_eval=FINAL)
     head = tdes_run(np.zeros(2), ARCH, TargetEnv(),
-                    small_config(generations=5))
+                    small_config(generations=5), final_eval=FINAL)
     tail = tdes_run(head.params, ARCH, TargetEnv(), c, start_generation=5,
-                    initial_steps=head.steps_used, records=head.records)
+                    initial_steps=head.steps_used, records=head.records,
+                    final_eval=FINAL)
     assert np.array_equal(tail.params, full.params)
     assert tail.steps_used == full.steps_used
     assert [r.generation for r in tail.records] == \
@@ -166,9 +176,9 @@ def test_resume_bitwise_equal_to_uninterrupted():
 
 def test_gaussian_twin_differs_from_triangular():
     cfg = small_config(generations=3)
-    tri = tdes_run(np.zeros(2), ARCH, TargetEnv(), cfg)
+    tri = tdes_run(np.zeros(2), ARCH, TargetEnv(), cfg, final_eval=FINAL)
     gau = tdes_run(np.zeros(2), ARCH, TargetEnv(),
-                   replace(cfg, distribution="gaussian"))
+                   replace(cfg, distribution="gaussian"), final_eval=FINAL)
     assert not np.array_equal(tri.params, gau.params)
     assert gau.steps_used == tri.steps_used
 
@@ -191,7 +201,7 @@ def test_center_eval_streams_disjoint_across_seeds():
     # center-eval stream, because both keyed it on seed ^ (generation + 1)
     def center_return(seed, generation):
         c = small_config(generations=2, seed=seed, center_eval_episodes=4)
-        res = tdes_run(np.zeros(2), ARCH, SeedEnv(), c)
+        res = tdes_run(np.zeros(2), ARCH, SeedEnv(), c, final_eval=FINAL)
         return res.records[generation].center_return
 
     assert center_return(0, 0) != center_return(3, 1)
@@ -202,7 +212,7 @@ def test_candidate_rollout_failure_names_pair_and_episode():
     c = small_config(episodes_per_candidate=2)
     with pytest.raises(RolloutError,
                        match="generation 0, pair 1, episode 1: .*step 0"):
-        tdes_run(np.zeros(2), ARCH, NanEnv(), c)
+        tdes_run(np.zeros(2), ARCH, NanEnv(), c, final_eval=FINAL)
 
 
 def test_generation_record_roundtrip():

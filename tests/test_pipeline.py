@@ -1063,3 +1063,152 @@ def test_at_fork_asks_every_prefix():
         assert cell.at_fork(curve)
         assert not cell.at_fork(curve + [{"success_rate": 0.0,
                                           "steps_used": 600}])
+
+
+def test_final_evaluation_equals_standalone_run(tmp_path):
+    import refine_es.engine as engine
+    from refine_es.envs import make_env
+    from refine_es.policy import MlpArchitecture
+    from refine_es.rng import TAG_FINAL_EVAL, stream_seed
+
+    plan = tiny_plan(seeds=[0], total_step_budget=1400)
+    out = str(tmp_path)
+    records, _ = sweep(plan, out)
+    for rec in records:
+        final = load_json(os.path.join(
+            cell_dir(out, "point-reach", rec.method, 0), "checkpoints",
+            "final.json"))
+        assert engine.evaluate_center(
+            np.array(final["params"]),
+            MlpArchitecture.from_dict(final["architecture"]),
+            make_env("point-reach"), plan.eval_episodes,
+            stream_seed(0, TAG_FINAL_EVAL)) == \
+            (rec.final_mean_return, rec.final_success_rate)
+
+
+@pytest.mark.parametrize("generation", [0, 1, 2])
+def test_resume_after_cut_after_each_generation_bitwise(tmp_path,
+                                                        generation):
+    plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
+                     total_step_budget=2200)
+    clean = run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "clean"))
+    assert len(clean.es_records) == 3
+    cut = str(tmp_path / "cut")
+    with interrupt_after_generation(generation), \
+            pytest.raises(KeyboardInterrupt):
+        run_method(plan, "ppo_then_tdes", 0, cut)
+    state = load_checkpoint(_checkpoint_path(cut))
+    assert state["generation_index"] == generation
+    assert [r["generation"] for r in state["records"]] == \
+        list(range(generation + 1))
+    resumed = run_method(plan, "ppo_then_tdes", 0, cut)
+    assert _cell_bits(cut, resumed) == \
+        _cell_bits(str(tmp_path / "clean"), clean)
+    assert _resume_state(cut) == []
+
+
+def test_mid_es_checkpoint_of_standalone_center_loops_resumes_bitwise(
+        tmp_path):
+    # tests/golden/mid_es_checkpoint.npz was written by the version that ran
+    # each center evaluation as a rollout of its own, right after its
+    # generation's update: this plan's cell cut after generation 1 of 3,
+    # center_return of generations 0 and 1 filled in
+    import shutil
+
+    plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
+                     total_step_budget=2200)
+    clean = run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "clean"))
+    cut = str(tmp_path / "cut")
+    os.makedirs(os.path.dirname(_checkpoint_path(cut)))
+    shutil.copy(os.path.join(os.path.dirname(__file__), "golden",
+                             "mid_es_checkpoint.npz"), _checkpoint_path(cut))
+    state = load_checkpoint(_checkpoint_path(cut))
+    assert state["generation_index"] == 1
+    assert [r["center_return"] for r in state["records"]] == \
+        [r["center_return"] for r in clean.es_records[:2]]
+    resumed = run_method(plan, "ppo_then_tdes", 0, cut)
+    assert _cell_bits(cut, resumed) == \
+        _cell_bits(str(tmp_path / "clean"), clean)
+
+
+def test_log_csv_is_durable_before_record_json(tmp_path, monkeypatch):
+    # record.json marks a cell finished and resume never rewrites its files,
+    # so log.csv must be fsynced and in place before record.json is renamed
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def record_fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def record_replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino,
+                       os.path.basename(dst)))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", record_fsync)
+    monkeypatch.setattr(os, "replace", record_replace)
+    out = str(tmp_path)
+    run_method(tiny_plan(methods=["ppo_then_tdes"], seeds=[0]),
+               "ppo_then_tdes", 0, out)
+    renamed = [e[2] for e in events if e[0] == "replace"]
+    assert renamed.index("log.csv") < renamed.index("record.json")
+    i = next(i for i, e in enumerate(events)
+             if e[0] == "replace" and e[2] == "log.csv")
+    assert events[i - 1] == ("fsync", events[i][1])
+    with open(os.path.join(cell_dir(out, "point-reach", "ppo_then_tdes", 0),
+                           "log.csv"), newline="") as fh:
+        assert fh.readline() == "# refine-es generation log, format 1\n"
+        assert fh.readline() == ("generation,g_norm,mean_return,best_return,"
+                                 "sigma_es,center_return,steps_used\r\n")
+
+
+def test_unreadable_checkpoint_fails_its_cell_naming_the_file(tmp_path):
+    plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0])
+    out = str(tmp_path)
+    path = _checkpoint_path(out)
+    os.makedirs(os.path.dirname(path))
+    open(path, "wb").close()
+    records, payload = sweep(plan, out)
+    assert records[0].failed
+    assert f"CheckpointError: {path}: unreadable checkpoint" in \
+        payload["failures"][0]["failure"]
+
+
+def test_sweep_runs_one_loop_per_update_generation_and_cell(tmp_path,
+                                                            monkeypatch):
+    # every rollout loop steps the env `horizon` times; a seed runs its PPO
+    # updates once, ppo_only its final evaluation alone, and each ES stage
+    # one loop per generation and one for its final evaluation. A change
+    # that brings back a standalone evaluation loop fails here
+    import refine_es.engine as engine
+    from refine_es.envs import ToyEnv
+
+    steps, evaluations, cells = [], [], []
+    step, evaluate = ToyEnv.step, engine.evaluate_center
+    run = pipeline_module.run_method
+
+    def counted_step(self, actions):
+        steps.append(1)
+        return step(self, actions)
+
+    def counted_evaluate(*args):
+        evaluations.append(cells[-1])
+        return evaluate(*args)
+
+    def noted_run(plan, method, seed, out_dir):
+        cells.append(method)
+        return run(plan, method, seed, out_dir)
+
+    monkeypatch.setattr(ToyEnv, "step", counted_step)
+    monkeypatch.setattr(engine, "evaluate_center", counted_evaluate)
+    monkeypatch.setattr(pipeline_module, "run_method", noted_run)
+    records, payload = sweep(tiny_plan(seeds=[0], total_step_budget=1400),
+                             str(tmp_path))
+    assert payload["failures"] == []
+    assert evaluations == ["ppo_only"]
+    by_method = {r.method: r for r in records}
+    loops = len(by_method["ppo_only"].ppo_curve) + 1 + sum(
+        len(by_method[m].es_records) + 1
+        for m in ("ppo_then_tdes", "ppo_then_gaussian_es"))
+    assert len(steps) == 100 * loops == 100 * (7 + 1 + 3 + 3)
