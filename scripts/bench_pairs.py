@@ -3,10 +3,10 @@
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR \
         --workload reach-sweep-2w --seed 7 --pairs 10 --claim cell_s_p50
 
-Pair k runs `python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0` once in each checkout, the parent first in odd pairs and the
-change first in even ones, so that a drift of the machine's speed favours
-neither side. For every end-to-end metric of the parent's BENCHMARK.json it
+Pair k runs `python3 perfbench/run.py --workload W --seed S --trace 0`
+once in each checkout, at the benchmark's own run length, the parent first
+in odd pairs and the change first in even ones, so that a drift of the
+machine's speed favours neither side. For every end-to-end metric of the parent's BENCHMARK.json it
 prints each side's median and quartiles and the pairs the change won (ties
 count for neither). With --claim it also prints whether a gain in that
 metric may be claimed: the change won at least nine tenths of the pairs, and
@@ -57,12 +57,11 @@ def claim_holds(parent: list[float], change: list[float],
                    f"{spread:.6g}")
 
 
-def run_once(checkout: str, workload: str, seed: int,
-             seconds: float) -> dict:
+def run_once(checkout: str, workload: str, seed: int) -> dict:
     """The summary line of one untraced perfbench run in `checkout`."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
@@ -83,7 +82,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--claim", help="end-to-end metric to test a gain on")
     parser.add_argument("--log", help="append each run's summary here")
     args = parser.parse_args(argv)
@@ -96,8 +94,7 @@ def main(argv=None) -> int:
     for k in range(1, args.pairs + 1):
         order = ("parent", "change") if k % 2 else ("change", "parent")
         for side in order:
-            summary = run_once(getattr(args, side), args.workload, args.seed,
-                               args.seconds)
+            summary = run_once(getattr(args, side), args.workload, args.seed)
             runs[side].append(summary)
             if args.log:
                 with open(args.log, "a") as fh:

@@ -110,17 +110,19 @@ def sigma_at(config: EsConfig, generation: int) -> float:
     return max(config.sigma_es * config.lambda_sigma ** generation, config.sigma_min)
 
 
-def _lockstep_batch(theta, arch, env, evaluations, config=None, gen=None,
-                    plus=None, minus=None):
-    """One lockstep batch: generation `gen`'s 2m x episodes_per_candidate
-    candidate episodes (none if gen is None), then the noiseless episodes
-    of each evaluation (name, episodes, master_seed) of `theta`. Returns
-    (j_plus, j_minus), or None, and (mean_return, success_rate) per
-    evaluation. The + and - candidates of a (pair, episode) share its env
-    seed and action noise (common random numbers); evaluation rows get zero
-    noise, which leaves every state as a noiseless run leaves it."""
+def _lockstep_batch(theta, arch, env, evaluations, candidates=None):
+    """One lockstep batch: the 2m x episodes_per_candidate candidate
+    episodes of `candidates` = (config, gen, plus, minus), if given, then
+    the noiseless episodes of each evaluation (name, episodes, master_seed)
+    of `theta`. Returns the (2, m) mean candidate returns, (2, 0) without
+    candidates, and (mean_return, success_rate) per evaluation. The + and -
+    candidates of a (pair, episode) share its env seed and action noise
+    (common random numbers); evaluation rows get zero noise, which leaves
+    every state as a noiseless run leaves it."""
     seeds, noise, params = [], None, theta
-    if gen is not None:
+    m, n_ep = 0, 1  # no candidate rows
+    if candidates is not None:
+        config, gen, plus, minus = candidates
         m, n_ep = config.m, config.episodes_per_candidate
         keys = [(i, e) for i in range(m) for e in range(n_ep)]
         seeds = [make_stream(config.seed, TAG_ENV, gen, i, e).integers(1 << 62)
@@ -160,8 +162,6 @@ def _lockstep_batch(theta, arch, env, evaluations, config=None, gen=None,
         results.append((float(np.mean(batch.returns[rows])),
                         int(batch.success[rows].sum()) / episodes))
         start += episodes
-    if not n_cand:
-        return None, results
     returns = batch.returns[:n_cand].reshape(2, m, n_ep)
     total = np.zeros((2, m))
     for e in range(n_ep):  # sum in episode order, as a per-episode loop would
@@ -172,11 +172,13 @@ def _lockstep_batch(theta, arch, env, evaluations, config=None, gen=None,
 def evaluate_center(params: np.ndarray, arch: MlpArchitecture, env,
                     episodes: int, master_seed: int):
     """Deterministic-action evaluation over independently seeded episodes,
-    run as one lockstep batch. Returns (mean_return, success_rate)."""
+    run as one lockstep batch. Returns (mean_return, success_rate). Its
+    one use in a sweep is ppo_only's final evaluation, so a non-finite
+    value is reported as that of the final evaluation, as in tdes_run."""
     if episodes < 1:
         raise ContractError("episodes must be >= 1")
     return _lockstep_batch(params, arch, env,
-                           [("evaluation", episodes, master_seed)])[1][0]
+                           [("final evaluation", episodes, master_seed)])[1][0]
 
 
 def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env,
@@ -230,7 +232,7 @@ def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env,
         batch = make_batch(dist, sigma, config.m, d, t, config.seed)
         plus, minus = antithetic_candidates(theta, batch)
         (j_plus, j_minus), centers = _lockstep_batch(
-            theta, arch, env, center_eval(), config, t, plus, minus)
+            theta, arch, env, center_eval(), (config, t, plus, minus))
         close(centers)
         steps_used += gen_cost
         g = tdes_gradient(batch, *centered_ranks(j_plus, j_minus))

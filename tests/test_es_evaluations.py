@@ -153,6 +153,12 @@ def test_nan_in_final_row_names_the_final_evaluation():
                  final_eval=(3, stream_seed(5, TAG_FINAL_EVAL)))
     assert str(info.value).startswith("final evaluation, episode 1: ")
     assert "pair" not in str(info.value)
+    # ppo_only's final evaluation is a standalone evaluate_center run; the
+    # same fault reads the same
+    with pytest.raises(RolloutError) as info:
+        evaluate_center(np.zeros(2), TINY, env, 3,
+                        stream_seed(5, TAG_FINAL_EVAL))
+    assert str(info.value).startswith("final evaluation, episode 1: ")
 
 
 def _count_rollouts(monkeypatch, log):
