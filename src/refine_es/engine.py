@@ -119,7 +119,7 @@ def _lockstep_batch(theta, arch, env, evaluations, candidates=None):
     candidates of a (pair, episode) share its env seed and action noise
     (common random numbers); evaluation rows get zero noise, which leaves
     every state as a noiseless run leaves it."""
-    seeds, noise, params = [], None, theta
+    seeds, labels, noise, params = [], [], None, theta  # a label per row
     m, n_ep = 0, 1  # no candidate rows
     if candidates is not None:
         config, gen, plus, minus = candidates
@@ -127,15 +127,18 @@ def _lockstep_batch(theta, arch, env, evaluations, candidates=None):
         keys = [(i, e) for i in range(m) for e in range(n_ep)]
         seeds = [make_stream(config.seed, TAG_ENV, gen, i, e).integers(1 << 62)
                  for i, e in keys] * 2
+        labels = [f"generation {gen}, pair {i}, episode {e}"
+                  for i, e in keys] * 2
         if config.action_std > 0:
             noise = action_noise(
                 [make_stream(config.seed, TAG_ACTION, gen, i, e)
                  for i, e in keys],
                 env.horizon, env.action_dim, config.action_std)
     n_cand = len(seeds)
-    for _name, episodes, master_seed in evaluations:
+    for name, episodes, master_seed in evaluations:
         seeds += [make_stream(master_seed, TAG_EVAL, e).integers(1 << 62)
                   for e in range(episodes)]
+        labels += [f"{name}, episode {e}" for e in range(episodes)]
     if n_cand:
         n_eval = len(seeds) - n_cand
         params = np.repeat(np.concatenate([plus, minus, theta[None]]),
@@ -146,16 +149,7 @@ def _lockstep_batch(theta, arch, env, evaluations, candidates=None):
     try:
         batch = rollout(params, arch, env, seeds, noise)
     except RolloutError as exc:
-        if exc.row < n_cand:
-            pair, e = divmod(exc.row % (m * n_ep), n_ep)
-            raise RolloutError(
-                f"generation {gen}, pair {pair}, episode {e}: {exc}") from exc
-        row = exc.row - n_cand
-        for name, episodes, _seed in evaluations:
-            if row < episodes:
-                raise RolloutError(f"{name}, episode {row}: {exc}") from exc
-            row -= episodes
-        raise
+        raise RolloutError(f"{labels[exc.row]}: {exc}") from exc
     results, start = [], n_cand
     for _name, episodes, _seed in evaluations:
         rows = slice(start, start + episodes)

@@ -23,8 +23,11 @@ from .errors import ContractError
 
 class ToyEnv:
     """Base episodic env over a batch of B episodes that step in lockstep.
-    Subclasses set the class attributes and implement _reset/_observe/_step/
-    _check_success, each over the leading batch axis."""
+    Subclasses set the class attributes and implement, over the leading
+    batch axis: _reset(rngs), one episode per generator; _observe(), the
+    observations (B, obs_dim); _step(actions), which applies the clipped
+    actions (B, action_dim) and gives the rewards (B,); _check_success(),
+    whether each episode meets its tolerance now, as bools (B,)."""
 
     env_id = "base"
     observation_dim = 0
@@ -60,19 +63,6 @@ class ToyEnv:
         self._success |= self._check_success()
         terminated = self._step_count >= self.horizon
         return self._observe(), reward, terminated, self._success.copy()
-
-    # subclass API
-    def _reset(self, rngs):
-        raise NotImplementedError
-
-    def _observe(self):
-        raise NotImplementedError
-
-    def _step(self, actions) -> np.ndarray:
-        raise NotImplementedError
-
-    def _check_success(self) -> np.ndarray:
-        raise NotImplementedError
 
 
 def _norm(x: np.ndarray) -> np.ndarray:

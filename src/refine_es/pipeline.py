@@ -19,9 +19,10 @@ checkpoint nor a record the PPO checkpoint that the sibling's own run writes
 after that update (its config, its handoff rule, Adam moments included),
 then its own. A sibling resumes from it, and its PPO run stops at once.
 A run resumed past the fork plants nothing, and if the first cell fails
-before the fork, the next one trains PPO itself. Every sweep checks the
-equal-budget premise: a cell that overspends, or leaves more than one unit
-of its last stage (PPO update or ES generation) unspent, fails.
+before the fork, the next one trains PPO itself. Every cell checks the
+equal-budget premise: one that overspends, or leaves more than one unit of
+its last stage (PPO update or ES generation) unspent, fails, and writes its
+record already marked failed.
 
 Results layout: a sweep writes <out>/plan.json before its first cell and
 <out>/report.json after its last, and each cell writes
@@ -42,9 +43,9 @@ format version, stage, master seed, the handoff rule, and the PPO and ES
 configs recomputed from the plan; any mismatch is refused with a
 `CheckpointError` naming the file and the field.
 A finished cell keeps its results (`checkpoints/final.json`, log.csv,
-record.json), each written atomically and durable before record.json, not
-its resume state: once record.json is durable, the checkpoint is deleted. A cell that raises keeps it, so `resume` continues
-the cell.
+record.json), each written once, atomically and durable before record.json,
+not its resume state: once record.json is durable, the checkpoint is
+deleted. A cell that raises keeps it, so `resume` continues the cell.
 
 A sweep runs numpy's OpenBLAS on one thread, in its own process and in
 every pool worker, so that no BLAS thread spins waiting for a CPU that a
@@ -233,10 +234,9 @@ def _fork(cell: _Cell, *args) -> None:
     sibling with neither a checkpoint nor a record gets the PPO checkpoint
     that its own run writes at this update, and resumes from it like from
     any checkpoint."""
-    for method in cell.plan.methods:
-        sibling = _Cell(cell.plan, method, cell.seed, cell.out_dir)
-        if method == cell.method or os.path.exists(sibling.checkpoint) or \
-                os.path.exists(sibling.record):
+    for sibling in (_Cell(cell.plan, method, cell.seed, cell.out_dir)
+                    for method in cell.plan.methods if method != cell.method):
+        if os.path.exists(sibling.checkpoint) or os.path.exists(sibling.record):
             continue
         os.makedirs(os.path.dirname(sibling.checkpoint), exist_ok=True)
         save_checkpoint(sibling.checkpoint, sibling.ppo_payload(*args))
@@ -259,11 +259,33 @@ def _drop_resume_state(cdir: str) -> None:
             os.unlink(p)
 
 
+def _budget_shortfall(cell: _Cell, record: RunRecord) -> str | None:
+    """How `record` breaks the equal-budget premise, or None. A cell may
+    not overspend the budget, and may leave at most one unit of its last
+    stage unspent: a PPO update for ppo_only, an ES generation otherwise."""
+    unspent = record.budget - record.steps_consumed
+    where = (f"{record.method} seed {record.seed} consumed "
+             f"{record.steps_consumed} of {record.budget} steps")
+    if unspent < 0:
+        return f"{where}: {-unspent} over budget"
+    if cell.two_stage:
+        unit = cell.es_config(0).generation_steps(cell.env.horizon)
+        name = "ES generation"
+    else:
+        unit = cell.ppo_config.episodes_per_update * cell.env.horizon
+        name = "PPO update"
+    if unspent > unit:
+        return (f"{where}: {unspent} unspent, more than one {name} "
+                f"({unit} steps)")
+    return None
+
+
 def run_method(plan: ExperimentPlan, method: str, seed: int,
                out_dir: str) -> RunRecord:
     """Execute (or resume) one sweep cell and write its artifacts: one PPO
     run, then, for a two-stage method, one ES run. If the PPO run reaches
-    the fork, it starts this seed's other cells there (`_fork`)."""
+    the fork, it starts this seed's other cells there (`_fork`). A stored
+    record is returned as it was stored."""
     cell = _Cell(plan, method, seed, out_dir)
     ckpt_dir = os.path.dirname(cell.checkpoint)
     os.makedirs(ckpt_dir, exist_ok=True)
@@ -332,6 +354,9 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
         budget=plan.total_step_budget, ppo_steps=state["ppo_steps"],
         es_steps=es_steps, anchor_sha256=state["anchor_sha256"],
         ppo_curve=state["ppo_curve"], es_records=es_records)
+    shortfall = _budget_shortfall(cell, record)
+    if shortfall is not None:  # on disk too, for `report` and `resume`
+        record.failed, record.failure = True, shortfall
     save_json_atomic(os.path.join(ckpt_dir, "final.json"), {
         "format_version": _FINAL_FORMAT_VERSION, "stage": "final",
         "architecture": arch.to_dict(), "params": final_params.tolist(),
@@ -342,40 +367,12 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
     return record
 
 
-def _budget_shortfall(cell: _Cell, record: RunRecord) -> str | None:
-    """How `record` breaks the equal-budget premise, or None. A cell may
-    not overspend the budget, and may leave at most one unit of its last
-    stage unspent: a PPO update for ppo_only, an ES generation otherwise."""
-    unspent = record.budget - record.steps_consumed
-    where = (f"{record.method} seed {record.seed} consumed "
-             f"{record.steps_consumed} of {record.budget} steps")
-    if unspent < 0:
-        return f"{where}: {-unspent} over budget"
-    if cell.two_stage:
-        unit = cell.es_config(0).generation_steps(cell.env.horizon)
-        name = "ES generation"
-    else:
-        unit = cell.ppo_config.episodes_per_update * cell.env.horizon
-        name = "PPO update"
-    if unspent > unit:
-        return (f"{where}: {unspent} unspent, more than one {name} "
-                f"({unit} steps)")
-    return None
-
-
 def _run_cell(plan: ExperimentPlan, method: str, seed: int,
-              out_dir: str) -> dict:
-    """One cell's record; a cell that raises or breaks the equal-budget
-    premise gives a failed record, so it never aborts the rest."""
+              out_dir: str) -> RunRecord:
+    """One cell's record; a cell that raises gives a failed record, so it
+    never aborts the rest."""
     try:
-        record = run_method(plan, method, seed, out_dir)
-        cell = _Cell(plan, method, seed, out_dir)
-        shortfall = _budget_shortfall(cell, record)
-        if shortfall is not None:
-            # on disk too, so that `report` and `resume` see the failure
-            record.failed, record.failure = True, shortfall
-            save_json_atomic(cell.record, record.to_dict())
-        return record.to_dict()
+        return run_method(plan, method, seed, out_dir)
     except KeyboardInterrupt:
         raise
     except Exception:
@@ -383,10 +380,10 @@ def _run_cell(plan: ExperimentPlan, method: str, seed: int,
             task=plan.task, method=method, seed=seed, final_success_rate=0.0,
             final_mean_return=0.0, steps_consumed=0, budget=plan.total_step_budget,
             ppo_steps=0, es_steps=0, anchor_sha256="", ppo_curve=[],
-            es_records=[], failed=True, failure=traceback.format_exc()).to_dict()
+            es_records=[], failed=True, failure=traceback.format_exc())
 
 
-def _run_seed(args) -> list[dict]:
+def _run_seed(args) -> list[RunRecord]:
     """The cells of one seed in plan order: the first whose PPO run reaches
     the fork starts the others from there."""
     plan, seed, out_dir = args
@@ -430,14 +427,15 @@ def success_matrices(records: list[dict]) -> dict:
 
 
 def sweep(plan: ExperimentPlan, out_dir: str, workers: int = 1):
-    """Run all (method, seed) cells, one task per seed; one cell's failure
-    never aborts the rest. Returns (records, report_dict). Results merge
-    deterministically by (method, seed) regardless of scheduling. The plan
-    goes to <out_dir>/plan.json first, so every results directory holds
-    the plan of its cells."""
+    """Run all (method, seed) cells, one task per seed, on at most one
+    worker per seed; one cell's failure never aborts the rest. Returns
+    (records, report_dict). Results merge deterministically by (method,
+    seed) regardless of scheduling. The plan goes to <out_dir>/plan.json
+    first, so every results directory holds the plan of its cells."""
     os.makedirs(out_dir, exist_ok=True)
     save_json_atomic(os.path.join(out_dir, "plan.json"), plan.to_dict())
     tasks = [(plan, seed, out_dir) for seed in plan.seeds]
+    workers = min(workers, len(tasks))  # a pool forks every worker at once
     previous = _set_blas_threads(1)
     try:
         if workers > 1:
@@ -446,15 +444,13 @@ def sweep(plan: ExperimentPlan, out_dir: str, workers: int = 1):
             with ProcessPoolExecutor(max_workers=workers,
                                      initializer=_set_blas_threads,
                                      initargs=(1,)) as pool:
-                raw = [r for cells in pool.map(_run_seed, tasks)
-                       for r in cells]
+                cells = [r for rs in pool.map(_run_seed, tasks) for r in rs]
         else:
-            raw = [r for task in tasks for r in _run_seed(task)]
+            cells = [r for task in tasks for r in _run_seed(task)]
     finally:
         if previous is not None:
             _set_blas_threads(previous)
-    records = sorted((RunRecord(**r) for r in raw),
-                     key=lambda r: (r.method, r.seed))
+    records = sorted(cells, key=lambda r: (r.method, r.seed))
     rows = [r.to_dict() for r in records]
     matrices = success_matrices(rows)
     payload = {

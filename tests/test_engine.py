@@ -44,11 +44,15 @@ class SeedEnv(TargetEnv):
 
 
 class NanEnv(TargetEnv):
-    """Emits a NaN reward in row 3 of a batch."""
+    """Emits a NaN reward in row `row` of a batch."""
+
+    def __init__(self, row=3):
+        super().__init__()
+        self.row = row
 
     def step(self, actions):
         obs, r, terminated, success = super().step(actions)
-        r[3] = np.nan
+        r[self.row] = np.nan
         return obs, r, terminated, success
 
 
@@ -208,11 +212,14 @@ def test_center_eval_streams_disjoint_across_seeds():
 
 
 def test_candidate_rollout_failure_names_pair_and_episode():
-    # row 3 of the batch is pair 1, episode 1 of the + candidates
+    # m = 4 pairs of 2 episodes: rows 0-7 are the + candidates and rows
+    # 8-15 the - candidates, pair-major in both halves; row 3 is pair 1,
+    # episode 1 of the + candidates, row 12 pair 2, episode 0 of the -
     c = small_config(episodes_per_candidate=2)
-    with pytest.raises(RolloutError,
-                       match="generation 0, pair 1, episode 1: .*step 0"):
-        tdes_run(np.zeros(2), ARCH, NanEnv(), c, final_eval=FINAL)
+    for row, pair, episode in ((3, 1, 1), (12, 2, 0)):
+        with pytest.raises(RolloutError, match=f"generation 0, pair {pair}, "
+                                               f"episode {episode}: .*step 0"):
+            tdes_run(np.zeros(2), ARCH, NanEnv(row), c, final_eval=FINAL)
 
 
 def test_generation_record_roundtrip():

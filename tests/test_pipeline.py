@@ -474,6 +474,40 @@ def test_serial_sweep_runs_blas_on_one_thread_then_restores_it(tmp_path,
     assert after == 2
 
 
+@pytest.mark.parametrize("seeds, workers, pools", [
+    ([0, 1], 8, [2]), ([0, 1, 2], 2, [2]), ([0], 4, [])])
+def test_sweep_starts_no_more_workers_than_seeds(tmp_path, monkeypatch, seeds,
+                                                 workers, pools):
+    # a process pool forks all its workers up front, so a plan of fewer
+    # seeds than workers gets one worker per seed, and one seed runs serially
+    import concurrent.futures
+
+    made = []
+
+    class InProcessPool:
+        """Notes its max_workers and maps in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    records, payload = sweep(tiny_plan(methods=["ppo_only"], seeds=seeds),
+                             str(tmp_path), workers=workers)
+    assert payload["failures"] == []
+    assert [r.seed for r in records] == seeds
+    assert made == pools
+
+
 def _resume_state(out):
     """Every checkpoint and stale temp file left under `out`/runs."""
     return sorted(os.path.relpath(os.path.join(d, f), out)
@@ -704,27 +738,35 @@ def test_sweep_fails_cell_with_unequal_budget(tmp_path, monkeypatch, capsys,
                                               method, delta, message):
     import refine_es.pipeline as pipeline
 
-    original = pipeline.run_method
+    # the skew applies as the cell builds its record, before it is written
+    original, save = pipeline.RunRecord, pipeline.save_json_atomic
+    writes = []
 
-    def skewed(plan_, method_, seed, out_dir):
-        rec = original(plan_, method_, seed, out_dir)
-        if (method_, seed) == (method, 1):
-            rec.steps_consumed += delta
-        return rec
+    def skewed(**fields):
+        if (fields["method"], fields["seed"]) == (method, 1):
+            fields["steps_consumed"] += delta
+        return original(**fields)
 
-    monkeypatch.setattr(pipeline, "run_method", skewed)
+    def noting(path, payload):
+        writes.append(path)
+        save(path, payload)
+
+    monkeypatch.setattr(pipeline, "RunRecord", skewed)
+    monkeypatch.setattr(pipeline, "save_json_atomic", noting)
     out = str(tmp_path)
     records, payload = sweep(tiny_plan(), out)
     assert [(f["method"], f["seed"]) for f in payload["failures"]] == \
         [(method, 1)]
     assert payload["failures"][0]["failure"] == message
     assert sum(r.failed for r in records) == 1
+    record = os.path.join(cell_dir(out, "point-reach", method, 1),
+                          "record.json")
+    assert writes.count(record) == 1  # written once, already marked failed
 
     # the failed record is on disk: report leaves the cell out, and a
     # resume fails it again with the same message
     monkeypatch.undo()
-    stored = load_json(os.path.join(cell_dir(out, "point-reach", method, 1),
-                                    "record.json"))
+    stored = load_json(record)
     assert (stored["failed"], stored["failure"]) == (True, message)
     save_json_atomic(os.path.join(out, "plan.json"), tiny_plan().to_dict())
     assert main(["report", "--dir", out]) == 0
