@@ -13,8 +13,9 @@ in a key other than `methods` and `seeds`. `resume` re-runs the sweep of
 <dir>/plan.json in the same directory: completed cells are detected by their
 record.json and skipped, interrupted cells continue from their last
 checkpoint. `report` reads the record.json of exactly the cells of
-<dir>/plan.json, one per (method, seed). REFINE_ES_SEED (comma-separated
-ints) overrides the seed list of the plan that `run` reads, for smoke tests.
+<dir>/plan.json, one per (method, seed), and prints and plots what
+`pipeline.summarize` makes of them, as `sweep` does for report.json. The
+plan file is a sweep's only input.
 """
 
 from __future__ import annotations
@@ -30,26 +31,12 @@ from . import stats, svgplot
 # benchmark's tracer wraps cli.save_json_atomic, so the name stays here
 from .checkpoint import load_json, save_json_atomic  # noqa: F401
 from .errors import PlanError
-from .pipeline import cell_dir, success_matrices, sweep
+from .pipeline import RunRecord, cell_dir, summarize, sweep
 from .plan import load_plan
-
-SEED_ENV_VAR = "REFINE_ES_SEED"
-
-
-def _seeds_override() -> list[int] | None:
-    """The seed list that REFINE_ES_SEED gives, or None if it is unset."""
-    value = os.environ.get(SEED_ENV_VAR)
-    if not value:
-        return None
-    try:
-        return [int(s) for s in value.split(",")]
-    except ValueError:
-        raise PlanError(f"{SEED_ENV_VAR} must be comma-separated "
-                        f"integers, not {value!r}") from None
 
 
 def _finish_sweep(plan, out_dir, workers) -> int:
-    records, payload = sweep(plan, out_dir, workers=workers)
+    _, payload = sweep(plan, out_dir, workers=workers)
     if payload["report"]:
         print(stats.render_report(payload["report"]))
     failures = payload["failures"]
@@ -62,7 +49,7 @@ def _finish_sweep(plan, out_dir, workers) -> int:
 
 
 def cmd_run(args) -> int:
-    plan = load_plan(args.plan, _seeds_override())
+    plan = load_plan(args.plan)
     out_dir = args.out
     if os.path.isdir(out_dir) and os.listdir(out_dir):
         if not args.force:
@@ -99,31 +86,30 @@ def cmd_report(args) -> int:
         print("no runs found", file=sys.stderr)
         return 1
     plan = load_plan(plan_path)
-    records, missing = [], []
-    for method in sorted(plan.methods):
-        for seed in sorted(plan.seeds):  # the (method, seed) order of `sweep`
-            path = os.path.join(cell_dir(args.dir, plan.task, method, seed),
-                                "record.json")
-            record = load_json(path) if os.path.exists(path) else None
-            if record is None or record["failed"]:
-                missing.append((method, seed))
-            else:
-                records.append(record)
-    if not records:
+    cells = [(method, seed) for method in sorted(plan.methods)
+             for seed in sorted(plan.seeds)]
+    paths = [os.path.join(cell_dir(args.dir, plan.task, *cell), "record.json")
+             for cell in cells]
+    records, payload = summarize(plan, [RunRecord(**load_json(p))
+                                        for p in paths if os.path.exists(p)],
+                                 args.baseline)
+    report = payload["report"]
+    if not report:
         print("no runs found", file=sys.stderr)
         return 1
-    matrices = success_matrices(records)
-    if args.baseline is not None and args.baseline not in matrices:
+    if args.baseline is not None and args.baseline not in report["methods"]:
         print(f"error: baseline {args.baseline!r} is not a method of these "
-              f"results {sorted(matrices)}", file=sys.stderr)
+              f"results {sorted(report['methods'])}", file=sys.stderr)
         return 2
-    report = stats.aggregate_report(matrices, baseline=args.baseline)
     print(stats.render_report(report))
+    records = [r for r in records if not r.failed]
     print("\nsteps consumed per method (min, max over seeds; budget):")
-    for method in sorted(matrices):
-        steps = [r["steps_consumed"] for r in records if r["method"] == method]
-        budget = max(r["budget"] for r in records if r["method"] == method)
+    for method in sorted(report["methods"]):
+        steps = [r.steps_consumed for r in records if r.method == method]
+        budget = max(r.budget for r in records if r.method == method)
         print(f"  {method:<24} {min(steps):>9} {max(steps):>9} {budget:>9}")
+    done = {(r.method, r.seed) for r in records}
+    missing = [cell for cell in cells if cell not in done]
     if missing:
         print(f"\nmissing cells ({len(missing)}):")
         for method, seed in missing:
@@ -131,11 +117,9 @@ def cmd_report(args) -> int:
 
     # performance profiles + per-generation diagnostics
     thresholds = np.linspace(0.0, 1.0, 101)
-    profile_series = {}
-    for method, per_task in sorted(matrices.items()):
-        scores = np.concatenate([list(v.values()) for v in per_task.values()])
-        profile_series[method] = (thresholds,
-                                  stats.performance_profile(scores, thresholds))
+    profile_series = {method: (thresholds, stats.performance_profile(
+        [r.final_success_rate for r in records if r.method == method],
+        thresholds)) for method in sorted(report["methods"])}
     svgplot.write_line_svg(os.path.join(args.dir, "performance_profile.svg"),
                            profile_series, title="Performance profiles",
                            xlabel="success-rate threshold",
@@ -144,19 +128,20 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _diagnostic_plots(results_dir: str, records: list[dict]) -> None:
+def _diagnostic_plots(results_dir: str, records: list[RunRecord]) -> None:
+    """One plot per ES diagnostic, a series per cell with ES records; a plot
+    without a series is deleted, so that no cell of another plan stays."""
     for name, key in (("sigma_schedule", "sigma_es"), ("g_norm", "g_norm"),
                       ("return_curves", "center_return")):
-        series = {}
-        for r in records:
-            if r.get("es_records"):
-                gens = [g["generation"] for g in r["es_records"]]
-                vals = [g[key] for g in r["es_records"]]
-                series[f"{r['method']}/s{r['seed']}"] = (gens, vals)
+        path = os.path.join(results_dir, f"{name}.svg")
+        series = {f"{r.method}/s{r.seed}": (
+            [g["generation"] for g in r.es_records],
+            [g[key] for g in r.es_records]) for r in records if r.es_records}
         if series:
-            svgplot.write_line_svg(os.path.join(results_dir, f"{name}.svg"),
-                                   series, title=name, xlabel="generation",
-                                   ylabel=key)
+            svgplot.write_line_svg(path, series, title=name,
+                                   xlabel="generation", ylabel=key)
+        elif os.path.exists(path):
+            os.remove(path)
 
 
 def main(argv=None) -> int:

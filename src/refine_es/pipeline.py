@@ -27,6 +27,10 @@ record already marked failed.
 Results layout: a sweep writes <out>/plan.json before its first cell and
 <out>/report.json after its last, and each cell writes
 <out>/runs/<task>/<method>/<seed>/{checkpoints/, log.csv, record.json}.
+report.json is what `summarize` makes of the cells' records: the aggregate
+over those that did not fail, the failures, and the records in (method,
+seed) order. `refine-es report` builds it the same way from the record.json
+files on disk.
 Cells checkpoint after every PPO update / ES generation into one atomic
 `checkpoints/checkpoint.npz` (see checkpoint.py) and resume bit-exactly
 from it, the PPO->ES handoff included. An ES generation is checkpointed
@@ -415,23 +419,13 @@ def _set_blas_threads(count: int) -> int | None:
     return None
 
 
-def success_matrices(records: list[dict]) -> dict:
-    """method -> {task -> {seed: final success rate}} over the records that
-    did not fail: the input of `stats.aggregate_report`."""
-    matrices: dict = {}
-    for r in records:
-        if not r.get("failed"):
-            matrices.setdefault(r["method"], {}).setdefault(
-                r["task"], {})[r["seed"]] = r["final_success_rate"]
-    return matrices
-
-
 def sweep(plan: ExperimentPlan, out_dir: str, workers: int = 1):
     """Run all (method, seed) cells, one task per seed, on at most one
     worker per seed; one cell's failure never aborts the rest. Returns
-    (records, report_dict). Results merge deterministically by (method,
-    seed) regardless of scheduling. The plan goes to <out_dir>/plan.json
-    first, so every results directory holds the plan of its cells."""
+    `summarize`'s records and payload, which goes to <out_dir>/report.json,
+    so the results do not depend on scheduling. The plan goes to
+    <out_dir>/plan.json first, so every results directory holds the plan of
+    its cells."""
     os.makedirs(out_dir, exist_ok=True)
     save_json_atomic(os.path.join(out_dir, "plan.json"), plan.to_dict())
     tasks = [(plan, seed, out_dir) for seed in plan.seeds]
@@ -450,15 +444,28 @@ def sweep(plan: ExperimentPlan, out_dir: str, workers: int = 1):
     finally:
         if previous is not None:
             _set_blas_threads(previous)
-    records = sorted(cells, key=lambda r: (r.method, r.seed))
-    rows = [r.to_dict() for r in records]
-    matrices = success_matrices(rows)
-    payload = {
-        "plan": plan.to_dict(),
-        "report": stats.aggregate_report(matrices) if matrices else {},
-        "failures": [{"method": r.method, "seed": r.seed, "failure": r.failure}
-                     for r in records if r.failed],
-        "records": rows,
-    }
+    records, payload = summarize(plan, cells)
     save_json_atomic(os.path.join(out_dir, "report.json"), payload)
     return records, payload
+
+
+def summarize(plan: ExperimentPlan, records: list[RunRecord],
+              baseline: str | None = None) -> tuple[list[RunRecord], dict]:
+    """The records of a plan's cells in (method, seed) order, and the
+    payload of report.json: the plan, the aggregate (`stats.aggregate_report`
+    against `baseline`) over the records that did not fail, or {} if none
+    did, the failures, and the records."""
+    records = sorted(records, key=lambda r: (r.method, r.seed))
+    matrices: dict = {}
+    for r in records:
+        if not r.failed:
+            matrices.setdefault(r.method, {}).setdefault(
+                r.task, {})[r.seed] = r.final_success_rate
+    return records, {
+        "plan": plan.to_dict(),
+        "report": (stats.aggregate_report(matrices, baseline=baseline)
+                   if matrices else {}),
+        "failures": [{"method": r.method, "seed": r.seed,
+                      "failure": r.failure} for r in records if r.failed],
+        "records": [r.to_dict() for r in records],
+    }

@@ -174,16 +174,12 @@ def plan_from_dict(raw: dict) -> ExperimentPlan:
     return plan
 
 
-def load_plan(path: str, seeds: list[int] | None = None) -> ExperimentPlan:
-    """The plan in the JSON file at `path`, with its seed list replaced by
-    `seeds` if given. Any failure, from an unreadable file to an invalid
-    value, is a `PlanError` that names the file."""
+def load_plan(path: str) -> ExperimentPlan:
+    """The plan in the JSON file at `path`. Any failure, from an unreadable
+    file to an invalid value, is a `PlanError` that names the file."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
-        if seeds is not None and isinstance(raw, dict):
-            raw["seeds"] = list(seeds)
-        return plan_from_dict(raw)
+            return plan_from_dict(json.load(fh))
     except json.JSONDecodeError as exc:  # its text names line and column
         raise PlanError(f"plan file {path} is not valid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:

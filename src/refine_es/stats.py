@@ -129,8 +129,9 @@ def aggregate_report(matrices: dict, baseline: str | None = None,
 
     matrices: method -> {task -> per-seed scores}, either {seed id: score}
     or a sequence indexed by seed. Seed columns are taken in ascending seed
-    order; the paired P(improvement) CI resamples only the seeds that the
-    method and the baseline both have.
+    order. P(improvement) and its paired CI use only the seeds that the
+    method and the baseline both have, task by task; with no seed in
+    common, neither is reported.
     """
     methods = sorted(matrices)
     if baseline is None:
@@ -152,19 +153,19 @@ def aggregate_report(matrices: dict, baseline: str | None = None,
             "mean_ci": stratified_bootstrap_ci(matrix, pooled_mean, resamples,
                                                seed=seed),
         }
-        if method != baseline and baseline in matrices:
-            entry["p_improvement"] = prob_improvement(
-                _pooled(matrix), _pooled(columns[baseline]))
-            # (method, baseline) rows per task over their common seeds, so
-            # seed columns resample jointly
+        if method != baseline:
+            # (method, baseline) rows per task over their common seeds: the
+            # estimate and its CI compare the same seeds, and the CI
+            # resamples the seed columns jointly
             paired = {}
             for t, own in by_seed[method].items():
-                base = by_seed[baseline].get(t, {})
+                base = by_seed.get(baseline, {}).get(t, {})
                 common = sorted(own.keys() & base.keys())
                 if common:
                     paired[t] = np.array([[own[s] for s in common],
                                           [base[s] for s in common]])
             if paired:
+                entry["p_improvement"] = prob_improvement(*_pooled(paired))
                 entry["p_improvement_ci"] = stratified_bootstrap_ci(
                     paired, lambda res: prob_improvement(
                         *_pooled(res).swapaxes(0, 1)),
@@ -194,11 +195,10 @@ def render_report(report: dict) -> str:
     for method, e in sorted(report["methods"].items()):
         iqm_s = f"{_fmt_pct(e['iqm'])} ({_fmt_pct(e['iqm_ci'][0])}-{_fmt_pct(e['iqm_ci'][1])})"
         mean_s = f"{_fmt_pct(e['mean'])} ({_fmt_pct(e['mean_ci'][0])}-{_fmt_pct(e['mean_ci'][1])})"
-        if "p_improvement" in e:
-            poi = f"{_fmt_pct(e['p_improvement'])}"
-            if "p_improvement_ci" in e:
-                poi += (f" ({_fmt_pct(e['p_improvement_ci'][0])}-"
-                        f"{_fmt_pct(e['p_improvement_ci'][1])})")
+        if "p_improvement" in e:  # with its CI, over the same seeds
+            poi = (f"{_fmt_pct(e['p_improvement'])} "
+                   f"({_fmt_pct(e['p_improvement_ci'][0])}-"
+                   f"{_fmt_pct(e['p_improvement_ci'][1])})")
         else:
             poi = "--"
         lines.append(f"{method:<24} {iqm_s:<26} {mean_s:<26} {poi}")

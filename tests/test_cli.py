@@ -4,8 +4,9 @@ import os
 import pytest
 from interrupts import interrupt_after_generation
 
-from refine_es.cli import SEED_ENV_VAR, main
-from refine_es.stats import render_report
+from refine_es import pipeline
+from refine_es.cli import main
+from refine_es.stats import aggregate_report, render_report
 
 TINY_PLAN = {
     "task": "point-reach",
@@ -145,37 +146,6 @@ def test_resume_without_plan_exit_2(tmp_path, capsys):
     assert "plan.json" in capsys.readouterr().err
 
 
-def test_seed_env_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(SEED_ENV_VAR, "5")
-    plan = dict(TINY_PLAN, methods=["ppo_only"], seeds=[0, 1, 2])
-    out = str(tmp_path / "out")
-    assert main(["run", "--plan", write_plan(tmp_path, plan),
-                 "--out", out]) == 0
-    capsys.readouterr()
-    seeds_run = os.listdir(os.path.join(out, "runs", "point-reach", "ppo_only"))
-    assert seeds_run == ["5"]
-
-
-@pytest.mark.parametrize("value", ["0.5", " ", "0,x"])
-def test_bad_seed_env_exit_2_at_load(tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv(SEED_ENV_VAR, value)
-    out = str(tmp_path / "out")
-    code = main(["run", "--plan", write_plan(tmp_path), "--out", out])
-    assert code == 2
-    assert SEED_ENV_VAR in capsys.readouterr().err
-    assert not os.path.exists(out)
-
-
-def test_seed_env_outside_64_bits_exit_2_at_load(tmp_path, monkeypatch,
-                                                 capsys):
-    monkeypatch.setenv(SEED_ENV_VAR, "-1")
-    out = str(tmp_path / "out")
-    code = main(["run", "--plan", write_plan(tmp_path), "--out", out])
-    assert code == 2
-    assert "seed -1 " in capsys.readouterr().err
-    assert not os.path.exists(out)
-
-
 @pytest.mark.parametrize("command", ["run", "resume"])
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_workers_below_one_rejected_at_parsing(tmp_path, capsys, command,
@@ -301,8 +271,7 @@ def test_report_lists_missing_seeds_in_integer_order(tmp_path, capsys):
                                           "  point-reach ppo_only seed 10"]
 
 
-def test_seed_env_with_non_object_plan_exit_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(SEED_ENV_VAR, "0")
+def test_non_object_plan_exit_2(tmp_path, capsys):
     path = write_plan(tmp_path, [1, 2])
     out = str(tmp_path / "out")
     code = main(["run", "--plan", path, "--out", out])
@@ -405,3 +374,61 @@ def test_force_refuses_a_directory_of_another_plan(tmp_path, capsys, key,
     assert main(["report", "--dir", out]) == 0
     assert render_report(json.loads(before)["report"]) in \
         capsys.readouterr().out
+
+
+def _fail_cell(monkeypatch, method, seed):
+    """Make cell (method, seed) of every sweep raise, as a crash would."""
+    original = pipeline.run_method
+
+    def run_method(plan_, method_, seed_, out_dir):
+        if (method_, seed_) == (method, seed):
+            raise RuntimeError("synthetic cell failure")
+        return original(plan_, method_, seed_, out_dir)
+    monkeypatch.setattr(pipeline, "run_method", run_method)
+
+
+def test_report_of_a_sweep_with_a_failed_cell_equals_report_json(
+        tmp_path, monkeypatch, capsys):
+    # `report` and report.json aggregate the same records, the failed cell
+    # left out, and --baseline aggregates those records against it
+    out = str(tmp_path / "out")
+    _fail_cell(monkeypatch, "ppo_only", 1)
+    assert main(["run", "--plan", write_plan(tmp_path, dict(TINY_PLAN,
+                                                            seeds=[0, 1, 2])),
+                 "--out", out]) == 1
+    capsys.readouterr()
+    with open(os.path.join(out, "report.json")) as fh:
+        swept = json.load(fh)
+    assert [(f["method"], f["seed"]) for f in swept["failures"]] == \
+        [("ppo_only", 1)]
+    assert main(["report", "--dir", out]) == 0
+    stdout = capsys.readouterr().out
+    assert render_report(swept["report"]) in stdout
+    assert "missing cells (1):\n  point-reach ppo_only seed 1\n" in stdout
+
+    matrices = {}
+    for r in swept["records"]:
+        if not r["failed"]:
+            matrices.setdefault(r["method"], {}).setdefault(
+                r["task"], {})[r["seed"]] = r["final_success_rate"]
+    assert main(["report", "--dir", out, "--baseline", "ppo_then_tdes"]) == 0
+    assert render_report(aggregate_report(
+        matrices, baseline="ppo_then_tdes")) in capsys.readouterr().out
+
+
+def test_report_removes_plots_of_cells_not_in_its_plan(tmp_path, capsys):
+    # the ES diagnostics of an earlier plan in the same directory must not
+    # outlive a report of a plan without ES cells
+    out = str(tmp_path / "out")
+    plots = [os.path.join(out, f"{name}.svg")
+             for name in ("sigma_schedule", "g_norm", "return_curves")]
+    assert main(["run", "--plan", write_plan(tmp_path), "--out", out]) == 0
+    assert main(["report", "--dir", out]) == 0
+    assert all(map(os.path.exists, plots))
+    plan = dict(TINY_PLAN, methods=["ppo_only"])
+    assert main(["run", "--plan", write_plan(tmp_path, plan), "--out", out,
+                 "--force"]) == 0
+    assert main(["report", "--dir", out]) == 0
+    capsys.readouterr()
+    assert not any(map(os.path.exists, plots))
+    assert os.path.exists(os.path.join(out, "performance_profile.svg"))

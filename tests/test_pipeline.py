@@ -1254,3 +1254,76 @@ def test_sweep_runs_one_loop_per_update_generation_and_cell(tmp_path,
         len(by_method[m].es_records) + 1
         for m in ("ppo_then_tdes", "ppo_then_gaussian_es"))
     assert len(steps) == 100 * loops == 100 * (7 + 1 + 3 + 3)
+
+
+def test_stream_ledger_of_a_sweep(tmp_path, monkeypatch):
+    # every stream_seed key that a serial sweep of all three methods draws,
+    # with the cell that drew it
+    from refine_es import engine, rng
+    from refine_es.rng import (TAG_ACTION, TAG_CENTER_EVAL, TAG_ENV,
+                               TAG_FINAL_EVAL, TAG_NOISE)
+
+    draws = []  # (method, plan seed, key, 64-bit seed)
+    cell = []
+    stream_seed = rng.stream_seed
+
+    def ledger(*key):
+        value = stream_seed(*key)
+        draws.append((*cell[-1], key, value))
+        return value
+
+    for module in (rng, engine, pipeline_module):
+        monkeypatch.setattr(module, "stream_seed", ledger)
+    run = pipeline_module.run_method
+
+    def attributed_run(plan, method, seed, out_dir):
+        cell.append((method, seed))
+        try:
+            return run(plan, method, seed, out_dir)
+        finally:
+            cell.pop()
+
+    monkeypatch.setattr(pipeline_module, "run_method", attributed_run)
+    es = {"m": 2, "sigma_es": 0.05, "alpha": 0.01,
+          "episodes_per_candidate": 2, "center_eval_episodes": 2}
+    plan = tiny_plan(total_step_budget=3000, es=es)
+    records, payload = sweep(plan, str(tmp_path))
+    assert payload["failures"] == []
+
+    seeds, cells = {}, {}
+    for method, seed, key, value in draws:
+        assert seeds.setdefault(key, value) == value
+        cells.setdefault(key, []).append((method, seed))
+    assert len(set(seeds.values())) == len(seeds), "two keys share a seed"
+    for key, drawn in cells.items():
+        assert len({seed for _, seed in drawn}) == 1, key
+        assert len(set(drawn)) == len(drawn), f"{drawn} drew {key} twice"
+
+    # a key drawn by two cells is shared by design: the ES and center
+    # evaluation streams by the two ES methods of a seed, the final
+    # evaluation episodes by every cell of a seed
+    center = {seeds[k] for k in seeds if k[1:2] == (TAG_CENTER_EVAL,)}
+    final = {seeds[k] for k in seeds if k[1:] == (TAG_FINAL_EVAL,)}
+    es_methods = {"ppo_then_tdes", "ppo_then_gaussian_es"}
+    shared = {"es": 0, "final": 0}
+    for key, drawn in cells.items():
+        if len(drawn) == 1:
+            continue
+        methods = {method for method, _ in drawn}
+        if key[0] in plan.seeds and key[1] in (TAG_NOISE, TAG_ENV, TAG_ACTION,
+                                               TAG_CENTER_EVAL) \
+                or key[0] in center:
+            assert methods == es_methods, key
+            shared["es"] += 1
+        else:
+            assert key[1:] == (TAG_FINAL_EVAL,) or key[0] in final, key
+            assert methods == set(plan.methods), key
+            shared["final"] += 1
+    # per seed: each generation's m noise vectors, m x 2 env seeds and
+    # action noises, center-evaluation seed and 2 center episodes; the
+    # final-evaluation seed and its 3 episodes
+    generations = [len(r.es_records) for r in records
+                   if r.method == "ppo_then_tdes"]
+    assert generations == [2, 2]
+    assert shared == {"es": 2 * 2 * (2 + 2 * 2 * 2 + 1 + 2),
+                      "final": 2 * (1 + 3)}

@@ -246,21 +246,21 @@ def test_aggregate_report_pairs_seeds_by_id():
     paired_only = aggregate_report(
         {"ppo_only": {"t": [base[s] for s in common]},
          "ppo_then_tdes": {"t": [tdes[s] for s in common]}}, resamples=200)
-    assert got["p_improvement_ci"] == \
-        paired_only["methods"]["ppo_then_tdes"]["p_improvement_ci"]
+    for key in ("p_improvement", "p_improvement_ci"):
+        assert got[key] == paired_only["methods"]["ppo_then_tdes"][key]
     # the unpaired statistics keep every seed the method has
     alone = aggregate_report({"ppo_then_tdes": {"t": [tdes[s] for s in
                                                       sorted(tdes)]}},
                              resamples=200)["methods"]["ppo_then_tdes"]
     for key in ("iqm", "iqm_ci", "mean", "mean_ci"):
         assert got[key] == alone[key]
-    assert got["p_improvement"] == prob_improvement(list(tdes.values()),
-                                                    list(base.values()))
-    # no seed in common: the point estimate stays, the paired CI is omitted
+    assert got["p_improvement"] == prob_improvement(
+        [tdes[s] for s in common], [base[s] for s in common])
+    # no seed in common: neither the estimate nor its paired CI
     disjoint = aggregate_report({"ppo_only": {"t": {0: 0.1, 1: 0.2}},
                                  "ppo_then_tdes": {"t": {2: 0.3, 3: 0.4}}},
                                 resamples=50)["methods"]["ppo_then_tdes"]
-    assert disjoint["p_improvement"] == 1.0
+    assert "p_improvement" not in disjoint
     assert "p_improvement_ci" not in disjoint
 
 
@@ -271,3 +271,29 @@ def test_render_report_text():
     assert "ppo_then_tdes" in text
     assert "IQM" in text and "P(Improvement" in text
     assert "stratified percentile bootstrap" in text
+
+
+def test_prob_improvement_and_its_ci_use_the_same_seeds():
+    # the baseline lacks seed 2: the estimate, like its paired CI, compares
+    # seeds 0 and 1 only (over all seeds it read 1/3, below its CI)
+    report = aggregate_report({"ppo_only": {"t": {0: .2, 1: .2}},
+                               "tdes": {"t": {0: .2, 1: .2, 2: 0.0}}},
+                              resamples=200)
+    tdes = report["methods"]["tdes"]
+    assert tdes["p_improvement"] == 0.5
+    assert tdes["p_improvement_ci"] == (0.5, 0.5)
+    # a task that only the method has adds nothing to the comparison
+    two_tasks = aggregate_report({"ppo_only": {"t": {0: .2, 1: .2}},
+                                  "tdes": {"t": {0: .2, 1: .2},
+                                           "u": {0: 1.0}}},
+                                 resamples=200)["methods"]["tdes"]
+    assert two_tasks["p_improvement"] == 0.5
+    # no seed in common: neither the estimate nor its CI
+    disjoint = aggregate_report({"ppo_only": {"t": {0: 0.1, 1: 0.2}},
+                                 "tdes": {"t": {2: 0.3, 3: 0.4}}},
+                                resamples=50)
+    assert "p_improvement" not in disjoint["methods"]["tdes"]
+    assert "p_improvement_ci" not in disjoint["methods"]["tdes"]
+    row = [line for line in render_report(disjoint).splitlines()
+           if line.startswith("tdes ")]
+    assert row[0].split()[-1] == "--"

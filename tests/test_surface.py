@@ -5,8 +5,9 @@ assignment is no reference, and the fields of a dataclass are its record
 schema, not members. A name that only tests use belongs in the tests, not
 in the package. The import path of the CLI stays free of scipy, a test-only
 dependency, of the process pool, which only a multi-worker sweep needs, and
-of ctypes, which only a sweep needs, to set the BLAS threads. Only the CLI
-reads the environment, so no test hook can hide in the package."""
+of ctypes, which only a sweep needs, to set the BLAS threads. No module
+reads the environment: the plan file is a sweep's only input, and no test
+hook can hide in the package."""
 
 import ast
 import os
@@ -77,13 +78,13 @@ def test_no_unreferenced_public_names():
     assert sorted(ALLOWED) == sorted(set(unused) & set(ALLOWED))
 
 
-def test_only_cli_reads_the_environment():
-    # cli.py reads the documented REFINE_ES_SEED; nothing else may read
-    # a variable, as the interrupt hook of the ES loop once did
+def test_no_module_reads_the_environment():
+    # no module may read a variable, as the interrupt hook of the ES loop
+    # and a seed override of the CLI once did
     readers = sorted(p.name for p in SRC.glob("*.py")
                      if {"environ", "getenv"} & set(
                          _references(ast.parse(p.read_text()))))
-    assert readers == ["cli.py"]
+    assert readers == []
 
 
 def test_cli_import_loads_no_scipy():
