@@ -8,15 +8,15 @@ center evaluation of generation t rides, as noiseless rows, in the candidate
 batch of generation t + 1, whose candidates perturb the same parameters;
 that of the last generation rides in the batch of the final evaluation,
 which `tdes_run` runs too. An ES stage of G generations runs G + 1 batches.
-A generation is complete, and checkpointed, once its center return is
-known.
+A generation is complete, and its state handed to the checkpoint
+callback, once its center return is known.
 
 Everything random is drawn from counter-based streams keyed on
 (config.seed, purpose, generation, pair, episode), so a run is a pure
-function of (anchor, config) and can resume bit-exactly from any completed
-generation. Antithetic pairs share their env-seed and action-noise streams
-(common random numbers), so a zero perturbation yields a zero pair
-difference identically.
+function of (anchor, config) and can resume bit-exactly from the state of
+any completed generation: its parameters and its records. Antithetic pairs
+share their env-seed and action-noise streams (common random numbers), so
+a zero perturbation yields a zero pair difference identically.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class EsConfig:
     action_std: float = 0.01
     seed: int = 0
     episodes_per_candidate: int = 1
-    step_cap: int | None = None
     standardize_noise: bool = False
     center_eval_episodes: int = 1
 
@@ -78,27 +77,9 @@ class EsConfig:
 
 
 @dataclass
-class GenerationRecord:
-    """One generation's log line. wall_time is the seconds from the start
-    of the generation to its update; its center evaluation runs later, in
-    the next batch."""
-    generation: int
-    center_return: float
-    mean_return: float
-    best_return: float
-    sigma_es: float
-    g_norm: float
-    steps_used: int
-    wall_time: float
-
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
-
-
-@dataclass
 class EsRunResult:
     params: np.ndarray
-    records: list[GenerationRecord]
+    records: list[dict]
     steps_used: int
     final_mean_return: float
     final_success_rate: float
@@ -177,19 +158,23 @@ def evaluate_center(params: np.ndarray, arch: MlpArchitecture, env,
 
 def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env,
              config: EsConfig, *, final_eval: tuple[int, int],
-             start_generation: int = 0, initial_steps: int = 0,
-             records: list | None = None,
-             checkpoint_cb=None) -> EsRunResult:
-    """Run the generation loop from `start_generation` to completion, then
-    the final evaluation `final_eval` = (episodes, master_seed) of the final
+             records=(), checkpoint_cb=None) -> EsRunResult:
+    """Run the generation loop from `anchor` to completion, then the final
+    evaluation `final_eval` = (episodes, master_seed) of the final
     parameters, seeded as `evaluate_center` seeds it.
 
     Each generation runs one lockstep batch, whose rows past the candidates
     are the center evaluation of the generation before; the last one's runs
-    in the final evaluation's batch. A generation's record is appended and
-    checkpoint_cb(generation_index_completed, params, steps_used, records)
-    called once its center return is known, after the next batch.
-    Evaluation rows never count toward the steps used.
+    in the final evaluation's batch. Evaluation rows never count toward the
+    steps used. A generation's record (generation, center_return,
+    mean_return, best_return, sigma_es, g_norm, steps_used, wall_time: the
+    seconds from the start of the generation to its update) is appended
+    once its center return is known, after the next batch, and then
+    `checkpoint_cb(state)` gets the run's state, what a checkpoint stores:
+    {"generation_index", "params", "steps_used", "records"}. It is live:
+    its records list grows with the next generation. A run resumes
+    bit-exactly from such a state's params as `anchor` and its records; the
+    first generation and the steps used follow from the last record.
     """
     if anchor.shape != (param_count(arch),):
         raise ContractError("anchor does not match the architecture")
@@ -197,8 +182,9 @@ def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env,
         raise ContractError("episodes must be >= 1")
 
     theta = np.array(anchor, dtype=float, copy=True)
-    records = list(records) if records else []
-    steps_used = initial_steps
+    records = list(records)
+    last = records[-1] if records else {"generation": -1, "steps_used": 0}
+    steps_used = last["steps_used"]
     dist = config.noise_distribution()
     d = theta.shape[0]
     gen_cost = config.generation_steps(env.horizon)
@@ -206,21 +192,21 @@ def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env,
 
     def center_eval():
         return [] if pending is None else [
-            (f"generation {pending.generation} center evaluation",
-             config.center_eval_episodes,
-             stream_seed(config.seed, TAG_CENTER_EVAL, pending.generation))]
+            (f"generation {pending['generation']} center evaluation",
+             config.center_eval_episodes, stream_seed(
+                 config.seed, TAG_CENTER_EVAL, pending["generation"]))]
 
     def close(results):  # theta is still what pending's update gave
         if pending is not None:
-            pending.center_return = results[0][0]
+            pending["center_return"] = results[0][0]
             records.append(pending)
             if checkpoint_cb is not None:
-                checkpoint_cb(pending.generation, theta, pending.steps_used,
-                              records)
+                checkpoint_cb({"generation_index": pending["generation"],
+                               "params": theta,
+                               "steps_used": pending["steps_used"],
+                               "records": records})
 
-    for t in range(start_generation, config.generations):
-        if config.step_cap is not None and steps_used + gen_cost > config.step_cap:
-            break
+    for t in range(last["generation"] + 1, config.generations):
         t0 = time.perf_counter()
         sigma = sigma_at(config, t)
         batch = make_batch(dist, sigma, config.m, d, t, config.seed)
@@ -232,12 +218,12 @@ def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env,
         g = tdes_gradient(batch, *centered_ranks(j_plus, j_minus))
         theta = theta + config.alpha * g
         all_returns = np.concatenate([j_plus, j_minus])
-        pending = GenerationRecord(
-            generation=t, center_return=None,
-            mean_return=float(all_returns.mean()),
-            best_return=float(all_returns.max()),
-            sigma_es=sigma, g_norm=float(np.linalg.norm(g)),
-            steps_used=steps_used, wall_time=time.perf_counter() - t0)
+        pending = {"generation": t, "center_return": None,
+                   "mean_return": float(all_returns.mean()),
+                   "best_return": float(all_returns.max()),
+                   "sigma_es": sigma, "g_norm": float(np.linalg.norm(g)),
+                   "steps_used": steps_used,
+                   "wall_time": time.perf_counter() - t0}
 
     _, results = _lockstep_batch(theta, arch, env, center_eval() + [
         ("final evaluation", *final_eval)])

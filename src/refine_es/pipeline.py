@@ -33,19 +33,23 @@ seed) order. `refine-es report` builds it the same way from the record.json
 files on disk.
 Cells checkpoint after every PPO update / ES generation into one atomic
 `checkpoints/checkpoint.npz` (see checkpoint.py) and resume bit-exactly
-from it, the PPO->ES handoff included. An ES generation is checkpointed
-once its center evaluation has run, in the next generation's batch, the
-last generation's in the final evaluation's (see engine.py); a cut in
-between resumes from the generation before and redoes one. A two-stage
-cell's final evaluation is run by `engine.tdes_run`, ppo_only's by
-`engine.evaluate_center`. A fresh ES stage starts from its
+from it, the PPO->ES handoff included. A checkpoint is the state that the
+stage hands out (`ppo.train_anchor`, `engine.tdes_run`) plus the cell's
+fields, and the stage resumes from it as loaded; an ES checkpoint also
+holds the PPO stage that it refines (`_Cell.after_ppo`). An ES generation
+is checkpointed once its center evaluation has run, in the next
+generation's batch, the last generation's in the final evaluation's (see
+engine.py); a cut in between resumes from the generation before and redoes
+one. A two-stage cell's final evaluation is run by `engine.tdes_run`,
+ppo_only's by `engine.evaluate_center`. A fresh ES stage starts from its
 state before the first generation, built in memory; a cut before its first
 generation resumes from the last PPO checkpoint. The ES checkpoint of
 generation -1 that older versions wrote there, and planted at the fork,
 resumes like any other. On resume the checkpoint must match the cell:
 format version, stage, master seed, the handoff rule, and the PPO and ES
-configs recomputed from the plan; any mismatch is refused with a
-`CheckpointError` naming the file and the field.
+configs recomputed from the plan (an older ES config's step cap is
+dropped first); any mismatch is refused with a `CheckpointError` naming
+the file and the field.
 A finished cell keeps its results (`checkpoints/final.json`, log.csv,
 record.json), each written once, atomically and durable before record.json,
 not its resume state: once record.json is durable, the checkpoint is
@@ -168,12 +172,6 @@ class _Cell:
                 (self.fork_stop is not None and self.fork_stop(curve[:k]))
         return ends(len(curve)) and not any(map(ends, range(len(curve))))
 
-    def ppo_payload(self, update, ac, optimizer, steps, curve) -> dict:
-        """The checkpoint of this cell's PPO run after update `update`."""
-        return {"stage": "ppo", "update_index": update,
-                "actor_critic": ac.to_dict(), "optimizer": optimizer.to_dict(),
-                "steps_used": steps, "curve": curve, **self.fields}
-
     def after_ppo(self, ac, steps: int, curve: list) -> dict:
         """The state of this cell once its PPO run ended with `ac`: the ES
         stage before its first generation (a two-stage cell's ES config
@@ -232,18 +230,18 @@ def _load_state(path: str, fields: dict) -> dict:
     return state
 
 
-def _fork(cell: _Cell, *args) -> None:
-    """Start the other cells of this seed from the PPO state at the fork,
-    after update `args[0]` (args as `_Cell.ppo_payload` takes them). Each
-    sibling with neither a checkpoint nor a record gets the PPO checkpoint
-    that its own run writes at this update, and resumes from it like from
-    any checkpoint."""
+def _fork(cell: _Cell, ppo_state: dict) -> None:
+    """Start the other cells of this seed from `ppo_state`, the state that
+    `ppo.train_anchor` hands out at the fork. Each sibling with neither a
+    checkpoint nor a record gets the PPO checkpoint that its own run writes
+    at this update, and resumes from it like from any checkpoint."""
     for sibling in (_Cell(cell.plan, method, cell.seed, cell.out_dir)
                     for method in cell.plan.methods if method != cell.method):
         if os.path.exists(sibling.checkpoint) or os.path.exists(sibling.record):
             continue
         os.makedirs(os.path.dirname(sibling.checkpoint), exist_ok=True)
-        save_checkpoint(sibling.checkpoint, sibling.ppo_payload(*args))
+        save_checkpoint(sibling.checkpoint,
+                        {"stage": "ppo", **ppo_state, **sibling.fields})
 
 
 def _drop_resume_state(cdir: str) -> None:
@@ -304,23 +302,19 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
             f"({CHECKPOINT_NAME})")
 
     state = (_load_state(cell.checkpoint, cell.fields)
-             if os.path.exists(cell.checkpoint) else {})
-    if state.get("stage") != "es":
-        def ppo_ckpt(*args):  # (update, ac, optimizer, steps, curve)
+             if os.path.exists(cell.checkpoint) else None)
+    if state is None or state["stage"] == "ppo":
+        def ppo_ckpt(ppo_state):
             # plant the siblings before this cell's own checkpoint: a run
             # resumed past the fork never reaches it again
-            if cell.at_fork(args[-1]):
-                _fork(cell, *args)
-            save_checkpoint(cell.checkpoint, cell.ppo_payload(*args))
+            if cell.at_fork(ppo_state["curve"]):
+                _fork(cell, ppo_state)
+            save_checkpoint(cell.checkpoint,
+                            {"stage": "ppo", **ppo_state, **cell.fields})
 
-        resume = {} if not state else {
-            "start_update": state["update_index"] + 1,
-            "initial": ppo.ActorCritic.from_dict(state["actor_critic"]),
-            "initial_steps": state["steps_used"], "curve": state["curve"],
-            "optimizer_state": state["optimizer"]}
-        res = ppo.train_anchor(cell.env, cell.ppo_config,
+        res = ppo.train_anchor(cell.env, cell.ppo_config, state,
                                checkpoint_cb=ppo_ckpt,
-                               stop_condition=cell.stop, **resume)
+                               stop_condition=cell.stop)
         state = cell.after_ppo(res.actor_critic, res.steps_used, res.curve)
 
     arch = MlpArchitecture.from_dict(state["architecture"])
@@ -330,22 +324,17 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
     es_steps = 0
     if cell.two_stage:
         es_cfg = cell.es_config(plan.total_step_budget - state["ppo_steps"])
+        # older versions stored a step cap, the remaining steps, which
+        # `generations` already implies
+        state["es_config"].pop("step_cap", None)
         _check_fields(cell.checkpoint, "es_config", state["es_config"],
                       es_cfg.to_dict())
-
-        def es_ckpt(gen, theta, steps, records):
-            save_checkpoint(cell.checkpoint, {
-                **state, "generation_index": gen, "params": theta,
-                "steps_used": steps, "records": [r.to_dict() for r in records]})
-
         result = engine.tdes_run(
-            state["params"], arch, cell.env, es_cfg,
-            start_generation=state["generation_index"] + 1,
-            initial_steps=state["steps_used"],
-            records=[engine.GenerationRecord(**r) for r in state["records"]],
-            checkpoint_cb=es_ckpt, final_eval=final_eval)
+            state["params"], arch, cell.env, es_cfg, final_eval=final_eval,
+            records=state["records"], checkpoint_cb=lambda es_state:
+            save_checkpoint(cell.checkpoint, {**state, **es_state}))
         final_params = result.params
-        es_records = [r.to_dict() for r in result.records]
+        es_records = result.records
         es_steps = result.steps_used
         mean_ret, success = result.final_mean_return, result.final_success_rate
     else:

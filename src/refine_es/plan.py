@@ -4,9 +4,9 @@ cell, and its one reader.
 A plan fixes one task, a list of methods, a shared interaction budget, a
 PPO/ES split, and a seed list; each (method, seed) is one cell. Every method
 gets exactly the same step budget: a two-stage method spends split * budget
-on the PPO anchor and hands the remainder to the ES stage, whose generation
-count is derived from the remaining steps (2m rollouts of `horizon` steps
-per generation) with a hard step cap as a guard.
+on the PPO anchor and hands the remainder to the ES stage, which runs as
+many generations (2m rollouts of `horizon` steps each) as the remaining
+steps fund.
 
 The `es` and `ppo` sections take the fields of `engine.EsConfig` and
 `ppo.PpoConfig`, except those that a cell sets (step counts, seed, noise
@@ -70,6 +70,9 @@ class ExperimentPlan:
                 raise PlanError(f"duplicate {name}: {duplicates}")
         if self.handoff_window < 1:
             raise PlanError("handoff_window must be >= 1")
+        if self.handoff_success_threshold is not None and \
+                not 0 <= self.handoff_success_threshold <= 1:
+            raise PlanError("handoff_success_threshold must be in [0, 1]")
 
     @property
     def fork_steps(self) -> int:
@@ -98,10 +101,9 @@ def ppo_config(plan: ExperimentPlan, env, method: str,
 def es_config(plan: ExperimentPlan, env, method: str, seed: int,
               remaining: int) -> engine.EsConfig:
     """The ES config of two-stage cell (method, seed) on `env` for
-    `remaining` steps: as many generations as fit, with `remaining` as a
-    hard step cap."""
+    `remaining` steps: as many generations as fit."""
     config = engine.EsConfig(
-        generations=0, step_cap=remaining, seed=seed,
+        generations=0, seed=seed,
         distribution=("triangular" if method == "ppo_then_tdes"
                       else "gaussian"), **{**_ES_DEFAULTS, **plan.es})
     return replace(config, generations=max(
@@ -152,7 +154,7 @@ def plan_from_dict(raw: dict) -> ExperimentPlan:
     # a section takes its config's fields but those that a cell sets, and
     # Adam's betas and eps
     _check_keys(raw.get("es", {}), engine.EsConfig, "es.", (
-        "generations", "step_cap", "seed", "distribution"))
+        "generations", "seed", "distribution"))
     _check_keys(raw.get("ppo", {}), ppo.PpoConfig, "ppo.", (
         "total_steps", "seed", "adam_beta1", "adam_beta2", "adam_eps"))
     for required in ("task", "methods", "total_step_budget"):

@@ -12,7 +12,8 @@ once, but each episode keeps its own forward: one batched matmul changes bits.
 
 All randomness (env seeds, action noise, minibatch shuffles) comes from
 counter-based streams keyed on (seed, purpose, update_index, ...), so
-training is resumable bit-exactly from a per-update checkpoint.
+`train_anchor` resumes bit-exactly from the state that it hands out after
+every update, which is what a per-update checkpoint stores.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class PpoConfig:
     entropy_coef: float = 0.0
     init_log_std: float = float(np.log(0.5))
     hidden_dims: tuple[int, ...] = (64, 64)
-    optimizer: str = "sgd"  # "adam" is an opt-in extension
+    optimizer: str = "sgd"  # or "adam", which every plan cell defaults to
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
@@ -97,10 +98,6 @@ class ActorCritic:
         `params`."""
         return tuple(vec[s] for s in self._slices)
 
-    def copy(self) -> "ActorCritic":
-        return ActorCritic(self.actor_arch, self.actor_params, self.log_std,
-                           self.critic_arch, self.critic_params)
-
     def to_dict(self) -> dict:
         """Checkpoint payload; the arrays are the live views, not copies."""
         return {
@@ -113,6 +110,7 @@ class ActorCritic:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ActorCritic":
+        """An actor-critic with a copy of the parameters in `d`."""
         return cls(MlpArchitecture.from_dict(d["actor_arch"]),
                    d["actor_params"], d["log_std"],
                    MlpArchitecture.from_dict(d["critic_arch"]),
@@ -339,26 +337,28 @@ class AnchorResult:
     steps_used: int = 0
 
 
-def train_anchor(env, config: PpoConfig, start_update: int = 0,
-                 initial: ActorCritic | None = None, initial_steps: int = 0,
-                 curve: list | None = None, optimizer_state: dict | None = None,
+def train_anchor(env, config: PpoConfig, state: dict | None = None,
                  checkpoint_cb=None, stop_condition=None) -> AnchorResult:
     """Collect/update cycles until the step budget cannot fund another
     update, or until `stop_condition(curve)` holds. The stop rule is asked
     before each collection, so a run resumed from any update's checkpoint
-    stops exactly where the uninterrupted run stopped. Resumable from
-    (start_update, initial, ...) bit-exactly."""
-    if initial is None:
-        ac = init_actor_critic(env.observation_dim, env.action_dim, config)
-    else:
-        ac = initial.copy()
+    stops exactly where the uninterrupted run stopped.
+
+    After each update, `checkpoint_cb(state)` gets the run's state, what a
+    checkpoint stores: `update_index`, `actor_critic` and `optimizer` (their
+    `to_dict`s), `steps_used` and `curve`. It is live: its arrays and its
+    curve change with the next update, so copy what must outlast the call.
+    Given such a state (other keys are ignored), the run continues after its
+    update bit-exactly."""
+    ac = init_actor_critic(env.observation_dim, env.action_dim, config) \
+        if state is None else ActorCritic.from_dict(state["actor_critic"])
     optimizer = PpoOptimizer(ac, config)
-    if optimizer_state:
-        optimizer.load_dict(optimizer_state)
-    curve = list(curve) if curve else []
-    steps_used = initial_steps
+    u, steps_used, curve = 0, 0, []
+    if state is not None:
+        optimizer.load_dict(state["optimizer"])
+        u, steps_used = state["update_index"] + 1, state["steps_used"]
+        curve = list(state["curve"])
     update_cost = config.episodes_per_update * env.horizon
-    u = start_update
     while steps_used + update_cost <= config.total_steps:
         if stop_condition is not None and stop_condition(curve):
             break
@@ -369,6 +369,8 @@ def train_anchor(env, config: PpoConfig, start_update: int = 0,
                       "success_rate": buffer.success_rate,
                       "steps_used": steps_used, **parts})
         if checkpoint_cb is not None:
-            checkpoint_cb(u, ac, optimizer, steps_used, curve)
+            checkpoint_cb({"update_index": u, "actor_critic": ac.to_dict(),
+                           "optimizer": optimizer.to_dict(),
+                           "steps_used": steps_used, "curve": curve})
         u += 1
     return AnchorResult(ac, curve, steps_used)

@@ -14,10 +14,10 @@ def interrupt_after_generation(n):
     original = engine.tdes_run
 
     def tdes_run(*args, checkpoint_cb=None, **kwargs):
-        def checkpoint_then_interrupt(generation, *rest):
+        def checkpoint_then_interrupt(state):
             if checkpoint_cb is not None:
-                checkpoint_cb(generation, *rest)
-            if generation == n:
+                checkpoint_cb(state)
+            if state["generation_index"] == n:
                 raise KeyboardInterrupt(
                     f"injected interrupt after generation {n}")
         return original(*args, checkpoint_cb=checkpoint_then_interrupt,

@@ -19,7 +19,8 @@ from refine_es.estimator import (centered_rank_scores, centered_ranks,
 from refine_es.noise import NoiseDistribution, antithetic_candidates, make_batch
 from refine_es.pipeline import run_method, sweep
 from refine_es.plan import plan_from_dict
-from refine_es.ppo import gaussian_log_prob, init_actor_critic, loss_and_grads
+from refine_es.ppo import (ActorCritic, gaussian_log_prob, init_actor_critic,
+                           loss_and_grads)
 from refine_es.rng import make_stream
 from refine_es.stats import iqm, prob_improvement
 from refine_es.checkpoint import load_json
@@ -192,7 +193,7 @@ def test_criterion_08_ppo_gradient_correctness():
         ga, gs, gc = ac.split(grad)
 
         def loss_with(actor=None, log_std=None, critic=None):
-            trial = ac.copy()
+            trial = ActorCritic.from_dict(ac.to_dict())
             if actor is not None:
                 trial.actor_params[:] = actor
             if log_std is not None:

@@ -64,6 +64,17 @@ def test_non_finite_plan_number_exit_2_at_load(tmp_path, capsys, section,
     assert not os.path.exists(out)
 
 
+def test_handoff_threshold_outside_unit_interval_exit_2_at_load(tmp_path,
+                                                                capsys):
+    out = str(tmp_path / "out")
+    code = main(["run", "--plan", write_plan(tmp_path, dict(
+        TINY_PLAN, handoff_success_threshold=1.5)), "--out", out])
+    assert code == 2
+    assert "handoff_success_threshold must be in [0, 1]" in \
+        capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_unknown_plan_key_named(tmp_path, capsys):
     plan = dict(TINY_PLAN, typo_key=1)
     code = main(["run", "--plan", write_plan(tmp_path, plan),

@@ -31,7 +31,8 @@ def _run(env, arch, anchor, config):
     """tdes_run, plus the parameters each checkpoint callback received."""
     thetas = []
     res = tdes_run(anchor, arch, env, config,
-                   checkpoint_cb=lambda t, th, s, r: thetas.append(th.copy()),
+                   checkpoint_cb=lambda state: thetas.append(
+                       state["params"].copy()),
                    final_eval=(FINAL_EPISODES, 77))
     return res, thetas
 
@@ -53,7 +54,7 @@ def test_evaluations_equal_standalone_runs(env_id, action_std,
     for t, (theta, record) in enumerate(zip(thetas, res.records)):
         ret, _ = evaluate_center(theta, arch, env, center_eval_episodes,
                                  stream_seed(config.seed, TAG_CENTER_EVAL, t))
-        assert record.center_return == ret
+        assert record["center_return"] == ret
     assert np.array_equal(thetas[-1], res.params)
     assert (res.final_mean_return, res.final_success_rate) == \
         evaluate_center(res.params, arch, env, FINAL_EPISODES, 77)
@@ -183,10 +184,9 @@ def test_run_makes_one_rollout_per_generation_and_one_more(monkeypatch,
         config, generations=start), final_eval=(6, 77))
     log = []
     _count_rollouts(monkeypatch, log)
-    tdes_run(head.params, TINY, TargetEnv(), config, start_generation=start,
-             initial_steps=head.steps_used, records=head.records,
-             final_eval=(6, 77),
-             checkpoint_cb=lambda t, *_: log.append(("checkpoint", t)))
+    tdes_run(head.params, TINY, TargetEnv(), config, records=head.records,
+             final_eval=(6, 77), checkpoint_cb=lambda state: log.append(
+                 ("checkpoint", state["generation_index"])))
     assert len(batches) == config.generations - start + 1
     expected = []
     for k, rows in enumerate(batches):
@@ -196,13 +196,12 @@ def test_run_makes_one_rollout_per_generation_and_one_more(monkeypatch,
     assert log == expected
 
 
-def test_step_cap_defers_the_last_center_evaluation_to_the_final_batch(
+def test_last_generation_defers_its_center_evaluation_to_the_final_batch(
         monkeypatch):
     log = []
     _count_rollouts(monkeypatch, log)
     res = tdes_run(np.zeros(2), TINY, TargetEnv(),
-                   _tiny_config(generations=10, step_cap=2 * 4 + 1),
-                   final_eval=(4, 77))
-    assert [r.generation for r in res.records] == [0, 1]
+                   _tiny_config(generations=2), final_eval=(4, 77))
+    assert [r["generation"] for r in res.records] == [0, 1]
     assert res.steps_used == 8
     assert log == [("rollout", 4), ("rollout", 7), ("rollout", 3 + 4)]

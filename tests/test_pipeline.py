@@ -37,7 +37,7 @@ def test_plan_rejects_unknown_keys_by_name():
     # a section takes no config field that a cell sets, nor Adam's betas
     # and eps
     for section, names in (
-            ("es", ("generations", "step_cap", "seed", "distribution")),
+            ("es", ("generations", "seed", "distribution")),
             ("ppo", ("total_steps", "seed", "adam_beta1", "adam_beta2",
                      "adam_eps"))):
         for name in names:
@@ -65,6 +65,11 @@ def test_plan_rejects_missing_and_invalid():
                            "ppo_only"])
     with pytest.raises(PlanError, match="handoff_window"):
         tiny_plan(handoff_window=0)
+    # 1.5 would never fire and -3 would fire after the first window
+    for threshold in (1.5, -3):
+        with pytest.raises(PlanError, match=re.escape(
+                "handoff_success_threshold must be in [0, 1]")):
+            tiny_plan(handoff_success_threshold=threshold)
     with pytest.raises(PlanError, match="'es'.*m must be >= 1"):
         tiny_plan(es={"m": 0})
     with pytest.raises(PlanError, match="'ppo'.*learning_rate"):
@@ -897,7 +902,8 @@ def test_fork_leaves_started_sibling_alone(tmp_path, monkeypatch):
     starts = {}
 
     def tdes_run(anchor, arch, env, config, **kw):
-        starts[config.distribution] = kw.get("start_generation")
+        # a run resumes after its last record, and the records start at 0
+        starts[config.distribution] = len(kw["records"])
         return original(anchor, arch, env, config, **kw)
 
     monkeypatch.setattr(engine, "tdes_run", tdes_run)

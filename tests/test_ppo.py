@@ -1,9 +1,11 @@
+import copy
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from refine_es.checkpoint import load_checkpoint, save_checkpoint
 from refine_es.envs import PointReach, make_env
 from refine_es.errors import ContractError, RolloutError
 from refine_es.policy import param_count
@@ -13,6 +15,10 @@ from refine_es.ppo import (ActorCritic, PpoConfig, PpoOptimizer,
                            normalize_advantages, policy_entropy, ppo_update,
                            train_anchor)
 from refine_es.rng import make_stream
+
+
+def _copy(ac):
+    return ActorCritic.from_dict(ac.to_dict())
 
 
 def tiny_config(**kw):
@@ -178,7 +184,7 @@ def _check_instance(seed):
     g_actor, g_log_std, g_critic = ac.split(grad)
 
     def loss_with(actor=None, log_std=None, critic=None):
-        trial = ac.copy()
+        trial = _copy(ac)
         if actor is not None:
             trial.actor_params[:] = actor
         if log_std is not None:
@@ -238,9 +244,9 @@ def test_adam_state_roundtrip():
     opt = PpoOptimizer(ac, config)
     g = make_stream(5, 0).standard_normal(ac.params.shape[0])
     opt.apply(ac, g)
-    twin = PpoOptimizer(ac.copy(), config)
+    twin = PpoOptimizer(_copy(ac), config)
     twin.load_dict(opt.to_dict())
-    a, b = ac.copy(), ac.copy()
+    a, b = _copy(ac), _copy(ac)
     opt.apply(a, g)
     twin.apply(b, g)
     assert np.array_equal(a.actor_params, b.actor_params)
@@ -268,7 +274,7 @@ def test_apply_updates_all_three_views(optimizer):
 
 def test_actor_critic_views_alias_params_only():
     ac = init_actor_critic(3, 2, tiny_config())
-    twin = ac.copy()
+    twin = _copy(ac)
     for name in ("params", "actor_params", "log_std", "critic_params"):
         assert not np.shares_memory(getattr(ac, name), getattr(twin, name))
     for name in ("actor_params", "log_std", "critic_params"):
@@ -342,23 +348,56 @@ def test_train_anchor_bitwise_deterministic():
     assert a.steps_used == 1600
 
 
+def _run_from(env, config, state=None):
+    """train_anchor from `state`, and the last state that it hands out, or
+    `state` if it makes no update. The handed-out states are live, so each
+    is deep copied."""
+    states = [state]
+    res = train_anchor(env, config, state,
+                       checkpoint_cb=lambda s: states.append(copy.deepcopy(s)))
+    return res, states[-1]
+
+
+def _bits(res, last):
+    """All that a resumed run must reproduce: parameters, steps, curve, and
+    each part's Adam m, v and t."""
+    adam = [(s["m"].tobytes(), s["v"].tobytes(), s["t"])
+            for s in last["optimizer"]["states"]]
+    return res.actor_critic.params.tobytes(), res.steps_used, res.curve, adam
+
+
 def test_train_anchor_resume_bitwise():
-    config = tiny_config(total_steps=1000, episodes_per_update=2)
+    # resume from every update's state
+    config = tiny_config(total_steps=1000, episodes_per_update=2,
+                         optimizer="adam")
     env = make_env("point-reach")
-    full = train_anchor(env, config)
-    snaps = []
-    train_anchor(env, config,
-                 checkpoint_cb=lambda u, ac, opt, steps, curve: snaps.append(
-                     (u, ac.copy(), opt.to_dict(), steps, list(curve))))
-    u, ac, opt_state, steps, curve = snaps[1]  # resume after update 1
-    resumed = train_anchor(env, config, start_update=u + 1, initial=ac,
-                           initial_steps=steps, curve=curve,
-                           optimizer_state=opt_state)
-    assert np.array_equal(resumed.actor_critic.actor_params,
-                          full.actor_critic.actor_params)
-    assert np.array_equal(resumed.actor_critic.log_std,
-                          full.actor_critic.log_std)
-    assert resumed.curve == full.curve
+    states = []
+    full = train_anchor(env, config, checkpoint_cb=lambda s: states.append(
+        copy.deepcopy(s)))
+    assert [s["update_index"] for s in states] == list(range(5))
+    assert list(states[0]) == ["update_index", "actor_critic", "optimizer",
+                               "steps_used", "curve"]
+    expected = _bits(full, states[-1])
+    for state in states:
+        assert _bits(*_run_from(env, config, state)) == expected
+
+
+def test_train_anchor_resumes_from_a_loaded_checkpoint(tmp_path):
+    # a cell's checkpoint is the handed-out state plus keys the run ignores
+    config = tiny_config(total_steps=1000, episodes_per_update=2,
+                         optimizer="adam")
+    env = make_env("point-reach")
+    states = []
+    full = train_anchor(env, config, checkpoint_cb=lambda s: states.append(
+        copy.deepcopy(s)))
+    path = str(tmp_path / "checkpoint.npz")
+    save_checkpoint(path, {"stage": "ppo", **states[1],
+                           "ppo_config": config.to_dict(),
+                           "handoff": {"success_threshold": None, "window": 5},
+                           "master_seed": 0})
+    loaded = load_checkpoint(path)
+    assert loaded["update_index"] == 1 and loaded["format_version"] == 2
+    assert _bits(*_run_from(env, config, loaded)) == _bits(full, states[-1])
 
 
 def test_ppo_update_rejects_nonfinite():

@@ -57,9 +57,11 @@ def train_digests(env_id: str, optimizer: str) -> tuple[str, str]:
 def adam_state_digest(env_id: str) -> str:
     states = []
     res = train_anchor(make_env(env_id), config(env_id, "adam"),
-                       checkpoint_cb=lambda u, ac, opt, steps, curve:
-                       states.append((opt.m.copy(), opt.v.copy(), opt.t)))
-    m, v, t = states[-1]
+                       checkpoint_cb=lambda state: states.append(
+                           state["optimizer"]["states"]))
+    # the parts' moments, joined, are the one Adam state of the run
+    m, v = (np.concatenate([s[k] for s in states[-1]]) for k in "mv")
+    t = states[-1][0]["t"]
     return digest(m, v, [t], res.actor_critic.params)
 
 

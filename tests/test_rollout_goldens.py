@@ -51,8 +51,9 @@ def es_digest(env_id: str, action_std: float) -> str:
     config = EsConfig(sigma_es=0.05, alpha=0.01, m=3, generations=3, seed=4,
                       action_std=action_std, episodes_per_candidate=2)
     res = tdes_run(anchor, arch, env, config, final_eval=(1, 0))
-    rows = [[r.generation, r.mean_return, r.best_return, r.sigma_es,
-             r.g_norm, r.steps_used] for r in res.records]
+    rows = [[r[k] for k in ("generation", "mean_return", "best_return",
+                            "sigma_es", "g_norm", "steps_used")]
+            for r in res.records]
     return digest(res.params, rows, [res.steps_used])
 
 
