@@ -41,16 +41,20 @@ def count(text: str) -> tuple[int, int]:
     return text.count("\n"), code
 
 
+def package_counts(root) -> dict[str, tuple[int, int]]:
+    """{module file name: (all lines, code lines)} of the `.py` modules in
+    the directory `root`, in name order."""
+    return {path.name: count(path.read_text())
+            for path in sorted(pathlib.Path(root).glob("*.py"))}
+
+
 def main(argv: list[str]) -> int:
-    root = pathlib.Path(argv[0] if argv else "src/refine_es")
-    totals = [0, 0]
+    counts = package_counts(argv[0] if argv else "src/refine_es")
     print(f"{'module':<16} {'lines':>6} {'code':>6}")
-    for path in sorted(root.glob("*.py")):
-        lines, code = count(path.read_text())
-        totals[0] += lines
-        totals[1] += code
-        print(f"{path.name:<16} {lines:>6} {code:>6}")
-    print(f"{'total':<16} {totals[0]:>6} {totals[1]:>6}")
+    for name, (lines, code) in counts.items():
+        print(f"{name:<16} {lines:>6} {code:>6}")
+    total = [sum(c[i] for c in counts.values()) for i in (0, 1)]
+    print(f"{'total':<16} {total[0]:>6} {total[1]:>6}")
     return 0
 
 

@@ -14,8 +14,9 @@ in a key other than `methods` and `seeds`. `resume` re-runs the sweep of
 record.json and skipped, interrupted cells continue from their last
 checkpoint. `report` reads the record.json of exactly the cells of
 <dir>/plan.json, one per (method, seed), and prints and plots what
-`pipeline.summarize` makes of them, as `sweep` does for report.json. The
-plan file is a sweep's only input.
+`pipeline.summarize` makes of them, as `sweep` does for report.json; a
+record.json that does not read as a record stops it with exit status 1 and
+an error naming the file. The plan file is a sweep's only input.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ import numpy as np
 from . import stats, svgplot
 # the CLI writes no file itself (`sweep` writes plan.json), but the
 # benchmark's tracer wraps cli.save_json_atomic, so the name stays here
-from .checkpoint import load_json, save_json_atomic  # noqa: F401
-from .errors import PlanError
-from .pipeline import RunRecord, cell_dir, summarize, sweep
+from .checkpoint import save_json_atomic  # noqa: F401
+from .errors import CheckpointError, PlanError
+from .pipeline import cell_dir, load_record, summarize, sweep
 from .plan import load_plan
 
 
 def _finish_sweep(plan, out_dir, workers) -> int:
-    _, payload = sweep(plan, out_dir, workers=workers)
+    payload = sweep(plan, out_dir, workers=workers)
     if payload["report"]:
         print(stats.render_report(payload["report"]))
     failures = payload["failures"]
@@ -90,9 +91,8 @@ def cmd_report(args) -> int:
              for seed in sorted(plan.seeds)]
     paths = [os.path.join(cell_dir(args.dir, plan.task, *cell), "record.json")
              for cell in cells]
-    records, payload = summarize(plan, [RunRecord(**load_json(p))
-                                        for p in paths if os.path.exists(p)],
-                                 args.baseline)
+    payload = summarize(plan, [load_record(p) for p in paths
+                               if os.path.exists(p)], args.baseline)
     report = payload["report"]
     if not report:
         print("no runs found", file=sys.stderr)
@@ -102,13 +102,13 @@ def cmd_report(args) -> int:
               f"results {sorted(report['methods'])}", file=sys.stderr)
         return 2
     print(stats.render_report(report))
-    records = [r for r in records if not r.failed]
+    records = [r for r in payload["records"] if not r["failed"]]
     print("\nsteps consumed per method (min, max over seeds; budget):")
     for method in sorted(report["methods"]):
-        steps = [r.steps_consumed for r in records if r.method == method]
-        budget = max(r.budget for r in records if r.method == method)
+        steps = [r["steps_consumed"] for r in records if r["method"] == method]
+        budget = max(r["budget"] for r in records if r["method"] == method)
         print(f"  {method:<24} {min(steps):>9} {max(steps):>9} {budget:>9}")
-    done = {(r.method, r.seed) for r in records}
+    done = {(r["method"], r["seed"]) for r in records}
     missing = [cell for cell in cells if cell not in done]
     if missing:
         print(f"\nmissing cells ({len(missing)}):")
@@ -118,7 +118,7 @@ def cmd_report(args) -> int:
     # performance profiles + per-generation diagnostics
     thresholds = np.linspace(0.0, 1.0, 101)
     profile_series = {method: (thresholds, stats.performance_profile(
-        [r.final_success_rate for r in records if r.method == method],
+        [r["final_success_rate"] for r in records if r["method"] == method],
         thresholds)) for method in sorted(report["methods"])}
     svgplot.write_line_svg(os.path.join(args.dir, "performance_profile.svg"),
                            profile_series, title="Performance profiles",
@@ -128,15 +128,16 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _diagnostic_plots(results_dir: str, records: list[RunRecord]) -> None:
+def _diagnostic_plots(results_dir: str, records: list[dict]) -> None:
     """One plot per ES diagnostic, a series per cell with ES records; a plot
     without a series is deleted, so that no cell of another plan stays."""
     for name, key in (("sigma_schedule", "sigma_es"), ("g_norm", "g_norm"),
                       ("return_curves", "center_return")):
         path = os.path.join(results_dir, f"{name}.svg")
-        series = {f"{r.method}/s{r.seed}": (
-            [g["generation"] for g in r.es_records],
-            [g[key] for g in r.es_records]) for r in records if r.es_records}
+        series = {f"{r['method']}/s{r['seed']}": (
+            [g["generation"] for g in r["es_records"]],
+            [g[key] for g in r["es_records"]]) for r in records
+            if r["es_records"]}
         if series:
             svgplot.write_line_svg(path, series, title=name,
                                    xlabel="generation", ylabel=key)
@@ -176,6 +177,9 @@ def main(argv=None) -> int:
     except PlanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CheckpointError as exc:  # a stored record that `report` reads
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         print("interrupted; checkpoints are on disk, resume with "
               "`refine-es resume`", file=sys.stderr)

@@ -20,5 +20,5 @@ class PlanError(ValueError):
 
 
 class CheckpointError(ValueError):
-    """A checkpoint cannot be resumed: another format version, or written
-    by a different seed or configuration than the one being run."""
+    """A cell's stored state cannot be used: a checkpoint of another format
+    version, seed or configuration, or a record.json that is not a record."""

@@ -36,26 +36,17 @@ class NoiseDistribution:
 
     def sample(self, dim: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "triangular":
-            eps = sample_triangular(1.0, dim, rng)
+            eps = sample_triangular(dim, rng)
             return eps * SQRT6 if self.standardize else eps
-        return sample_gaussian(1.0, dim, rng)
+        return rng.standard_normal(dim)
 
 
-def sample_triangular(half_width: float, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Symmetric triangular noise on [-half_width, half_width], mode 0,
-    sampled per coordinate as half_width * (U - V) with independent
-    U, V ~ Uniform(0, 1)."""
-    if half_width <= 0:
-        raise ContractError("half_width must be > 0")
+def sample_triangular(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Symmetric triangular noise on [-1, 1], mode 0, sampled per
+    coordinate as U - V with independent U, V ~ Uniform(0, 1)."""
     u = rng.random(dim)
     v = rng.random(dim)
-    return half_width * (u - v)
-
-
-def sample_gaussian(std: float, dim: int, rng: np.random.Generator) -> np.ndarray:
-    if std <= 0:
-        raise ContractError("std must be > 0")
-    return std * rng.standard_normal(dim)
+    return u - v
 
 
 @dataclass

@@ -27,10 +27,10 @@ record already marked failed.
 Results layout: a sweep writes <out>/plan.json before its first cell and
 <out>/report.json after its last, and each cell writes
 <out>/runs/<task>/<method>/<seed>/{checkpoints/, log.csv, record.json}.
-report.json is what `summarize` makes of the cells' records: the aggregate
-over those that did not fail, the failures, and the records in (method,
-seed) order. `refine-es report` builds it the same way from the record.json
-files on disk.
+report.json is what `summarize` makes of the cells' records, the dicts
+that record.json holds (`RECORD_KEYS`): the aggregate over those that did
+not fail, the failures, and the records in (method, seed) order.
+`refine-es report` builds it the same way from the files (`load_record`).
 Cells checkpoint after every PPO update / ES generation into one atomic
 `checkpoints/checkpoint.npz` (see checkpoint.py) and resume bit-exactly
 from it, the PPO->ES handoff included. A checkpoint is the state that the
@@ -67,7 +67,6 @@ import hashlib
 import io
 import os
 import traceback
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,25 +84,11 @@ CHECKPOINT_NAME = "checkpoint.npz"
 _FINAL_FORMAT_VERSION = 1  # layout of final.json, which is still JSON
 
 
-@dataclass
-class RunRecord:
-    task: str
-    method: str
-    seed: int
-    final_success_rate: float
-    final_mean_return: float
-    steps_consumed: int
-    budget: int
-    ppo_steps: int
-    es_steps: int
-    anchor_sha256: str
-    ppo_curve: list
-    es_records: list
-    failed: bool = False
-    failure: str | None = None
-
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
+# the keys of a cell's record, in the order that record.json holds them
+RECORD_KEYS = ("task", "method", "seed", "final_success_rate",
+               "final_mean_return", "steps_consumed", "budget", "ppo_steps",
+               "es_steps", "anchor_sha256", "ppo_curve", "es_records",
+               "failed", "failure")
 
 
 def _params_sha256(params: np.ndarray) -> str:
@@ -261,13 +246,31 @@ def _drop_resume_state(cdir: str) -> None:
             os.unlink(p)
 
 
-def _budget_shortfall(cell: _Cell, record: RunRecord) -> str | None:
+def load_record(path: str) -> dict:
+    """The cell record stored at `path`. A file that is not a JSON object
+    with exactly the `RECORD_KEYS` raises a `CheckpointError` naming it."""
+    try:
+        record = load_json(path)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise CheckpointError(f"{path}: unreadable record ({exc})") from exc
+    if not isinstance(record, dict):
+        raise CheckpointError(f"{path}: a record is a JSON object, not "
+                              f"{type(record).__name__}")
+    missing = [k for k in RECORD_KEYS if k not in record]
+    unknown = sorted(set(record) - set(RECORD_KEYS))
+    if missing or unknown:
+        raise CheckpointError(f"{path}: not a cell record: missing keys "
+                              f"{missing}, unknown keys {unknown}")
+    return record
+
+
+def _budget_shortfall(cell: _Cell, record: dict) -> str | None:
     """How `record` breaks the equal-budget premise, or None. A cell may
     not overspend the budget, and may leave at most one unit of its last
     stage unspent: a PPO update for ppo_only, an ES generation otherwise."""
-    unspent = record.budget - record.steps_consumed
-    where = (f"{record.method} seed {record.seed} consumed "
-             f"{record.steps_consumed} of {record.budget} steps")
+    unspent = record["budget"] - record["steps_consumed"]
+    where = (f"{record['method']} seed {record['seed']} consumed "
+             f"{record['steps_consumed']} of {record['budget']} steps")
     if unspent < 0:
         return f"{where}: {-unspent} over budget"
     if cell.two_stage:
@@ -283,17 +286,19 @@ def _budget_shortfall(cell: _Cell, record: RunRecord) -> str | None:
 
 
 def run_method(plan: ExperimentPlan, method: str, seed: int,
-               out_dir: str) -> RunRecord:
-    """Execute (or resume) one sweep cell and write its artifacts: one PPO
-    run, then, for a two-stage method, one ES run. If the PPO run reaches
-    the fork, it starts this seed's other cells there (`_fork`). A stored
-    record is returned as it was stored."""
+               out_dir: str) -> dict:
+    """Execute (or resume) one sweep cell, write its artifacts and return
+    its record: one PPO run, then, for a two-stage method, one ES run. If
+    the PPO run reaches the fork, it starts this seed's other cells there
+    (`_fork`). A stored record is returned as `load_record` reads it, and
+    only then is the cell's checkpoint dropped."""
     cell = _Cell(plan, method, seed, out_dir)
     ckpt_dir = os.path.dirname(cell.checkpoint)
     os.makedirs(ckpt_dir, exist_ok=True)
     if os.path.exists(cell.record):
+        record = load_record(cell.record)
         _drop_resume_state(cell.dir)  # left by a crash or an older version
-        return RunRecord(**load_json(cell.record))
+        return record
     legacy = os.path.join(ckpt_dir, "checkpoint.json")
     if os.path.exists(legacy):
         raise CheckpointError(
@@ -340,43 +345,45 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
     else:
         mean_ret, success = engine.evaluate_center(final_params, arch,
                                                    cell.env, *final_eval)
-    record = RunRecord(
-        task=plan.task, method=method, seed=seed,
-        final_success_rate=success, final_mean_return=mean_ret,
-        steps_consumed=state["ppo_steps"] + es_steps,
-        budget=plan.total_step_budget, ppo_steps=state["ppo_steps"],
-        es_steps=es_steps, anchor_sha256=state["anchor_sha256"],
-        ppo_curve=state["ppo_curve"], es_records=es_records)
+    record = {"task": plan.task, "method": method, "seed": seed,
+              "final_success_rate": success, "final_mean_return": mean_ret,
+              "steps_consumed": state["ppo_steps"] + es_steps,
+              "budget": plan.total_step_budget,
+              "ppo_steps": state["ppo_steps"], "es_steps": es_steps,
+              "anchor_sha256": state["anchor_sha256"],
+              "ppo_curve": state["ppo_curve"], "es_records": es_records,
+              "failed": False, "failure": None}
     shortfall = _budget_shortfall(cell, record)
     if shortfall is not None:  # on disk too, for `report` and `resume`
-        record.failed, record.failure = True, shortfall
+        record["failed"], record["failure"] = True, shortfall
     save_json_atomic(os.path.join(ckpt_dir, "final.json"), {
         "format_version": _FINAL_FORMAT_VERSION, "stage": "final",
         "architecture": arch.to_dict(), "params": final_params.tolist(),
         "master_seed": seed})
     save_text_atomic(os.path.join(cell.dir, "log.csv"), _log_csv(es_records))
-    save_json_atomic(cell.record, record.to_dict())
+    save_json_atomic(cell.record, record)
     _drop_resume_state(cell.dir)
     return record
 
 
 def _run_cell(plan: ExperimentPlan, method: str, seed: int,
-              out_dir: str) -> RunRecord:
-    """One cell's record; a cell that raises gives a failed record, so it
-    never aborts the rest."""
+              out_dir: str) -> dict:
+    """One cell's record; a cell that raises gives a failed record, with
+    the same keys, so it never aborts the rest."""
     try:
         return run_method(plan, method, seed, out_dir)
     except KeyboardInterrupt:
         raise
     except Exception:
-        return RunRecord(
-            task=plan.task, method=method, seed=seed, final_success_rate=0.0,
-            final_mean_return=0.0, steps_consumed=0, budget=plan.total_step_budget,
-            ppo_steps=0, es_steps=0, anchor_sha256="", ppo_curve=[],
-            es_records=[], failed=True, failure=traceback.format_exc())
+        return {"task": plan.task, "method": method, "seed": seed,
+                "final_success_rate": 0.0, "final_mean_return": 0.0,
+                "steps_consumed": 0, "budget": plan.total_step_budget,
+                "ppo_steps": 0, "es_steps": 0, "anchor_sha256": "",
+                "ppo_curve": [], "es_records": [], "failed": True,
+                "failure": traceback.format_exc()}
 
 
-def _run_seed(args) -> list[RunRecord]:
+def _run_seed(args) -> list[dict]:
     """The cells of one seed in plan order: the first whose PPO run reaches
     the fork starts the others from there."""
     plan, seed, out_dir = args
@@ -408,11 +415,11 @@ def _set_blas_threads(count: int) -> int | None:
     return None
 
 
-def sweep(plan: ExperimentPlan, out_dir: str, workers: int = 1):
+def sweep(plan: ExperimentPlan, out_dir: str, workers: int = 1) -> dict:
     """Run all (method, seed) cells, one task per seed, on at most one
     worker per seed; one cell's failure never aborts the rest. Returns
-    `summarize`'s records and payload, which goes to <out_dir>/report.json,
-    so the results do not depend on scheduling. The plan goes to
+    `summarize`'s payload, which goes to <out_dir>/report.json, so the
+    results do not depend on scheduling. The plan goes to
     <out_dir>/plan.json first, so every results directory holds the plan of
     its cells."""
     os.makedirs(out_dir, exist_ok=True)
@@ -433,28 +440,28 @@ def sweep(plan: ExperimentPlan, out_dir: str, workers: int = 1):
     finally:
         if previous is not None:
             _set_blas_threads(previous)
-    records, payload = summarize(plan, cells)
+    payload = summarize(plan, cells)
     save_json_atomic(os.path.join(out_dir, "report.json"), payload)
-    return records, payload
+    return payload
 
 
-def summarize(plan: ExperimentPlan, records: list[RunRecord],
-              baseline: str | None = None) -> tuple[list[RunRecord], dict]:
-    """The records of a plan's cells in (method, seed) order, and the
-    payload of report.json: the plan, the aggregate (`stats.aggregate_report`
-    against `baseline`) over the records that did not fail, or {} if none
-    did, the failures, and the records."""
-    records = sorted(records, key=lambda r: (r.method, r.seed))
+def summarize(plan: ExperimentPlan, records: list[dict],
+              baseline: str | None = None) -> dict:
+    """The payload of report.json for a plan's cell records: the plan, the
+    aggregate (`stats.aggregate_report` against `baseline`) over the records
+    that did not fail, or {} if none did, the failures, and the records in
+    (method, seed) order."""
+    records = sorted(records, key=lambda r: (r["method"], r["seed"]))
     matrices: dict = {}
     for r in records:
-        if not r.failed:
-            matrices.setdefault(r.method, {}).setdefault(
-                r.task, {})[r.seed] = r.final_success_rate
-    return records, {
+        if not r["failed"]:
+            matrices.setdefault(r["method"], {}).setdefault(
+                r["task"], {})[r["seed"]] = r["final_success_rate"]
+    return {
         "plan": plan.to_dict(),
         "report": (stats.aggregate_report(matrices, baseline=baseline)
                    if matrices else {}),
-        "failures": [{"method": r.method, "seed": r.seed,
-                      "failure": r.failure} for r in records if r.failed],
-        "records": [r.to_dict() for r in records],
+        "failures": [{"method": r["method"], "seed": r["seed"], "failure":
+                      r["failure"]} for r in records if r["failed"]],
+        "records": records,
     }

@@ -10,7 +10,7 @@ episodes together over a leading batch axis: ES candidates (per-row
 weights), PPO collection and evaluation (shared weights). Actions are the
 policy mean plus optional pre-drawn Gaussian noise (B, horizon, k).
 The passes save numpy calls by working in place, but keep each matmul's
-operands, shape and order: a reshaped or batched matmul changes bits.
+operands, shape and order: one product over more rows changes bits.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ def unpack_params(params: np.ndarray, arch: MlpArchitecture) -> list[tuple[np.nd
 
 
 def mlp_forward(params: np.ndarray, arch: MlpArchitecture, x: np.ndarray):
-    """Batched forward pass. x: (n, input_dim). Returns (out, cache) where
-    cache holds post-activation values per layer for backprop."""
+    """Forward pass of x (..., input_dim), one product per stack item.
+    Returns (out, cache), cache the post-activation values per layer."""
     layers = unpack_params(params, arch)
     acts = [x]
     for w, b in layers:

@@ -7,8 +7,8 @@ trainable parameters live in one float64 vector laid out actor | log_std |
 critic. The gradient of the clipped surrogate + value loss + entropy bonus is
 derived by hand in reverse mode (tests check it against finite differences)
 and written into one vector of that layout; the optimizer takes one SGD step,
-or updates one Adam state in place, over it. GAE runs over all episodes at
-once, but each episode keeps its own forward: one batched matmul changes bits.
+or updates one Adam state in place, over it. Collection makes one forward
+per network, one product per episode; GAE runs over all episodes at once.
 
 All randomness (env seeds, action noise, minibatch shuffles) comes from
 counter-based streams keyed on (seed, purpose, update_index, ...), so
@@ -128,7 +128,7 @@ def init_actor_critic(obs_dim: int, act_dim: int, config: PpoConfig) -> ActorCri
 
 
 def gae_advantages(rewards: np.ndarray, values: np.ndarray, gamma: float,
-                   lam: float, bootstrap_value=0.0) -> np.ndarray:
+                   lam: float, bootstrap_value) -> np.ndarray:
     """Backward GAE recursion A_t = delta_t + gamma*lam*A_{t+1} with
     delta_t = r_t + gamma*V(s_{t+1}) - V(s_t) over the last axis; a row of
     a (E, T) input is bit-identical to its own 1-D call. values has one entry
@@ -286,14 +286,10 @@ def collect_rollouts(ac: ActorCritic, env, config: PpoConfig,
     except RolloutError as exc:
         raise RolloutError(
             f"update {update_index}, episode {exc.row}: {exc}") from exc
-    # per episode: an actor forward, a critic forward with the final obs
-    mus = np.empty_like(batch.actions)
-    values = np.empty((n_ep, horizon + 1))
-    states_ext = np.concatenate([batch.states, batch.final_obs[:, None]], axis=1)
-    for ep in range(n_ep):
-        mus[ep] = mlp_forward(ac.actor_params, ac.actor_arch, batch.states[ep])[0]
-        values[ep] = mlp_forward(ac.critic_params, ac.critic_arch,
-                                 states_ext[ep])[0][:, 0]
+    # one product per episode; the critic's states end with the final obs
+    mus = mlp_forward(ac.actor_params, ac.actor_arch, batch.states)[0]
+    values = mlp_forward(ac.critic_params, ac.critic_arch, np.concatenate(
+        [batch.states, batch.final_obs[:, None]], axis=1))[0][..., 0]
     adv = gae_advantages(batch.rewards, values[:, :-1], gamma,
                          config.gae_lambda, values[:, -1])
     return RolloutBuffer(

@@ -18,6 +18,7 @@ from .errors import ContractError
 
 # elements of one (resamples, n_a, n_b) comparison block in prob_improvement
 _COMPARE_BLOCK = 1 << 20
+CI_LEVEL = 0.95  # of every bootstrap CI, as the report states
 
 
 def _as_float(x):
@@ -64,13 +65,13 @@ def _resample_indices(counts: tuple[int, ...], resamples: int,
 
 
 def stratified_bootstrap_ci(matrix: dict, statistic, resamples: int = 2000,
-                            level: float = 0.95, seed: int = 0):
-    """Percentile bootstrap CI for statistic(matrix); seeds are resampled with
-    replacement independently within each task stratum. Seeds lie on the
-    last axis, so the rows of a stacked (k, n_seeds) array are resampled
-    jointly (paired). The statistic is called once, with every task's
-    resamples stacked on a new leading axis, (resamples, ..., n_seeds), and
-    returns one value per resample."""
+                            seed: int = 0):
+    """Percentile bootstrap CI at `CI_LEVEL` for statistic(matrix); seeds
+    are resampled with replacement independently within each task stratum.
+    Seeds lie on the last axis, so the rows of a stacked (k, n_seeds) array
+    are resampled jointly (paired). The statistic is called once, with
+    every task's resamples stacked on a new leading axis, (resamples, ...,
+    n_seeds), and returns one value per resample."""
     tasks = sorted(matrix)
     arrays = [np.asarray(matrix[t], dtype=float) for t in tasks]
     draws = _resample_indices(tuple(a.shape[-1] for a in arrays), resamples,
@@ -81,7 +82,7 @@ def stratified_bootstrap_ci(matrix: dict, statistic, resamples: int = 2000,
     if stats.shape != (resamples,):
         raise ContractError(f"the statistic returned shape {stats.shape}, "
                             f"expected one value per resample ({resamples},)")
-    tail = (1.0 - level) / 2.0
+    tail = (1.0 - CI_LEVEL) / 2.0
     lo, hi = np.quantile(stats, [tail, 1.0 - tail])
     return float(lo), float(hi)
 
@@ -138,7 +139,7 @@ def aggregate_report(matrices: dict, baseline: str | None = None,
         baseline = "ppo_only" if "ppo_only" in matrices else methods[0]
     report = {"baseline": baseline, "methods": {}, "per_task": {},
               "ci": {"kind": "stratified percentile bootstrap",
-                     "resamples": resamples, "level": 0.95}}
+                     "resamples": resamples, "level": CI_LEVEL}}
     by_seed = {m: {t: _by_seed(v) for t, v in matrices[m].items()}
                for m in methods}
     columns = {m: {t: np.array(list(c.values())) for t, c in by_seed[m].items()}

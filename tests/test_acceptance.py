@@ -227,11 +227,12 @@ def test_criterion_09_end_to_end_direction(tmp_path):
     with open(PLAN_PATH) as fh:
         plan = plan_from_dict(json.load(fh))
     t0 = time.perf_counter()
-    records, payload = sweep(plan, str(tmp_path))
+    records = sweep(plan, str(tmp_path))["records"]
     elapsed = time.perf_counter() - t0
-    assert not any(r.failed for r in records)
+    assert not any(r["failed"] for r in records)
     by_method = {
-        m: np.array([r.final_success_rate for r in records if r.method == m])
+        m: np.array([r["final_success_rate"] for r in records
+                     if r["method"] == m])
         for m in plan.methods}
     iqm_tdes = iqm(by_method["ppo_then_tdes"])
     iqm_ppo = iqm(by_method["ppo_only"])

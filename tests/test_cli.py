@@ -443,3 +443,71 @@ def test_report_removes_plots_of_cells_not_in_its_plan(tmp_path, capsys):
     capsys.readouterr()
     assert not any(map(os.path.exists, plots))
     assert os.path.exists(os.path.join(out, "performance_profile.svg"))
+
+
+# a record.json that does not read as a record, with what the error says
+BAD_RECORDS = {
+    "truncated": (lambda text: text[:text.index('"method"') + 4],
+                  "unreadable record (Unterminated string"),
+    "non_object": (lambda text: "[1, 2]",
+                   "a record is a JSON object, not list"),
+    "extra_key": (lambda text: json.dumps({**json.loads(text), "note": 1}),
+                  "not a cell record: missing keys [], unknown keys ['note']"),
+    "missing_key": (lambda text: json.dumps(
+        {k: v for k, v in json.loads(text).items() if k != "failure"}),
+        "not a cell record: missing keys ['failure'], unknown keys []"),
+}
+
+
+def _cell(out, method):
+    return os.path.join(out, "runs", "point-reach", method, "0")
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_RECORDS))
+def test_report_refuses_a_bad_record_naming_the_file(tmp_path, capsys,
+                                                     kind):
+    out = str(tmp_path / "out")
+    assert main(["run", "--plan", write_plan(tmp_path), "--out", out]) == 0
+    capsys.readouterr()
+    path = os.path.join(_cell(out, "ppo_only"), "record.json")
+    spoil, message = BAD_RECORDS[kind]
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(spoil(text))
+    assert main(["report", "--dir", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: {message}")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_RECORDS))
+def test_resume_keeps_the_checkpoint_beside_a_bad_record(tmp_path, capsys,
+                                                         kind):
+    # the cell fails naming the file, and its checkpoint stays, so that
+    # the cell resumes once the file is removed
+    out = str(tmp_path / "out")
+    with interrupt_after_generation(0):
+        assert main(["run", "--plan", write_plan(tmp_path),
+                     "--out", out]) == 130
+    checkpoint = os.path.join(_cell(out, "ppo_then_tdes"), "checkpoints",
+                              "checkpoint.npz")
+    with open(checkpoint, "rb") as fh:
+        before = fh.read()
+    path = os.path.join(_cell(out, "ppo_then_tdes"), "record.json")
+    spoil, message = BAD_RECORDS[kind]
+    with open(os.path.join(_cell(out, "ppo_only"), "record.json")) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(spoil(text))
+    assert main(["resume", "--dir", out]) == 1
+    with open(os.path.join(out, "report.json")) as fh:
+        failures = json.load(fh)["failures"]
+    assert [(f["method"], f["seed"]) for f in failures] == \
+        [("ppo_then_tdes", 0)]
+    assert f"CheckpointError: {path}: {message}" in failures[0]["failure"]
+    with open(checkpoint, "rb") as fh:
+        assert fh.read() == before
+    os.remove(path)
+    capsys.readouterr()
+    assert main(["resume", "--dir", out]) == 0

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from refine_es.errors import ContractError
 from refine_es.noise import (SQRT6, NoiseDistribution, antithetic_candidates,
-                             make_batch, sample_gaussian, sample_triangular)
+                             make_batch, sample_triangular)
 from refine_es.rng import TAG_NOISE, make_stream
 
 
@@ -17,7 +17,7 @@ def test_triangular_zero_when_u_equals_v():
         def random(self, dim):
             return self._vals.pop(0)
 
-    assert np.array_equal(sample_triangular(1.0, 3, EqualUV()), np.zeros(3))
+    assert np.array_equal(sample_triangular(3, EqualUV()), np.zeros(3))
 
 
 def test_triangular_supremum():
@@ -28,11 +28,11 @@ def test_triangular_supremum():
         def random(self, dim):
             return self._vals.pop(0)
 
-    assert sample_triangular(0.03, 1, Extremes())[0] == 0.03
+    assert sample_triangular(1, Extremes())[0] == 1.0
 
 
 def test_triangular_moments_and_support():
-    x = sample_triangular(1.0, 1_000_000, make_stream(1, 0))
+    x = sample_triangular(1_000_000, make_stream(1, 0))
     assert abs(x.mean()) < 0.005
     assert abs(x.var() - 1 / 6) < 0.02 * (1 / 6)
     assert np.all(np.abs(x) <= 1.0)
@@ -41,7 +41,7 @@ def test_triangular_moments_and_support():
 def test_triangular_density_shape():
     # histogram matches 1 - |x| within binomial 3 sigma per bin
     n = 1_000_000
-    x = sample_triangular(1.0, n, make_stream(2, 0))
+    x = sample_triangular(n, make_stream(2, 0))
     bins = np.linspace(-1, 1, 41)
     counts, _ = np.histogram(x, bins)
     centers = (bins[:-1] + bins[1:]) / 2
@@ -52,22 +52,20 @@ def test_triangular_density_shape():
 
 
 def test_gaussian_moments():
-    x = sample_gaussian(1.0, 1_000_000, make_stream(3, 0))
+    x = NoiseDistribution("gaussian").sample(1_000_000, make_stream(3, 0))
     assert abs(x.var() - 1.0) < 0.02
     assert abs(x.mean()) < 3 / np.sqrt(1_000_000)
 
 
 def test_gaussian_stream_reproducible():
-    a = sample_gaussian(0.5, 16, make_stream(4, 0))
-    b = sample_gaussian(0.5, 16, make_stream(4, 0))
+    a = NoiseDistribution("gaussian").sample(16, make_stream(4, 0))
+    b = NoiseDistribution("gaussian").sample(16, make_stream(4, 0))
     assert np.array_equal(a, b)
 
 
 def test_distribution_validation():
     with pytest.raises(ContractError):
         NoiseDistribution("uniform")
-    with pytest.raises(ContractError):
-        sample_triangular(-1.0, 3, make_stream(0, 0))
 
 
 def test_standardize_gives_unit_variance():

@@ -155,12 +155,12 @@ def test_run_method_artifacts_and_reload(tmp_path):
     assert os.path.exists(os.path.join(cdir, "record.json"))
     assert os.path.exists(os.path.join(cdir, "log.csv"))
     assert os.path.exists(os.path.join(cdir, "checkpoints", "final.json"))
-    assert rec.steps_consumed <= plan.total_step_budget
-    assert rec.ppo_steps + rec.es_steps == rec.steps_consumed
-    assert rec.es_steps > 0 and rec.ppo_steps > 0
+    assert rec["steps_consumed"] <= plan.total_step_budget
+    assert rec["ppo_steps"] + rec["es_steps"] == rec["steps_consumed"]
+    assert rec["es_steps"] > 0 and rec["ppo_steps"] > 0
     # a second call must short-circuit on record.json with identical content
     again = run_method(plan, "ppo_then_tdes", 0, out)
-    assert again.to_dict() == rec.to_dict()
+    assert again == rec
 
 
 def test_log_csv_format(tmp_path):
@@ -183,31 +183,32 @@ def test_split_one_degenerates_to_ppo_plus_no_es(tmp_path):
     rec = run_method(plan, "ppo_then_tdes", 0, str(tmp_path))
     # PPO consumes every fundable update; the leftover cannot fund one ES
     # generation (2 * m * horizon = 400 > 1000 - 800)
-    assert rec.es_steps == 0
-    assert rec.es_records == []
+    assert rec["es_steps"] == 0
+    assert rec["es_records"] == []
 
 
 def test_anchor_shared_across_two_stage_methods(tmp_path):
     plan = tiny_plan(methods=["ppo_then_tdes", "ppo_then_gaussian_es"])
-    records, _ = sweep(plan, str(tmp_path))
-    by_key = {(r.method, r.seed): r for r in records}
+    records = sweep(plan, str(tmp_path))["records"]
+    by_key = {(r["method"], r["seed"]): r for r in records}
     for seed in plan.seeds:
         a = by_key[("ppo_then_tdes", seed)]
         b = by_key[("ppo_then_gaussian_es", seed)]
-        assert a.anchor_sha256 == b.anchor_sha256
-        assert a.anchor_sha256 != ""
+        assert a["anchor_sha256"] == b["anchor_sha256"]
+        assert a["anchor_sha256"] != ""
     # different seeds produce different anchors
-    assert by_key[("ppo_then_tdes", 0)].anchor_sha256 != \
-        by_key[("ppo_then_tdes", 1)].anchor_sha256
+    assert by_key[("ppo_then_tdes", 0)]["anchor_sha256"] != \
+        by_key[("ppo_then_tdes", 1)]["anchor_sha256"]
 
 
 def test_sweep_full_matrix_and_report(tmp_path):
     plan = tiny_plan()
     out = str(tmp_path)
-    records, payload = sweep(plan, out)
+    payload = sweep(plan, out)
+    records = payload["records"]
     assert len(records) == 3 * 2
-    assert [r.failed for r in records] == [False] * 6
-    assert sorted({r.method for r in records}) == sorted(plan.methods)
+    assert [r["failed"] for r in records] == [False] * 6
+    assert sorted({r["method"] for r in records}) == sorted(plan.methods)
     report = payload["report"]
     assert set(report["methods"]) == set(plan.methods)
     assert report["baseline"] == "ppo_only"
@@ -229,9 +230,10 @@ def test_sweep_isolates_cell_failure(tmp_path, monkeypatch):
         return original(plan_, method, seed, out_dir)
 
     monkeypatch.setattr(pipeline, "run_method", boom)
-    records, payload = sweep(plan, str(tmp_path))
-    assert [r.failed for r in records] == [False, True]
-    assert "synthetic cell failure" in records[1].failure
+    payload = sweep(plan, str(tmp_path))
+    records = payload["records"]
+    assert [r["failed"] for r in records] == [False, True]
+    assert "synthetic cell failure" in records[1]["failure"]
     assert payload["failures"][0]["seed"] == 1
     # the surviving cell still contributes to the report
     assert payload["report"]["methods"]["ppo_only"]
@@ -240,16 +242,16 @@ def test_sweep_isolates_cell_failure(tmp_path, monkeypatch):
 def test_ppo_only_uses_full_budget_for_ppo(tmp_path):
     plan = tiny_plan(methods=["ppo_only"], seeds=[0])
     rec = run_method(plan, "ppo_only", 0, str(tmp_path))
-    assert rec.es_steps == 0
+    assert rec["es_steps"] == 0
     # 5 updates of 200 steps fit in 1000
-    assert rec.ppo_steps == 1000
+    assert rec["ppo_steps"] == 1000
 
 
 def test_budget_never_exceeded(tmp_path):
     plan = tiny_plan()
-    records, _ = sweep(plan, str(tmp_path))
+    records = sweep(plan, str(tmp_path))["records"]
     for r in records:
-        assert r.steps_consumed <= r.budget
+        assert r["steps_consumed"] <= r["budget"]
 
 
 def test_resume_after_interrupt_bitwise(tmp_path):
@@ -261,9 +263,9 @@ def test_resume_after_interrupt_bitwise(tmp_path):
         run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "cut"))
     resumed = run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "cut"))
 
-    assert resumed.anchor_sha256 == clean.anchor_sha256
-    assert resumed.final_success_rate == clean.final_success_rate
-    assert resumed.steps_consumed == clean.steps_consumed
+    assert resumed["anchor_sha256"] == clean["anchor_sha256"]
+    assert resumed["final_success_rate"] == clean["final_success_rate"]
+    assert resumed["steps_consumed"] == clean["steps_consumed"]
     fa = load_json(os.path.join(cell_dir(str(tmp_path / "clean"),
                                          "point-reach", "ppo_then_tdes", 0),
                                 "checkpoints", "final.json"))
@@ -278,8 +280,8 @@ def test_handoff_heuristic_stops_ppo_early(tmp_path):
     plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
                      handoff_success_threshold=0.0, handoff_window=1)
     rec = run_method(plan, "ppo_then_tdes", 0, str(tmp_path))
-    assert rec.ppo_steps == 200  # exactly one update before handing off
-    assert rec.es_steps > 0
+    assert rec["ppo_steps"] == 200  # exactly one update before handing off
+    assert rec["es_steps"] > 0
 
 
 def _final_params(out, method="ppo_then_tdes", seed=0):
@@ -313,9 +315,9 @@ def test_resume_across_handoff_bitwise(tmp_path, monkeypatch):
     resumed = run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "cut"))
     assert updates == []  # the PPO run stops at once where it was cut
 
-    assert clean.ppo_steps == resumed.ppo_steps == 200
-    assert resumed.anchor_sha256 == clean.anchor_sha256
-    assert resumed.ppo_curve == clean.ppo_curve
+    assert clean["ppo_steps"] == resumed["ppo_steps"] == 200
+    assert resumed["anchor_sha256"] == clean["anchor_sha256"]
+    assert resumed["ppo_curve"] == clean["ppo_curve"]
     assert _final_params(str(tmp_path / "cut")) == \
         _final_params(str(tmp_path / "clean"))
 
@@ -326,7 +328,7 @@ def _checkpoint_path(out, method="ppo_then_tdes", seed=0):
 
 
 def _es_records(rec):
-    return [r | {"wall_time": 0} for r in rec.es_records]
+    return [r | {"wall_time": 0} for r in rec["es_records"]]
 
 
 def _interrupt_ppo_update(monkeypatch, n):
@@ -356,7 +358,7 @@ def test_resume_mid_ppo_with_adam_bitwise(tmp_path, monkeypatch):
                      ppo={"episodes_per_update": 2, "hidden_dims": [8],
                           "optimizer": "adam"})
     clean = run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "clean"))
-    assert len(clean.ppo_curve) == 3
+    assert len(clean["ppo_curve"]) == 3
 
     with monkeypatch.context() as m:
         _interrupt_ppo_update(m, 2)
@@ -364,8 +366,8 @@ def test_resume_mid_ppo_with_adam_bitwise(tmp_path, monkeypatch):
             run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "cut"))
     resumed = run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "cut"))
 
-    assert resumed.anchor_sha256 == clean.anchor_sha256
-    assert resumed.ppo_curve == clean.ppo_curve
+    assert resumed["anchor_sha256"] == clean["anchor_sha256"]
+    assert resumed["ppo_curve"] == clean["ppo_curve"]
     assert _es_records(resumed) == _es_records(clean)
     assert _final_params(str(tmp_path / "cut")) == \
         _final_params(str(tmp_path / "clean"))
@@ -399,8 +401,8 @@ def test_ppo_checkpoint_keeps_format_2_members(tmp_path, monkeypatch):
                 members[f"actor_critic.{p}"].shape
 
     resumed = run_method(plan, "ppo_only", 0, str(tmp_path / "cut"))
-    assert resumed.anchor_sha256 == clean.anchor_sha256
-    assert resumed.ppo_curve == clean.ppo_curve
+    assert resumed["anchor_sha256"] == clean["anchor_sha256"]
+    assert resumed["ppo_curve"] == clean["ppo_curve"]
     assert _final_params(str(tmp_path / "cut"), "ppo_only") == \
         _final_params(str(tmp_path / "clean"), "ppo_only")
 
@@ -454,8 +456,8 @@ def test_pool_workers_share_the_cpus_among_blas_threads(tmp_path,
         pytest.skip("numpy's BLAS is not OpenBLAS")
     monkeypatch.setattr(pipeline_module, "_run_seed",
                         _run_seed_noting_blas_threads)
-    _, payload = sweep(tiny_plan(methods=["ppo_only"]), str(tmp_path),
-                       workers=2)
+    payload = sweep(tiny_plan(methods=["ppo_only"]), str(tmp_path),
+                    workers=2)
     assert payload["failures"] == []
     assert [(tmp_path / f"blas-{s}").read_text() for s in (0, 1)] == ["1"] * 2
     assert _blas_threads() == before  # the sweep process keeps its own
@@ -470,7 +472,7 @@ def test_serial_sweep_runs_blas_on_one_thread_then_restores_it(tmp_path,
     # a count other than 1, so that the restore shows
     original = pipeline_module._set_blas_threads(2)
     try:
-        _, payload = sweep(tiny_plan(methods=["ppo_only"]), str(tmp_path))
+        payload = sweep(tiny_plan(methods=["ppo_only"]), str(tmp_path))
         after = _blas_threads()
     finally:
         pipeline_module._set_blas_threads(original)
@@ -506,10 +508,11 @@ def test_sweep_starts_no_more_workers_than_seeds(tmp_path, monkeypatch, seeds,
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         InProcessPool)
-    records, payload = sweep(tiny_plan(methods=["ppo_only"], seeds=seeds),
-                             str(tmp_path), workers=workers)
+    payload = sweep(tiny_plan(methods=["ppo_only"], seeds=seeds),
+                    str(tmp_path), workers=workers)
+    records = payload["records"]
     assert payload["failures"] == []
-    assert [r.seed for r in records] == seeds
+    assert [r["seed"] for r in records] == seeds
     assert made == pools
 
 
@@ -523,11 +526,12 @@ def _resume_state(out):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_finished_cells_keep_no_resume_state(tmp_path, workers):
     out = str(tmp_path)
-    records, payload = sweep(tiny_plan(), out, workers=workers)
+    payload = sweep(tiny_plan(), out, workers=workers)
+    records = payload["records"]
     assert payload["failures"] == [] and len(records) == 6
     assert _resume_state(out) == []
     for r in records:
-        cdir = cell_dir(out, "point-reach", r.method, r.seed)
+        cdir = cell_dir(out, "point-reach", r["method"], r["seed"])
         assert sorted(os.listdir(cdir)) == ["checkpoints", "log.csv",
                                             "record.json"]
         assert os.listdir(os.path.join(cdir, "checkpoints")) == ["final.json"]
@@ -550,7 +554,7 @@ def test_cell_that_raises_keeps_its_checkpoint(tmp_path, monkeypatch):
     import refine_es.engine as engine
 
     plan = tiny_plan(methods=["ppo_only"], seeds=[0])
-    clean, _ = sweep(plan, str(tmp_path / "clean"))
+    clean = sweep(plan, str(tmp_path / "clean"))["records"]
     out = str(tmp_path / "out")
 
     def evaluate_center(*args):  # ppo_only's final evaluation
@@ -558,14 +562,14 @@ def test_cell_that_raises_keeps_its_checkpoint(tmp_path, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(engine, "evaluate_center", evaluate_center)
-        records, _ = sweep(plan, out)
-    assert records[0].failed
+        records = sweep(plan, out)["records"]
+    assert records[0]["failed"]
     cdir = cell_dir(out, "point-reach", "ppo_only", 0)
     assert not os.path.exists(os.path.join(cdir, "record.json"))
     assert load_checkpoint(_checkpoint_path(out, "ppo_only"))[
         "update_index"] == 4
     updates = _count_ppo_updates(monkeypatch)
-    resumed, _ = sweep(plan, out)
+    resumed = sweep(plan, out)["records"]
     assert updates == []
     assert _sweep_bits(out, resumed) == \
         _sweep_bits(str(tmp_path / "clean"), clean)
@@ -578,18 +582,18 @@ def test_resume_removes_resume_state_of_finished_cells(tmp_path):
     # would fail to load, so resume must delete them without reading them
     out = str(tmp_path)
     plan = tiny_plan()
-    records, _ = sweep(plan, out)
+    records = sweep(plan, out)["records"]
     save_json_atomic(os.path.join(out, "plan.json"), plan.to_dict())
     kept = {}
     for r in records:
-        cdir = cell_dir(out, "point-reach", r.method, r.seed)
+        cdir = cell_dir(out, "point-reach", r["method"], r["seed"])
         for name in ("checkpoint.npz", "checkpoint.npz.tmp"):
             with open(os.path.join(cdir, "checkpoints", name), "wb") as fh:
                 fh.write(b"PK\x03\x04 stale")
         for name in ("record.json", "log.csv",
                      os.path.join("checkpoints", "final.json")):
             with open(os.path.join(cdir, name), "rb") as fh:
-                kept[(r.method, r.seed, name)] = fh.read()
+                kept[(r["method"], r["seed"], name)] = fh.read()
     assert len(_resume_state(out)) == 12
 
     assert main(["resume", "--dir", out]) == 0
@@ -695,8 +699,8 @@ def _handoff_plan(**kw):
 def test_ppo_only_ignores_handoff_rule(tmp_path):
     plan = _handoff_plan(methods=["ppo_only"], seeds=[0])
     rec = run_method(plan, "ppo_only", 0, str(tmp_path))
-    assert rec.ppo_steps == rec.steps_consumed == 4000
-    assert len(rec.ppo_curve) == 20
+    assert rec["ppo_steps"] == rec["steps_consumed"] == 4000
+    assert len(rec["ppo_curve"]) == 20
 
 
 def test_ppo_only_refuses_checkpoint_with_handoff_rule(tmp_path, monkeypatch):
@@ -723,9 +727,10 @@ def test_ppo_only_refuses_checkpoint_with_handoff_rule(tmp_path, monkeypatch):
 
 
 def test_handoff_sweep_keeps_equal_budgets(tmp_path):
-    records, payload = sweep(_handoff_plan(seeds=[0]), str(tmp_path))
+    payload = sweep(_handoff_plan(seeds=[0]), str(tmp_path))
+    records = payload["records"]
     assert payload["failures"] == []
-    steps = {r.method: (r.ppo_steps, r.es_steps) for r in records}
+    steps = {r["method"]: (r["ppo_steps"], r["es_steps"]) for r in records}
     assert steps == {"ppo_only": (4000, 0), "ppo_then_tdes": (200, 3600),
                      "ppo_then_gaussian_es": (200, 3600)}
 
@@ -743,27 +748,28 @@ def test_sweep_fails_cell_with_unequal_budget(tmp_path, monkeypatch, capsys,
                                               method, delta, message):
     import refine_es.pipeline as pipeline
 
-    # the skew applies as the cell builds its record, before it is written
-    original, save = pipeline.RunRecord, pipeline.save_json_atomic
+    # the skew applies as the cell checks its record, before it is written
+    original, save = pipeline._budget_shortfall, pipeline.save_json_atomic
     writes = []
 
-    def skewed(**fields):
-        if (fields["method"], fields["seed"]) == (method, 1):
-            fields["steps_consumed"] += delta
-        return original(**fields)
+    def skewed(cell, record):
+        if (record["method"], record["seed"]) == (method, 1):
+            record["steps_consumed"] += delta
+        return original(cell, record)
 
     def noting(path, payload):
         writes.append(path)
         save(path, payload)
 
-    monkeypatch.setattr(pipeline, "RunRecord", skewed)
+    monkeypatch.setattr(pipeline, "_budget_shortfall", skewed)
     monkeypatch.setattr(pipeline, "save_json_atomic", noting)
     out = str(tmp_path)
-    records, payload = sweep(tiny_plan(), out)
+    payload = sweep(tiny_plan(), out)
+    records = payload["records"]
     assert [(f["method"], f["seed"]) for f in payload["failures"]] == \
         [(method, 1)]
     assert payload["failures"][0]["failure"] == message
-    assert sum(r.failed for r in records) == 1
+    assert sum(r["failed"] for r in records) == 1
     record = os.path.join(cell_dir(out, "point-reach", method, 1),
                           "record.json")
     assert writes.count(record) == 1  # written once, already marked failed
@@ -778,26 +784,26 @@ def test_sweep_fails_cell_with_unequal_budget(tmp_path, monkeypatch, capsys,
     lines = capsys.readouterr().out.splitlines()
     start = lines.index("missing cells (1):")
     assert lines[start + 1] == f"  point-reach {method} seed 1"
-    _, again = sweep(tiny_plan(), out)
+    again = sweep(tiny_plan(), out)
     assert again["failures"] == payload["failures"]
 
 
 def _cell_bits(out, rec):
     """Everything a cell computes, apart from wall times."""
-    params = _final_params(out, rec.method, rec.seed)
+    params = _final_params(out, rec["method"], rec["seed"])
     return {
         "final_sha256": hashlib.sha256(
             np.asarray(params, dtype="<f8").tobytes()).hexdigest(),
-        "anchor_sha256": rec.anchor_sha256, "ppo_curve": rec.ppo_curve,
-        "es_records": _es_records(rec), "final": (rec.final_success_rate,
-                                                  rec.final_mean_return),
-        "steps": (rec.steps_consumed, rec.ppo_steps, rec.es_steps),
-        "failed": rec.failed,
+        "anchor_sha256": rec["anchor_sha256"], "ppo_curve": rec["ppo_curve"],
+        "es_records": _es_records(rec), "final": (rec["final_success_rate"],
+                                                  rec["final_mean_return"]),
+        "steps": (rec["steps_consumed"], rec["ppo_steps"], rec["es_steps"]),
+        "failed": rec["failed"],
     }
 
 
 def _sweep_bits(out, records):
-    return {(r.method, r.seed): _cell_bits(out, r) for r in records}
+    return {(r["method"], r["seed"]): _cell_bits(out, r) for r in records}
 
 
 def _count_ppo_updates(monkeypatch):
@@ -833,9 +839,9 @@ def test_sweep_trains_ppo_once_per_seed(tmp_path, monkeypatch, methods):
             alone[(method, seed)] = _cell_bits(out, rec)
 
     updates = _count_ppo_updates(monkeypatch)
-    records, _ = sweep(plan, str(tmp_path / "sweep"))
-    ppo_only = {r.seed: len(r.ppo_curve) for r in records
-                if r.method == "ppo_only"}
+    records = sweep(plan, str(tmp_path / "sweep"))["records"]
+    ppo_only = {r["seed"]: len(r["ppo_curve"]) for r in records
+                if r["method"] == "ppo_only"}
     assert ppo_only == {0: 5, 1: 5}
     assert {s: updates.count(s) for s in plan.seeds} == ppo_only
     assert _sweep_bits(str(tmp_path / "sweep"), records) == alone
@@ -844,7 +850,7 @@ def test_sweep_trains_ppo_once_per_seed(tmp_path, monkeypatch, methods):
 def test_resume_after_cut_past_fork_bitwise(tmp_path, monkeypatch):
     # the fork is after update 1; cut ppo_only at update 3
     plan = tiny_plan(seeds=[0])
-    clean, _ = sweep(plan, str(tmp_path / "clean"))
+    clean = sweep(plan, str(tmp_path / "clean"))["records"]
     cut = str(tmp_path / "cut")
     with monkeypatch.context() as m:
         _interrupt_ppo_update(m, 4)
@@ -856,7 +862,7 @@ def test_resume_after_cut_past_fork_bitwise(tmp_path, monkeypatch):
     assert load_checkpoint(_checkpoint_path(cut, "ppo_only"))[
         "update_index"] == 2
     updates = _count_ppo_updates(monkeypatch)
-    resumed, _ = sweep(plan, cut)
+    resumed = sweep(plan, cut)["records"]
     assert updates == [0, 0]  # updates 3 and 4 of ppo_only
     assert _sweep_bits(cut, resumed) == \
         _sweep_bits(str(tmp_path / "clean"), clean)
@@ -864,7 +870,7 @@ def test_resume_after_cut_past_fork_bitwise(tmp_path, monkeypatch):
 
 def test_resume_after_cut_mid_es_past_fork_bitwise(tmp_path, monkeypatch):
     plan = tiny_plan(seeds=[0], total_step_budget=1400)
-    clean, _ = sweep(plan, str(tmp_path / "clean"))
+    clean = sweep(plan, str(tmp_path / "clean"))["records"]
     cut = str(tmp_path / "cut")
     with interrupt_after_generation(0), pytest.raises(KeyboardInterrupt):
         sweep(plan, cut)
@@ -873,7 +879,7 @@ def test_resume_after_cut_mid_es_past_fork_bitwise(tmp_path, monkeypatch):
     state = load_checkpoint(_checkpoint_path(cut, "ppo_then_tdes"))
     assert state["generation_index"] == 0
     updates = _count_ppo_updates(monkeypatch)
-    resumed, _ = sweep(plan, cut)
+    resumed = sweep(plan, cut)["records"]
     assert updates == []
     assert _sweep_bits(cut, resumed) == \
         _sweep_bits(str(tmp_path / "clean"), clean)
@@ -883,7 +889,7 @@ def test_fork_leaves_started_sibling_alone(tmp_path, monkeypatch):
     import refine_es.engine as engine
 
     plan = tiny_plan(seeds=[0], total_step_budget=3000)
-    clean, _ = sweep(plan, str(tmp_path / "clean"))
+    clean = sweep(plan, str(tmp_path / "clean"))["records"]
     out = str(tmp_path / "out")
     with interrupt_after_generation(2), pytest.raises(KeyboardInterrupt):
         run_method(tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
@@ -907,7 +913,7 @@ def test_fork_leaves_started_sibling_alone(tmp_path, monkeypatch):
         return original(anchor, arch, env, config, **kw)
 
     monkeypatch.setattr(engine, "tdes_run", tdes_run)
-    records, _ = sweep(plan, out)
+    records = sweep(plan, out)["records"]
     assert starts == {"triangular": 3, "gaussian": 0}
     assert _sweep_bits(out, records) == \
         _sweep_bits(str(tmp_path / "clean"), clean)
@@ -918,7 +924,7 @@ def test_first_cell_failure_after_fork_spares_siblings(tmp_path,
     import refine_es.engine as engine
 
     plan = tiny_plan(seeds=[0])
-    clean, _ = sweep(plan, str(tmp_path / "clean"))
+    clean = sweep(plan, str(tmp_path / "clean"))["records"]
     original = engine.evaluate_center
     calls = []
 
@@ -931,13 +937,14 @@ def test_first_cell_failure_after_fork_spares_siblings(tmp_path,
     monkeypatch.setattr(engine, "evaluate_center", evaluate_center)
     updates = _count_ppo_updates(monkeypatch)
     out = str(tmp_path / "out")
-    records, payload = sweep(plan, out)
+    payload = sweep(plan, out)
+    records = payload["records"]
     assert len(updates) == 5
     assert [(f["method"], f["seed"]) for f in payload["failures"]] == \
         [("ppo_only", 0)]
     assert "synthetic failure after the fork" in \
         payload["failures"][0]["failure"]
-    ok = [r for r in records if not r.failed]
+    ok = [r for r in records if not r["failed"]]
     assert _sweep_bits(out, ok) == {
         k: v for k, v in _sweep_bits(str(tmp_path / "clean"), clean).items()
         if k[0] != "ppo_only"}
@@ -948,7 +955,7 @@ def test_ppo_only_past_fork_plants_nothing(tmp_path, monkeypatch):
     # sweep can hold a ppo_only checkpoint beyond the fork and nothing in
     # its siblings; those must train their own PPO, not start from it
     plan = tiny_plan(seeds=[0])
-    clean, _ = sweep(plan, str(tmp_path / "clean"))
+    clean = sweep(plan, str(tmp_path / "clean"))["records"]
     out = str(tmp_path / "out")
     with monkeypatch.context() as m:
         _interrupt_ppo_update(m, 4)
@@ -959,7 +966,7 @@ def test_ppo_only_past_fork_plants_nothing(tmp_path, monkeypatch):
     run_method(plan, "ppo_only", 0, out)
     assert len(updates) == 2
     assert not os.path.exists(_checkpoint_path(out, "ppo_then_tdes"))
-    records, _ = sweep(plan, out)
+    records = sweep(plan, out)["records"]
     assert len(updates) == 4  # ppo_then_tdes trained its own anchor
     assert _sweep_bits(out, records) == \
         _sweep_bits(str(tmp_path / "clean"), clean)
@@ -971,7 +978,7 @@ def test_cut_while_planting_plants_again_on_resume(tmp_path, monkeypatch):
     import refine_es.pipeline as pipeline
 
     plan = tiny_plan(seeds=[0])
-    clean, _ = sweep(plan, str(tmp_path / "clean"))
+    clean = sweep(plan, str(tmp_path / "clean"))["records"]
     cut = str(tmp_path / "cut")
     gaussian = _checkpoint_path(cut, "ppo_then_gaussian_es")
     original = pipeline.save_checkpoint
@@ -988,7 +995,7 @@ def test_cut_while_planting_plants_again_on_resume(tmp_path, monkeypatch):
     assert load_checkpoint(_checkpoint_path(cut, "ppo_only"))[
         "update_index"] == 0
     updates = _count_ppo_updates(monkeypatch)
-    resumed, _ = sweep(plan, cut)
+    resumed = sweep(plan, cut)["records"]
     assert len(updates) == 4  # ppo_only's updates 1 to 4, none of a sibling
     assert _sweep_bits(cut, resumed) == \
         _sweep_bits(str(tmp_path / "clean"), clean)
@@ -1121,17 +1128,17 @@ def test_final_evaluation_equals_standalone_run(tmp_path):
 
     plan = tiny_plan(seeds=[0], total_step_budget=1400)
     out = str(tmp_path)
-    records, _ = sweep(plan, out)
+    records = sweep(plan, out)["records"]
     for rec in records:
         final = load_json(os.path.join(
-            cell_dir(out, "point-reach", rec.method, 0), "checkpoints",
+            cell_dir(out, "point-reach", rec["method"], 0), "checkpoints",
             "final.json"))
         assert engine.evaluate_center(
             np.array(final["params"]),
             MlpArchitecture.from_dict(final["architecture"]),
             make_env("point-reach"), plan.eval_episodes,
             stream_seed(0, TAG_FINAL_EVAL)) == \
-            (rec.final_mean_return, rec.final_success_rate)
+            (rec["final_mean_return"], rec["final_success_rate"])
 
 
 @pytest.mark.parametrize("generation", [0, 1, 2])
@@ -1140,7 +1147,7 @@ def test_resume_after_cut_after_each_generation_bitwise(tmp_path,
     plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
                      total_step_budget=2200)
     clean = run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "clean"))
-    assert len(clean.es_records) == 3
+    assert len(clean["es_records"]) == 3
     cut = str(tmp_path / "cut")
     with interrupt_after_generation(generation), \
             pytest.raises(KeyboardInterrupt):
@@ -1173,7 +1180,7 @@ def test_mid_es_checkpoint_of_standalone_center_loops_resumes_bitwise(
     state = load_checkpoint(_checkpoint_path(cut))
     assert state["generation_index"] == 1
     assert [r["center_return"] for r in state["records"]] == \
-        [r["center_return"] for r in clean.es_records[:2]]
+        [r["center_return"] for r in clean["es_records"][:2]]
     resumed = run_method(plan, "ppo_then_tdes", 0, cut)
     assert _cell_bits(cut, resumed) == \
         _cell_bits(str(tmp_path / "clean"), clean)
@@ -1217,8 +1224,9 @@ def test_unreadable_checkpoint_fails_its_cell_naming_the_file(tmp_path):
     path = _checkpoint_path(out)
     os.makedirs(os.path.dirname(path))
     open(path, "wb").close()
-    records, payload = sweep(plan, out)
-    assert records[0].failed
+    payload = sweep(plan, out)
+    records = payload["records"]
+    assert records[0]["failed"]
     assert f"CheckpointError: {path}: unreadable checkpoint" in \
         payload["failures"][0]["failure"]
 
@@ -1251,13 +1259,14 @@ def test_sweep_runs_one_loop_per_update_generation_and_cell(tmp_path,
     monkeypatch.setattr(ToyEnv, "step", counted_step)
     monkeypatch.setattr(engine, "evaluate_center", counted_evaluate)
     monkeypatch.setattr(pipeline_module, "run_method", noted_run)
-    records, payload = sweep(tiny_plan(seeds=[0], total_step_budget=1400),
-                             str(tmp_path))
+    payload = sweep(tiny_plan(seeds=[0], total_step_budget=1400),
+                    str(tmp_path))
+    records = payload["records"]
     assert payload["failures"] == []
     assert evaluations == ["ppo_only"]
-    by_method = {r.method: r for r in records}
-    loops = len(by_method["ppo_only"].ppo_curve) + 1 + sum(
-        len(by_method[m].es_records) + 1
+    by_method = {r["method"]: r for r in records}
+    loops = len(by_method["ppo_only"]["ppo_curve"]) + 1 + sum(
+        len(by_method[m]["es_records"]) + 1
         for m in ("ppo_then_tdes", "ppo_then_gaussian_es"))
     assert len(steps) == 100 * loops == 100 * (7 + 1 + 3 + 3)
 
@@ -1293,7 +1302,8 @@ def test_stream_ledger_of_a_sweep(tmp_path, monkeypatch):
     es = {"m": 2, "sigma_es": 0.05, "alpha": 0.01,
           "episodes_per_candidate": 2, "center_eval_episodes": 2}
     plan = tiny_plan(total_step_budget=3000, es=es)
-    records, payload = sweep(plan, str(tmp_path))
+    payload = sweep(plan, str(tmp_path))
+    records = payload["records"]
     assert payload["failures"] == []
 
     seeds, cells = {}, {}
@@ -1328,8 +1338,8 @@ def test_stream_ledger_of_a_sweep(tmp_path, monkeypatch):
     # per seed: each generation's m noise vectors, m x 2 env seeds and
     # action noises, center-evaluation seed and 2 center episodes; the
     # final-evaluation seed and its 3 episodes
-    generations = [len(r.es_records) for r in records
-                   if r.method == "ppo_then_tdes"]
+    generations = [len(r["es_records"]) for r in records
+                   if r["method"] == "ppo_then_tdes"]
     assert generations == [2, 2]
     assert shared == {"es": 2 * 2 * (2 + 2 * 2 * 2 + 1 + 2),
                       "final": 2 * (1 + 3)}

@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import norm
 
 from refine_es.checkpoint import load_checkpoint, save_checkpoint
-from refine_es.envs import PointReach, make_env
+from refine_es.envs import PointReach, env_ids, make_env
 from refine_es.errors import ContractError, RolloutError
 from refine_es.policy import param_count
 from refine_es.ppo import (ActorCritic, PpoConfig, PpoOptimizer,
@@ -120,7 +120,7 @@ def test_gae_over_episode_axis_matches_rows_bitwise(lam):
 
 def test_gae_alignment_contract():
     with pytest.raises(ContractError):
-        gae_advantages(np.zeros(3), np.zeros(4), 0.9, 0.9)
+        gae_advantages(np.zeros(3), np.zeros(4), 0.9, 0.9, 0.0)
 
 
 def test_gaussian_log_prob_matches_scipy():
@@ -304,6 +304,40 @@ def test_collect_rollouts_shapes_and_budget():
     assert buf.actions.shape == (n, 2)
     assert buf.advantages.shape == (n,)
     assert buf.steps == n
+
+
+@pytest.mark.parametrize("env_id", env_ids())
+def test_collection_forwards_equal_per_episode_calls_bitwise(env_id,
+                                                            monkeypatch):
+    # collect_rollouts runs each network once on the stacked (episodes,
+    # horizon, obs) states, the critic's with the final obs appended, and
+    # relies on numpy computing that as one product per episode: the
+    # per-episode call's bits. A numpy that runs a stacked matmul as one
+    # product over every row can change them, and fails here
+    import refine_es.ppo as ppo_module
+
+    forward, calls = ppo_module.mlp_forward, []
+
+    def checked_forward(params, arch, x):
+        out, acts = forward(params, arch, x)
+        if x.ndim == 3:
+            for ep in range(x.shape[0]):
+                assert forward(params, arch, x[ep])[0].tobytes() == \
+                    out[ep].tobytes(), (
+                        f"numpy's stacked matmul changed the bits of episode "
+                        f"{ep}: collect_rollouts needs a forward per episode")
+            calls.append((arch.output_dim, x.shape))
+        return out, acts
+
+    monkeypatch.setattr(ppo_module, "mlp_forward", checked_forward)
+    env = make_env(env_id)
+    cfg = PpoConfig(total_steps=3 * 8 * env.horizon, episodes_per_update=8,
+                    epochs=1, minibatch_size=128, hidden_dims=(64, 64),
+                    optimizer="adam", seed=3)
+    assert len(train_anchor(env, cfg).curve) == 3
+    obs = env.observation_dim
+    assert calls == [(env.action_dim, (8, env.horizon, obs)),
+                     (1, (8, env.horizon + 1, obs))] * 3
 
 
 def test_curve_mean_return_is_the_rollouts_episode_return(monkeypatch):
