@@ -1,9 +1,9 @@
 """Record one checkout's benchmark numbers as BENCH_<pr>.json.
 
-    python3 scripts/bench_record.py CHECKOUT --pr 21 --commit fe9063d \
-        [--seeds 1 2 3 4 5] [--out BENCH_21.json]
+    python3 scripts/bench_record.py CHECKOUT --pr 21 --commit fe9063d
 
-For each workload of CHECKOUT's BENCHMARK.json, and each seed, it runs
+writes BENCH_21.json in the current directory. For each workload of
+CHECKOUT's BENCHMARK.json, and each of the fixed `SEEDS`, it runs
 `python3 perfbench/run.py --workload W --seed S --trace 0` in CHECKOUT once
 (`bench_pairs.run_once`). The file it writes holds, per workload, each
 end-to-end metric's median and quartiles over the seeds and every run's
@@ -26,6 +26,9 @@ import sys
 import bench_pairs
 import count_lines
 
+# the same seeds in every BENCH file, so that the files compare along the trend
+SEEDS = [1, 2, 3, 4, 5]
+
 
 def run_detail(checkout: str, workload: str, seed: int) -> dict:
     """The detail file that the last perfbench run of (workload, seed,
@@ -36,7 +39,7 @@ def run_detail(checkout: str, workload: str, seed: int) -> dict:
         return json.load(fh)
 
 
-def record(checkout: str, pr: int, commit: str, seeds: list[int]) -> dict:
+def record(checkout: str, pr: int, commit: str) -> dict:
     with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
         benchmark = json.load(fh)
     lines = count_lines.package_counts(
@@ -44,7 +47,7 @@ def record(checkout: str, pr: int, commit: str, seeds: list[int]) -> dict:
     out = {"pr": pr, "commit": commit,
            "command": "python3 perfbench/run.py --workload W --seed S "
                       "--trace 0",
-           "seeds": seeds, "environment": None,
+           "seeds": SEEDS, "environment": None,
            "src_lines": {"modules": {name: {"lines": n, "code": c}
                                      for name, (n, c) in lines.items()},
                          "total": {"lines": sum(n for n, _ in lines.values()),
@@ -52,7 +55,7 @@ def record(checkout: str, pr: int, commit: str, seeds: list[int]) -> dict:
            "workloads": {}}
     for workload in (w["name"] for w in benchmark["workloads"]):
         runs = []
-        for seed in seeds:
+        for seed in SEEDS:
             summary = bench_pairs.run_once(checkout, workload, seed)
             detail = run_detail(checkout, workload, seed)
             if out["environment"] is None:
@@ -78,12 +81,9 @@ def main(argv=None) -> int:
     parser.add_argument("checkout")
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--commit", required=True)
-    parser.add_argument("--seeds", type=int, nargs="+",
-                        default=[1, 2, 3, 4, 5])
-    parser.add_argument("--out", help="default: BENCH_<pr>.json")
     args = parser.parse_args(argv)
-    result = record(args.checkout, args.pr, args.commit, args.seeds)
-    with open(args.out or f"BENCH_{args.pr}.json", "w") as fh:
+    result = record(args.checkout, args.pr, args.commit)
+    with open(f"BENCH_{args.pr}.json", "w") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
     return 0 if all(r["correct"] for w in result["workloads"].values()

@@ -15,8 +15,8 @@ record.json and skipped, interrupted cells continue from their last
 checkpoint. `report` reads the record.json of exactly the cells of
 <dir>/plan.json, one per (method, seed), and prints and plots what
 `pipeline.summarize` makes of them, as `sweep` does for report.json; a
-record.json that does not read as a record stops it with exit status 1 and
-an error naming the file. The plan file is a sweep's only input.
+record.json that does not read as its cell's record stops it with exit
+status 1 and an error naming the file. The plan file is a sweep's only input.
 """
 
 from __future__ import annotations
@@ -89,9 +89,10 @@ def cmd_report(args) -> int:
     plan = load_plan(plan_path)
     cells = [(method, seed) for method in sorted(plan.methods)
              for seed in sorted(plan.seeds)]
-    paths = [os.path.join(cell_dir(args.dir, plan.task, *cell), "record.json")
-             for cell in cells]
-    payload = summarize(plan, [load_record(p) for p in paths
+    paths = {cell: os.path.join(cell_dir(args.dir, plan.task, *cell),
+                                "record.json") for cell in cells}
+    payload = summarize(plan, [load_record(p, plan, *cell)
+                               for cell, p in paths.items()
                                if os.path.exists(p)], args.baseline)
     report = payload["report"]
     if not report:
@@ -174,12 +175,9 @@ def main(argv=None) -> int:
         parser.error(f"argument --workers: must be >= 1, not {args.workers}")
     try:
         return args.fn(args)
-    except PlanError as exc:
+    except (PlanError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CheckpointError as exc:  # a stored record that `report` reads
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, PlanError) else 1  # 1: a bad record.json
     except KeyboardInterrupt:
         print("interrupted; checkpoints are on disk, resume with "
               "`refine-es resume`", file=sys.stderr)

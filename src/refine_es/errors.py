@@ -21,4 +21,4 @@ class PlanError(ValueError):
 
 class CheckpointError(ValueError):
     """A cell's stored state cannot be used: a checkpoint of another format
-    version, seed or configuration, or a record.json that is not a record."""
+    version, seed or configuration, or a record.json not its cell's record."""

@@ -28,9 +28,8 @@ Results layout: a sweep writes <out>/plan.json before its first cell and
 <out>/report.json after its last, and each cell writes
 <out>/runs/<task>/<method>/<seed>/{checkpoints/, log.csv, record.json}.
 report.json is what `summarize` makes of the cells' records, the dicts
-that record.json holds (`RECORD_KEYS`): the aggregate over those that did
-not fail, the failures, and the records in (method, seed) order.
-`refine-es report` builds it the same way from the files (`load_record`).
+that record.json holds (`_record`); `refine-es report` builds it the same
+way from the files, each the record of its own cell (`load_record`).
 Cells checkpoint after every PPO update / ES generation into one atomic
 `checkpoints/checkpoint.npz` (see checkpoint.py) and resume bit-exactly
 from it, the PPO->ES handoff included. A checkpoint is the state that the
@@ -43,13 +42,12 @@ engine.py); a cut in between resumes from the generation before and redoes
 one. A two-stage cell's final evaluation is run by `engine.tdes_run`,
 ppo_only's by `engine.evaluate_center`. A fresh ES stage starts from its
 state before the first generation, built in memory; a cut before its first
-generation resumes from the last PPO checkpoint. The ES checkpoint of
-generation -1 that older versions wrote there, and planted at the fork,
-resumes like any other. On resume the checkpoint must match the cell:
-format version, stage, master seed, the handoff rule, and the PPO and ES
-configs recomputed from the plan (an older ES config's step cap is
-dropped first); any mismatch is refused with a `CheckpointError` naming
-the file and the field.
+generation resumes from the last PPO checkpoint (older versions wrote one
+of generation -1 there, see `_Cell.after_ppo`). On resume the checkpoint
+must match the cell: format version, stage, master seed, the handoff
+rule, and the PPO and ES configs recomputed from the plan (an older ES
+config's step cap is dropped first); any mismatch is refused with a
+`CheckpointError` naming the file and the field.
 A finished cell keeps its results (`checkpoints/final.json`, log.csv,
 record.json), each written once, atomically and durable before record.json,
 not its resume state: once record.json is durable, the checkpoint is
@@ -82,13 +80,6 @@ from .rng import TAG_FINAL_EVAL, stream_seed
 
 CHECKPOINT_NAME = "checkpoint.npz"
 _FINAL_FORMAT_VERSION = 1  # layout of final.json, which is still JSON
-
-
-# the keys of a cell's record, in the order that record.json holds them
-RECORD_KEYS = ("task", "method", "seed", "final_success_rate",
-               "final_mean_return", "steps_consumed", "budget", "ppo_steps",
-               "es_steps", "anchor_sha256", "ppo_curve", "es_records",
-               "failed", "failure")
 
 
 def _params_sha256(params: np.ndarray) -> str:
@@ -246,9 +237,22 @@ def _drop_resume_state(cdir: str) -> None:
             os.unlink(p)
 
 
-def load_record(path: str) -> dict:
-    """The cell record stored at `path`. A file that is not a JSON object
-    with exactly the `RECORD_KEYS` raises a `CheckpointError` naming it."""
+def _record(plan: ExperimentPlan, method: str, seed: int, **values) -> dict:
+    """A cell's record, the dict that record.json holds, with its keys in
+    that order: `values` over the record of a cell that spent nothing."""
+    return {"task": plan.task, "method": method, "seed": seed,
+            "final_success_rate": 0.0, "final_mean_return": 0.0,
+            "steps_consumed": 0, "budget": plan.total_step_budget,
+            "ppo_steps": 0, "es_steps": 0, "anchor_sha256": "",
+            "ppo_curve": [], "es_records": [], "failed": False,
+            "failure": None, **values}
+
+
+def load_record(path: str, plan: ExperimentPlan, method: str,
+                seed: int) -> dict:
+    """The record of the cell (`plan`'s task, `method`, `seed`) at `path`,
+    or a `CheckpointError` naming the file if it holds no such record."""
+    expected = _record(plan, method, seed)
     try:
         record = load_json(path)
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
@@ -256,11 +260,15 @@ def load_record(path: str) -> dict:
     if not isinstance(record, dict):
         raise CheckpointError(f"{path}: a record is a JSON object, not "
                               f"{type(record).__name__}")
-    missing = [k for k in RECORD_KEYS if k not in record]
-    unknown = sorted(set(record) - set(RECORD_KEYS))
+    missing = [k for k in expected if k not in record]
+    unknown = sorted(set(record) - set(expected))
     if missing or unknown:
         raise CheckpointError(f"{path}: not a cell record: missing keys "
                               f"{missing}, unknown keys {unknown}")
+    cell = "{task} {method} seed {seed}".format
+    if any(record[k] != expected[k] for k in ("task", "method", "seed")):
+        raise CheckpointError(f"{path}: a record of {cell(**record)}, not "
+                              f"of this cell ({cell(**expected)})")
     return record
 
 
@@ -296,7 +304,7 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
     ckpt_dir = os.path.dirname(cell.checkpoint)
     os.makedirs(ckpt_dir, exist_ok=True)
     if os.path.exists(cell.record):
-        record = load_record(cell.record)
+        record = load_record(cell.record, plan, method, seed)
         _drop_resume_state(cell.dir)  # left by a crash or an older version
         return record
     legacy = os.path.join(ckpt_dir, "checkpoint.json")
@@ -345,14 +353,12 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
     else:
         mean_ret, success = engine.evaluate_center(final_params, arch,
                                                    cell.env, *final_eval)
-    record = {"task": plan.task, "method": method, "seed": seed,
-              "final_success_rate": success, "final_mean_return": mean_ret,
-              "steps_consumed": state["ppo_steps"] + es_steps,
-              "budget": plan.total_step_budget,
-              "ppo_steps": state["ppo_steps"], "es_steps": es_steps,
-              "anchor_sha256": state["anchor_sha256"],
-              "ppo_curve": state["ppo_curve"], "es_records": es_records,
-              "failed": False, "failure": None}
+    record = _record(plan, method, seed, final_success_rate=success,
+                     final_mean_return=mean_ret,
+                     steps_consumed=state["ppo_steps"] + es_steps,
+                     ppo_steps=state["ppo_steps"], es_steps=es_steps,
+                     anchor_sha256=state["anchor_sha256"],
+                     ppo_curve=state["ppo_curve"], es_records=es_records)
     shortfall = _budget_shortfall(cell, record)
     if shortfall is not None:  # on disk too, for `report` and `resume`
         record["failed"], record["failure"] = True, shortfall
@@ -375,12 +381,8 @@ def _run_cell(plan: ExperimentPlan, method: str, seed: int,
     except KeyboardInterrupt:
         raise
     except Exception:
-        return {"task": plan.task, "method": method, "seed": seed,
-                "final_success_rate": 0.0, "final_mean_return": 0.0,
-                "steps_consumed": 0, "budget": plan.total_step_budget,
-                "ppo_steps": 0, "es_steps": 0, "anchor_sha256": "",
-                "ppo_curve": [], "es_records": [], "failed": True,
-                "failure": traceback.format_exc()}
+        return _record(plan, method, seed, failed=True,
+                       failure=traceback.format_exc())
 
 
 def _run_seed(args) -> list[dict]:

@@ -60,12 +60,13 @@ def checkout(tmp_path):
     return root
 
 
-def test_record_of_a_fake_checkout(bench_record, checkout, tmp_path):
-    out = tmp_path / "BENCH_7.json"
-    assert bench_record.main([str(checkout), "--pr", "7", "--commit", "abc",
-                              "--seeds", "1", "2", "3", "4",
-                              "--out", str(out)]) == 0
-    result = json.loads(out.read_text())
+def test_record_of_a_fake_checkout(bench_record, checkout, tmp_path,
+                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(bench_record, "SEEDS", [1, 2, 3, 4])
+    assert bench_record.main([str(checkout), "--pr", "7",
+                              "--commit", "abc"]) == 0
+    result = json.loads((tmp_path / "BENCH_7.json").read_text())
     assert (result["pr"], result["commit"]) == (7, "abc")
     assert result["seeds"] == [1, 2, 3, 4]
     assert result["environment"] == {"seed": 1}
@@ -83,9 +84,11 @@ def test_record_of_a_fake_checkout(bench_record, checkout, tmp_path):
 
 
 def test_a_run_that_is_not_correct_fails_the_record(bench_record, checkout,
-                                                    tmp_path):
-    out = tmp_path / "BENCH_8.json"
-    assert bench_record.main([str(checkout), "--pr", "8", "--commit", "abc",
-                              "--seeds", "13", "--out", str(out)]) == 1
-    runs = json.loads(out.read_text())["workloads"]["a"]["runs"]
+                                                    tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(bench_record, "SEEDS", [13])
+    assert bench_record.main([str(checkout), "--pr", "8",
+                              "--commit", "abc"]) == 1
+    runs = json.loads((tmp_path / "BENCH_8.json").read_text())[
+        "workloads"]["a"]["runs"]
     assert [(r["seed"], r["correct"]) for r in runs] == [(13, False)]

@@ -456,6 +456,9 @@ BAD_RECORDS = {
     "missing_key": (lambda text: json.dumps(
         {k: v for k, v in json.loads(text).items() if k != "failure"}),
         "not a cell record: missing keys ['failure'], unknown keys []"),
+    "wrong_seed": (lambda text: json.dumps({**json.loads(text), "seed": 7}),
+                   "a record of point-reach ppo_only seed 7, not of this "
+                   "cell (point-reach ppo_"),
 }
 
 
