@@ -5,12 +5,15 @@ parameters, report), `save_text_atomic` other text (log.csv). Python's
 float repr round trips exactly, so parameters stored there as decimal text
 still reload bit-identically.
 
-`save_checkpoint` writes the per-cell resume state as one uncompressed
-`.npz` archive: every ndarray in the payload is stored as its own member in
-its own dtype (float64 for parameters and Adam moments, so no decimal
-conversion and an exact round trip), and everything else goes in as one JSON
-string, member `meta`, in which each array is replaced by a reference
-`{"npz": <member>}`. One file keeps the write atomic.
+`save_checkpoint` writes the per-cell resume state, the flat dict that a
+stage hands out plus the cell's fields, as one uncompressed `.npz` archive
+(format 3): each top-level ndarray is stored as its own member under its own
+key, in its own dtype (float64 for parameters and Adam moments, so no
+decimal conversion and an exact round trip), and everything else goes in as
+one JSON string, member `meta`. One file keeps the write atomic.
+`load_checkpoint` returns `{**meta, **arrays}`, for format 3 and for format
+2, whose members are paths into nested dicts; `pipeline` converts a format
+2 state.
 
 All writers go to `<path>.tmp`, flush, fsync and rename into place, so an
 interrupted write leaves the previous file intact; a stale `.tmp` is never
@@ -28,7 +31,7 @@ import numpy as np
 
 from .errors import CheckpointError
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def save_text_atomic(path: str, text: str) -> None:
@@ -51,37 +54,12 @@ def load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _split_arrays(node, key: str, arrays: dict):
-    """`node` with each ndarray moved into `arrays` under its path."""
-    if isinstance(node, np.ndarray):
-        arrays[key] = node
-        return {"npz": key}
-    if isinstance(node, dict):
-        return {k: _split_arrays(v, f"{key}.{k}", arrays)
-                for k, v in node.items()}
-    if isinstance(node, list):
-        return [_split_arrays(v, f"{key}.{i}", arrays)
-                for i, v in enumerate(node)]
-    return node
-
-
-def _join_arrays(node, arrays: dict):
-    if isinstance(node, dict):
-        if node.keys() == {"npz"}:
-            return arrays[node["npz"]]
-        return {k: _join_arrays(v, arrays) for k, v in node.items()}
-    if isinstance(node, list):
-        return [_join_arrays(v, arrays) for v in node]
-    return node
-
-
 def save_checkpoint(path: str, payload: dict) -> None:
-    """Write `payload` (JSON-able values and ndarrays, nested in dicts and
-    lists) with `format_version` set, atomically."""
-    arrays: dict[str, np.ndarray] = {}
-    meta = {k: _split_arrays(v, k, arrays)
-            for k, v in {**payload, "format_version": FORMAT_VERSION}.items()}
-    text = json.dumps(meta).encode()
+    """Write the flat dict `payload`, its top-level ndarrays as members and
+    its other values as JSON, with `format_version` set, atomically."""
+    arrays = {k: v for k, v in payload.items() if isinstance(v, np.ndarray)}
+    meta = {k: v for k, v in payload.items() if k not in arrays}
+    text = json.dumps({**meta, "format_version": FORMAT_VERSION}).encode()
     tmp = path + ".tmp"
     # a file handle, not a path: np.savez would append ".npz" to the name
     with open(tmp, "wb") as fh:
@@ -92,9 +70,10 @@ def save_checkpoint(path: str, payload: dict) -> None:
 
 
 def load_checkpoint(path: str) -> dict:
-    """Read a checkpoint written by `save_checkpoint`. A file that does not
-    read as one (empty, cut short, another kind of file) or has another
-    `format_version` raises a `CheckpointError` naming the file."""
+    """Read a checkpoint of format 2 or 3 as `{**meta, **arrays}`. A file
+    that does not read as one (empty, cut short, another kind of file) or
+    has another `format_version` raises a `CheckpointError` naming the
+    file."""
     try:
         with np.load(path, allow_pickle=False) as archive:
             arrays = {name: archive[name] for name in archive.files}
@@ -105,7 +84,7 @@ def load_checkpoint(path: str) -> dict:
         raise CheckpointError(
             f"{path}: unreadable checkpoint ({type(exc).__name__}: {exc}); "
             f"delete it to restart the cell") from exc
-    if version != FORMAT_VERSION:
+    if version not in (2, FORMAT_VERSION):
         raise CheckpointError(f"{path}: field 'format_version' is {version!r}, "
-                              f"this version reads {FORMAT_VERSION}")
-    return _join_arrays(meta, arrays)
+                              f"this version reads 2 and {FORMAT_VERSION}")
+    return {**meta, **arrays}

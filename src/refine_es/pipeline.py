@@ -45,9 +45,9 @@ state before the first generation, built in memory; a cut before its first
 generation resumes from the last PPO checkpoint (older versions wrote one
 of generation -1 there, see `_Cell.after_ppo`). On resume the checkpoint
 must match the cell: format version, stage, master seed, the handoff
-rule, and the PPO and ES configs recomputed from the plan (an older ES
-config's step cap is dropped first); any mismatch is refused with a
-`CheckpointError` naming the file and the field.
+rule, and the PPO and ES configs recomputed from the plan; any mismatch is
+refused with a `CheckpointError` naming the file and the field. A format 2
+checkpoint is read as the format 3 state it equals (`_from_format_2`).
 A finished cell keeps its results (`checkpoints/final.json`, log.csv,
 record.json), each written once, atomically and durable before record.json,
 not its resume state: once record.json is durable, the checkpoint is
@@ -124,7 +124,7 @@ class _Cell:
         self.fork_stop = _stop_condition(plan.handoff_success_threshold,
                                          plan.handoff_window)
         self.stop = self.fork_stop if self.two_stage else None
-        self.ppo_config = ppo_config(plan, self.env, method, seed)
+        self.ppo_config = ppo_config(plan, method, seed)
         threshold = plan.handoff_success_threshold if self.two_stage else None
         self.fields = {"ppo_config": self.ppo_config.to_dict(),
                        "handoff": {"success_threshold": threshold,
@@ -187,8 +187,33 @@ def _check_fields(path: str, name: str, stored: dict, expected: dict) -> None:
                 f"different configuration")
 
 
+def _from_format_2(state: dict) -> dict:
+    """A checkpoint's state as format 3 holds it; a format 3 state passes
+    unchanged. Format 2 stored PPO's vector and Adam moments per part
+    (actor, log_std, critic), in members `actor_critic.<part>` and
+    `optimizer.states.<i>.<m|v>`; every Adam operation is elementwise with
+    shared scalars, so the joined parts are the one Adam state of the run.
+    Its ES config held a step cap that `generations` implies, and its PPO
+    config the task's discount and Adam's constants."""
+    parts = ("actor_params", "log_std", "critic_params")
+    if state.pop("actor_critic", None) is not None:
+        state["params"] = np.concatenate(
+            [state.pop(f"actor_critic.{part}") for part in parts])
+    adam = state.pop("optimizer", {}).get("states")
+    if adam:
+        for k in "mv":
+            state[f"adam_{k}"] = np.concatenate(
+                [state.pop(f"optimizer.states.{i}.{k}") for i in range(3)])
+        state["adam_t"] = adam[0]["t"]
+    state.get("es_config", {}).pop("step_cap", None)
+    for key in ("gamma", "adam_beta1", "adam_beta2", "adam_eps"):
+        state["ppo_config"].pop(key, None)
+    return state
+
+
 def _load_state(path: str, fields: dict) -> dict:
-    """The checkpoint at `path`, after the checks that need no ES config."""
+    """The checkpoint at `path` as format 3 holds it, after the checks that
+    need no ES config."""
     state = load_checkpoint(path)
     if state.get("stage") not in ("ppo", "es"):
         raise CheckpointError(f"{path}: field 'stage' is "
@@ -197,6 +222,7 @@ def _load_state(path: str, fields: dict) -> dict:
         raise CheckpointError(f"{path}: field 'master_seed' is "
                               f"{state.get('master_seed')!r}, this cell is "
                               f"seed {fields['master_seed']}")
+    state = _from_format_2(state)
     _check_fields(path, "ppo_config", state["ppo_config"], fields["ppo_config"])
     _check_fields(path, "handoff", state["handoff"], fields["handoff"])
     if state["stage"] == "es" and \
@@ -248,10 +274,19 @@ def _record(plan: ExperimentPlan, method: str, seed: int, **values) -> dict:
             "failure": None, **values}
 
 
+# the types that a stored record's value may have, by the type of the blank
+# record's value (`_record`); a bool is no number
+_RECORD_KINDS = {type(None): ((str, type(None)), "a string or null"),
+                 bool: ((bool,), "a bool"), int: ((int, float), "a number"),
+                 float: ((int, float), "a number"), str: ((str,), "a string"),
+                 list: ((list,), "a list")}
+
+
 def load_record(path: str, plan: ExperimentPlan, method: str,
                 seed: int) -> dict:
     """The record of the cell (`plan`'s task, `method`, `seed`) at `path`,
-    or a `CheckpointError` naming the file if it holds no such record."""
+    or a `CheckpointError` naming the file if it holds no such record: each
+    value must have the type of its value in the blank record (`_record`)."""
     expected = _record(plan, method, seed)
     try:
         record = load_json(path)
@@ -265,6 +300,11 @@ def load_record(path: str, plan: ExperimentPlan, method: str,
     if missing or unknown:
         raise CheckpointError(f"{path}: not a cell record: missing keys "
                               f"{missing}, unknown keys {unknown}")
+    for key, blank in expected.items():
+        kinds, kind = _RECORD_KINDS[type(blank)]
+        if type(record[key]) not in kinds:
+            raise CheckpointError(f"{path}: key '{key}' is {record[key]!r}, "
+                                  f"not {kind}")
     cell = "{task} {method} seed {seed}".format
     if any(record[k] != expected[k] for k in ("task", "method", "seed")):
         raise CheckpointError(f"{path}: a record of {cell(**record)}, not "
@@ -311,7 +351,7 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
     if os.path.exists(legacy):
         raise CheckpointError(
             f"{legacy}: field 'format_version' is 1 (a JSON checkpoint); this "
-            f"version resumes only format_version {FORMAT_VERSION} "
+            f"version resumes format_version 2 and {FORMAT_VERSION} "
             f"({CHECKPOINT_NAME})")
 
     state = (_load_state(cell.checkpoint, cell.fields)
@@ -337,9 +377,6 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
     es_steps = 0
     if cell.two_stage:
         es_cfg = cell.es_config(plan.total_step_budget - state["ppo_steps"])
-        # older versions stored a step cap, the remaining steps, which
-        # `generations` already implies
-        state["es_config"].pop("step_cap", None)
         _check_fields(cell.checkpoint, "es_config", state["es_config"],
                       es_cfg.to_dict())
         result = engine.tdes_run(

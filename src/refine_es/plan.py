@@ -10,9 +10,9 @@ steps fund.
 
 The `es` and `ppo` sections take the fields of `engine.EsConfig` and
 `ppo.PpoConfig`, except those that a cell sets (step counts, seed, noise
-distribution) and Adam's betas and eps. Unknown keys and values of the wrong
-type are rejected by name, and each stage config is built once at load, so
-that a bad value fails there with a `PlanError`, not later in every cell.
+distribution). Unknown keys and values of the wrong type are rejected by
+name, and each stage config is built once at load, so that a bad value fails
+there with a `PlanError`, not later in every cell.
 `load_plan` is how `run`, `resume` and `report` read a plan file.
 """
 
@@ -86,11 +86,11 @@ class ExperimentPlan:
                 "ppo": dict(self.ppo)}
 
 
-def ppo_config(plan: ExperimentPlan, env, method: str,
-               seed: int) -> ppo.PpoConfig:
-    """The PPO config of cell (method, seed) on `env`, the plan's task: a
-    two-stage cell trains up to `plan.fork_steps`, ppo_only to the budget."""
-    kwargs = {"gamma": env.gamma, "optimizer": "adam", **plan.ppo}
+def ppo_config(plan: ExperimentPlan, method: str, seed: int) -> ppo.PpoConfig:
+    """The PPO config of cell (method, seed): a two-stage cell trains up to
+    `plan.fork_steps`, ppo_only to the budget. The discount is the task's
+    (`env.gamma`)."""
+    kwargs = {"optimizer": "adam", **plan.ppo}
     if "hidden_dims" in kwargs:
         kwargs["hidden_dims"] = tuple(kwargs["hidden_dims"])
     return ppo.PpoConfig(
@@ -151,12 +151,11 @@ def plan_from_dict(raw: dict) -> ExperimentPlan:
     if not isinstance(raw, dict):
         raise PlanError("plan must be a JSON object")
     _check_keys(raw, ExperimentPlan)
-    # a section takes its config's fields but those that a cell sets, and
-    # Adam's betas and eps
+    # a section takes its config's fields but those that a cell sets
     _check_keys(raw.get("es", {}), engine.EsConfig, "es.", (
         "generations", "seed", "distribution"))
     _check_keys(raw.get("ppo", {}), ppo.PpoConfig, "ppo.", (
-        "total_steps", "seed", "adam_beta1", "adam_beta2", "adam_eps"))
+        "total_steps", "seed"))
     for required in ("task", "methods", "total_step_budget"):
         if required not in raw:
             raise PlanError(f"missing plan key: {required!r}")
@@ -166,7 +165,7 @@ def plan_from_dict(raw: dict) -> ExperimentPlan:
         raise PlanError(str(exc)) from exc
     plan = ExperimentPlan(**raw)
     try:
-        ppo_config(plan, env, "ppo_then_tdes", 0)
+        ppo_config(plan, "ppo_then_tdes", 0)
     except ContractError as exc:
         raise PlanError(f"invalid plan section 'ppo': {exc}") from exc
     try:

@@ -4,11 +4,12 @@ Actor and critic are small tanh MLPs over flat parameter vectors (same layout
 as the ES stage, so the trained actor hands off directly). The policy is
 diagonal Gaussian with a state-independent learnable log-std vector. All
 trainable parameters live in one float64 vector laid out actor | log_std |
-critic. The gradient of the clipped surrogate + value loss + entropy bonus is
-derived by hand in reverse mode (tests check it against finite differences)
-and written into one vector of that layout; the optimizer takes one SGD step,
-or updates one Adam state in place, over it. Collection makes one forward
-per network, one product per episode; GAE runs over all episodes at once.
+critic, and a checkpoint stores that vector. The gradient of the clipped
+surrogate + value loss + entropy bonus is derived by hand in reverse mode
+(tests check it against finite differences) and written into one vector of
+that layout; the optimizer takes one SGD step, or updates one Adam state in
+place, over it. Collection makes one forward per network, one product per
+episode; GAE runs over all episodes at once.
 
 All randomness (env seeds, action noise, minibatch shuffles) comes from
 counter-based streams keyed on (seed, purpose, update_index, ...), so
@@ -18,23 +19,24 @@ every update, which is what a per-update checkpoint stores.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError, RolloutError
 from .policy import (MlpArchitecture, action_noise, init_params, mlp_backward,
-                     mlp_forward, rollout)
+                     mlp_forward, param_count, rollout)
 from .rng import TAG_INIT, TAG_PPO_ACTION, TAG_PPO_ENV, TAG_PPO_SHUFFLE, make_stream
 
 _LOG_2PI = np.log(2.0 * np.pi)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
 class PpoConfig:
     total_steps: int
     learning_rate: float = 3e-3
-    gamma: float = 0.99
     gae_lambda: float = 0.95
     clip_epsilon: float = 0.2
     episodes_per_update: int = 8
@@ -45,9 +47,6 @@ class PpoConfig:
     init_log_std: float = float(np.log(0.5))
     hidden_dims: tuple[int, ...] = (64, 64)
     optimizer: str = "sgd"  # or "adam", which every plan cell defaults to
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -57,8 +56,6 @@ class PpoConfig:
             raise ContractError("clip_epsilon must be in (0, 1)")
         if not (0 <= self.gae_lambda <= 1):
             raise ContractError("gae_lambda must be in [0, 1]")
-        if not (0 < self.gamma <= 1):
-            raise ContractError("gamma must be in (0, 1]")
         if self.optimizer not in ("sgd", "adam"):
             raise ContractError("optimizer must be 'sgd' or 'adam'")
         if self.episodes_per_update < 1 or self.minibatch_size < 1:
@@ -77,16 +74,19 @@ class PpoConfig:
 
 class ActorCritic:
     """Actor, log-std and critic parameters in one float64 vector `params`,
-    laid out actor | log_std | critic. `actor_params`, `log_std` and
-    `critic_params` are views into it, with no setter: write into them in
-    place (`ac.log_std[:] = x`); rebinding one raises AttributeError."""
+    laid out actor | log_std | critic, a copy of the `params` it is built
+    from, and the two architectures that read it (`architectures`).
+    `actor_params`, `log_std` and `critic_params` are views into it, with no
+    setter: write into them in place (`ac.log_std[:] = x`); rebinding one
+    raises AttributeError."""
 
-    def __init__(self, actor_arch: MlpArchitecture, actor_params, log_std,
-                 critic_arch: MlpArchitecture, critic_params):
+    def __init__(self, actor_arch: MlpArchitecture,
+                 critic_arch: MlpArchitecture, params):
         self.actor_arch, self.critic_arch = actor_arch, critic_arch
-        self.params = np.concatenate([actor_params, log_std, critic_params],
-                                     dtype=float)
-        a, k = len(actor_params), len(log_std)
+        self.params = np.array(params, dtype=float)
+        a, k = param_count(actor_arch), actor_arch.output_dim
+        if self.params.shape != (a + k + param_count(critic_arch),):
+            raise ContractError("params do not match the architectures")
         self._slices = (slice(0, a), slice(a, a + k), slice(a + k, None))
 
     actor_params = property(lambda self: self.params[self._slices[0]])
@@ -98,33 +98,20 @@ class ActorCritic:
         `params`."""
         return tuple(vec[s] for s in self._slices)
 
-    def to_dict(self) -> dict:
-        """Checkpoint payload; the arrays are the live views, not copies."""
-        return {
-            "actor_arch": self.actor_arch.to_dict(),
-            "actor_params": self.actor_params,
-            "log_std": self.log_std,
-            "critic_arch": self.critic_arch.to_dict(),
-            "critic_params": self.critic_params,
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ActorCritic":
-        """An actor-critic with a copy of the parameters in `d`."""
-        return cls(MlpArchitecture.from_dict(d["actor_arch"]),
-                   d["actor_params"], d["log_std"],
-                   MlpArchitecture.from_dict(d["critic_arch"]),
-                   d["critic_params"])
+def architectures(obs_dim: int, act_dim: int, config: PpoConfig):
+    """The (actor, critic) architectures of an actor-critic under `config`."""
+    return (MlpArchitecture(obs_dim, config.hidden_dims, act_dim),
+            MlpArchitecture(obs_dim, config.hidden_dims, 1))
 
 
 def init_actor_critic(obs_dim: int, act_dim: int, config: PpoConfig) -> ActorCritic:
-    actor_arch = MlpArchitecture(obs_dim, config.hidden_dims, act_dim)
-    critic_arch = MlpArchitecture(obs_dim, config.hidden_dims, 1)
+    actor_arch, critic_arch = architectures(obs_dim, act_dim, config)
     actor = init_params(actor_arch, make_stream(config.seed, TAG_INIT, 0),
                         final_scale=0.1)
     critic = init_params(critic_arch, make_stream(config.seed, TAG_INIT, 1))
-    return ActorCritic(actor_arch, actor, np.full(act_dim, config.init_log_std),
-                       critic_arch, critic)
+    return ActorCritic(actor_arch, critic_arch, np.concatenate(
+        [actor, np.full(act_dim, config.init_log_std), critic]))
 
 
 def gae_advantages(rewards: np.ndarray, values: np.ndarray, gamma: float,
@@ -217,47 +204,33 @@ def loss_and_grads(ac: ActorCritic, states, actions, log_probs_old, advantages,
 
 
 class PpoOptimizer:
-    """SGD by default; optional Adam. A step updates the whole vector
-    `ac.params` at once, and Adam keeps one state (m, v, t) for it. Every
-    Adam operation is elementwise with shared scalars, so this is
-    bit-identical to one Adam per part. A step updates m and v in place.
-    `to_dict` hands the moments over per part (actor, log_std, critic), as
-    checkpoint format 2 stores them; the arrays are live views, not copies."""
+    """SGD by default; optional Adam, with the constants `ADAM_BETA1`,
+    `ADAM_BETA2` and `ADAM_EPS`. A step updates the whole vector `ac.params`
+    at once. `state` is Adam's one state over it, as a checkpoint stores it:
+    `adam_m` and `adam_v`, which a step updates in place, and `adam_t`; it
+    is empty for SGD."""
 
     def __init__(self, ac: ActorCritic, config: PpoConfig):
         self.config = config
-        self._split = ac.split
-        adam = config.optimizer == "adam"
-        self.m = np.zeros_like(ac.params) if adam else None
-        self.v = np.zeros_like(ac.params) if adam else None
-        self.t = 0
+        self.state = {"adam_m": np.zeros_like(ac.params),
+                      "adam_v": np.zeros_like(ac.params),
+                      "adam_t": 0} if config.optimizer == "adam" else {}
 
     def apply(self, ac: ActorCritic, grad: np.ndarray):
-        c = self.config
-        if self.m is None:
+        c, s = self.config, self.state
+        if not s:
             ac.params -= c.learning_rate * grad
             return
-        b1, b2 = c.adam_beta1, c.adam_beta2
-        self.t += 1
-        self.m *= b1
-        self.m += (1 - b1) * grad
-        self.v *= b2
-        self.v += (1 - b2) * np.square(grad)
-        mhat = self.m / (1 - b1 ** self.t)
-        vhat = self.v / (1 - b2 ** self.t)
-        ac.params -= c.learning_rate * mhat / (np.sqrt(vhat) + c.adam_eps)
-
-    def to_dict(self):
-        if self.m is None:
-            return {}
-        return {"states": [{"m": m, "v": v, "t": self.t} for m, v in
-                           zip(self._split(self.m), self._split(self.v))]}
-
-    def load_dict(self, d):
-        if self.m is not None and d.get("states"):
-            self.m = np.concatenate([s["m"] for s in d["states"]], dtype=float)
-            self.v = np.concatenate([s["v"] for s in d["states"]], dtype=float)
-            self.t = d["states"][0]["t"]
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        s["adam_t"] += 1
+        m, v, t = s["adam_m"], s["adam_v"], s["adam_t"]
+        m *= b1
+        m += (1 - b1) * grad
+        v *= b2
+        v += (1 - b2) * np.square(grad)
+        mhat = m / (1 - b1 ** t)
+        vhat = v / (1 - b2 ** t)
+        ac.params -= c.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def normalize_advantages(adv: np.ndarray) -> np.ndarray:
@@ -341,17 +314,20 @@ def train_anchor(env, config: PpoConfig, state: dict | None = None,
     stops exactly where the uninterrupted run stopped.
 
     After each update, `checkpoint_cb(state)` gets the run's state, what a
-    checkpoint stores: `update_index`, `actor_critic` and `optimizer` (their
-    `to_dict`s), `steps_used` and `curve`. It is live: its arrays and its
-    curve change with the next update, so copy what must outlast the call.
-    Given such a state (other keys are ignored), the run continues after its
-    update bit-exactly."""
-    ac = init_actor_critic(env.observation_dim, env.action_dim, config) \
-        if state is None else ActorCritic.from_dict(state["actor_critic"])
+    checkpoint stores: `update_index`, `params` (the actor-critic's vector),
+    for Adam `adam_m`, `adam_v` and `adam_t` (`PpoOptimizer.state`),
+    `steps_used` and `curve`. It is live: its arrays and its curve change
+    with the next update, so copy what must outlast the call. Given such a
+    state (other keys are ignored), the run continues after its update
+    bit-exactly; the actor-critic's architectures follow from `config`, and
+    no initial parameters are drawn."""
+    dims = (env.observation_dim, env.action_dim)
+    ac = init_actor_critic(*dims, config) if state is None else \
+        ActorCritic(*architectures(*dims, config), state["params"])
     optimizer = PpoOptimizer(ac, config)
     u, steps_used, curve = 0, 0, []
     if state is not None:
-        optimizer.load_dict(state["optimizer"])
+        optimizer.state = {k: copy.copy(state[k]) for k in optimizer.state}
         u, steps_used = state["update_index"] + 1, state["steps_used"]
         curve = list(state["curve"])
     update_cost = config.episodes_per_update * env.horizon
@@ -365,8 +341,8 @@ def train_anchor(env, config: PpoConfig, state: dict | None = None,
                       "success_rate": buffer.success_rate,
                       "steps_used": steps_used, **parts})
         if checkpoint_cb is not None:
-            checkpoint_cb({"update_index": u, "actor_critic": ac.to_dict(),
-                           "optimizer": optimizer.to_dict(),
-                           "steps_used": steps_used, "curve": curve})
+            checkpoint_cb({"update_index": u, "params": ac.params,
+                           **optimizer.state, "steps_used": steps_used,
+                           "curve": curve})
         u += 1
     return AnchorResult(ac, curve, steps_used)

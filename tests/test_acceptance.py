@@ -193,7 +193,7 @@ def test_criterion_08_ppo_gradient_correctness():
         ga, gs, gc = ac.split(grad)
 
         def loss_with(actor=None, log_std=None, critic=None):
-            trial = ActorCritic.from_dict(ac.to_dict())
+            trial = ActorCritic(ac.actor_arch, ac.critic_arch, ac.params)
             if actor is not None:
                 trial.actor_params[:] = actor
             if log_std is not None:

@@ -24,17 +24,19 @@ _EDGES = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
 @example(a=_EDGES, b=np.array([-0.0]))
 def test_checkpoint_roundtrip_bit_identical(tmp_path_factory, a, b):
     path = str(tmp_path_factory.mktemp("ckpt") / "checkpoint.npz")
-    payload = {"stage": "es", "params": a, "nested": {"states": [
-        {"m": b, "t": 3}, {"m": a, "t": 3}]}, "curve": [{"x": 0.1}]}
+    payload = {"stage": "ppo", "params": a, "adam_m": b, "adam_v": a,
+               "adam_t": 3, "curve": [{"x": 0.1}]}
     save_checkpoint(path, payload)
+    with np.load(path) as npz:
+        assert sorted(npz.files) == ["adam_m", "adam_v", "meta", "params"]
     back = load_checkpoint(path)
-    assert back["format_version"] == 2
-    assert back["stage"] == "es" and back["curve"] == [{"x": 0.1}]
-    for got, want in ((back["params"], a), (back["nested"]["states"][0]["m"], b),
-                      (back["nested"]["states"][1]["m"], a)):
+    assert back["format_version"] == 3
+    assert back["stage"] == "ppo" and back["curve"] == [{"x": 0.1}]
+    for got, want in ((back["params"], a), (back["adam_m"], b),
+                      (back["adam_v"], a)):
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    assert back["nested"]["states"][0]["t"] == 3
+    assert back["adam_t"] == 3
 
 
 _JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(), _F64,

@@ -456,6 +456,12 @@ BAD_RECORDS = {
     "missing_key": (lambda text: json.dumps(
         {k: v for k, v in json.loads(text).items() if k != "failure"}),
         "not a cell record: missing keys ['failure'], unknown keys []"),
+    "number_as_string": (lambda text: json.dumps(
+        {**json.loads(text), "final_success_rate": "high"}),
+        "key 'final_success_rate' is 'high', not a number"),
+    "flag_as_string": (lambda text: json.dumps(
+        {**json.loads(text), "failed": "no"}),
+        "key 'failed' is 'no', not a bool"),
     "wrong_seed": (lambda text: json.dumps({**json.loads(text), "seed": 7}),
                    "a record of point-reach ppo_only seed 7, not of this "
                    "cell (point-reach ppo_"),

@@ -34,12 +34,12 @@ def test_plan_rejects_unknown_keys_by_name():
     with pytest.raises(PlanError, match="es.'sigma'"):
         plan_from_dict({"task": "point-reach", "methods": ["ppo_only"],
                         "total_step_budget": 10, "es": {"sigma": 0.1}})
-    # a section takes no config field that a cell sets, nor Adam's betas
-    # and eps
+    # a section takes no config field that a cell sets; the discount is the
+    # task's, and Adam's betas and eps are constants
     for section, names in (
             ("es", ("generations", "seed", "distribution")),
-            ("ppo", ("total_steps", "seed", "adam_beta1", "adam_beta2",
-                     "adam_eps"))):
+            ("ppo", ("total_steps", "seed", "gamma", "adam_beta1",
+                     "adam_beta2", "adam_eps"))):
         for name in names:
             with pytest.raises(PlanError, match=re.escape(
                     f"unknown plan key: {section}.'{name}'")):
@@ -106,7 +106,7 @@ def test_plan_accepts_seeds_at_the_64_bit_ends():
 _FLOAT_KEYS = ("split", "handoff_success_threshold", "es.sigma_es",
                "es.alpha", "es.lambda_sigma", "es.sigma_min", "es.action_std",
                "ppo.learning_rate", "ppo.value_coef", "ppo.entropy_coef",
-               "ppo.init_log_std", "ppo.gamma", "ppo.gae_lambda",
+               "ppo.init_log_std", "ppo.gae_lambda",
                "ppo.clip_epsilon")
 
 
@@ -373,9 +373,9 @@ def test_resume_mid_ppo_with_adam_bitwise(tmp_path, monkeypatch):
         _final_params(str(tmp_path / "clean"))
 
 
-def test_ppo_checkpoint_keeps_format_2_members(tmp_path, monkeypatch):
-    # the member set of format 2, so checkpoints written before the
-    # actor-critic became one vector still resume, and vice versa
+def test_checkpoints_hold_format_3_members(tmp_path, monkeypatch):
+    # a checkpoint is the flat state that its stage hands out: each vector is
+    # one float64 member under its own key, and the rest is in meta
     plan = tiny_plan(methods=["ppo_only"], seeds=[0], total_step_budget=800,
                      ppo={"episodes_per_update": 2, "hidden_dims": [8],
                           "optimizer": "adam"})
@@ -385,26 +385,26 @@ def test_ppo_checkpoint_keeps_format_2_members(tmp_path, monkeypatch):
         with pytest.raises(KeyboardInterrupt):
             run_method(plan, "ppo_only", 0, str(tmp_path / "cut"))
 
-    parts = ("actor_params", "log_std", "critic_params")
-    with np.load(_checkpoint_path(str(tmp_path / "cut"), "ppo_only")) as npz:
-        members = {name: npz[name] for name in npz.files}
-    meta = json.loads(members["meta"].tobytes())
-    assert sorted(members) == sorted(
-        ["meta"] + [f"actor_critic.{p}" for p in parts]
-        + [f"optimizer.states.{i}.{k}" for i in range(3) for k in "mv"])
-    assert meta["format_version"] == 2 and meta["update_index"] == 1
-    assert [s["t"] for s in meta["optimizer"]["states"]] == [32, 32, 32]
-    for i, p in enumerate(parts):
-        assert members[f"actor_critic.{p}"].dtype == np.float64
-        for k in "mv":
-            assert members[f"optimizer.states.{i}.{k}"].shape == \
-                members[f"actor_critic.{p}"].shape
+    members = _members(_checkpoint_path(str(tmp_path / "cut"), "ppo_only"))
+    meta = json.loads(members["meta"][2])
+    assert sorted(members) == ["adam_m", "adam_v", "meta", "params"]
+    assert meta["format_version"] == 3 and meta["update_index"] == 1
+    assert meta["adam_t"] == 32  # 2 updates x 4 epochs x 4 minibatches
+    assert {members[k][:2] for k in ("params", "adam_m", "adam_v")} == \
+        {("<f8", members["params"][1])}
 
     resumed = run_method(plan, "ppo_only", 0, str(tmp_path / "cut"))
     assert resumed["anchor_sha256"] == clean["anchor_sha256"]
     assert resumed["ppo_curve"] == clean["ppo_curve"]
     assert _final_params(str(tmp_path / "cut"), "ppo_only") == \
         _final_params(str(tmp_path / "clean"), "ppo_only")
+
+    es_plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
+                        total_step_budget=1400)
+    _cut_in_es(es_plan, str(tmp_path / "es"))
+    members = _members(_checkpoint_path(str(tmp_path / "es")))
+    assert sorted(members) == ["anchor_params", "meta", "params"]
+    assert json.loads(members["meta"][2])["format_version"] == 3
 
 
 def test_resume_ignores_stale_tmp(tmp_path):
@@ -1050,7 +1050,7 @@ def test_planted_checkpoint_is_the_siblings_own(tmp_path, monkeypatch,
         meta = json.loads(at_fork["meta"][2])
         assert (meta["stage"], meta["update_index"]) == ("ppo", 1)
         # 2 updates x 4 epochs x 4 minibatches
-        assert meta["optimizer"]["states"][0]["t"] == 32
+        assert meta["adam_t"] == 32
         assert _members(_checkpoint_path(planted, sibling)) == at_fork
 
 
@@ -1060,6 +1060,7 @@ def test_parent_generation_minus_one_checkpoint_resumes_bitwise(
     # its ES stage before the first generation, and the fork planted it
     import refine_es.checkpoint as checkpoint
     import refine_es.pipeline as pipeline
+    from refine_es.policy import MlpArchitecture, param_count
 
     plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
                      total_step_budget=1400)
@@ -1075,9 +1076,13 @@ def test_parent_generation_minus_one_checkpoint_resumes_bitwise(
             run_method(plan, "ppo_then_tdes", 0, cut)
     path = _checkpoint_path(cut)
     ppo_state = checkpoint.load_checkpoint(path)
-    params = ppo_state["actor_critic"]["actor_params"]
-    checkpoint.save_checkpoint(path, {
-        "stage": "es", "generation_index": -1, "params": params,
+    arch = MlpArchitecture(4, (8,), 2)
+    params = ppo_state["params"][:param_count(arch)]
+    # format 2, written by hand as that version wrote it: each array a
+    # member named by its path, and the PPO config with the discount and
+    # Adam's constants
+    meta = {
+        "stage": "es", "generation_index": -1, "params": {"npz": "params"},
         "steps_used": 0, "records": [],
         "es_config": {"sigma_es": 0.05, "alpha": 0.01, "m": 2,
                       "generations": 2, "lambda_sigma": 0.99,
@@ -1085,12 +1090,18 @@ def test_parent_generation_minus_one_checkpoint_resumes_bitwise(
                       "action_std": 0.01, "seed": 0,
                       "episodes_per_candidate": 1, "step_cap": 800,
                       "standardize_noise": False, "center_eval_episodes": 1},
-        "ppo_config": ppo_state["ppo_config"],
+        "ppo_config": {**ppo_state["ppo_config"], "gamma": 0.99,
+                       "adam_beta1": 0.9, "adam_beta2": 0.999,
+                       "adam_eps": 1e-8},
         "handoff": ppo_state["handoff"], "master_seed": 0,
-        "architecture": ppo_state["actor_critic"]["actor_arch"],
-        "anchor_params": params,
+        "architecture": arch.to_dict(),
+        "anchor_params": {"npz": "anchor_params"},
         "anchor_sha256": hashlib.sha256(params.astype("<f8").tobytes())
-        .hexdigest(), "ppo_steps": 600, "ppo_curve": ppo_state["curve"]})
+        .hexdigest(), "ppo_steps": 600, "ppo_curve": ppo_state["curve"],
+        "format_version": 2}
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), np.uint8),
+                 params=params, anchor_params=params)
     updates = _count_ppo_updates(monkeypatch)
     resumed = run_method(plan, "ppo_then_tdes", 0, cut)
     assert updates == []
@@ -1184,6 +1195,96 @@ def test_mid_es_checkpoint_of_standalone_center_loops_resumes_bitwise(
     resumed = run_method(plan, "ppo_then_tdes", 0, cut)
     assert _cell_bits(cut, resumed) == \
         _cell_bits(str(tmp_path / "clean"), clean)
+
+
+# tests/golden/mid_ppo_checkpoint.npz is a format 2 checkpoint of this
+# plan's cell, cut in update 2, the last of 3, so the one of update 1. It was
+# written in a checkout of the version before format 3 with
+#
+#   PYTHONPATH=src python3 -c '
+#   import refine_es.ppo as ppo
+#   from refine_es.pipeline import run_method
+#   from refine_es.plan import plan_from_dict
+#   plan = plan_from_dict({
+#       "task": "point-reach", "methods": ["ppo_then_tdes"],
+#       "total_step_budget": 1400, "split": 0.5, "seeds": [0],
+#       "eval_episodes": 3, "es": {"m": 2, "sigma_es": 0.05, "alpha": 0.01},
+#       "ppo": {"episodes_per_update": 2, "hidden_dims": [8],
+#               "optimizer": "adam"}})
+#   update = ppo.ppo_update
+#   def cut(ac, buffer, config, optimizer, u):
+#       if u == 2:
+#           raise KeyboardInterrupt
+#       return update(ac, buffer, config, optimizer, u)
+#   ppo.ppo_update = cut
+#   try:
+#       run_method(plan, "ppo_then_tdes", 0, "out")
+#   except KeyboardInterrupt:
+#       pass'
+#
+# and copied from out/runs/point-reach/ppo_then_tdes/0/checkpoints/.
+def _mid_ppo_plan():
+    return tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
+                     total_step_budget=1400,
+                     ppo={"episodes_per_update": 2, "hidden_dims": [8],
+                          "optimizer": "adam"})
+
+
+def _golden_mid_ppo(out):
+    """Put the golden format 2 checkpoint in place as the checkpoint of
+    `_mid_ppo_plan`'s cell under `out`; returns its path."""
+    import shutil
+
+    path = _checkpoint_path(out)
+    os.makedirs(os.path.dirname(path))
+    shutil.copy(os.path.join(os.path.dirname(__file__), "golden",
+                             "mid_ppo_checkpoint.npz"), path)
+    return path
+
+
+def _final_json(out):
+    with open(os.path.join(cell_dir(out, "point-reach", "ppo_then_tdes", 0),
+                           "checkpoints", "final.json"), "rb") as fh:
+        return fh.read()
+
+
+def test_mid_ppo_format_2_checkpoint_resumes_bitwise(tmp_path):
+    plan = _mid_ppo_plan()
+    clean = run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "clean"))
+    golden = str(tmp_path / "golden")
+    state = load_checkpoint(_golden_mid_ppo(golden))
+    assert (state["format_version"], state["stage"],
+            state["update_index"]) == (2, "ppo", 1)
+    resumed = run_method(plan, "ppo_then_tdes", 0, golden)
+    assert _cell_bits(golden, resumed) == \
+        _cell_bits(str(tmp_path / "clean"), clean)
+    assert _final_json(golden) == _final_json(str(tmp_path / "clean"))
+    assert _resume_state(golden) == []
+
+
+def test_format_2_and_3_checkpoints_of_one_update_resume_alike(
+        tmp_path, monkeypatch):
+    plan = _mid_ppo_plan()
+    golden = str(tmp_path / "golden")
+    cut = str(tmp_path / "cut")
+    _golden_mid_ppo(golden)
+    with monkeypatch.context() as m:
+        _interrupt_ppo_update(m, 3)
+        with pytest.raises(KeyboardInterrupt):
+            run_method(plan, "ppo_then_tdes", 0, cut)
+    # the converted format 2 state is the format 3 state, bit for bit
+    fields = pipeline_module._Cell(plan, "ppo_then_tdes", 0, "").fields
+    old, new = (pipeline_module._load_state(_checkpoint_path(out), fields)
+                for out in (golden, cut))
+    assert (old.pop("format_version"), new.pop("format_version")) == (2, 3)
+    assert sorted(old) == sorted(new)
+    for key in ("params", "adam_m", "adam_v"):
+        assert old.pop(key).tobytes() == new.pop(key).tobytes()
+    assert old == new
+    records = [run_method(plan, "ppo_then_tdes", 0, out)
+               for out in (golden, cut)]
+    assert _cell_bits(golden, records[0]) == _cell_bits(cut, records[1])
+    assert _final_json(golden) == _final_json(cut)
 
 
 def test_log_csv_is_durable_before_record_json(tmp_path, monkeypatch):

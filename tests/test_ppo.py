@@ -10,15 +10,15 @@ from refine_es.envs import PointReach, env_ids, make_env
 from refine_es.errors import ContractError, RolloutError
 from refine_es.policy import param_count
 from refine_es.ppo import (ActorCritic, PpoConfig, PpoOptimizer,
-                           collect_rollouts, gae_advantages, gaussian_log_prob,
-                           init_actor_critic, loss_and_grads,
+                           architectures, collect_rollouts, gae_advantages,
+                           gaussian_log_prob, init_actor_critic, loss_and_grads,
                            normalize_advantages, policy_entropy, ppo_update,
                            train_anchor)
 from refine_es.rng import make_stream
 
 
 def _copy(ac):
-    return ActorCritic.from_dict(ac.to_dict())
+    return ActorCritic(ac.actor_arch, ac.critic_arch, ac.params)
 
 
 def tiny_config(**kw):
@@ -245,7 +245,7 @@ def test_adam_state_roundtrip():
     g = make_stream(5, 0).standard_normal(ac.params.shape[0])
     opt.apply(ac, g)
     twin = PpoOptimizer(_copy(ac), config)
-    twin.load_dict(opt.to_dict())
+    twin.state = copy.deepcopy(opt.state)
     a, b = _copy(ac), _copy(ac)
     opt.apply(a, g)
     twin.apply(b, g)
@@ -288,11 +288,13 @@ def test_actor_critic_views_alias_params_only():
 
 def test_actor_critic_roundtrip():
     ac = init_actor_critic(3, 2, tiny_config())
-    twin = ActorCritic.from_dict(ac.to_dict())
+    twin = ActorCritic(*architectures(3, 2, tiny_config()), ac.params)
     assert np.array_equal(ac.actor_params, twin.actor_params)
     assert np.array_equal(ac.log_std, twin.log_std)
     assert ac.actor_arch == twin.actor_arch
     assert param_count(twin.critic_arch) == twin.critic_params.shape[0]
+    with pytest.raises(ContractError, match="params do not match"):
+        ActorCritic(ac.actor_arch, ac.critic_arch, ac.params[:-1])
 
 
 def test_collect_rollouts_shapes_and_budget():
@@ -394,9 +396,9 @@ def _run_from(env, config, state=None):
 
 def _bits(res, last):
     """All that a resumed run must reproduce: parameters, steps, curve, and
-    each part's Adam m, v and t."""
-    adam = [(s["m"].tobytes(), s["v"].tobytes(), s["t"])
-            for s in last["optimizer"]["states"]]
+    Adam's m, v and t."""
+    adam = (last["adam_m"].tobytes(), last["adam_v"].tobytes(),
+            last["adam_t"])
     return res.actor_critic.params.tobytes(), res.steps_used, res.curve, adam
 
 
@@ -409,8 +411,8 @@ def test_train_anchor_resume_bitwise():
     full = train_anchor(env, config, checkpoint_cb=lambda s: states.append(
         copy.deepcopy(s)))
     assert [s["update_index"] for s in states] == list(range(5))
-    assert list(states[0]) == ["update_index", "actor_critic", "optimizer",
-                               "steps_used", "curve"]
+    assert list(states[0]) == ["update_index", "params", "adam_m", "adam_v",
+                               "adam_t", "steps_used", "curve"]
     expected = _bits(full, states[-1])
     for state in states:
         assert _bits(*_run_from(env, config, state)) == expected
@@ -430,7 +432,7 @@ def test_train_anchor_resumes_from_a_loaded_checkpoint(tmp_path):
                            "handoff": {"success_threshold": None, "window": 5},
                            "master_seed": 0})
     loaded = load_checkpoint(path)
-    assert loaded["update_index"] == 1 and loaded["format_version"] == 2
+    assert loaded["update_index"] == 1 and loaded["format_version"] == 3
     assert _bits(*_run_from(env, config, loaded)) == _bits(full, states[-1])
 
 

@@ -58,10 +58,9 @@ def adam_state_digest(env_id: str) -> str:
     states = []
     res = train_anchor(make_env(env_id), config(env_id, "adam"),
                        checkpoint_cb=lambda state: states.append(
-                           state["optimizer"]["states"]))
-    # the parts' moments, joined, are the one Adam state of the run
-    m, v = (np.concatenate([s[k] for s in states[-1]]) for k in "mv")
-    t = states[-1][0]["t"]
+                           (state["adam_m"].copy(), state["adam_v"].copy(),
+                            state["adam_t"])))
+    m, v, t = states[-1]
     return digest(m, v, [t], res.actor_critic.params)
 
 
