@@ -1,6 +1,6 @@
-"""The ES refinement loop: sample a perturbation batch, evaluate the 2m
-antithetic candidates in one lockstep batch, form centered ranks, take the
-finite-difference step, decay sigma_es toward its floor.
+"""The ES refinement loop over estimator.py's functions: draw the (m, d) base
+noise, evaluate the 2m antithetic candidates in one lockstep batch, form
+centered ranks, take the finite-difference step, decay sigma_es.
 
 Most of a rollout step's cost is fixed (one row costs about half of what
 17 rows do), so no evaluation runs as a batch of its own. The logging-only
@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, RolloutError
-from .estimator import centered_ranks, tdes_gradient
-from .noise import NoiseDistribution, antithetic_candidates, make_batch
+# fd_gradient goes by tdes_gradient here, the name the benchmark's tracer times
+from .estimator import (antithetic_candidates, centered_ranks,
+                        fd_gradient as tdes_gradient, make_batch)
 from .policy import MlpArchitecture, action_noise, param_count, rollout
 from .rng import (TAG_ACTION, TAG_CENTER_EVAL, TAG_ENV, TAG_EVAL, make_stream,
                   stream_seed)
@@ -63,14 +64,13 @@ class EsConfig:
             raise ContractError("episodes_per_candidate must be >= 1")
         if self.center_eval_episodes < 1:
             raise ContractError("center_eval_episodes must be >= 1")
+        if self.distribution not in ("triangular", "gaussian"):
+            raise ContractError(f"unknown noise kind {self.distribution!r}")
 
     def generation_steps(self, horizon: int) -> int:
         """Env steps of one generation: 2m candidates, each run for
         episodes_per_candidate full-horizon episodes."""
         return 2 * self.m * self.episodes_per_candidate * horizon
-
-    def noise_distribution(self) -> NoiseDistribution:
-        return NoiseDistribution(self.distribution, self.standardize_noise)
 
     def to_dict(self) -> dict:
         return self.__dict__.copy()
@@ -185,8 +185,6 @@ def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env,
     records = list(records)
     last = records[-1] if records else {"generation": -1, "steps_used": 0}
     steps_used = last["steps_used"]
-    dist = config.noise_distribution()
-    d = theta.shape[0]
     gen_cost = config.generation_steps(env.horizon)
     pending = None  # the last generation's record, without its center return
 
@@ -209,13 +207,14 @@ def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env,
     for t in range(last["generation"] + 1, config.generations):
         t0 = time.perf_counter()
         sigma = sigma_at(config, t)
-        batch = make_batch(dist, sigma, config.m, d, t, config.seed)
-        plus, minus = antithetic_candidates(theta, batch)
+        eps = make_batch(config.distribution, config.standardize_noise,
+                         config.m, theta.shape[0], t, config.seed)
+        plus, minus = antithetic_candidates(theta, eps, sigma)
         (j_plus, j_minus), centers = _lockstep_batch(
             theta, arch, env, center_eval(), (config, t, plus, minus))
         close(centers)
         steps_used += gen_cost
-        g = tdes_gradient(batch, *centered_ranks(j_plus, j_minus))
+        g = tdes_gradient(eps, *centered_ranks(j_plus, j_minus), sigma)
         theta = theta + config.alpha * g
         all_returns = np.concatenate([j_plus, j_minus])
         pending = {"generation": t, "center_return": None,

@@ -21,4 +21,5 @@ class PlanError(ValueError):
 
 class CheckpointError(ValueError):
     """A cell's stored state cannot be used: a checkpoint of another format
-    version, seed or configuration, or a record.json not its cell's record."""
+    version, seed or configuration or without a field that a resume reads,
+    or a record.json not its cell's record."""

@@ -45,7 +45,8 @@ state before the first generation, built in memory; a cut before its first
 generation resumes from the last PPO checkpoint (older versions wrote one
 of generation -1 there, see `_Cell.after_ppo`). On resume the checkpoint
 must match the cell: format version, stage, master seed, the handoff
-rule, and the PPO and ES configs recomputed from the plan; any mismatch is
+rule, and the PPO and ES configs recomputed from the plan, and it must hold
+every field that the resume reads; a mismatch or a missing field is
 refused with a `CheckpointError` naming the file and the field. A format 2
 checkpoint is read as the format 3 state it equals (`_from_format_2`).
 A finished cell keeps its results (`checkpoints/final.json`, log.csv,
@@ -63,6 +64,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
 import os
 import traceback
 
@@ -211,20 +213,33 @@ def _from_format_2(state: dict) -> dict:
     return state
 
 
-def _load_state(path: str, fields: dict) -> dict:
-    """The checkpoint at `path` as format 3 holds it, after the checks that
-    need no ES config."""
-    state = load_checkpoint(path)
+def _load_state(cell: _Cell) -> dict:
+    """The checkpoint of `cell` as format 3 holds it, after the checks that
+    need no ES config. A field that the resume reads must be there."""
+    path, state = cell.checkpoint, load_checkpoint(cell.checkpoint)
     if state.get("stage") not in ("ppo", "es"):
         raise CheckpointError(f"{path}: field 'stage' is "
                               f"{state.get('stage')!r}, expected 'ppo' or 'es'")
-    if state.get("master_seed") != fields["master_seed"]:
+    if state.get("master_seed") != cell.seed:
         raise CheckpointError(f"{path}: field 'master_seed' is "
                               f"{state.get('master_seed')!r}, this cell is "
-                              f"seed {fields['master_seed']}")
-    state = _from_format_2(state)
-    _check_fields(path, "ppo_config", state["ppo_config"], fields["ppo_config"])
-    _check_fields(path, "handoff", state["handoff"], fields["handoff"])
+                              f"seed {cell.seed}")
+    try:
+        state = _from_format_2(state)
+    except KeyError as exc:  # ppo_config, or a member of format 2
+        raise CheckpointError(f"{path}: field {exc} is missing") from exc
+    # under another optimizer, the config check below names the mismatch
+    adam = ("adam_m", "adam_v", "adam_t") \
+        if state["ppo_config"].get("optimizer") == "adam" else ()
+    reads = {"ppo": ("update_index", "params", "steps_used", "curve", *adam),
+             "es": ("params", "records", "es_config", "architecture",
+                    "anchor_params", "anchor_sha256", "ppo_steps",
+                    "ppo_curve")}[state["stage"]]
+    for key in ("handoff", *reads):
+        if key not in state:
+            raise CheckpointError(f"{path}: field '{key}' is missing")
+    for name in ("ppo_config", "handoff"):
+        _check_fields(path, name, state[name], cell.fields[name])
     if state["stage"] == "es" and \
             _params_sha256(state["anchor_params"]) != state["anchor_sha256"]:
         raise CheckpointError(f"{path}: field 'anchor_params' does not hash "
@@ -286,7 +301,8 @@ def load_record(path: str, plan: ExperimentPlan, method: str,
                 seed: int) -> dict:
     """The record of the cell (`plan`'s task, `method`, `seed`) at `path`,
     or a `CheckpointError` naming the file if it holds no such record: each
-    value must have the type of its value in the blank record (`_record`)."""
+    value must have the type of its value in the blank record (`_record`),
+    and every number in it must be finite."""
     expected = _record(plan, method, seed)
     try:
         record = load_json(path)
@@ -305,6 +321,11 @@ def load_record(path: str, plan: ExperimentPlan, method: str,
         if type(record[key]) not in kinds:
             raise CheckpointError(f"{path}: key '{key}' is {record[key]!r}, "
                                   f"not {kind}")
+        try:  # strict JSON (RFC 8259) has no NaN or infinity
+            json.dumps(record[key], allow_nan=False)
+        except ValueError:
+            raise CheckpointError(f"{path}: key '{key}' holds a non-finite "
+                                  f"number") from None
     cell = "{task} {method} seed {seed}".format
     if any(record[k] != expected[k] for k in ("task", "method", "seed")):
         raise CheckpointError(f"{path}: a record of {cell(**record)}, not "
@@ -354,8 +375,7 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
             f"version resumes format_version 2 and {FORMAT_VERSION} "
             f"({CHECKPOINT_NAME})")
 
-    state = (_load_state(cell.checkpoint, cell.fields)
-             if os.path.exists(cell.checkpoint) else None)
+    state = _load_state(cell) if os.path.exists(cell.checkpoint) else None
     if state is None or state["stage"] == "ppo":
         def ppo_ckpt(ppo_state):
             # plant the siblings before this cell's own checkpoint: a run

@@ -171,7 +171,8 @@ def rollout(params: np.ndarray, arch: MlpArchitecture, env, seeds,
     params is (d,) for weights shared by every row or (B, d) for per-row
     weights. The action at step t is the policy mean plus noise[:, t]; with
     noise None the policy acts deterministically. Each row is bit-identical
-    to the same episode run with B = 1.
+    to the same episode run with B = 1. An episode's success is the env's
+    flag after its last step, which the env latches (envs.py).
 
     Raises RolloutError, naming the step and carrying the failing row in
     its `row`, if the env emits a non-finite reward or observation.
@@ -192,7 +193,6 @@ def rollout(params: np.ndarray, arch: MlpArchitecture, env, seeds,
               for w, b in unpack_params(params, arch)]
     obs = env.reset(seeds)
     rewards = np.empty((n, horizon))
-    success = np.zeros(n, dtype=bool)
     if record:
         states = np.empty((n, horizon, env.observation_dim))
         actions = np.empty((n, horizon, env.action_dim))
@@ -208,8 +208,7 @@ def rollout(params: np.ndarray, arch: MlpArchitecture, env, seeds,
         if record:
             states[:, t] = obs
             actions[:, t] = action
-        obs, rewards[:, t], _, reached = env.step(action)
-        success |= reached
+        obs, rewards[:, t], _, success = env.step(action)
         if not (np.isfinite(rewards[:, t]).all() and np.isfinite(obs).all()):
             bad = ~(np.isfinite(rewards[:, t]) & np.isfinite(obs).all(axis=1))
             raise RolloutError(f"non-finite reward or state at step {t}",

@@ -10,8 +10,6 @@ Python float.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import ContractError
@@ -49,19 +47,14 @@ def pooled_mean(matrix: dict):
     return _as_float(np.mean(_pooled(matrix), axis=-1))
 
 
-@functools.lru_cache(maxsize=8)
-def _resample_indices(counts: tuple[int, ...], resamples: int,
-                      seed: int) -> tuple[np.ndarray, ...]:
-    """Read-only (resamples, n) seed-index draws per task, in the stream
-    order of one rng.integers(0, n, n) call per resample and task."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    draws = tuple(np.empty((resamples, n), dtype=np.int64) for n in counts)
-    for b in range(resamples):
-        for rows, n in zip(draws, counts):
-            rows[b] = rng.integers(0, n, n)
-    for rows in draws:
-        rows.flags.writeable = False
-    return draws
+def _resample_indices(counts: list[int], resamples: int,
+                      seed: int) -> list[np.ndarray]:
+    """(resamples, n) seed-index draws per task of n seeds, in the stream
+    order of one rng.integers(0, n, n) call per resample and task: one
+    call draws them all, a resample's tasks side by side in its row."""
+    draws = np.random.Generator(np.random.PCG64(seed)).integers(
+        0, np.repeat(counts, counts), (resamples, sum(counts)))
+    return np.split(draws, np.cumsum(counts)[:-1], axis=1)
 
 
 def stratified_bootstrap_ci(matrix: dict, statistic, resamples: int = 2000,
@@ -74,8 +67,7 @@ def stratified_bootstrap_ci(matrix: dict, statistic, resamples: int = 2000,
     n_seeds), and returns one value per resample."""
     tasks = sorted(matrix)
     arrays = [np.asarray(matrix[t], dtype=float) for t in tasks]
-    draws = _resample_indices(tuple(a.shape[-1] for a in arrays), resamples,
-                              seed)
+    draws = _resample_indices([a.shape[-1] for a in arrays], resamples, seed)
     resampled = {t: np.moveaxis(a[..., idx], -2, 0)
                  for t, a, idx in zip(tasks, arrays, draws)}
     stats = np.asarray(statistic(resampled), dtype=float)

@@ -12,8 +12,8 @@ the package calls either; they live here, next to the tests that use them.
 import numpy as np
 
 from refine_es.errors import ContractError
-from refine_es.estimator import centered_ranks, fd_gradient
-from refine_es.noise import NoiseDistribution, antithetic_candidates, make_batch
+from refine_es.estimator import (antithetic_candidates, centered_ranks,
+                                 fd_gradient, make_batch)
 
 
 def classic_es_gradient(deltas: np.ndarray, returns: np.ndarray,
@@ -42,17 +42,16 @@ def estimator_variance(objective, center: np.ndarray, sigma_es: float, m: int,
     center = np.asarray(center, dtype=float)
     out = {}
     for kind in ("triangular", "gaussian"):
-        dist = NoiseDistribution(kind)
         grads = np.empty((trials, center.shape[0]))
         for t in range(trials):
-            batch = make_batch(dist, sigma_es, m, center.shape[0], t, master_seed)
-            plus, minus = antithetic_candidates(center, batch)
+            eps = make_batch(kind, False, m, center.shape[0], t, master_seed)
+            plus, minus = antithetic_candidates(center, eps, sigma_es)
             j_plus = np.array([objective(p) for p in plus])
             j_minus = np.array([objective(p) for p in minus])
             if use_ranks:
                 r_plus, r_minus = centered_ranks(j_plus, j_minus)
-                grads[t] = fd_gradient(batch.epsilons, r_plus, r_minus, sigma_es)
+                grads[t] = fd_gradient(eps, r_plus, r_minus, sigma_es)
             else:
-                grads[t] = fd_gradient(batch.epsilons, j_plus, j_minus, sigma_es)
+                grads[t] = fd_gradient(eps, j_plus, j_minus, sigma_es)
         out[kind] = float(np.sum(np.var(grads, axis=0)))
     return out

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from interrupts import interrupt_after_generation
 
-from refine_es.estimator import (centered_rank_scores, centered_ranks,
-                                 fd_gradient, tdes_gradient)
-from refine_es.noise import NoiseDistribution, antithetic_candidates, make_batch
+from refine_es.estimator import (antithetic_candidates, centered_rank_scores,
+                                 centered_ranks, fd_gradient, make_batch,
+                                 sample_noise)
 from refine_es.pipeline import run_method, sweep
 from refine_es.plan import plan_from_dict
 from refine_es.ppo import (ActorCritic, gaussian_log_prob, init_actor_critic,
@@ -37,7 +37,7 @@ def _line(criterion, ok, detail):
 
 def test_criterion_01_triangular_sampler_moments():
     t0 = time.perf_counter()
-    x = NoiseDistribution("triangular").sample(1_000_000, make_stream(1, 0))
+    x = sample_noise("triangular", 1_000_000, make_stream(1, 0), False)
     elapsed = time.perf_counter() - t0
     mean_ok = abs(x.mean()) < 0.005
     var_ok = abs(x.var() - 1 / 6) < 0.02 * (1 / 6)
@@ -51,12 +51,12 @@ def test_criterion_01_triangular_sampler_moments():
 
 def test_criterion_02_hard_radius():
     sigma = 0.05
-    tri = make_batch(NoiseDistribution("triangular"), sigma, 100, 10_000, 0, 2)
+    tri = make_batch("triangular", False, 100, 10_000, 0, 2)
     center = np.zeros(10_000)
-    plus, minus = antithetic_candidates(center, tri)
+    plus, minus = antithetic_candidates(center, tri, sigma)
     tri_max = max(np.max(np.abs(plus)), np.max(np.abs(minus)))
-    gau = make_batch(NoiseDistribution("gaussian"), sigma, 10, 100_000, 0, 2)
-    gplus, _ = antithetic_candidates(np.zeros(100_000), gau)
+    gau = make_batch("gaussian", False, 10, 100_000, 0, 2)
+    gplus, _ = antithetic_candidates(np.zeros(100_000), gau, sigma)
     gau_violations = int(np.sum(np.abs(gplus) > sigma))
     ok = tri_max <= sigma and gau_violations >= 1
     _line(2, ok, f"triangular max |theta+-theta| = {tri_max:.6f} <= "
@@ -68,11 +68,11 @@ def test_criterion_03_antithetic_cancellation_exact():
     center = np.zeros(30)
     exact = True
     for gen in range(10):
-        batch = make_batch(NoiseDistribution("triangular"), 0.05, 8, 30, gen, 3)
-        plus, minus = antithetic_candidates(center, batch)
+        eps = make_batch("triangular", False, 8, 30, gen, 3)
+        plus, minus = antithetic_candidates(center, eps, 0.05)
         j_plus = np.array([np.sum(p ** 2) for p in plus])
         j_minus = np.array([np.sum(p ** 2) for p in minus])
-        g = tdes_gradient(batch, *centered_ranks(j_plus, j_minus))
+        g = fd_gradient(eps, *centered_ranks(j_plus, j_minus), 0.05)
         exact = exact and bool(np.array_equal(g, np.zeros(30)))
     _line(3, exact, "even objective about the center gives g == 0 exactly "
                     "for 10 batches")
@@ -82,12 +82,11 @@ def test_criterion_04_c_equals_2_scaling():
     t0 = time.perf_counter()
     b = np.array([1.0, -2.0, 0.5])
     sigma, m, n_batches = 0.1, 8, 10_000
-    dist = NoiseDistribution("triangular", standardize=True)
     acc = np.zeros(3)
     for t in range(n_batches):
-        batch = make_batch(dist, sigma, m, 3, t, 7)
-        plus, minus = antithetic_candidates(np.zeros(3), batch)
-        acc += fd_gradient(batch.epsilons, plus @ b, minus @ b, sigma)
+        eps = make_batch("triangular", True, m, 3, t, 7)
+        plus, minus = antithetic_candidates(np.zeros(3), eps, sigma)
+        acc += fd_gradient(eps, plus @ b, minus @ b, sigma)
     mean_g = acc / n_batches
     elapsed = time.perf_counter() - t0
     rel = np.abs(mean_g - 2 * b) / np.abs(2 * b)
@@ -102,8 +101,7 @@ def test_criterion_05_truncation_order():
 
     theta = 0.3
     exact = 2 * (1 + 3 * theta ** 2)
-    eps = NoiseDistribution("triangular", standardize=True).sample(
-        1_000_000, make_stream(5, 0))
+    eps = sample_noise("triangular", 1_000_000, make_stream(5, 0), True)
     biases = []
     for sigma in (0.2, 0.1):
         g = (j(theta + sigma * eps) - j(theta - sigma * eps)) * eps / sigma
@@ -124,12 +122,11 @@ def test_criterion_06_variance_direction():
     center = np.zeros(5)
     traces = {}
     for kind in ("triangular", "gaussian"):
-        dist = NoiseDistribution(kind)
         grads = np.empty((trials, 5))
         for t in range(trials):
-            batch = make_batch(dist, sigma, m, 5, t, 11)
-            plus, minus = antithetic_candidates(center, batch)
-            grads[t] = fd_gradient(batch.epsilons,
+            eps = make_batch(kind, False, m, 5, t, 11)
+            plus, minus = antithetic_candidates(center, eps, sigma)
+            grads[t] = fd_gradient(eps,
                                    np.array([objective(p) for p in plus]),
                                    np.array([objective(p) for p in minus]),
                                    sigma)

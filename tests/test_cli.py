@@ -462,6 +462,12 @@ BAD_RECORDS = {
     "flag_as_string": (lambda text: json.dumps(
         {**json.loads(text), "failed": "no"}),
         "key 'failed' is 'no', not a bool"),
+    "nan_number": (lambda text: json.dumps(
+        {**json.loads(text), "final_success_rate": float("nan")}),
+        "key 'final_success_rate' holds a non-finite number"),
+    "inf_in_curve": (lambda text: json.dumps({**json.loads(text), "ppo_curve": [
+        {**json.loads(text)["ppo_curve"][0], "mean_return": -float("inf")}]}),
+        "key 'ppo_curve' holds a non-finite number"),
     "wrong_seed": (lambda text: json.dumps({**json.loads(text), "seed": 7}),
                    "a record of point-reach ppo_only seed 7, not of this "
                    "cell (point-reach ppo_"),

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from es_oracles import classic_es_gradient, estimator_variance
 from refine_es.errors import ContractError
-from refine_es.estimator import (centered_rank_scores, centered_ranks,
-                                 fd_gradient, tdes_gradient)
-from refine_es.noise import NoiseDistribution, antithetic_candidates, make_batch
+from refine_es.estimator import (antithetic_candidates, centered_rank_scores,
+                                 centered_ranks, fd_gradient, make_batch,
+                                 sample_noise)
 from refine_es.rng import make_stream
 
 
@@ -105,17 +105,17 @@ def test_ranks_affine_invariance_property(values, a, b):
     assert abs(np.mean(scores ** 2) - 1.0) < 1e-12
 
 
-def test_tdes_gradient_zero_diffs():
-    batch = make_batch(NoiseDistribution("triangular"), 0.1, 4, 6, 0, 0)
-    assert np.array_equal(tdes_gradient(batch, np.zeros(4), np.zeros(4)),
+def test_fd_gradient_zero_diffs():
+    eps = make_batch("triangular", False, 4, 6, 0, 0)
+    assert np.array_equal(fd_gradient(eps, np.zeros(4), np.zeros(4), 0.1),
                           np.zeros(6))
 
 
-def test_tdes_gradient_single_term():
-    batch = make_batch(NoiseDistribution("triangular"), 0.1, 1, 2, 0, 0)
-    batch.epsilons[0] = [1.0, 0.0]
+def test_fd_gradient_single_term():
+    eps = make_batch("triangular", False, 1, 2, 0, 0)
+    eps[0] = [1.0, 0.0]
     s = 0.7
-    assert np.allclose(tdes_gradient(batch, np.array([s]), np.array([0.0])),
+    assert np.allclose(fd_gradient(eps, np.array([s]), np.array([0.0]), 0.1),
                        [10 * s, 0.0])
 
 
@@ -124,6 +124,8 @@ def test_fd_gradient_contract():
         fd_gradient(np.zeros((2, 3)), np.zeros(2), np.zeros(2), 0.0)
     with pytest.raises(ContractError):
         fd_gradient(np.zeros((2, 3)), np.zeros(3), np.zeros(3), 0.1)
+    with pytest.raises(ContractError, match="not finite"):
+        fd_gradient(np.full((2, 3), np.inf), np.ones(2), np.zeros(2), 0.1)
 
 
 def test_even_objective_cancels_exactly():
@@ -131,11 +133,11 @@ def test_even_objective_cancels_exactly():
     # J(plus_i) == J(minus_i) bitwise, every pair ties, and g is exactly zero
     center = np.zeros(20)
     for gen in range(5):
-        batch = make_batch(NoiseDistribution("triangular"), 0.05, 8, 20, gen, 3)
-        plus, minus = antithetic_candidates(center, batch)
+        eps = make_batch("triangular", False, 8, 20, gen, 3)
+        plus, minus = antithetic_candidates(center, eps, 0.05)
         j_plus = np.array([np.sum(p ** 2) for p in plus])
         j_minus = np.array([np.sum(p ** 2) for p in minus])
-        g = tdes_gradient(batch, *centered_ranks(j_plus, j_minus))
+        g = fd_gradient(eps, *centered_ranks(j_plus, j_minus), 0.05)
         assert np.array_equal(g, np.zeros(20))
 
 
@@ -143,12 +145,11 @@ def test_c_equals_2_on_linear_objective():
     # raw returns + standardized noise: E[g] = 2b
     b = np.array([1.0, -2.0, 0.5])
     sigma, m, batches = 0.1, 8, 2000
-    dist = NoiseDistribution("triangular", standardize=True)
     acc = np.zeros(3)
     for t in range(batches):
-        batch = make_batch(dist, sigma, m, 3, t, 7)
-        plus, minus = antithetic_candidates(np.zeros(3), batch)
-        acc += fd_gradient(batch.epsilons, plus @ b, minus @ b, sigma)
+        eps = make_batch("triangular", True, m, 3, t, 7)
+        plus, minus = antithetic_candidates(np.zeros(3), eps, sigma)
+        acc += fd_gradient(eps, plus @ b, minus @ b, sigma)
     mean_g = acc / batches
     assert np.all(np.abs(mean_g - 2 * b) < 0.10 * np.abs(2 * b))
 
@@ -208,8 +209,7 @@ def test_truncation_order_cubic():
     theta = 0.3
     exact = 2 * (1 + 3 * theta ** 2)
     n = 1_000_000
-    eps = NoiseDistribution("triangular", standardize=True).sample(
-        n, make_stream(5, 0))
+    eps = sample_noise("triangular", n, make_stream(5, 0), True)
     biases = []
     for sigma in (0.2, 0.1):
         g = (j(theta + sigma * eps) - j(theta - sigma * eps)) * eps / sigma

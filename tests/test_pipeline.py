@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from interrupts import interrupt_after_generation
 
-from refine_es.checkpoint import load_checkpoint, load_json, save_json_atomic
+from refine_es.checkpoint import (load_checkpoint, load_json,
+                                 save_checkpoint, save_json_atomic)
 from refine_es.cli import main
 from refine_es import pipeline as pipeline_module
 from refine_es.errors import CheckpointError, PlanError
@@ -628,6 +629,47 @@ def test_resume_refuses_mismatched_checkpoint(tmp_path, monkeypatch, field,
     monkeypatch.undo()
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
         run_method(plan, "ppo_then_tdes", 0, out)
+
+
+def test_resume_names_a_missing_checkpoint_field(tmp_path):
+    path = _checkpoint_path(str(tmp_path))
+    os.makedirs(os.path.dirname(path))
+    save_checkpoint(path, {"stage": "ppo", "master_seed": 0})
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{path}: field 'ppo_config' is "
+                                       f"missing")):
+        run_method(tiny_plan(methods=["ppo_then_tdes"], seeds=[0]),
+                   "ppo_then_tdes", 0, str(tmp_path))
+
+
+@pytest.mark.parametrize("stage", ["ppo", "es"])
+def test_resume_names_each_field_dropped_from_a_checkpoint(
+        tmp_path, monkeypatch, stage):
+    # save_checkpoint writes format_version itself, and an ES resume reads
+    # neither its generation index nor its steps: its records give both
+    import refine_es.checkpoint as checkpoint
+
+    plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
+                     total_step_budget=1400)
+    out = str(tmp_path)
+    if stage == "es":
+        _cut_in_es(plan, out)
+    else:
+        with monkeypatch.context() as m:
+            _interrupt_ppo_update(m, 2)
+            with pytest.raises(KeyboardInterrupt):
+                run_method(plan, "ppo_then_tdes", 0, out)
+    path = _checkpoint_path(out)
+    state = checkpoint.load_checkpoint(path)
+    assert state["stage"] == stage
+    unread = {"format_version", "generation_index"} | \
+        ({"steps_used"} if stage == "es" else set())
+    for key in sorted(set(state) - unread):
+        checkpoint.save_checkpoint(
+            path, {k: v for k, v in state.items() if k != key})
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"{path}: field '{key}' ")):
+            run_method(plan, "ppo_then_tdes", 0, out)
 
 
 def test_resume_refuses_changed_ppo_config(tmp_path, monkeypatch):
@@ -1273,9 +1315,9 @@ def test_format_2_and_3_checkpoints_of_one_update_resume_alike(
         with pytest.raises(KeyboardInterrupt):
             run_method(plan, "ppo_then_tdes", 0, cut)
     # the converted format 2 state is the format 3 state, bit for bit
-    fields = pipeline_module._Cell(plan, "ppo_then_tdes", 0, "").fields
-    old, new = (pipeline_module._load_state(_checkpoint_path(out), fields)
-                for out in (golden, cut))
+    old, new = (pipeline_module._load_state(
+        pipeline_module._Cell(plan, "ppo_then_tdes", 0, out))
+        for out in (golden, cut))
     assert (old.pop("format_version"), new.pop("format_version")) == (2, 3)
     assert sorted(old) == sorted(new)
     for key in ("params", "adam_m", "adam_v"):

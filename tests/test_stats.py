@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from refine_es.errors import ContractError
-from refine_es.stats import (aggregate_report, iqm, performance_profile,
-                             pooled_iqm, pooled_mean, prob_improvement,
-                             render_report, stratified_bootstrap_ci)
+from refine_es.stats import (_resample_indices, aggregate_report, iqm,
+                             performance_profile, pooled_iqm, pooled_mean,
+                             prob_improvement, render_report,
+                             stratified_bootstrap_ci)
 from refine_es.rng import make_stream
 
 
@@ -147,6 +148,21 @@ def bootstrap_loop_reference(matrix, statistic, resamples, seed):
     tail = (1.0 - 0.95) / 2.0  # the helper's tail, not the literal 0.025
     lo, hi = np.quantile(stats, [tail, 1.0 - tail])
     return float(lo), float(hi)
+
+
+def test_resample_indices_match_one_call_per_resample_and_task():
+    # the oracle is the loop that one broadcast call replaced
+    for counts in ((3,), (5, 9), (2, 7, 4), (9, 9, 9), (1, 3)):
+        for seed in (0, 7):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            loop = [np.empty((2000, n), dtype=np.int64) for n in counts]
+            for b in range(2000):
+                for rows, n in zip(loop, counts):
+                    rows[b] = rng.integers(0, n, n)
+            draws = _resample_indices(list(counts), 2000, seed)
+            assert len(draws) == len(counts)
+            for rows, got in zip(loop, draws):
+                assert got.dtype == rows.dtype and np.array_equal(got, rows)
 
 
 def paired_poi(res):
