@@ -11,8 +11,12 @@ the budget, so within one seed every PPO run is a prefix of the ppo_only run
 and passes through the fork, the update where the two-stage methods stop PPO
 (the last one that fits split*budget, or the handoff rule). ppo_only ignores
 the handoff rule and spends its whole budget on PPO. The sweep therefore
-trains PPO once per seed: the pool runs seeds, and a seed runs its cells in
-plan order. A cell makes one PPO run and, if two-stage, one ES run. The fork
+trains PPO once per seed: the pool runs groups of seeds, and a seed runs its
+cells in plan order. A group's first cells first train their PPO runs
+together, in lockstep (`_train_first_cells`, `ppo.train_anchors`), each
+writing the checkpoints that its cell writes; each cell then resumes from
+its own as `run_method` resumes any cell. A cell makes one PPO run and, if
+two-stage, one ES run. The fork
 is an event of the PPO run: when an update ends the two-stage run
 (`_Cell.at_fork`), the cell first writes into each sibling with neither a
 checkpoint nor a record the PPO checkpoint that the sibling's own run writes
@@ -150,6 +154,16 @@ class _Cell:
                 (self.fork_stop is not None and self.fork_stop(curve[:k]))
         return ends(len(curve)) and not any(map(ends, range(len(curve))))
 
+    def save_ppo(self, ppo_state: dict) -> None:
+        """The PPO run's checkpoint callback: save `ppo_state`, what
+        `ppo.train_anchor` hands out, with this cell's fields. At the fork
+        it plants the siblings first (`_fork`): a run resumed past the fork
+        never reaches it again."""
+        if self.at_fork(ppo_state["curve"]):
+            _fork(self, ppo_state)
+        save_checkpoint(self.checkpoint,
+                        {"stage": "ppo", **ppo_state, **self.fields})
+
     def after_ppo(self, ac, steps: int, curve: list) -> dict:
         """The state of this cell once its PPO run ended with `ac`: the ES
         stage before its first generation (a two-stage cell's ES config
@@ -213,9 +227,18 @@ def _from_format_2(state: dict) -> dict:
     return state
 
 
-def _load_state(cell: _Cell) -> dict:
-    """The checkpoint of `cell` as format 3 holds it, after the checks that
-    need no ES config. A field that the resume reads must be there."""
+def _load_state(cell: _Cell) -> dict | None:
+    """The checkpoint of `cell` as format 3 holds it, or None if it has
+    none, after the checks that need no ES config. A field that the resume
+    reads must be there, and a JSON checkpoint of format 1 is refused."""
+    legacy = os.path.join(os.path.dirname(cell.checkpoint), "checkpoint.json")
+    if os.path.exists(legacy):
+        raise CheckpointError(
+            f"{legacy}: field 'format_version' is 1 (a JSON checkpoint); this "
+            f"version resumes format_version 2 and {FORMAT_VERSION} "
+            f"({CHECKPOINT_NAME})")
+    if not os.path.exists(cell.checkpoint):
+        return None
     path, state = cell.checkpoint, load_checkpoint(cell.checkpoint)
     if state.get("stage") not in ("ppo", "es"):
         raise CheckpointError(f"{path}: field 'stage' is "
@@ -295,6 +318,13 @@ _RECORD_KINDS = {type(None): ((str, type(None)), "a string or null"),
                  bool: ((bool,), "a bool"), int: ((int, float), "a number"),
                  float: ((int, float), "a number"), str: ((str,), "a string"),
                  list: ((list,), "a list")}
+# the keys of a PPO curve entry and of an ES record, as the stages write
+# them: the counts among them, then the other numbers
+_ENTRY_KEYS = {"ppo_curve": ({"update", "steps_used"}, {
+    "mean_return", "success_rate", "policy_loss", "value_loss", "entropy"}),
+    "es_records": ({"generation", "steps_used"}, {
+        "center_return", "mean_return", "best_return", "sigma_es", "g_norm",
+        "wall_time"})}
 
 
 def load_record(path: str, plan: ExperimentPlan, method: str,
@@ -302,7 +332,9 @@ def load_record(path: str, plan: ExperimentPlan, method: str,
     """The record of the cell (`plan`'s task, `method`, `seed`) at `path`,
     or a `CheckpointError` naming the file if it holds no such record: each
     value must have the type of its value in the blank record (`_record`),
-    and every number in it must be finite."""
+    each entry of its PPO curve and ES records exactly the keys that its
+    stage writes (`_ENTRY_KEYS`), an int for a count and a number for the
+    rest, and every number in it must be finite."""
     expected = _record(plan, method, seed)
     try:
         record = load_json(path)
@@ -326,6 +358,16 @@ def load_record(path: str, plan: ExperimentPlan, method: str,
         except ValueError:
             raise CheckpointError(f"{path}: key '{key}' holds a non-finite "
                                   f"number") from None
+    for key, (counts, numbers) in _ENTRY_KEYS.items():
+        for i, entry in enumerate(record[key]):
+            where = f"{path}: key '{key}' entry {i}"
+            if type(entry) is not dict or set(entry) != counts | numbers:
+                raise CheckpointError(f"{where} is {entry!r}, not an object of "
+                                      f"the keys {sorted(counts | numbers)}")
+            for k, v in entry.items():
+                if type(v) not in ((int,) if k in counts else (int, float)):
+                    raise CheckpointError(f"{where}: '{k}' is {v!r}, not " + (
+                        "an int" if k in counts else "a number"))
     cell = "{task} {method} seed {seed}".format
     if any(record[k] != expected[k] for k in ("task", "method", "seed")):
         raise CheckpointError(f"{path}: a record of {cell(**record)}, not "
@@ -368,25 +410,11 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
         record = load_record(cell.record, plan, method, seed)
         _drop_resume_state(cell.dir)  # left by a crash or an older version
         return record
-    legacy = os.path.join(ckpt_dir, "checkpoint.json")
-    if os.path.exists(legacy):
-        raise CheckpointError(
-            f"{legacy}: field 'format_version' is 1 (a JSON checkpoint); this "
-            f"version resumes format_version 2 and {FORMAT_VERSION} "
-            f"({CHECKPOINT_NAME})")
 
-    state = _load_state(cell) if os.path.exists(cell.checkpoint) else None
+    state = _load_state(cell)
     if state is None or state["stage"] == "ppo":
-        def ppo_ckpt(ppo_state):
-            # plant the siblings before this cell's own checkpoint: a run
-            # resumed past the fork never reaches it again
-            if cell.at_fork(ppo_state["curve"]):
-                _fork(cell, ppo_state)
-            save_checkpoint(cell.checkpoint,
-                            {"stage": "ppo", **ppo_state, **cell.fields})
-
         res = ppo.train_anchor(cell.env, cell.ppo_config, state,
-                               checkpoint_cb=ppo_ckpt,
+                               checkpoint_cb=cell.save_ppo,
                                stop_condition=cell.stop)
         state = cell.after_ppo(res.actor_critic, res.steps_used, res.curve)
 
@@ -442,11 +470,40 @@ def _run_cell(plan: ExperimentPlan, method: str, seed: int,
                        failure=traceback.format_exc())
 
 
-def _run_seed(args) -> list[dict]:
-    """The cells of one seed in plan order: the first whose PPO run reaches
-    the fork starts the others from there."""
-    plan, seed, out_dir = args
-    return [_run_cell(plan, method, seed, out_dir) for method in plan.methods]
+def _train_first_cells(plan: ExperimentPlan, seeds, out_dir: str) -> None:
+    """Train the PPO runs of the first cells of `seeds` in lockstep
+    (`ppo.train_anchors`), each from its cell's checkpoint and with its
+    cell's callback and stop rule, so that every checkpoint file equals the
+    one its cell writes alone. A cell with a record, an ES checkpoint or a
+    checkpoint that `_load_state` refuses stays out."""
+    runs = []
+    for seed in seeds:
+        cell = _Cell(plan, plan.methods[0], seed, out_dir)
+        if os.path.exists(cell.record):
+            continue
+        try:
+            state = _load_state(cell)
+        except CheckpointError:
+            continue
+        if state is None or state["stage"] == "ppo":
+            os.makedirs(os.path.dirname(cell.checkpoint), exist_ok=True)
+            runs.append((cell.ppo_config, state, cell.save_ppo, cell.stop))
+    ppo.train_anchors(make_env(plan.task), runs)
+
+
+def _run_group(args) -> list[dict]:
+    """The cells of a group of seeds: their first cells' PPO runs in
+    lockstep, then each seed's cells in plan order; the first whose PPO run
+    reaches the fork starts the others from there."""
+    plan, seeds, out_dir = args
+    try:
+        _train_first_cells(plan, seeds, out_dir)
+    except Exception:
+        # each cell resumes from its own last checkpoint, so a failure
+        # recurs in its own cell only, with its own message
+        pass
+    return [_run_cell(plan, method, seed, out_dir)
+            for seed in seeds for method in plan.methods]
 
 
 def _set_blas_threads(count: int) -> int | None:
@@ -475,16 +532,20 @@ def _set_blas_threads(count: int) -> int | None:
 
 
 def sweep(plan: ExperimentPlan, out_dir: str, workers: int = 1) -> dict:
-    """Run all (method, seed) cells, one task per seed, on at most one
-    worker per seed; one cell's failure never aborts the rest. Returns
-    `summarize`'s payload, which goes to <out_dir>/report.json, so the
-    results do not depend on scheduling. The plan goes to
-    <out_dir>/plan.json first, so every results directory holds the plan of
-    its cells."""
+    """Run all (method, seed) cells, one task per group of seeds: the seeds
+    split into min(workers, seeds) contiguous groups whose sizes differ by
+    at most one, so each worker runs one group (`_run_group`). One cell's
+    failure never aborts the rest. Returns `summarize`'s payload, which
+    goes to <out_dir>/report.json, so the results do not depend on
+    scheduling. The plan goes to <out_dir>/plan.json first, so every
+    results directory holds the plan of its cells."""
     os.makedirs(out_dir, exist_ok=True)
     save_json_atomic(os.path.join(out_dir, "plan.json"), plan.to_dict())
-    tasks = [(plan, seed, out_dir) for seed in plan.seeds]
-    workers = min(workers, len(tasks))  # a pool forks every worker at once
+    n = len(plan.seeds)
+    workers = min(workers, n)  # a pool forks every worker at once
+    bounds = [-(-i * n // workers) for i in range(workers + 1)]
+    tasks = [(plan, plan.seeds[a:b], out_dir)
+             for a, b in zip(bounds, bounds[1:])]
     previous = _set_blas_threads(1)
     try:
         if workers > 1:
@@ -493,9 +554,9 @@ def sweep(plan: ExperimentPlan, out_dir: str, workers: int = 1) -> dict:
             with ProcessPoolExecutor(max_workers=workers,
                                      initializer=_set_blas_threads,
                                      initargs=(1,)) as pool:
-                cells = [r for rs in pool.map(_run_seed, tasks) for r in rs]
+                cells = [r for rs in pool.map(_run_group, tasks) for r in rs]
         else:
-            cells = [r for task in tasks for r in _run_seed(task)]
+            cells = [r for task in tasks for r in _run_group(task)]
     finally:
         if previous is not None:
             _set_blas_threads(previous)

@@ -6,11 +6,15 @@ them directly. Layout is layer-major: for each layer, the weight matrix
 of vectors (B, d) gives each row of a batch its own weights.
 
 `rollout` is the one per-step loop of the package. It runs B full-horizon
-episodes together over a leading batch axis: ES candidates (per-row
-weights), PPO collection and evaluation (shared weights). Actions are the
-policy mean plus optional pre-drawn Gaussian noise (B, horizon, k).
-The passes save numpy calls by working in place, but keep each matmul's
-operands, shape and order: one product over more rows changes bits.
+episodes together over a leading batch axis, in groups of rows that share
+weights: ES candidates (per-row weights), PPO collection (one group per
+lockstep run) and evaluation (one group). Actions are the policy mean plus
+optional pre-drawn Gaussian noise (B, horizon, k). The MLP passes take a
+stack of vectors (S, d) against inputs (S, n, ...), one run's weights per
+stack item. The passes save numpy calls by working in place, but keep each
+matmul's operands, shape and order: one product over more rows changes
+bits, while a stacked product of the reference shape is one product per
+stack item, bit for bit.
 """
 
 from __future__ import annotations
@@ -99,13 +103,15 @@ def unpack_params(params: np.ndarray, arch: MlpArchitecture) -> list[tuple[np.nd
 
 
 def mlp_forward(params: np.ndarray, arch: MlpArchitecture, x: np.ndarray):
-    """Forward pass of x (..., input_dim), one product per stack item.
-    Returns (out, cache), cache the post-activation values per layer."""
+    """Forward pass of x (..., n, input_dim), one product per stack item:
+    params (d,) for every item, or a stack (S, d) against x (S, n,
+    input_dim), item i under params[i]. Returns (out, cache), cache the
+    post-activation values per layer."""
     layers = unpack_params(params, arch)
     acts = [x]
     for w, b in layers:
-        h = acts[-1] @ w.T
-        h += b
+        h = acts[-1] @ w.swapaxes(-1, -2)  # .T would reverse a stack's axes
+        h += b[..., None, :]
         if len(acts) < len(layers):
             np.tanh(h, out=h)
         acts.append(h)
@@ -115,14 +121,15 @@ def mlp_forward(params: np.ndarray, arch: MlpArchitecture, x: np.ndarray):
 def mlp_backward(params: np.ndarray, arch: MlpArchitecture,
                  acts: list[np.ndarray], dout: np.ndarray,
                  grad: np.ndarray) -> np.ndarray:
-    """Gradient of sum(out * dout) w.r.t. the flat parameters, into grad."""
+    """Gradient of sum(out * dout) w.r.t. the flat parameters, into grad,
+    per stack item as `mlp_forward` pairs them."""
     layers = unpack_params(params, arch)
     grads = unpack_params(grad, arch)  # views to write each layer into
     d = dout
     for li in range(len(layers) - 1, -1, -1):
         gw, gb = grads[li]
-        np.matmul(d.T, acts[li], out=gw)
-        np.add.reduce(d, axis=0, out=gb)
+        np.matmul(d.swapaxes(-1, -2), acts[li], out=gw)
+        np.add.reduce(d, axis=-2, out=gb)
         if li > 0:  # tanh' = 1 - a**2
             slope = np.square(acts[li])
             d = d @ layers[li][0]
@@ -168,8 +175,9 @@ def rollout(params: np.ndarray, arch: MlpArchitecture, env, seeds,
             noise: np.ndarray | None = None, record: bool = False) -> RolloutBatch:
     """Run one episode per env seed, all B of them in lockstep.
 
-    params is (d,) for weights shared by every row or (B, d) for per-row
-    weights. The action at step t is the policy mean plus noise[:, t]; with
+    params is (G, d): the rows fall into G consecutive groups of B / G,
+    each under its own weights. (d,) is one group, and per-row weights are
+    G = B. The action at step t is the policy mean plus noise[:, t]; with
     noise None the policy acts deterministically. Each row is bit-identical
     to the same episode run with B = 1. An episode's success is the env's
     flag after its last step, which the env latches (envs.py).
@@ -182,14 +190,17 @@ def rollout(params: np.ndarray, arch: MlpArchitecture, env, seeds,
             f"architecture maps {arch.input_dim} -> {arch.output_dim}, env needs "
             f"{env.observation_dim} -> {env.action_dim}")
     n, horizon = len(seeds), env.horizon
-    if params.ndim == 2 and params.shape[0] != n:
-        raise ContractError(f"{params.shape[0]} weight rows for {n} episodes")
+    params = params.reshape(-1, params.shape[-1])
+    g = params.shape[0]
+    if n % g:
+        raise ContractError(f"{g} weight groups for {n} episodes")
     if noise is not None and noise.shape != (n, horizon, env.action_dim):
         raise ContractError(f"noise has shape {noise.shape}, batch needs "
                             f"{(n, horizon, env.action_dim)}")
-    # (B, 1, fan_in) @ (1|B, fan_in, fan_out) is bit-identical to B = 1.
-    layers = [((w if w.ndim == 3 else w[None]).transpose(0, 2, 1),
-               b[..., None, :], np.empty((n, 1, w.shape[-2])))
+    # (G, B/G, 1, fan_in) @ (G, 1, fan_in, fan_out): one (1, fan_in)
+    # product per row, bit-identical to B = 1
+    layers = [(w.swapaxes(-1, -2)[:, None], b[:, None, None, :],
+               np.empty((g, n // g, 1, w.shape[-2])))
               for w, b in unpack_params(params, arch)]
     obs = env.reset(seeds)
     rewards = np.empty((n, horizon))
@@ -197,14 +208,15 @@ def rollout(params: np.ndarray, arch: MlpArchitecture, env, seeds,
         states = np.empty((n, horizon, env.observation_dim))
         actions = np.empty((n, horizon, env.action_dim))
     for t in range(horizon):
-        h = obs[:, None, :]
+        h = obs.reshape(g, n // g, 1, -1)
         for wt, b, z in layers:
             np.matmul(h, wt, out=z)
             z += b
             if z is not layers[-1][2]:
                 np.tanh(z, out=z)
             h = z
-        action = h[:, 0] if noise is None else h[:, 0] + noise[:, t]
+        mean = h.reshape(n, -1)
+        action = mean if noise is None else mean + noise[:, t]
         if record:
             states[:, t] = obs
             actions[:, t] = action

@@ -8,8 +8,16 @@ critic, and a checkpoint stores that vector. The gradient of the clipped
 surrogate + value loss + entropy bonus is derived by hand in reverse mode
 (tests check it against finite differences) and written into one vector of
 that layout; the optimizer takes one SGD step, or updates one Adam state in
-place, over it. Collection makes one forward per network, one product per
-episode; GAE runs over all episodes at once.
+place, over it.
+
+`train_anchors` trains several independent runs of one config (their seeds
+may differ) in lockstep: the runs still updating are stacked on a leading
+axis, and each numpy call of collection, the minibatch step and the
+optimizer serves all of them. Each stacked product repeats the shape that
+a run alone computes, so numpy computes it as one product per run, and
+each run's bits equal its solo run's. After the shared rollout, collection
+makes one forward per network and run, one product per episode; GAE runs
+over a run's episodes at once. `train_anchor` is the one-run case.
 
 All randomness (env seeds, action noise, minibatch shuffles) comes from
 counter-based streams keyed on (seed, purpose, update_index, ...), so
@@ -19,8 +27,7 @@ every update, which is what a per-update checkpoint stores.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -74,29 +81,31 @@ class PpoConfig:
 
 class ActorCritic:
     """Actor, log-std and critic parameters in one float64 vector `params`,
-    laid out actor | log_std | critic, a copy of the `params` it is built
-    from, and the two architectures that read it (`architectures`).
-    `actor_params`, `log_std` and `critic_params` are views into it, with no
-    setter: write into them in place (`ac.log_std[:] = x`); rebinding one
-    raises AttributeError."""
+    laid out actor | log_std | critic, or in a stack of such vectors (runs,
+    D), one per lockstep run; a copy of the `params` it is built from, and
+    the two architectures that read it (`architectures`). `actor_params`,
+    `log_std` and `critic_params` are views into it, with no setter: write
+    into them in place (`ac.log_std[:] = x`); rebinding one raises
+    AttributeError."""
 
     def __init__(self, actor_arch: MlpArchitecture,
                  critic_arch: MlpArchitecture, params):
         self.actor_arch, self.critic_arch = actor_arch, critic_arch
         self.params = np.array(params, dtype=float)
         a, k = param_count(actor_arch), actor_arch.output_dim
-        if self.params.shape != (a + k + param_count(critic_arch),):
+        if self.params.ndim > 2 or \
+                self.params.shape[-1:] != (a + k + param_count(critic_arch),):
             raise ContractError("params do not match the architectures")
         self._slices = (slice(0, a), slice(a, a + k), slice(a + k, None))
 
-    actor_params = property(lambda self: self.params[self._slices[0]])
-    log_std = property(lambda self: self.params[self._slices[1]])
-    critic_params = property(lambda self: self.params[self._slices[2]])
+    actor_params = property(lambda self: self.params[..., self._slices[0]])
+    log_std = property(lambda self: self.params[..., self._slices[1]])
+    critic_params = property(lambda self: self.params[..., self._slices[2]])
 
     def split(self, vec: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Views (actor, log_std, critic) into a vector laid out like
-        `params`."""
-        return tuple(vec[s] for s in self._slices)
+        """Views (actor, log_std, critic) into a vector, or a stack of
+        them, laid out like `params`."""
+        return tuple(vec[..., s] for s in self._slices)
 
 
 def architectures(obs_dim: int, act_dim: int, config: PpoConfig):
@@ -136,50 +145,58 @@ def gae_advantages(rewards: np.ndarray, values: np.ndarray, gamma: float,
 
 
 def _log_prob(z2, log_std):  # z2 = (a - mu)**2 / sigma**2
-    return -0.5 * z2.sum(axis=-1) - log_std.sum() - 0.5 * z2.shape[-1] * _LOG_2PI
+    return -0.5 * z2.sum(axis=-1) - log_std.sum(axis=-1)[..., None] - \
+        0.5 * z2.shape[-1] * _LOG_2PI
 
 
 def gaussian_log_prob(actions, means, log_std):
     return _log_prob((actions - means) ** 2 / np.exp(2.0 * log_std), log_std)
 
 
-def policy_entropy(log_std: np.ndarray) -> float:
-    return float(log_std.sum() + 0.5 * log_std.shape[0] * (1.0 + _LOG_2PI))
+def policy_entropy(log_std: np.ndarray):
+    """The entropy of the policy with `log_std` (..., k), per run."""
+    return log_std.sum(axis=-1) + 0.5 * log_std.shape[-1] * (1.0 + _LOG_2PI)
 
 
 @dataclass
 class RolloutBuffer:
+    """One update's collection for a stack of runs: states (runs, n,
+    obs_dim) and actions (runs, n, k), with n = episodes x horizon,
+    log-probs, advantages and returns (runs, n), each run's mean episode
+    return and success rate, and the env steps of one run."""
     states: np.ndarray
     actions: np.ndarray
     log_probs: np.ndarray
     advantages: np.ndarray
     returns: np.ndarray
-    mean_return: float = 0.0
-    success_rate: float = 0.0
-    steps: int = 0
+    mean_return: list[float]
+    success_rate: list[float]
+    steps: int
 
 
 def loss_and_grads(ac: ActorCritic, states, actions, log_probs_old, advantages,
                    returns, config: PpoConfig):
     """Loss = -mean(min(rho*A, clip(rho)*A)) + c_v*mean((V-R)^2) - c_e*H(pi),
-    with exact reverse-mode gradients w.r.t. (actor, log_std, critic).
+    with exact reverse-mode gradients w.r.t. (actor, log_std, critic); for
+    a stack `ac` of runs, each run's over its rows (runs, n, ...).
 
-    Returns (loss, parts, grad), grad laid out like `ac.params`.
+    Returns (loss, parts, grad): loss and the parts' values per run, grad
+    laid out like `ac.params`.
     """
-    n = states.shape[0]
+    n = states.shape[-2]
     lo, hi = 1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon
     mu, actor_acts = mlp_forward(ac.actor_params, ac.actor_arch, states)
-    sigma2 = np.exp(2.0 * ac.log_std)
+    sigma2 = np.exp(2.0 * ac.log_std)[..., None, :]
     diff = actions - mu
     z2 = diff ** 2 / sigma2
     ratio = np.exp(_log_prob(z2, ac.log_std) - log_probs_old)
     surr1 = ratio * advantages
     surr2 = np.minimum(np.maximum(ratio, lo), hi) * advantages
-    policy_loss = -(np.add.reduce(np.minimum(surr1, surr2)) / n)
+    policy_loss = -(np.add.reduce(np.minimum(surr1, surr2), axis=-1) / n)
 
     v, critic_acts = mlp_forward(ac.critic_params, ac.critic_arch, states)
-    dv = v[:, 0] - returns
-    value_loss = float(np.add.reduce(np.square(dv)) / n)
+    dv = v[..., 0] - returns
+    value_loss = np.add.reduce(np.square(dv), axis=-1) / n
     entropy = policy_entropy(ac.log_std)
     loss = policy_loss + config.value_coef * value_loss - config.entropy_coef * entropy
 
@@ -190,31 +207,36 @@ def loss_and_grads(ac: ActorCritic, states, actions, log_probs_old, advantages,
     d_logp = -(advantages * ratio * (surr1 <= surr2)) / n
 
     mlp_backward(ac.actor_params, ac.actor_arch, actor_acts,
-                 d_logp[:, None] * diff / sigma2, g_actor)
+                 d_logp[..., None] * diff / sigma2, g_actor)
     # d logp / d log_std_k = ((a-mu)^2/sigma^2 - 1)_k ; entropy adds 1 per coord
-    np.add.reduce(d_logp[:, None] * (z2 - 1.0), axis=0, out=g_log_std)
+    np.add.reduce(d_logp[..., None] * (z2 - 1.0), axis=-2, out=g_log_std)
     g_log_std -= config.entropy_coef
 
-    d_v = (config.value_coef * 2.0 * dv / n)[:, None]
+    d_v = (config.value_coef * 2.0 * dv / n)[..., None]
     mlp_backward(ac.critic_params, ac.critic_arch, critic_acts, d_v, g_critic)
 
-    parts = {"policy_loss": float(policy_loss), "value_loss": value_loss,
+    parts = {"policy_loss": policy_loss, "value_loss": value_loss,
              "entropy": entropy}
-    return float(loss), parts, grad
+    return loss, parts, grad
 
 
 class PpoOptimizer:
     """SGD by default; optional Adam, with the constants `ADAM_BETA1`,
-    `ADAM_BETA2` and `ADAM_EPS`. A step updates the whole vector `ac.params`
-    at once. `state` is Adam's one state over it, as a checkpoint stores it:
-    `adam_m` and `adam_v`, which a step updates in place, and `adam_t`; it
-    is empty for SGD."""
+    `ADAM_BETA2` and `ADAM_EPS`. A step updates the whole stack `ac.params`,
+    one vector per run, at once. `state` is Adam's state over the stack,
+    row i run i's as a checkpoint stores it: `adam_m` and `adam_v`, which a
+    step updates in place, and `adam_t`, each run's step count; it is empty
+    for SGD. Runs resumed at different updates hold different counts. The
+    counts are Python ints (an object array), and each run's bias
+    corrections are the Python floats `1 - beta ** t` of a run alone:
+    numpy's power may round them differently."""
 
     def __init__(self, ac: ActorCritic, config: PpoConfig):
         self.config = config
         self.state = {"adam_m": np.zeros_like(ac.params),
                       "adam_v": np.zeros_like(ac.params),
-                      "adam_t": 0} if config.optimizer == "adam" else {}
+                      "adam_t": np.zeros(len(ac.params), dtype=object)} \
+            if config.optimizer == "adam" else {}
 
     def apply(self, ac: ActorCritic, grad: np.ndarray):
         c, s = self.config, self.state
@@ -223,80 +245,115 @@ class PpoOptimizer:
             return
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         s["adam_t"] += 1
-        m, v, t = s["adam_m"], s["adam_v"], s["adam_t"]
+        m, v = s["adam_m"], s["adam_v"]
         m *= b1
         m += (1 - b1) * grad
         v *= b2
         v += (1 - b2) * np.square(grad)
-        mhat = m / (1 - b1 ** t)
-        vhat = v / (1 - b2 ** t)
+        bias = np.array([[1 - b1 ** t, 1 - b2 ** t] for t in s["adam_t"]])
+        mhat = m / bias[:, :1]
+        vhat = v / bias[:, 1:]
         ac.params -= c.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def normalize_advantages(adv: np.ndarray) -> np.ndarray:
-    std = adv.std()
-    if std < 1e-12:
-        return np.zeros_like(adv)
-    return (adv - adv.mean()) / std
+    """Advantages standardized over the last axis, each run's on their own;
+    a run whose standard deviation is below 1e-12 gets zeros."""
+    std = adv.std(axis=-1, keepdims=True)
+    return np.divide(adv - adv.mean(axis=-1, keepdims=True), std,
+                     out=np.zeros_like(adv), where=~(std < 1e-12))
 
 
-def collect_rollouts(ac: ActorCritic, env, config: PpoConfig,
-                     update_index: int) -> RolloutBuffer:
-    """Run episodes_per_update full-horizon episodes as one lockstep batch
-    and assemble the buffer. GAE bootstraps with V(final obs) since the envs
-    terminate on time limit."""
-    horizon, gamma = env.horizon, env.gamma
-    n_ep = config.episodes_per_update
-    seeds = [make_stream(config.seed, TAG_PPO_ENV, update_index,
-                         ep).integers(1 << 62) for ep in range(n_ep)]
-    noise = action_noise(
-        [make_stream(config.seed, TAG_PPO_ACTION, update_index, ep)
-         for ep in range(n_ep)],
-        horizon, env.action_dim, np.exp(ac.log_std))
+def _run_targets(ac: ActorCritic, i: int, batch, rows: slice, gamma: float,
+                 lam: float):
+    """Log-probs, advantages and returns (episodes, horizon) of run i of
+    the stack `ac`, whose episodes are the `rows` of `batch`: one actor and
+    one critic forward, one product per episode; the critic's states end
+    with the final obs. Run by run, collection holds one run's activations
+    at a time."""
+    actor, log_std, critic = ac.split(ac.params[i])
+    states = batch.states[rows]
+    mus = mlp_forward(actor, ac.actor_arch, states)[0]
+    values = mlp_forward(critic, ac.critic_arch, np.concatenate(
+        [states, batch.final_obs[rows, None]], axis=1))[0][..., 0]
+    adv = gae_advantages(batch.rewards[rows], values[:, :-1], gamma, lam,
+                         values[:, -1])
+    return (gaussian_log_prob(batch.actions[rows], mus, log_std), adv,
+            adv + values[:, :-1])
+
+
+def collect_rollouts(ac: ActorCritic, env, configs: list[PpoConfig],
+                     updates: list[int]) -> RolloutBuffer:
+    """Run episodes_per_update full-horizon episodes of each run of the
+    stack `ac`, run i's under its own weights and streams (configs[i].seed,
+    updates[i]), all as one lockstep batch, and assemble the buffer. GAE
+    bootstraps with V(final obs) since the envs terminate on time limit."""
+    runs, horizon = len(configs), env.horizon
+    n_ep = configs[0].episodes_per_update
+    seeds = [make_stream(c.seed, TAG_PPO_ENV, u, ep).integers(1 << 62)
+             for c, u in zip(configs, updates) for ep in range(n_ep)]
+    noise = np.concatenate([action_noise(
+        [make_stream(c.seed, TAG_PPO_ACTION, u, ep) for ep in range(n_ep)],
+        horizon, env.action_dim, np.exp(log_std))
+        for c, u, log_std in zip(configs, updates, ac.log_std)])
     try:
         batch = rollout(ac.actor_params, ac.actor_arch, env, seeds, noise,
                         record=True)
     except RolloutError as exc:
+        run, ep = divmod(exc.row, n_ep)
         raise RolloutError(
-            f"update {update_index}, episode {exc.row}: {exc}") from exc
-    # one product per episode; the critic's states end with the final obs
-    mus = mlp_forward(ac.actor_params, ac.actor_arch, batch.states)[0]
-    values = mlp_forward(ac.critic_params, ac.critic_arch, np.concatenate(
-        [batch.states, batch.final_obs[:, None]], axis=1))[0][..., 0]
-    adv = gae_advantages(batch.rewards, values[:, :-1], gamma,
-                         config.gae_lambda, values[:, -1])
+            f"update {updates[run]}, episode {ep}: {exc}") from exc
+    targets = [_run_targets(ac, i, batch, slice(i * n_ep, (i + 1) * n_ep),
+                            env.gamma, configs[0].gae_lambda)
+               for i in range(runs)]
+    log_probs, adv, returns = (np.stack(a).reshape(runs, -1)
+                               for a in zip(*targets))
     return RolloutBuffer(
-        batch.states.reshape(n_ep * horizon, -1),
-        batch.actions.reshape(n_ep * horizon, -1),
-        gaussian_log_prob(batch.actions, mus, ac.log_std).ravel(),
-        adv.ravel(), (adv + values[:, :-1]).ravel(),
-        mean_return=float(np.mean(batch.returns)),
-        success_rate=int(batch.success.sum()) / n_ep,
-        steps=batch.length)
+        batch.states.reshape(runs, n_ep * horizon, -1),
+        batch.actions.reshape(runs, n_ep * horizon, -1),
+        log_probs, adv, returns,
+        mean_return=[float(np.mean(r))
+                     for r in batch.returns.reshape(runs, n_ep)],
+        success_rate=[int(s.sum()) / n_ep
+                      for s in batch.success.reshape(runs, n_ep)],
+        steps=n_ep * horizon)
 
 
-def ppo_update(ac: ActorCritic, buffer: RolloutBuffer, config: PpoConfig,
-               optimizer: PpoOptimizer, update_index: int) -> dict:
-    """Minibatch epochs of clipped-surrogate steps; mutates ac in place."""
+def _run_parts(parts: dict, i: int) -> dict:
+    return {k: float(v[i]) for k, v in parts.items()}
+
+
+def ppo_update(ac: ActorCritic, buffer: RolloutBuffer,
+               configs: list[PpoConfig], optimizer: PpoOptimizer,
+               updates: list[int]) -> list[dict]:
+    """Minibatch epochs of clipped-surrogate steps for the stack `ac`, run i
+    on its own rows of `buffer`, its advantages normalized on their own and
+    its minibatches shuffled by its own streams (configs[i].seed,
+    updates[i]); mutates ac in place. Returns each run's loss parts of its
+    last minibatch."""
+    config = configs[0]
     adv = normalize_advantages(buffer.advantages)
-    n = buffer.states.shape[0]
-    last_parts = {}
+    n = buffer.states.shape[1]
+    runs = np.arange(len(configs))[:, None]
     for epoch in range(config.epochs):
-        perm = make_stream(config.seed, TAG_PPO_SHUFFLE, update_index,
-                           epoch).permutation(n)
-        # shuffled once per epoch; each minibatch is a contiguous row slice
-        shuffled = [a[perm] for a in (buffer.states, buffer.actions,
-                                      buffer.log_probs, adv, buffer.returns)]
+        perm = np.array([make_stream(c.seed, TAG_PPO_SHUFFLE, u,
+                                     epoch).permutation(n)
+                         for c, u in zip(configs, updates)])
+        # shuffled once per epoch; each minibatch is a contiguous slice of
+        # every run's rows
+        shuffled = [a[runs, perm] for a in (buffer.states, buffer.actions,
+                                            buffer.log_probs, adv,
+                                            buffer.returns)]
         for start in range(0, n, config.minibatch_size):
             stop = start + config.minibatch_size
             loss, parts, grad = loss_and_grads(
-                ac, *(a[start:stop] for a in shuffled), config)
-            if not np.isfinite(loss):
-                raise RolloutError(
-                    f"non-finite PPO loss at update {update_index}: {parts}")
+                ac, *(a[:, start:stop] for a in shuffled), config)
+            if not np.isfinite(loss).all():
+                i = int(np.flatnonzero(~np.isfinite(loss))[0])
+                raise RolloutError(f"non-finite PPO loss at update "
+                                   f"{updates[i]}: {_run_parts(parts, i)}")
             optimizer.apply(ac, grad)
-            last_parts = parts
-    return last_parts
+    return [_run_parts(parts, i) for i in range(len(configs))]
 
 
 @dataclass
@@ -306,12 +363,75 @@ class AnchorResult:
     steps_used: int = 0
 
 
+def train_anchors(env, runs: list[tuple]) -> list[AnchorResult]:
+    """`train_anchor` for several runs in lockstep on one env. `runs` holds
+    each run's arguments (config, state, checkpoint_cb, stop_condition), and
+    the configs may differ in their seed only. Each run starts from its own
+    state, asks its own stop rule, hands its own callback its states and
+    returns its result, all bit for bit as it would alone; runs may start
+    and stop at different updates. Before each collection the runs still
+    updating are copied out of the stack of all runs as a stack of their
+    own, make one update together and are written back. A callback that
+    raises stops every run after its last handed-out update."""
+    if not runs:
+        return []
+    config = runs[0][0]
+    if any(replace(c, seed=config.seed) != config for c, *_ in runs):
+        raise ContractError("runs in lockstep may differ in their seed only")
+    dims = (env.observation_dim, env.action_dim)
+    ac = ActorCritic(*architectures(*dims, config), [
+        init_actor_critic(*dims, c).params if state is None
+        else state["params"] for c, state, *_ in runs])
+    adam = PpoOptimizer(ac, config).state
+    u, steps, curves = [0] * len(runs), [0] * len(runs), [[] for _ in runs]
+    for i, (_, state, *_) in enumerate(runs):
+        if state is not None:
+            for key, value in adam.items():
+                value[i] = state[key]
+            u[i], steps[i] = state["update_index"] + 1, state["steps_used"]
+            curves[i] = list(state["curve"])
+    update_cost = config.episodes_per_update * env.horizon
+
+    def goes_on(i):
+        stop = runs[i][3]
+        return steps[i] + update_cost <= config.total_steps and \
+            not (stop is not None and stop(curves[i]))
+
+    running = range(len(runs))
+    while running := [i for i in running if goes_on(i)]:
+        configs = [runs[i][0] for i in running]
+        updates = [u[i] for i in running]
+        group = ActorCritic(ac.actor_arch, ac.critic_arch, ac.params[running])
+        optimizer = PpoOptimizer(group, config)
+        optimizer.state = {k: v[running] for k, v in adam.items()}
+        buffer = collect_rollouts(group, env, configs, updates)
+        parts = ppo_update(group, buffer, configs, optimizer, updates)
+        ac.params[running] = group.params
+        for k, v in optimizer.state.items():
+            adam[k][running] = v
+        for j, i in enumerate(running):
+            steps[i] += buffer.steps
+            curves[i].append({"update": u[i],
+                              "mean_return": buffer.mean_return[j],
+                              "success_rate": buffer.success_rate[j],
+                              "steps_used": steps[i], **parts[j]})
+            if runs[i][2] is not None:
+                runs[i][2]({"update_index": u[i], "params": ac.params[i],
+                            **{k: v[i] for k, v in adam.items()},
+                            "steps_used": steps[i], "curve": curves[i]})
+            u[i] += 1
+    return [AnchorResult(ActorCritic(ac.actor_arch, ac.critic_arch,
+                                     ac.params[i]), curves[i], steps[i])
+            for i in range(len(runs))]
+
+
 def train_anchor(env, config: PpoConfig, state: dict | None = None,
                  checkpoint_cb=None, stop_condition=None) -> AnchorResult:
     """Collect/update cycles until the step budget cannot fund another
-    update, or until `stop_condition(curve)` holds. The stop rule is asked
-    before each collection, so a run resumed from any update's checkpoint
-    stops exactly where the uninterrupted run stopped.
+    update, or until `stop_condition(curve)` holds: `train_anchors` with
+    one run. The stop rule is asked before each collection, so a run
+    resumed from any update's checkpoint stops exactly where the
+    uninterrupted run stopped.
 
     After each update, `checkpoint_cb(state)` gets the run's state, what a
     checkpoint stores: `update_index`, `params` (the actor-critic's vector),
@@ -321,28 +441,5 @@ def train_anchor(env, config: PpoConfig, state: dict | None = None,
     state (other keys are ignored), the run continues after its update
     bit-exactly; the actor-critic's architectures follow from `config`, and
     no initial parameters are drawn."""
-    dims = (env.observation_dim, env.action_dim)
-    ac = init_actor_critic(*dims, config) if state is None else \
-        ActorCritic(*architectures(*dims, config), state["params"])
-    optimizer = PpoOptimizer(ac, config)
-    u, steps_used, curve = 0, 0, []
-    if state is not None:
-        optimizer.state = {k: copy.copy(state[k]) for k in optimizer.state}
-        u, steps_used = state["update_index"] + 1, state["steps_used"]
-        curve = list(state["curve"])
-    update_cost = config.episodes_per_update * env.horizon
-    while steps_used + update_cost <= config.total_steps:
-        if stop_condition is not None and stop_condition(curve):
-            break
-        buffer = collect_rollouts(ac, env, config, u)
-        parts = ppo_update(ac, buffer, config, optimizer, u)
-        steps_used += buffer.steps
-        curve.append({"update": u, "mean_return": buffer.mean_return,
-                      "success_rate": buffer.success_rate,
-                      "steps_used": steps_used, **parts})
-        if checkpoint_cb is not None:
-            checkpoint_cb({"update_index": u, "params": ac.params,
-                           **optimizer.state, "steps_used": steps_used,
-                           "curve": curve})
-        u += 1
-    return AnchorResult(ac, curve, steps_used)
+    return train_anchors(env, [(config, state, checkpoint_cb,
+                                stop_condition)])[0]

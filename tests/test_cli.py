@@ -468,6 +468,15 @@ BAD_RECORDS = {
     "inf_in_curve": (lambda text: json.dumps({**json.loads(text), "ppo_curve": [
         {**json.loads(text)["ppo_curve"][0], "mean_return": -float("inf")}]}),
         "key 'ppo_curve' holds a non-finite number"),
+    "es_record_not_an_object": (lambda text: json.dumps(
+        {**json.loads(text), "es_records": [1, 2]}),
+        "key 'es_records' entry 0 is 1, not an object of the keys "
+        "['best_return', 'center_return', 'g_norm', 'generation', "
+        "'mean_return', 'sigma_es', 'steps_used', 'wall_time']"),
+    "curve_count_as_string": (lambda text: json.dumps({
+        **json.loads(text), "ppo_curve": json.loads(text)["ppo_curve"][:1] + [
+            {**json.loads(text)["ppo_curve"][1], "update": "x"}]}),
+        "key 'ppo_curve' entry 1: 'update' is 'x', not an int"),
     "wrong_seed": (lambda text: json.dumps({**json.loads(text), "seed": 7}),
                    "a record of point-reach ppo_only seed 7, not of this "
                    "cell (point-reach ppo_"),

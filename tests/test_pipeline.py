@@ -333,7 +333,8 @@ def _es_records(rec):
 
 
 def _interrupt_ppo_update(monkeypatch, n):
-    """Raise KeyboardInterrupt from the n-th ppo.ppo_update call."""
+    """Raise KeyboardInterrupt from the n-th ppo.ppo_update call, the n-th
+    update of a group of runs in lockstep."""
     import refine_es.ppo as ppo
 
     original = ppo.ppo_update
@@ -436,16 +437,18 @@ def _blas_threads():
     return None
 
 
-_RUN_SEED = pipeline_module._run_seed
+_RUN_GROUP = pipeline_module._run_group
 
 
-def _run_seed_noting_blas_threads(args):
-    """`pipeline._run_seed`, which first writes the BLAS thread count of
-    the process it runs in to <out>/blas-<seed>."""
-    _plan, seed, out_dir = args
-    with open(os.path.join(out_dir, f"blas-{seed}"), "w") as fh:
-        fh.write(str(_blas_threads()))
-    return _RUN_SEED(args)
+def _run_group_noting_blas_threads(args):
+    """`pipeline._run_group`, which first writes the BLAS thread count of
+    the process it runs in to <out>/blas-<seed>, for each seed of the
+    group."""
+    _plan, seeds, out_dir = args
+    for seed in seeds:
+        with open(os.path.join(out_dir, f"blas-{seed}"), "w") as fh:
+            fh.write(str(_blas_threads()))
+    return _RUN_GROUP(args)
 
 
 def test_pool_workers_share_the_cpus_among_blas_threads(tmp_path,
@@ -455,8 +458,8 @@ def test_pool_workers_share_the_cpus_among_blas_threads(tmp_path,
     before = _blas_threads()
     if before is None:
         pytest.skip("numpy's BLAS is not OpenBLAS")
-    monkeypatch.setattr(pipeline_module, "_run_seed",
-                        _run_seed_noting_blas_threads)
+    monkeypatch.setattr(pipeline_module, "_run_group",
+                        _run_group_noting_blas_threads)
     payload = sweep(tiny_plan(methods=["ppo_only"]), str(tmp_path),
                     workers=2)
     assert payload["failures"] == []
@@ -468,8 +471,8 @@ def test_serial_sweep_runs_blas_on_one_thread_then_restores_it(tmp_path,
                                                                monkeypatch):
     if _blas_threads() is None:
         pytest.skip("numpy's BLAS is not OpenBLAS")
-    monkeypatch.setattr(pipeline_module, "_run_seed",
-                        _run_seed_noting_blas_threads)
+    monkeypatch.setattr(pipeline_module, "_run_group",
+                        _run_group_noting_blas_threads)
     # a count other than 1, so that the restore shows
     original = pipeline_module._set_blas_threads(2)
     try:
@@ -848,15 +851,33 @@ def _sweep_bits(out, records):
     return {(r["method"], r["seed"]): _cell_bits(out, r) for r in records}
 
 
+def _note_ppo_updates(monkeypatch):
+    """Patch `ppo.ppo_update` to note the seeds of each call, one tuple per
+    update of a group of runs in lockstep."""
+    import refine_es.ppo as ppo
+
+    original = ppo.ppo_update
+    calls = []
+
+    def update(ac, buffer, configs, optimizer, updates):
+        calls.append(tuple(c.seed for c in configs))
+        return original(ac, buffer, configs, optimizer, updates)
+
+    monkeypatch.setattr(ppo, "ppo_update", update)
+    return calls
+
+
 def _count_ppo_updates(monkeypatch):
+    """Patch `ppo.ppo_update` to note the seed of each run's update, one
+    per run of a group update."""
     import refine_es.ppo as ppo
 
     original = ppo.ppo_update
     seeds = []
 
-    def update(ac, buffer, config, optimizer, update_index):
-        seeds.append(config.seed)
-        return original(ac, buffer, config, optimizer, update_index)
+    def update(ac, buffer, configs, optimizer, updates):
+        seeds.extend(c.seed for c in configs)
+        return original(ac, buffer, configs, optimizer, updates)
 
     monkeypatch.setattr(ppo, "ppo_update", update)
     return seeds
@@ -887,6 +908,126 @@ def test_sweep_trains_ppo_once_per_seed(tmp_path, monkeypatch, methods):
     assert ppo_only == {0: 5, 1: 5}
     assert {s: updates.count(s) for s in plan.seeds} == ppo_only
     assert _sweep_bits(str(tmp_path / "sweep"), records) == alone
+
+
+_ADAM = {"episodes_per_update": 2, "hidden_dims": [8], "optimizer": "adam"}
+
+
+def _alone_bits(plan, tmp_path):
+    """`_sweep_bits` of every cell of `plan` run alone, by `run_method`
+    under a plan of its own method."""
+    bits = {}
+    for method in plan.methods:
+        own = plan_from_dict({**plan.to_dict(), "methods": [method]})
+        for seed in plan.seeds:
+            out = str(tmp_path / f"alone-{method}-{seed}")
+            bits[(method, seed)] = _cell_bits(
+                out, run_method(own, method, seed, out))
+    return bits
+
+
+def _nan_in_episode(monkeypatch, seed, update):
+    """Patch point-reach to give a NaN reward at step 3 to the first
+    episode that seed `seed`'s PPO collects in update `update`, in whatever
+    batch it runs."""
+    from refine_es.envs import PointReach
+    from refine_es.rng import TAG_PPO_ENV, make_stream
+
+    bad = int(make_stream(seed, TAG_PPO_ENV, update, 0).integers(1 << 62))
+    reset, step = PointReach.reset, PointReach._step
+
+    def noting_reset(self, seeds):
+        self.bad_rows = np.array([int(s) == bad for s in seeds])
+        return reset(self, seeds)
+
+    def nan_step(self, actions):
+        rewards = step(self, actions)
+        if self._step_count == 3:
+            rewards[self.bad_rows] = np.nan
+        return rewards
+
+    monkeypatch.setattr(PointReach, "reset", noting_reset)
+    monkeypatch.setattr(PointReach, "_step", nan_step)
+
+
+def test_group_failure_stays_in_the_seed_that_hit_it(tmp_path, monkeypatch):
+    # seed 1's update 2 hits a NaN: the group phase stops, each first cell
+    # resumes from its own checkpoint, and only seed 1's fails, as alone
+    plan = tiny_plan()
+    clean = sweep(plan, str(tmp_path / "clean"))["records"]
+    _nan_in_episode(monkeypatch, 1, 2)
+    alone = pipeline_module._run_cell(plan, "ppo_only", 1,
+                                      str(tmp_path / "alone"))
+    assert "RolloutError: update 2, episode 0: non-finite reward or state " \
+        "at step 3" in alone["failure"]
+    calls = _note_ppo_updates(monkeypatch)
+    out = str(tmp_path / "out")
+    payload = sweep(plan, out)
+    assert calls == [(0, 1)] * 2 + [(0,)] * 3
+    assert payload["failures"] == [
+        {"method": "ppo_only", "seed": 1, "failure": alone["failure"]}]
+    ok = [r for r in payload["records"] if not r["failed"]]
+    assert _sweep_bits(out, ok) == {
+        k: v for k, v in _sweep_bits(str(tmp_path / "clean"), clean).items()
+        if k != ("ppo_only", 1)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_group_cut_at_any_update_resumes_bitwise(tmp_path, monkeypatch, k):
+    # the k-th group update is update k - 1 of both seeds, and the fork is
+    # after update 1: a cut before it, in it, past it, and in the last
+    plan = tiny_plan(ppo=_ADAM)
+    clean = sweep(plan, str(tmp_path / "clean"))["records"]
+    cut = str(tmp_path / "cut")
+    with monkeypatch.context() as m:
+        _interrupt_ppo_update(m, k)
+        with pytest.raises(KeyboardInterrupt):
+            sweep(plan, cut)
+    for seed in plan.seeds:
+        path = _checkpoint_path(cut, "ppo_only", seed)
+        assert (load_checkpoint(path)["update_index"]
+                if os.path.exists(path) else -1) == k - 2
+    calls = _note_ppo_updates(monkeypatch)
+    resumed = sweep(plan, cut)["records"]
+    assert calls == [(0, 1)] * (6 - k)
+    assert _sweep_bits(cut, resumed) == \
+        _sweep_bits(str(tmp_path / "clean"), clean)
+
+
+def test_group_of_a_resumed_and_a_fresh_seed(tmp_path, monkeypatch):
+    # seed 0's first cell was cut in update 2 and seed 1 is fresh: one
+    # group holds runs at different updates and Adam step counts
+    plan = tiny_plan(ppo=_ADAM)
+    alone = _alone_bits(plan, tmp_path)
+    out = str(tmp_path / "out")
+    with monkeypatch.context() as m:
+        _interrupt_ppo_update(m, 3)
+        with pytest.raises(KeyboardInterrupt):
+            run_method(plan, "ppo_only", 0, out)
+    assert load_checkpoint(_checkpoint_path(out, "ppo_only"))[
+        "update_index"] == 1
+    calls = _note_ppo_updates(monkeypatch)
+    records = sweep(plan, out)["records"]
+    assert calls == [(0, 1)] * 3 + [(1,)] * 2
+    assert _sweep_bits(out, records) == alone
+
+
+def test_group_of_seeds_that_stop_at_different_updates(tmp_path,
+                                                       monkeypatch):
+    # the handoff rule stops seed 0's two-stage PPO run after 4 updates and
+    # seed 2's after 7: seed 0 leaves the group, and seed 2 goes on alone
+    plan = tiny_plan(methods=["ppo_then_tdes", "ppo_only"], seeds=[0, 2],
+                     total_step_budget=4000, handoff_success_threshold=0.5,
+                     handoff_window=1)
+    alone = _alone_bits(plan, tmp_path)
+    calls = _note_ppo_updates(monkeypatch)
+    out = str(tmp_path / "out")
+    records = sweep(plan, out)["records"]
+    # then each ppo_only cell trains on from its fork, alone
+    assert calls == [(0, 2)] * 4 + [(2,)] * 3 + [(0,)] * 16 + [(2,)] * 13
+    assert {r["seed"]: len(r["ppo_curve"]) for r in records
+            if r["method"] == "ppo_then_tdes"} == {0: 4, 2: 7}
+    assert _sweep_bits(out, records) == alone
 
 
 def test_resume_after_cut_past_fork_bitwise(tmp_path, monkeypatch):
@@ -1427,7 +1568,10 @@ def test_stream_ledger_of_a_sweep(tmp_path, monkeypatch):
 
     def ledger(*key):
         value = stream_seed(*key)
-        draws.append((*cell[-1], key, value))
+        # a draw of the group phase, outside every cell, is the PPO run of
+        # the first cell of the seed that its key carries
+        owner = cell[-1] if cell else (plan.methods[0], key[0])
+        draws.append((*owner, key, value, not cell))
         return value
 
     for module in (rng, engine, pipeline_module):
@@ -1449,8 +1593,10 @@ def test_stream_ledger_of_a_sweep(tmp_path, monkeypatch):
     records = payload["records"]
     assert payload["failures"] == []
 
+    assert {seed for _, seed, _, _, grouped in draws if grouped} == \
+        set(plan.seeds)
     seeds, cells = {}, {}
-    for method, seed, key, value in draws:
+    for method, seed, key, value, _ in draws:
         assert seeds.setdefault(key, value) == value
         cells.setdefault(key, []).append((method, seed))
     assert len(set(seeds.values())) == len(seeds), "two keys share a seed"

@@ -1,8 +1,10 @@
 import copy
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from refine_es.checkpoint import load_checkpoint, save_checkpoint
@@ -13,12 +15,19 @@ from refine_es.ppo import (ActorCritic, PpoConfig, PpoOptimizer,
                            architectures, collect_rollouts, gae_advantages,
                            gaussian_log_prob, init_actor_critic, loss_and_grads,
                            normalize_advantages, policy_entropy, ppo_update,
-                           train_anchor)
+                           train_anchor, train_anchors)
 from refine_es.rng import make_stream
 
 
 def _copy(ac):
     return ActorCritic(ac.actor_arch, ac.critic_arch, ac.params)
+
+
+def _stack(*acs):
+    """The stack of runs that the lockstep functions take, one row per
+    actor-critic."""
+    return ActorCritic(acs[0].actor_arch, acs[0].critic_arch,
+                       [ac.params for ac in acs])
 
 
 def tiny_config(**kw):
@@ -240,9 +249,9 @@ def test_sgd_step_exact():
 
 def test_adam_state_roundtrip():
     config = tiny_config(optimizer="adam")
-    ac = init_actor_critic(2, 1, config)
+    ac = _stack(init_actor_critic(2, 1, config))
     opt = PpoOptimizer(ac, config)
-    g = make_stream(5, 0).standard_normal(ac.params.shape[0])
+    g = make_stream(5, 0).standard_normal(ac.params.shape)
     opt.apply(ac, g)
     twin = PpoOptimizer(_copy(ac), config)
     twin.state = copy.deepcopy(opt.state)
@@ -258,18 +267,18 @@ def test_adam_state_roundtrip():
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
 def test_apply_updates_all_three_views(optimizer):
     config = tiny_config(optimizer=optimizer)
-    ac = init_actor_critic(2, 1, config)
+    ac = _stack(init_actor_critic(2, 1, config))
     views = (ac.actor_params, ac.log_std, ac.critic_params)
     before = [v.copy() for v in views]
-    grad = make_stream(6, 0).standard_normal(ac.params.shape[0])
+    grad = make_stream(6, 0).standard_normal(ac.params.shape)
     PpoOptimizer(ac, config).apply(ac, grad)
     for view, old, now in zip(views, before, ac.split(ac.params)):
         assert np.array_equal(view, now)
         assert np.all(view != old)
     if optimizer == "sgd":
         assert np.array_equal(
-            np.concatenate(views),
-            np.concatenate(before) - config.learning_rate * grad)
+            np.concatenate(views, axis=-1),
+            np.concatenate(before, axis=-1) - config.learning_rate * grad)
 
 
 def test_actor_critic_views_alias_params_only():
@@ -299,12 +308,12 @@ def test_actor_critic_roundtrip():
 
 def test_collect_rollouts_shapes_and_budget():
     config = tiny_config(episodes_per_update=2)
-    ac = init_actor_critic(4, 2, config)
-    buf = collect_rollouts(ac, make_env("point-reach"), config, 0)
+    ac = _stack(init_actor_critic(4, 2, config))
+    buf = collect_rollouts(ac, make_env("point-reach"), [config], [0])
     n = 2 * 100
-    assert buf.states.shape == (n, 4)
-    assert buf.actions.shape == (n, 2)
-    assert buf.advantages.shape == (n,)
+    assert buf.states.shape == (1, n, 4)
+    assert buf.actions.shape == (1, n, 2)
+    assert buf.advantages.shape == (1, n)
     assert buf.steps == n
 
 
@@ -318,17 +327,22 @@ def test_collection_forwards_equal_per_episode_calls_bitwise(env_id,
     # product over every row can change them, and fails here
     import refine_es.ppo as ppo_module
 
+    # The minibatch step's forwards stack the runs of a lockstep group,
+    # (runs, rows, obs) under one vector per run, and are checked per run
+    # the same way
     forward, calls = ppo_module.mlp_forward, []
 
     def checked_forward(params, arch, x):
         out, acts = forward(params, arch, x)
         if x.ndim == 3:
             for ep in range(x.shape[0]):
-                assert forward(params, arch, x[ep])[0].tobytes() == \
+                alone = params if params.ndim == 1 else params[ep]
+                assert forward(alone, arch, x[ep])[0].tobytes() == \
                     out[ep].tobytes(), (
                         f"numpy's stacked matmul changed the bits of episode "
                         f"{ep}: collect_rollouts needs a forward per episode")
-            calls.append((arch.output_dim, x.shape))
+            if params.ndim == 1:
+                calls.append((arch.output_dim, x.shape))
         return out, acts
 
     monkeypatch.setattr(ppo_module, "mlp_forward", checked_forward)
@@ -357,10 +371,10 @@ def test_curve_mean_return_is_the_rollouts_episode_return(monkeypatch):
     env = make_env("peg-insert-1d")
     cfg = PpoConfig(total_steps=8 * env.horizon, episodes_per_update=8,
                     hidden_dims=(64, 64), optimizer="adam", seed=0)
-    buf = collect_rollouts(init_actor_critic(env.observation_dim,
-                                             env.action_dim, cfg), env, cfg, 0)
+    buf = collect_rollouts(_stack(init_actor_critic(
+        env.observation_dim, env.action_dim, cfg)), env, [cfg], [0])
     assert len(batches) == 1
-    assert buf.mean_return == float(np.mean(batches[0].returns))
+    assert buf.mean_return == [float(np.mean(batches[0].returns))]
 
 
 def test_budget_below_one_update_is_noop():
@@ -436,13 +450,76 @@ def test_train_anchor_resumes_from_a_loaded_checkpoint(tmp_path):
     assert _bits(*_run_from(env, config, loaded)) == _bits(full, states[-1])
 
 
+def _same_states(a, b):
+    """Whether two lists of handed-out states are equal, arrays bit for bit
+    and every other value of the same type."""
+    return len(a) == len(b) and all(
+        list(x) == list(y) and all(
+            x[k].tobytes() == y[k].tobytes() if isinstance(x[k], np.ndarray)
+            else (type(x[k]), x[k]) == (type(y[k]), y[k]) for k in x)
+        for x, y in zip(a, b))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_lockstep_runs_equal_their_solo_runs(data):
+    # each run of a group, fresh or resumed from any update of its solo
+    # run, with or without a stop rule, hands out and returns the same bits
+    # as that run alone, whatever the others do
+    env = make_env(data.draw(st.sampled_from(env_ids()), label="env"))
+    n_ep = data.draw(st.integers(1, 2), label="episodes")
+    rows = n_ep * env.horizon
+    config = PpoConfig(
+        total_steps=3 * rows, episodes_per_update=n_ep,
+        epochs=data.draw(st.integers(1, 2), label="epochs"),
+        minibatch_size=data.draw(st.integers(rows // 6, rows - 1).filter(
+            lambda m: rows % m), label="minibatch"),
+        hidden_dims=tuple(data.draw(st.lists(st.integers(1, 4), min_size=1,
+                                             max_size=2), label="hidden")),
+        optimizer=data.draw(st.sampled_from(["sgd", "adam"]), label="opt"))
+    runs, alone = [], []
+    for _ in range(data.draw(st.integers(1, 4), label="runs")):
+        cfg = replace(config, seed=data.draw(st.integers(0, 2 ** 64 - 1),
+                                             label="seed"))
+        # a rule that stops the run once its curve has `after` updates
+        after = data.draw(st.none() | st.integers(0, 3), label="stop after")
+        stop = None if after is None else (lambda c, k=after: len(c) >= k)
+        states = [None]
+        train_anchor(env, cfg, checkpoint_cb=lambda s: states.append(
+            copy.deepcopy(s)))
+        start = data.draw(st.sampled_from(states), label="start")
+        handed = []
+        res = train_anchor(env, cfg, copy.deepcopy(start), lambda s, h=handed:
+                           h.append(copy.deepcopy(s)), stop)
+        alone.append((res, handed))
+        runs.append((cfg, copy.deepcopy(start), stop))
+
+    handed = [[] for _ in runs]
+    results = train_anchors(env, [
+        (cfg, start, lambda s, h=h: h.append(copy.deepcopy(s)), stop)
+        for (cfg, start, stop), h in zip(runs, handed)])
+    for res, got, (solo, solo_handed) in zip(results, handed, alone):
+        assert _same_states(got, solo_handed)
+        assert res.actor_critic.params.tobytes() == \
+            solo.actor_critic.params.tobytes()
+        assert (res.curve, res.steps_used) == (solo.curve, solo.steps_used)
+
+
+def test_lockstep_runs_share_one_config_but_the_seed():
+    env = make_env("point-reach")
+    with pytest.raises(ContractError, match="differ in their seed only"):
+        train_anchors(env, [(tiny_config(), None, None, None),
+                            (tiny_config(learning_rate=0.01), None, None,
+                             None)])
+
+
 def test_ppo_update_rejects_nonfinite():
     config = tiny_config(episodes_per_update=1, minibatch_size=8)
-    ac = init_actor_critic(4, 2, config)
-    buf = collect_rollouts(ac, make_env("point-reach"), config, 0)
+    ac = _stack(init_actor_critic(4, 2, config))
+    buf = collect_rollouts(ac, make_env("point-reach"), [config], [0])
     buf.returns[:] = np.nan
     with pytest.raises(RolloutError, match="non-finite PPO loss at update 3"):
-        ppo_update(ac, buf, config, PpoOptimizer(ac, config), 3)
+        ppo_update(ac, buf, [config], PpoOptimizer(ac, config), [3])
 
 
 def test_collect_rollouts_rejects_nonfinite():
@@ -456,10 +533,10 @@ def test_collect_rollouts_rejects_nonfinite():
             return r
 
     config = tiny_config(episodes_per_update=3)
-    ac = init_actor_critic(4, 2, config)
+    ac = _stack(init_actor_critic(4, 2, config))
     with pytest.raises(RolloutError,
                        match="update 5, episode 1: non-finite .* step 4"):
-        collect_rollouts(ac, NanRewardEnv(), config, 5)
+        collect_rollouts(ac, NanRewardEnv(), [config], [5])
 
 
 def test_training_improves_return():

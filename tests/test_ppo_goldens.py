@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 
 from refine_es.envs import make_env
-from refine_es.ppo import (PpoConfig, collect_rollouts, init_actor_critic,
-                           loss_and_grads, normalize_advantages, train_anchor)
+from refine_es.ppo import (ActorCritic, PpoConfig, collect_rollouts,
+                           init_actor_critic, loss_and_grads,
+                           normalize_advantages, train_anchor)
 
 ENV_IDS = ("arm-reach", "peg-insert-1d", "point-reach")
 CURVE_KEYS = ("update", "mean_return", "success_rate", "steps_used",
@@ -68,12 +69,14 @@ def loss_digest(env_id: str) -> str:
     env = make_env(env_id)
     cfg = config(env_id, "sgd")
     ac = init_actor_critic(env.observation_dim, env.action_dim, cfg)
-    buf = collect_rollouts(ac, env, cfg, 1)
-    adv = normalize_advantages(buf.advantages)
-    idx = np.arange(buf.states.shape[0])[::-1][:128]
+    # collection takes a stack of runs, here of one
+    buf = collect_rollouts(ActorCritic(ac.actor_arch, ac.critic_arch,
+                                       [ac.params]), env, [cfg], [1])
+    adv = normalize_advantages(buf.advantages[0])
+    idx = np.arange(buf.states.shape[1])[::-1][:128]
     loss, parts, grad = loss_and_grads(
-        ac, buf.states[idx], buf.actions[idx], buf.log_probs[idx], adv[idx],
-        buf.returns[idx], cfg)
+        ac, buf.states[0, idx], buf.actions[0, idx], buf.log_probs[0, idx],
+        adv[idx], buf.returns[0, idx], cfg)
     return digest([loss, parts["policy_loss"], parts["value_loss"],
                    parts["entropy"]], grad)
 

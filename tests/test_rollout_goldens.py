@@ -18,7 +18,8 @@ import pytest
 from refine_es.engine import EsConfig, evaluate_center, tdes_run
 from refine_es.envs import make_env
 from refine_es.policy import MlpArchitecture, init_params
-from refine_es.ppo import PpoConfig, collect_rollouts, init_actor_critic
+from refine_es.ppo import (ActorCritic, PpoConfig, collect_rollouts,
+                           init_actor_critic)
 from refine_es.rng import make_stream
 
 ENV_IDS = ("arm-reach", "peg-insert-1d", "point-reach")
@@ -38,10 +39,12 @@ def collect_digests(env_id: str) -> tuple[str, str]:
     config = PpoConfig(total_steps=0, episodes_per_update=3, seed=7,
                        init_log_std=float(np.log(0.3)))
     ac = init_actor_critic(env.observation_dim, env.action_dim, config)
-    buf = collect_rollouts(ac, env, config, 2)
+    # collection takes a stack of runs, here of one
+    buf = collect_rollouts(ActorCritic(ac.actor_arch, ac.critic_arch,
+                                       [ac.params]), env, [config], [2])
     return (digest(buf.states, buf.actions, buf.log_probs, buf.advantages,
-                   buf.returns, [buf.success_rate, buf.steps]),
-            digest([buf.mean_return]))
+                   buf.returns, [buf.success_rate[0], buf.steps]),
+            digest(buf.mean_return))
 
 
 def es_digest(env_id: str, action_std: float) -> str:
