@@ -883,33 +883,6 @@ def _count_ppo_updates(monkeypatch):
     return seeds
 
 
-@pytest.mark.parametrize("methods", [
-    ["ppo_only", "ppo_then_tdes", "ppo_then_gaussian_es"],
-    ["ppo_then_tdes", "ppo_only", "ppo_then_gaussian_es"],
-    ["ppo_then_tdes", "ppo_then_gaussian_es", "ppo_only"],
-], ids=["ppo_only_first", "ppo_only_middle", "ppo_only_last"])
-def test_sweep_trains_ppo_once_per_seed(tmp_path, monkeypatch, methods):
-    # unless ppo_only runs first, a two-stage cell plants ppo_only's PPO
-    # checkpoint at the fork, Adam moments included
-    adam = {"episodes_per_update": 2, "hidden_dims": [8], "optimizer": "adam"}
-    plan = tiny_plan(methods=methods, ppo=adam)
-    alone = {}
-    for method in plan.methods:
-        for seed in plan.seeds:
-            out = str(tmp_path / f"{method}-{seed}")
-            rec = run_method(tiny_plan(methods=[method], ppo=adam), method,
-                             seed, out)
-            alone[(method, seed)] = _cell_bits(out, rec)
-
-    updates = _count_ppo_updates(monkeypatch)
-    records = sweep(plan, str(tmp_path / "sweep"))["records"]
-    ppo_only = {r["seed"]: len(r["ppo_curve"]) for r in records
-                if r["method"] == "ppo_only"}
-    assert ppo_only == {0: 5, 1: 5}
-    assert {s: updates.count(s) for s in plan.seeds} == ppo_only
-    assert _sweep_bits(str(tmp_path / "sweep"), records) == alone
-
-
 _ADAM = {"episodes_per_update": 2, "hidden_dims": [8], "optimizer": "adam"}
 
 
@@ -924,6 +897,25 @@ def _alone_bits(plan, tmp_path):
             bits[(method, seed)] = _cell_bits(
                 out, run_method(own, method, seed, out))
     return bits
+
+
+@pytest.mark.parametrize("methods", [
+    ["ppo_only", "ppo_then_tdes", "ppo_then_gaussian_es"],
+    ["ppo_then_tdes", "ppo_only", "ppo_then_gaussian_es"],
+    ["ppo_then_tdes", "ppo_then_gaussian_es", "ppo_only"],
+], ids=["ppo_only_first", "ppo_only_middle", "ppo_only_last"])
+def test_sweep_trains_ppo_once_per_seed(tmp_path, monkeypatch, methods):
+    # unless ppo_only runs first, a two-stage cell plants ppo_only's PPO
+    # checkpoint at the fork, Adam moments included
+    plan = tiny_plan(methods=methods, ppo=_ADAM)
+    alone = _alone_bits(plan, tmp_path)
+    updates = _count_ppo_updates(monkeypatch)
+    records = sweep(plan, str(tmp_path / "sweep"))["records"]
+    ppo_only = {r["seed"]: len(r["ppo_curve"]) for r in records
+                if r["method"] == "ppo_only"}
+    assert ppo_only == {0: 5, 1: 5}
+    assert {s: updates.count(s) for s in plan.seeds} == ppo_only
+    assert _sweep_bits(str(tmp_path / "sweep"), records) == alone
 
 
 def _nan_in_episode(monkeypatch, seed, update):
