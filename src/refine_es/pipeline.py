@@ -78,7 +78,7 @@ from . import engine, ppo, stats
 from .checkpoint import (FORMAT_VERSION, load_checkpoint, load_json,
                          save_checkpoint, save_json_atomic, save_text_atomic)
 from .envs import make_env
-from .errors import CheckpointError
+from .errors import CheckpointError, RolloutError
 # plan_from_dict is imported for the benchmark, which loads it from here
 from .plan import ExperimentPlan, es_config, plan_from_dict, ppo_config
 from .policy import MlpArchitecture
@@ -498,9 +498,11 @@ def _run_group(args) -> list[dict]:
     plan, seeds, out_dir = args
     try:
         _train_first_cells(plan, seeds, out_dir)
-    except Exception:
-        # each cell resumes from its own last checkpoint, so a failure
-        # recurs in its own cell only, with its own message
+    except (RolloutError, OSError, MemoryError):
+        # a non-finite value, a checkpoint write or a group's larger memory:
+        # each cell resumes from its own last checkpoint, so such a failure
+        # recurs in its own cell only, with its own message; any other
+        # exception is a defect and propagates
         pass
     return [_run_cell(plan, method, seed, out_dir)
             for seed in seeds for method in plan.methods]

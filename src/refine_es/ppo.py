@@ -7,17 +7,19 @@ trainable parameters live in one float64 vector laid out actor | log_std |
 critic, and a checkpoint stores that vector. The gradient of the clipped
 surrogate + value loss + entropy bonus is derived by hand in reverse mode
 (tests check it against finite differences) and written into one vector of
-that layout; the optimizer takes one SGD step, or updates one Adam state in
-place, over it.
+that layout; `optimizer_step` takes one SGD step, or one Adam step that
+updates its state in place, over it.
 
 `train_anchors` trains several independent runs of one config (their seeds
-may differ) in lockstep: the runs still updating are stacked on a leading
-axis, and each numpy call of collection, the minibatch step and the
-optimizer serves all of them. Each stacked product repeats the shape that
-a run alone computes, so numpy computes it as one product per run, and
-each run's bits equal its solo run's. After the shared rollout, collection
-makes one forward per network and run, one product per episode; GAE runs
-over a run's episodes at once. `train_anchor` is the one-run case.
+may differ) in lockstep. It holds each run as the state that the run hands
+out; before each update the runs still updating are stacked from their
+states on a leading axis, and each numpy call of collection, the minibatch
+step and the optimizer step serves all of them. Each stacked product
+repeats the shape that a run alone computes, so numpy computes it as one
+product per run, and each run's bits equal its solo run's. After the shared
+rollout, collection makes one forward per network and run, one product per
+episode; GAE runs over a run's episodes at once. `train_anchor` is the
+one-run case.
 
 All randomness (env seeds, action noise, minibatch shuffles) comes from
 counter-based streams keyed on (seed, purpose, update_index, ...), so
@@ -220,40 +222,31 @@ def loss_and_grads(ac: ActorCritic, states, actions, log_probs_old, advantages,
     return loss, parts, grad
 
 
-class PpoOptimizer:
-    """SGD by default; optional Adam, with the constants `ADAM_BETA1`,
-    `ADAM_BETA2` and `ADAM_EPS`. A step updates the whole stack `ac.params`,
-    one vector per run, at once. `state` is Adam's state over the stack,
-    row i run i's as a checkpoint stores it: `adam_m` and `adam_v`, which a
-    step updates in place, and `adam_t`, each run's step count; it is empty
-    for SGD. Runs resumed at different updates hold different counts. The
-    counts are Python ints (an object array), and each run's bias
-    corrections are the Python floats `1 - beta ** t` of a run alone:
-    numpy's power may round them differently."""
-
-    def __init__(self, ac: ActorCritic, config: PpoConfig):
-        self.config = config
-        self.state = {"adam_m": np.zeros_like(ac.params),
-                      "adam_v": np.zeros_like(ac.params),
-                      "adam_t": np.zeros(len(ac.params), dtype=object)} \
-            if config.optimizer == "adam" else {}
-
-    def apply(self, ac: ActorCritic, grad: np.ndarray):
-        c, s = self.config, self.state
-        if not s:
-            ac.params -= c.learning_rate * grad
-            return
-        b1, b2 = ADAM_BETA1, ADAM_BETA2
-        s["adam_t"] += 1
-        m, v = s["adam_m"], s["adam_v"]
-        m *= b1
-        m += (1 - b1) * grad
-        v *= b2
-        v += (1 - b2) * np.square(grad)
-        bias = np.array([[1 - b1 ** t, 1 - b2 ** t] for t in s["adam_t"]])
-        mhat = m / bias[:, :1]
-        vhat = v / bias[:, 1:]
-        ac.params -= c.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
+def optimizer_step(params: np.ndarray, grad: np.ndarray, adam: dict,
+                   learning_rate: float) -> None:
+    """One step over the stack `params`, one vector per run, in place: SGD
+    if `adam` is empty, else Adam with the constants `ADAM_BETA1`,
+    `ADAM_BETA2` and `ADAM_EPS`. `adam` is Adam's state over the stack,
+    row i run i's as a checkpoint stores it: `adam_m` and `adam_v`, which
+    the step updates in place, and `adam_t`, each run's step count. Runs
+    resumed at different updates hold different counts. The counts are
+    Python ints (an object array), and each run's bias corrections are the
+    Python floats `1 - beta ** t` of a run alone: numpy's power may round
+    them differently."""
+    if not adam:
+        params -= learning_rate * grad
+        return
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    adam["adam_t"] += 1
+    m, v = adam["adam_m"], adam["adam_v"]
+    m *= b1
+    m += (1 - b1) * grad
+    v *= b2
+    v += (1 - b2) * np.square(grad)
+    bias = np.array([[1 - b1 ** t, 1 - b2 ** t] for t in adam["adam_t"]])
+    mhat = m / bias[:, :1]
+    vhat = v / bias[:, 1:]
+    params -= learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def normalize_advantages(adv: np.ndarray) -> np.ndarray:
@@ -324,13 +317,14 @@ def _run_parts(parts: dict, i: int) -> dict:
 
 
 def ppo_update(ac: ActorCritic, buffer: RolloutBuffer,
-               configs: list[PpoConfig], optimizer: PpoOptimizer,
+               configs: list[PpoConfig], adam: dict,
                updates: list[int]) -> list[dict]:
     """Minibatch epochs of clipped-surrogate steps for the stack `ac`, run i
     on its own rows of `buffer`, its advantages normalized on their own and
     its minibatches shuffled by its own streams (configs[i].seed,
-    updates[i]); mutates ac in place. Returns each run's loss parts of its
-    last minibatch."""
+    updates[i]); each step is an `optimizer_step` with the stacked Adam
+    state `adam` (empty for SGD). Mutates ac and adam in place. Returns
+    each run's loss parts of its last minibatch."""
     config = configs[0]
     adv = normalize_advantages(buffer.advantages)
     n = buffer.states.shape[1]
@@ -352,7 +346,7 @@ def ppo_update(ac: ActorCritic, buffer: RolloutBuffer,
                 i = int(np.flatnonzero(~np.isfinite(loss))[0])
                 raise RolloutError(f"non-finite PPO loss at update "
                                    f"{updates[i]}: {_run_parts(parts, i)}")
-            optimizer.apply(ac, grad)
+            optimizer_step(ac.params, grad, adam, config.learning_rate)
     return [_run_parts(parts, i) for i in range(len(configs))]
 
 
@@ -369,60 +363,62 @@ def train_anchors(env, runs: list[tuple]) -> list[AnchorResult]:
     the configs may differ in their seed only. Each run starts from its own
     state, asks its own stop rule, hands its own callback its states and
     returns its result, all bit for bit as it would alone; runs may start
-    and stop at different updates. Before each collection the runs still
-    updating are copied out of the stack of all runs as a stack of their
-    own, make one update together and are written back. A callback that
-    raises stops every run after its last handed-out update."""
+    and stop at different updates. Each run is held as the state that it
+    hands out. Before each collection the params and Adam state of the runs
+    still updating are stacked, make one update together, and each run's
+    state gets its row back. A callback that raises stops every run after
+    its last handed-out update."""
     if not runs:
         return []
     config = runs[0][0]
     if any(replace(c, seed=config.seed) != config for c, *_ in runs):
         raise ContractError("runs in lockstep may differ in their seed only")
     dims = (env.observation_dim, env.action_dim)
-    ac = ActorCritic(*architectures(*dims, config), [
-        init_actor_critic(*dims, c).params if state is None
-        else state["params"] for c, state, *_ in runs])
-    adam = PpoOptimizer(ac, config).state
-    u, steps, curves = [0] * len(runs), [0] * len(runs), [[] for _ in runs]
-    for i, (_, state, *_) in enumerate(runs):
-        if state is not None:
-            for key, value in adam.items():
-                value[i] = state[key]
-            u[i], steps[i] = state["update_index"] + 1, state["steps_used"]
-            curves[i] = list(state["curve"])
+    archs = architectures(*dims, config)
+    adam_keys = ("adam_m", "adam_v", "adam_t") \
+        if config.optimizer == "adam" else ()
+
+    def start(c, state):
+        if state is None:
+            params = init_actor_critic(*dims, c).params
+            state = {"update_index": -1, "params": params,
+                     "adam_m": np.zeros_like(params),
+                     "adam_v": np.zeros_like(params), "adam_t": 0,
+                     "steps_used": 0, "curve": []}
+        return {**{k: state[k] for k in ("update_index", "params", *adam_keys,
+                                         "steps_used")},
+                "curve": list(state["curve"])}
+    states = [start(c, state) for c, state, *_ in runs]
     update_cost = config.episodes_per_update * env.horizon
 
     def goes_on(i):
-        stop = runs[i][3]
-        return steps[i] + update_cost <= config.total_steps and \
-            not (stop is not None and stop(curves[i]))
+        s, stop = states[i], runs[i][3]
+        return s["steps_used"] + update_cost <= config.total_steps and \
+            not (stop is not None and stop(s["curve"]))
 
     running = range(len(runs))
     while running := [i for i in running if goes_on(i)]:
+        group = [states[i] for i in running]
         configs = [runs[i][0] for i in running]
-        updates = [u[i] for i in running]
-        group = ActorCritic(ac.actor_arch, ac.critic_arch, ac.params[running])
-        optimizer = PpoOptimizer(group, config)
-        optimizer.state = {k: v[running] for k, v in adam.items()}
-        buffer = collect_rollouts(group, env, configs, updates)
-        parts = ppo_update(group, buffer, configs, optimizer, updates)
-        ac.params[running] = group.params
-        for k, v in optimizer.state.items():
-            adam[k][running] = v
-        for j, i in enumerate(running):
-            steps[i] += buffer.steps
-            curves[i].append({"update": u[i],
-                              "mean_return": buffer.mean_return[j],
-                              "success_rate": buffer.success_rate[j],
-                              "steps_used": steps[i], **parts[j]})
+        updates = [s["update_index"] + 1 for s in group]
+        ac = ActorCritic(*archs, [s["params"] for s in group])
+        adam = {k: np.array([s[k] for s in group],
+                            dtype=object if k == "adam_t" else float)
+                for k in adam_keys}
+        buffer = collect_rollouts(ac, env, configs, updates)
+        parts = ppo_update(ac, buffer, configs, adam, updates)
+        for j, (i, s) in enumerate(zip(running, group)):
+            s.update(update_index=updates[j], params=ac.params[j],
+                     **{k: v[j] for k, v in adam.items()},
+                     steps_used=s["steps_used"] + buffer.steps)
+            s["curve"].append({"update": updates[j],
+                               "mean_return": buffer.mean_return[j],
+                               "success_rate": buffer.success_rate[j],
+                               "steps_used": s["steps_used"], **parts[j]})
             if runs[i][2] is not None:
-                runs[i][2]({"update_index": u[i], "params": ac.params[i],
-                            **{k: v[i] for k, v in adam.items()},
-                            "steps_used": steps[i], "curve": curves[i]})
-            u[i] += 1
-    return [AnchorResult(ActorCritic(ac.actor_arch, ac.critic_arch,
-                                     ac.params[i]), curves[i], steps[i])
-            for i in range(len(runs))]
+                runs[i][2](s)
+    return [AnchorResult(ActorCritic(*archs, s["params"]), s["curve"],
+                         s["steps_used"]) for s in states]
 
 
 def train_anchor(env, config: PpoConfig, state: dict | None = None,
@@ -434,11 +430,12 @@ def train_anchor(env, config: PpoConfig, state: dict | None = None,
     uninterrupted run stopped.
 
     After each update, `checkpoint_cb(state)` gets the run's state, what a
-    checkpoint stores: `update_index`, `params` (the actor-critic's vector),
-    for Adam `adam_m`, `adam_v` and `adam_t` (`PpoOptimizer.state`),
-    `steps_used` and `curve`. It is live: its arrays and its curve change
-    with the next update, so copy what must outlast the call. Given such a
-    state (other keys are ignored), the run continues after its update
+    checkpoint stores, in this key order: `update_index`, `params` (the
+    actor-critic's vector), for Adam `adam_m`, `adam_v` and `adam_t` (its
+    step count, a Python int), `steps_used` and `curve`. It is the dict
+    that holds the run, live: its values and its curve change with the
+    next update, so copy what must outlast the call. Given such a state
+    (other keys are ignored), the run continues after its update
     bit-exactly; the actor-critic's architectures follow from `config`, and
     no initial parameters are drawn."""
     return train_anchors(env, [(config, state, checkpoint_cb,

@@ -859,9 +859,9 @@ def _note_ppo_updates(monkeypatch):
     original = ppo.ppo_update
     calls = []
 
-    def update(ac, buffer, configs, optimizer, updates):
+    def update(ac, buffer, configs, adam, updates):
         calls.append(tuple(c.seed for c in configs))
-        return original(ac, buffer, configs, optimizer, updates)
+        return original(ac, buffer, configs, adam, updates)
 
     monkeypatch.setattr(ppo, "ppo_update", update)
     return calls
@@ -875,9 +875,9 @@ def _count_ppo_updates(monkeypatch):
     original = ppo.ppo_update
     seeds = []
 
-    def update(ac, buffer, configs, optimizer, updates):
+    def update(ac, buffer, configs, adam, updates):
         seeds.extend(c.seed for c in configs)
-        return original(ac, buffer, configs, optimizer, updates)
+        return original(ac, buffer, configs, adam, updates)
 
     monkeypatch.setattr(ppo, "ppo_update", update)
     return seeds
@@ -962,6 +962,23 @@ def test_group_failure_stays_in_the_seed_that_hit_it(tmp_path, monkeypatch):
     assert _sweep_bits(out, ok) == {
         k: v for k, v in _sweep_bits(str(tmp_path / "clean"), clean).items()
         if k != ("ppo_only", 1)}
+
+
+def test_group_phase_lets_a_defect_propagate(tmp_path, monkeypatch):
+    # only failures that a cell meets again alone are left to the cells; a
+    # defect of the group phase must not turn every cell into a solo run
+    import refine_es.ppo as ppo
+
+    original = ppo.train_anchors
+
+    def planted(env, runs):
+        if len(runs) > 1:
+            raise IndexError("planted")
+        return original(env, runs)
+
+    monkeypatch.setattr(ppo, "train_anchors", planted)
+    with pytest.raises(IndexError, match="planted"):
+        sweep(tiny_plan(seeds=[0, 1]), str(tmp_path))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])

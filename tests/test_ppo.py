@@ -11,11 +11,12 @@ from refine_es.checkpoint import load_checkpoint, save_checkpoint
 from refine_es.envs import PointReach, env_ids, make_env
 from refine_es.errors import ContractError, RolloutError
 from refine_es.policy import param_count
-from refine_es.ppo import (ActorCritic, PpoConfig, PpoOptimizer,
-                           architectures, collect_rollouts, gae_advantages,
-                           gaussian_log_prob, init_actor_critic, loss_and_grads,
-                           normalize_advantages, policy_entropy, ppo_update,
-                           train_anchor, train_anchors)
+from refine_es.ppo import (ActorCritic, PpoConfig, architectures,
+                           collect_rollouts, gae_advantages, gaussian_log_prob,
+                           init_actor_critic, loss_and_grads,
+                           normalize_advantages, optimizer_step,
+                           policy_entropy, ppo_update, train_anchor,
+                           train_anchors)
 from refine_es.rng import make_stream
 
 
@@ -28,6 +29,12 @@ def _stack(*acs):
     actor-critic."""
     return ActorCritic(acs[0].actor_arch, acs[0].critic_arch,
                        [ac.params for ac in acs])
+
+
+def _fresh_adam(params):
+    """The stacked Adam state of fresh runs, one row per row of `params`."""
+    return {"adam_m": np.zeros_like(params), "adam_v": np.zeros_like(params),
+            "adam_t": np.zeros(len(params), dtype=object)}
 
 
 def tiny_config(**kw):
@@ -238,30 +245,42 @@ def test_clip_engagement_zeroes_policy_gradient():
 
 def test_sgd_step_exact():
     config = tiny_config()
-    ac = init_actor_critic(2, 1, config)
+    ac = _stack(init_actor_critic(2, 1, config))
     before = ac.actor_params.copy()
-    opt = PpoOptimizer(ac, config)
     g = np.zeros_like(ac.params)
     ac.split(g)[0][:] = 1.0
-    opt.apply(ac, g)
+    optimizer_step(ac.params, g, {}, config.learning_rate)
     assert np.allclose(ac.actor_params, before - config.learning_rate, atol=0)
 
 
 def test_adam_state_roundtrip():
+    # a stack of two runs whose step counts differ: each row steps bit for
+    # bit as a one-run step from a copy of that row's state
     config = tiny_config(optimizer="adam")
-    ac = _stack(init_actor_critic(2, 1, config))
-    opt = PpoOptimizer(ac, config)
-    g = make_stream(5, 0).standard_normal(ac.params.shape)
-    opt.apply(ac, g)
-    twin = PpoOptimizer(_copy(ac), config)
-    twin.state = copy.deepcopy(opt.state)
-    a, b = _copy(ac), _copy(ac)
-    opt.apply(a, g)
-    twin.apply(b, g)
-    assert np.array_equal(a.actor_params, b.actor_params)
-    assert np.array_equal(a.log_std, b.log_std)
-    assert np.array_equal(a.critic_params, b.critic_params)
-    assert not np.array_equal(a.log_std, ac.log_std)
+    lr = config.learning_rate
+    params = _stack(init_actor_critic(2, 1, config), init_actor_critic(
+        2, 1, replace(config, seed=1))).params
+    adam = _fresh_adam(params)
+    g = make_stream(5, 0).standard_normal(params.shape)
+    optimizer_step(params, g, adam, lr)
+    # run 0 steps once more alone, through views of its row
+    optimizer_step(params[:1], g[:1], {k: v[:1] for k, v in adam.items()}, lr)
+    assert list(adam["adam_t"]) == [2, 1]
+    alone = [(params[i:i + 1].copy(),
+              {k: v[i:i + 1].copy() for k, v in adam.items()})
+             for i in range(2)]
+    before = params.copy()
+    g = make_stream(5, 1).standard_normal(params.shape)
+    optimizer_step(params, g, adam, lr)
+    assert list(adam["adam_t"]) == [3, 2]
+    assert all(type(t) is int for t in adam["adam_t"])
+    for i, (row, state) in enumerate(alone):
+        optimizer_step(row, g[i:i + 1], state, lr)
+        assert row.tobytes() == params[i].tobytes()
+        for k in ("adam_m", "adam_v"):
+            assert state[k].tobytes() == adam[k][i].tobytes()
+        assert state["adam_t"][0] == adam["adam_t"][i]
+    assert np.all(params != before)
 
 
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
@@ -271,7 +290,8 @@ def test_apply_updates_all_three_views(optimizer):
     views = (ac.actor_params, ac.log_std, ac.critic_params)
     before = [v.copy() for v in views]
     grad = make_stream(6, 0).standard_normal(ac.params.shape)
-    PpoOptimizer(ac, config).apply(ac, grad)
+    adam = _fresh_adam(ac.params) if optimizer == "adam" else {}
+    optimizer_step(ac.params, grad, adam, config.learning_rate)
     for view, old, now in zip(views, before, ac.split(ac.params)):
         assert np.array_equal(view, now)
         assert np.all(view != old)
@@ -447,7 +467,13 @@ def test_train_anchor_resumes_from_a_loaded_checkpoint(tmp_path):
                            "master_seed": 0})
     loaded = load_checkpoint(path)
     assert loaded["update_index"] == 1 and loaded["format_version"] == 3
-    assert _bits(*_run_from(env, config, loaded)) == _bits(full, states[-1])
+    handed = []
+    res = train_anchor(env, config, loaded, checkpoint_cb=lambda s:
+                       handed.append(copy.deepcopy(s)))
+    assert _bits(res, handed[-1]) == _bits(full, states[-1])
+    # each state handed out holds the run's keys only, in a fresh run's order
+    assert len(handed) == 3
+    assert all(list(s) == list(states[0]) for s in handed)
 
 
 def _same_states(a, b):
@@ -519,7 +545,7 @@ def test_ppo_update_rejects_nonfinite():
     buf = collect_rollouts(ac, make_env("point-reach"), [config], [0])
     buf.returns[:] = np.nan
     with pytest.raises(RolloutError, match="non-finite PPO loss at update 3"):
-        ppo_update(ac, buf, [config], PpoOptimizer(ac, config), [3])
+        ppo_update(ac, buf, [config], {}, [3])
 
 
 def test_collect_rollouts_rejects_nonfinite():
