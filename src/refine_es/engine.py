@@ -76,15 +76,6 @@ class EsConfig:
         return self.__dict__.copy()
 
 
-@dataclass
-class EsRunResult:
-    params: np.ndarray
-    records: list[dict]
-    steps_used: int
-    final_mean_return: float
-    final_success_rate: float
-
-
 def sigma_at(config: EsConfig, generation: int) -> float:
     """Closed-form schedule: max(sigma_es * lambda^t, sigma_min). Computed
     from the generation index (not carried state) so resume is exact."""
@@ -158,7 +149,8 @@ def evaluate_center(params: np.ndarray, arch: MlpArchitecture, env,
 
 def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env,
              config: EsConfig, *, final_eval: tuple[int, int],
-             records=(), checkpoint_cb=None) -> EsRunResult:
+             records=(), checkpoint_cb=None
+             ) -> tuple[dict, tuple[float, float]]:
     """Run the generation loop from `anchor` to completion, then the final
     evaluation `final_eval` = (episodes, master_seed) of the final
     parameters, seeded as `evaluate_center` seeds it.
@@ -171,20 +163,27 @@ def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env,
     seconds from the start of the generation to its update) is appended
     once its center return is known, after the next batch, and then
     `checkpoint_cb(state)` gets the run's state, what a checkpoint stores:
-    {"generation_index", "params", "steps_used", "records"}. It is live:
-    its records list grows with the next generation. A run resumes
+    {"generation_index", "params", "steps_used", "records"}. It is the dict
+    that holds the run, live: its values and its records change with the
+    next generation, so copy what must outlast the call. A run resumes
     bit-exactly from such a state's params as `anchor` and its records; the
     first generation and the steps used follow from the last record.
+
+    Returns (state, (mean_return, success_rate)): the state that the
+    callback got last, and the final evaluation. A run with no generation
+    to make returns its start state: the last record's generation and steps
+    used (-1 and 0 without records), a copy of `anchor` and of `records`.
     """
     if anchor.shape != (param_count(arch),):
         raise ContractError("anchor does not match the architecture")
     if final_eval[0] < 1:
         raise ContractError("episodes must be >= 1")
 
-    theta = np.array(anchor, dtype=float, copy=True)
     records = list(records)
     last = records[-1] if records else {"generation": -1, "steps_used": 0}
-    steps_used = last["steps_used"]
+    state = {"generation_index": last["generation"],
+             "params": np.array(anchor, dtype=float, copy=True),
+             "steps_used": last["steps_used"], "records": records}
     gen_cost = config.generation_steps(env.horizon)
     pending = None  # the last generation's record, without its center return
 
@@ -194,37 +193,34 @@ def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env,
              config.center_eval_episodes, stream_seed(
                  config.seed, TAG_CENTER_EVAL, pending["generation"]))]
 
-    def close(results):  # theta is still what pending's update gave
+    def close(results):  # the state is still what pending's update gave
         if pending is not None:
             pending["center_return"] = results[0][0]
             records.append(pending)
             if checkpoint_cb is not None:
-                checkpoint_cb({"generation_index": pending["generation"],
-                               "params": theta,
-                               "steps_used": pending["steps_used"],
-                               "records": records})
+                checkpoint_cb(state)
 
     for t in range(last["generation"] + 1, config.generations):
         t0 = time.perf_counter()
-        sigma = sigma_at(config, t)
+        theta, sigma = state["params"], sigma_at(config, t)
         eps = make_batch(config.distribution, config.standardize_noise,
                          config.m, theta.shape[0], t, config.seed)
         plus, minus = antithetic_candidates(theta, eps, sigma)
         (j_plus, j_minus), centers = _lockstep_batch(
             theta, arch, env, center_eval(), (config, t, plus, minus))
         close(centers)
-        steps_used += gen_cost
         g = tdes_gradient(eps, *centered_ranks(j_plus, j_minus), sigma)
-        theta = theta + config.alpha * g
+        state.update(generation_index=t, params=theta + config.alpha * g,
+                     steps_used=state["steps_used"] + gen_cost)
         all_returns = np.concatenate([j_plus, j_minus])
         pending = {"generation": t, "center_return": None,
                    "mean_return": float(all_returns.mean()),
                    "best_return": float(all_returns.max()),
                    "sigma_es": sigma, "g_norm": float(np.linalg.norm(g)),
-                   "steps_used": steps_used,
+                   "steps_used": state["steps_used"],
                    "wall_time": time.perf_counter() - t0}
 
-    _, results = _lockstep_batch(theta, arch, env, center_eval() + [
+    _, results = _lockstep_batch(state["params"], arch, env, center_eval() + [
         ("final evaluation", *final_eval)])
     close(results)
-    return EsRunResult(theta, records, steps_used, *results[-1])
+    return state, results[-1]

@@ -57,6 +57,8 @@ A finished cell keeps its results (`checkpoints/final.json`, log.csv,
 record.json), each written once, atomically and durable before record.json,
 not its resume state: once record.json is durable, the checkpoint is
 deleted. A cell that raises keeps it, so `resume` continues the cell.
+A stage returns its last state, so `run_method` carries one state from PPO
+through ES into the cell's results.
 
 A sweep runs numpy's OpenBLAS on one thread, in its own process and in
 every pool worker, so that no BLAS thread spins waiting for a CPU that a
@@ -164,12 +166,17 @@ class _Cell:
         save_checkpoint(self.checkpoint,
                         {"stage": "ppo", **ppo_state, **self.fields})
 
-    def after_ppo(self, ac, steps: int, curve: list) -> dict:
-        """The state of this cell once its PPO run ended with `ac`: the ES
-        stage before its first generation (a two-stage cell's ES config
-        included), with the PPO stage it refines. Older versions saved it
-        as an ES checkpoint of generation -1, which resumes like any other."""
-        params = ac.actor_params
+    def after_ppo(self, ppo_state: dict) -> dict:
+        """The state of this cell once its PPO run ended in `ppo_state`, what
+        `ppo.train_anchor` returns: the ES stage before its first generation
+        (a two-stage cell's ES config included), from the actor's part of
+        the PPO vector, with the PPO stage it refines. Older versions saved
+        it as an ES checkpoint of generation -1, which resumes like any
+        other."""
+        ac = ppo.ActorCritic(*ppo.architectures(
+            self.env.observation_dim, self.env.action_dim, self.ppo_config),
+            ppo_state["params"])
+        params, steps = ac.actor_params, ppo_state["steps_used"]
         es = {"es_config": self.es_config(
             self.plan.total_step_budget - steps).to_dict()} \
             if self.two_stage else {}
@@ -177,7 +184,7 @@ class _Cell:
                 "steps_used": 0, "records": [], **es, **self.fields,
                 "architecture": ac.actor_arch.to_dict(),
                 "anchor_params": params, "anchor_sha256": _params_sha256(params),
-                "ppo_steps": steps, "ppo_curve": curve}
+                "ppo_steps": steps, "ppo_curve": ppo_state["curve"]}
 
 
 def _log_csv(es_records: list[dict]) -> str:
@@ -315,7 +322,7 @@ def _record(plan: ExperimentPlan, method: str, seed: int, **values) -> dict:
 # the types that a stored record's value may have, by the type of the blank
 # record's value (`_record`); a bool is no number
 _RECORD_KINDS = {type(None): ((str, type(None)), "a string or null"),
-                 bool: ((bool,), "a bool"), int: ((int, float), "a number"),
+                 bool: ((bool,), "a bool"), int: ((int,), "an int"),
                  float: ((int, float), "a number"), str: ((str,), "a string"),
                  list: ((list,), "a list")}
 # the keys of a PPO curve entry and of an ES record, as the stages write
@@ -399,10 +406,12 @@ def _budget_shortfall(cell: _Cell, record: dict) -> str | None:
 def run_method(plan: ExperimentPlan, method: str, seed: int,
                out_dir: str) -> dict:
     """Execute (or resume) one sweep cell, write its artifacts and return
-    its record: one PPO run, then, for a two-stage method, one ES run. If
-    the PPO run reaches the fork, it starts this seed's other cells there
-    (`_fork`). A stored record is returned as `load_record` reads it, and
-    only then is the cell's checkpoint dropped."""
+    its record: one PPO run, then, for a two-stage method, one ES run,
+    whose state merges into the cell's state (`_Cell.after_ppo`); the
+    artifacts come from that one state. If the PPO run reaches the fork, it
+    starts this seed's other cells there (`_fork`). A stored record is
+    returned as `load_record` reads it, and only then is the cell's
+    checkpoint dropped."""
     cell = _Cell(plan, method, seed, out_dir)
     ckpt_dir = os.path.dirname(cell.checkpoint)
     os.makedirs(ckpt_dir, exist_ok=True)
@@ -413,45 +422,40 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
 
     state = _load_state(cell)
     if state is None or state["stage"] == "ppo":
-        res = ppo.train_anchor(cell.env, cell.ppo_config, state,
-                               checkpoint_cb=cell.save_ppo,
-                               stop_condition=cell.stop)
-        state = cell.after_ppo(res.actor_critic, res.steps_used, res.curve)
+        state = cell.after_ppo(ppo.train_anchor(
+            cell.env, cell.ppo_config, state, checkpoint_cb=cell.save_ppo,
+            stop_condition=cell.stop))
 
     arch = MlpArchitecture.from_dict(state["architecture"])
-    final_params = state["anchor_params"]
     final_eval = (plan.eval_episodes, stream_seed(seed, TAG_FINAL_EVAL))
-    es_records: list[dict] = []
-    es_steps = 0
     if cell.two_stage:
         es_cfg = cell.es_config(plan.total_step_budget - state["ppo_steps"])
         _check_fields(cell.checkpoint, "es_config", state["es_config"],
                       es_cfg.to_dict())
-        result = engine.tdes_run(
+        es_state, (mean_ret, success) = engine.tdes_run(
             state["params"], arch, cell.env, es_cfg, final_eval=final_eval,
-            records=state["records"], checkpoint_cb=lambda es_state:
-            save_checkpoint(cell.checkpoint, {**state, **es_state}))
-        final_params = result.params
-        es_records = result.records
-        es_steps = result.steps_used
-        mean_ret, success = result.final_mean_return, result.final_success_rate
+            records=state["records"], checkpoint_cb=lambda es:
+            save_checkpoint(cell.checkpoint, {**state, **es}))
+        state = {**state, **es_state}
     else:
-        mean_ret, success = engine.evaluate_center(final_params, arch,
+        mean_ret, success = engine.evaluate_center(state["params"], arch,
                                                    cell.env, *final_eval)
     record = _record(plan, method, seed, final_success_rate=success,
                      final_mean_return=mean_ret,
-                     steps_consumed=state["ppo_steps"] + es_steps,
-                     ppo_steps=state["ppo_steps"], es_steps=es_steps,
+                     steps_consumed=state["ppo_steps"] + state["steps_used"],
+                     ppo_steps=state["ppo_steps"],
+                     es_steps=state["steps_used"],
                      anchor_sha256=state["anchor_sha256"],
-                     ppo_curve=state["ppo_curve"], es_records=es_records)
+                     ppo_curve=state["ppo_curve"], es_records=state["records"])
     shortfall = _budget_shortfall(cell, record)
     if shortfall is not None:  # on disk too, for `report` and `resume`
         record["failed"], record["failure"] = True, shortfall
     save_json_atomic(os.path.join(ckpt_dir, "final.json"), {
         "format_version": _FINAL_FORMAT_VERSION, "stage": "final",
-        "architecture": arch.to_dict(), "params": final_params.tolist(),
+        "architecture": arch.to_dict(), "params": state["params"].tolist(),
         "master_seed": seed})
-    save_text_atomic(os.path.join(cell.dir, "log.csv"), _log_csv(es_records))
+    save_text_atomic(os.path.join(cell.dir, "log.csv"),
+                     _log_csv(state["records"]))
     save_json_atomic(cell.record, record)
     _drop_resume_state(cell.dir)
     return record

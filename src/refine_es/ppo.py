@@ -19,7 +19,8 @@ repeats the shape that a run alone computes, so numpy computes it as one
 product per run, and each run's bits equal its solo run's. After the shared
 rollout, collection makes one forward per network and run, one product per
 episode; GAE runs over a run's episodes at once. `train_anchor` is the
-one-run case.
+one-run case. Both return each run's last state, the one it handed out
+last.
 
 All randomness (env seeds, action noise, minibatch shuffles) comes from
 counter-based streams keyed on (seed, purpose, update_index, ...), so
@@ -29,7 +30,7 @@ every update, which is what a per-update checkpoint stores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -350,24 +351,17 @@ def ppo_update(ac: ActorCritic, buffer: RolloutBuffer,
     return [_run_parts(parts, i) for i in range(len(configs))]
 
 
-@dataclass
-class AnchorResult:
-    actor_critic: ActorCritic
-    curve: list[dict] = field(default_factory=list)
-    steps_used: int = 0
-
-
-def train_anchors(env, runs: list[tuple]) -> list[AnchorResult]:
+def train_anchors(env, runs: list[tuple]) -> list[dict]:
     """`train_anchor` for several runs in lockstep on one env. `runs` holds
     each run's arguments (config, state, checkpoint_cb, stop_condition), and
     the configs may differ in their seed only. Each run starts from its own
     state, asks its own stop rule, hands its own callback its states and
-    returns its result, all bit for bit as it would alone; runs may start
-    and stop at different updates. Each run is held as the state that it
-    hands out. Before each collection the params and Adam state of the runs
-    still updating are stacked, make one update together, and each run's
-    state gets its row back. A callback that raises stops every run after
-    its last handed-out update."""
+    returns its last state, all bit for bit as it would alone; runs may
+    start and stop at different updates. Each run is held as the state that
+    it hands out. Before each collection the params and Adam state of the
+    runs still updating are stacked, make one update together, and each
+    run's state gets its row back. A callback that raises stops every run
+    after its last handed-out update."""
     if not runs:
         return []
     config = runs[0][0]
@@ -417,12 +411,11 @@ def train_anchors(env, runs: list[tuple]) -> list[AnchorResult]:
                                "steps_used": s["steps_used"], **parts[j]})
             if runs[i][2] is not None:
                 runs[i][2](s)
-    return [AnchorResult(ActorCritic(*archs, s["params"]), s["curve"],
-                         s["steps_used"]) for s in states]
+    return states
 
 
 def train_anchor(env, config: PpoConfig, state: dict | None = None,
-                 checkpoint_cb=None, stop_condition=None) -> AnchorResult:
+                 checkpoint_cb=None, stop_condition=None) -> dict:
     """Collect/update cycles until the step budget cannot fund another
     update, or until `stop_condition(curve)` holds: `train_anchors` with
     one run. The stop rule is asked before each collection, so a run
@@ -437,6 +430,8 @@ def train_anchor(env, config: PpoConfig, state: dict | None = None,
     next update, so copy what must outlast the call. Given such a state
     (other keys are ignored), the run continues after its update
     bit-exactly; the actor-critic's architectures follow from `config`, and
-    no initial parameters are drawn."""
+    no initial parameters are drawn. Returns the run's state after its last
+    update, the dict that the callback got last; a run with no update to
+    make returns its start state, with only these keys."""
     return train_anchors(env, [(config, state, checkpoint_cb,
                                 stop_condition)])[0]

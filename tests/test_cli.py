@@ -459,6 +459,12 @@ BAD_RECORDS = {
     "number_as_string": (lambda text: json.dumps(
         {**json.loads(text), "final_success_rate": "high"}),
         "key 'final_success_rate' is 'high', not a number"),
+    "count_as_float": (lambda text: json.dumps(
+        {**json.loads(text), "steps_consumed": 1600.5}),
+        "key 'steps_consumed' is 1600.5, not an int"),
+    "seed_as_float": (lambda text: json.dumps(
+        {**json.loads(text), "seed": 0.0}),
+        "key 'seed' is 0.0, not an int"),
     "flag_as_string": (lambda text: json.dumps(
         {**json.loads(text), "failed": "no"}),
         "key 'failed' is 'no', not a bool"),

@@ -100,11 +100,14 @@ def test_sigma_schedule_closed_form():
 
 def test_zero_generations_is_noop():
     anchor = np.array([0.3, -0.2])
-    res = tdes_run(anchor, ARCH, TargetEnv(), small_config(generations=0),
-                   final_eval=FINAL)
-    assert np.array_equal(res.params, anchor)
-    assert res.steps_used == 0
-    assert res.records == []
+    res, final = tdes_run(anchor, ARCH, TargetEnv(),
+                          small_config(generations=0), final_eval=FINAL)
+    # the run returns its start state, with the keys that it would hand out
+    assert list(res) == ["generation_index", "params", "steps_used", "records"]
+    assert np.array_equal(res["params"], anchor) and res["params"] is not anchor
+    assert (res["generation_index"], res["steps_used"], res["records"]) == \
+        (-1, 0, [])
+    assert final == evaluate_center(anchor, ARCH, TargetEnv(), *FINAL)
 
 
 def test_anchor_shape_contract():
@@ -115,20 +118,21 @@ def test_anchor_shape_contract():
 
 def test_step_accounting_exact():
     c = small_config(generations=7)
-    res = tdes_run(np.zeros(2), ARCH, TargetEnv(), c, final_eval=FINAL)
-    assert res.steps_used == 7 * 2 * c.m * TargetEnv.horizon
-    assert [r["generation"] for r in res.records] == list(range(7))
-    assert res.records[-1]["steps_used"] == res.steps_used
+    res, _ = tdes_run(np.zeros(2), ARCH, TargetEnv(), c, final_eval=FINAL)
+    assert res["steps_used"] == 7 * 2 * c.m * TargetEnv.horizon
+    assert [r["generation"] for r in res["records"]] == list(range(7))
+    assert res["records"][-1]["steps_used"] == res["steps_used"]
 
 
 def test_quadratic_convergence_ten_fold():
     # J(theta) = -((w + b) - 0.5)^2; starting value -0.25
     c = small_config(generations=200, alpha=0.005, lambda_sigma=1.0)
-    res = tdes_run(np.zeros(2), ARCH, TargetEnv(), c, final_eval=FINAL)
-    final_j = -((res.params.sum() - 0.5) ** 2)
+    res, _ = tdes_run(np.zeros(2), ARCH, TargetEnv(), c, final_eval=FINAL)
+    final_j = -((res["params"].sum() - 0.5) ** 2)
     assert abs(final_j) < 0.25 / 10
     # the center-return log should reflect the improvement
-    assert res.records[-1]["center_return"] > res.records[0]["center_return"]
+    records = res["records"]
+    assert records[-1]["center_return"] > records[0]["center_return"]
 
 
 def test_update_locality_matches_g_norm():
@@ -136,22 +140,23 @@ def test_update_locality_matches_g_norm():
     tdes_run(np.zeros(2), ARCH, TargetEnv(), small_config(generations=5),
              checkpoint_cb=lambda state: thetas.append(state["params"].copy()),
              final_eval=FINAL)
-    res = tdes_run(np.zeros(2), ARCH, TargetEnv(), small_config(generations=5),
-                   final_eval=FINAL)
+    res, _ = tdes_run(np.zeros(2), ARCH, TargetEnv(),
+                      small_config(generations=5), final_eval=FINAL)
     prev = np.zeros(2)
-    for theta, rec in zip(thetas, res.records):
+    for theta, rec in zip(thetas, res["records"]):
         assert np.linalg.norm(theta - prev) == pytest.approx(
             small_config().alpha * rec["g_norm"], abs=1e-12)
         prev = theta
 
 
 def test_run_bitwise_reproducible():
-    a = tdes_run(np.zeros(2), ARCH, TargetEnv(), small_config(),
-                 final_eval=FINAL)
-    b = tdes_run(np.zeros(2), ARCH, TargetEnv(), small_config(),
-                 final_eval=FINAL)
-    assert np.array_equal(a.params, b.params)
-    assert _without_wall_time(a.records) == _without_wall_time(b.records)
+    a, _ = tdes_run(np.zeros(2), ARCH, TargetEnv(), small_config(),
+                    final_eval=FINAL)
+    b, _ = tdes_run(np.zeros(2), ARCH, TargetEnv(), small_config(),
+                    final_eval=FINAL)
+    assert np.array_equal(a["params"], b["params"])
+    assert _without_wall_time(a["records"]) == \
+        _without_wall_time(b["records"])
 
 
 def _without_wall_time(records):
@@ -162,30 +167,34 @@ def test_resume_bitwise_equal_to_uninterrupted():
     # resume from every generation's state: a deep copy of what the
     # callback hands out, which is live
     c = small_config(generations=12)
-    full = tdes_run(np.zeros(2), ARCH, TargetEnv(), c, final_eval=FINAL)
-    states = []
-    tdes_run(np.zeros(2), ARCH, TargetEnv(), c, final_eval=FINAL,
-             checkpoint_cb=lambda state: states.append(copy.deepcopy(state)))
+    full, final = tdes_run(np.zeros(2), ARCH, TargetEnv(), c,
+                           final_eval=FINAL)
+    states, live = [], []
+    res, _ = tdes_run(np.zeros(2), ARCH, TargetEnv(), c, final_eval=FINAL,
+                      checkpoint_cb=lambda state: (
+                          states.append(copy.deepcopy(state)),
+                          live.append(state)))
+    # the run returns the dict that it handed out last
+    assert res is live[-1]
     assert [s["generation_index"] for s in states] == list(range(12))
     for state in states:
         assert state["steps_used"] == state["records"][-1]["steps_used"]
-        tail = tdes_run(state["params"], ARCH, TargetEnv(), c,
-                        records=state["records"], final_eval=FINAL)
-        assert np.array_equal(tail.params, full.params)
-        assert tail.steps_used == full.steps_used
-        assert (tail.final_mean_return, tail.final_success_rate) == \
-            (full.final_mean_return, full.final_success_rate)
-        assert _without_wall_time(tail.records) == \
-            _without_wall_time(full.records)
+        tail, tail_final = tdes_run(state["params"], ARCH, TargetEnv(), c,
+                                    records=state["records"], final_eval=FINAL)
+        assert np.array_equal(tail["params"], full["params"])
+        assert tail["steps_used"] == full["steps_used"]
+        assert tail_final == final
+        assert _without_wall_time(tail["records"]) == \
+            _without_wall_time(full["records"])
 
 
 def test_gaussian_twin_differs_from_triangular():
     cfg = small_config(generations=3)
-    tri = tdes_run(np.zeros(2), ARCH, TargetEnv(), cfg, final_eval=FINAL)
-    gau = tdes_run(np.zeros(2), ARCH, TargetEnv(),
-                   replace(cfg, distribution="gaussian"), final_eval=FINAL)
-    assert not np.array_equal(tri.params, gau.params)
-    assert gau.steps_used == tri.steps_used
+    tri, _ = tdes_run(np.zeros(2), ARCH, TargetEnv(), cfg, final_eval=FINAL)
+    gau, _ = tdes_run(np.zeros(2), ARCH, TargetEnv(),
+                      replace(cfg, distribution="gaussian"), final_eval=FINAL)
+    assert not np.array_equal(tri["params"], gau["params"])
+    assert gau["steps_used"] == tri["steps_used"]
 
 
 def test_evaluate_center_success_rates():
@@ -206,8 +215,8 @@ def test_center_eval_streams_disjoint_across_seeds():
     # center-eval stream, because both keyed it on seed ^ (generation + 1)
     def center_return(seed, generation):
         c = small_config(generations=2, seed=seed, center_eval_episodes=4)
-        res = tdes_run(np.zeros(2), ARCH, SeedEnv(), c, final_eval=FINAL)
-        return res.records[generation]["center_return"]
+        res, _ = tdes_run(np.zeros(2), ARCH, SeedEnv(), c, final_eval=FINAL)
+        return res["records"][generation]["center_return"]
 
     assert center_return(0, 0) != center_return(3, 1)
 

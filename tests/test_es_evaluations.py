@@ -49,15 +49,15 @@ def test_evaluations_equal_standalone_runs(env_id, action_std,
                       action_std=action_std,
                       center_eval_episodes=center_eval_episodes,
                       episodes_per_candidate=episodes_per_candidate)
-    res, thetas = _run(env, arch, anchor, config)
-    assert len(thetas) == len(res.records) == 3
-    for t, (theta, record) in enumerate(zip(thetas, res.records)):
+    (res, final), thetas = _run(env, arch, anchor, config)
+    assert len(thetas) == len(res["records"]) == 3
+    for t, (theta, record) in enumerate(zip(thetas, res["records"])):
         ret, _ = evaluate_center(theta, arch, env, center_eval_episodes,
                                  stream_seed(config.seed, TAG_CENTER_EVAL, t))
         assert record["center_return"] == ret
-    assert np.array_equal(thetas[-1], res.params)
-    assert (res.final_mean_return, res.final_success_rate) == \
-        evaluate_center(res.params, arch, env, FINAL_EPISODES, 77)
+    assert np.array_equal(thetas[-1], res["params"])
+    assert final == evaluate_center(res["params"], arch, env, FINAL_EPISODES,
+                                    77)
 
 
 @pytest.mark.parametrize("policy", ["init", "zero"])
@@ -180,11 +180,12 @@ def test_run_makes_one_rollout_per_generation_and_one_more(monkeypatch,
     # of the generation before; the last batch holds the 6 rows of the final
     # evaluation. A change that brings back a standalone loop fails here
     config = _tiny_config(generations=5)
-    head = tdes_run(np.zeros(2), TINY, TargetEnv(), replace(
+    head, _ = tdes_run(np.zeros(2), TINY, TargetEnv(), replace(
         config, generations=start), final_eval=(6, 77))
     log = []
     _count_rollouts(monkeypatch, log)
-    tdes_run(head.params, TINY, TargetEnv(), config, records=head.records,
+    tdes_run(head["params"], TINY, TargetEnv(), config,
+             records=head["records"],
              final_eval=(6, 77), checkpoint_cb=lambda state: log.append(
                  ("checkpoint", state["generation_index"])))
     assert len(batches) == config.generations - start + 1
@@ -200,8 +201,8 @@ def test_last_generation_defers_its_center_evaluation_to_the_final_batch(
         monkeypatch):
     log = []
     _count_rollouts(monkeypatch, log)
-    res = tdes_run(np.zeros(2), TINY, TargetEnv(),
-                   _tiny_config(generations=2), final_eval=(4, 77))
-    assert [r["generation"] for r in res.records] == [0, 1]
-    assert res.steps_used == 8
+    res, _ = tdes_run(np.zeros(2), TINY, TargetEnv(),
+                      _tiny_config(generations=2), final_eval=(4, 77))
+    assert [r["generation"] for r in res["records"]] == [0, 1]
+    assert res["steps_used"] == 8
     assert log == [("rollout", 4), ("rollout", 7), ("rollout", 3 + 4)]

@@ -370,7 +370,7 @@ def test_collection_forwards_equal_per_episode_calls_bitwise(env_id,
     cfg = PpoConfig(total_steps=3 * 8 * env.horizon, episodes_per_update=8,
                     epochs=1, minibatch_size=128, hidden_dims=(64, 64),
                     optimizer="adam", seed=3)
-    assert len(train_anchor(env, cfg).curve) == 3
+    assert len(train_anchor(env, cfg)["curve"]) == 3
     obs = env.observation_dim
     assert calls == [(env.action_dim, (8, env.horizon, obs)),
                      (1, (8, env.horizon + 1, obs))] * 3
@@ -398,12 +398,21 @@ def test_curve_mean_return_is_the_rollouts_episode_return(monkeypatch):
 
 
 def test_budget_below_one_update_is_noop():
-    config = tiny_config(total_steps=100, episodes_per_update=8)
-    res = train_anchor(make_env("point-reach"), config)
-    fresh = init_actor_critic(4, 2, config)
-    assert np.array_equal(res.actor_critic.actor_params, fresh.actor_params)
-    assert res.steps_used == 0
-    assert res.curve == []
+    # the run returns its fresh state, with the keys that it would hand out
+    for optimizer, adam in (("sgd", []), ("adam", ["adam_m", "adam_v",
+                                                   "adam_t"])):
+        config = tiny_config(total_steps=100, episodes_per_update=8,
+                             optimizer=optimizer)
+        res = train_anchor(make_env("point-reach"), config)
+        assert list(res) == ["update_index", "params", *adam, "steps_used",
+                             "curve"]
+        fresh = init_actor_critic(4, 2, config)
+        assert res["params"].tobytes() == fresh.params.tobytes()
+        assert (res["update_index"], res["steps_used"], res["curve"]) == \
+            (-1, 0, [])
+        if adam:
+            assert not res["adam_m"].any() and not res["adam_v"].any()
+            assert res["adam_t"] == 0
 
 
 def test_train_anchor_bitwise_deterministic():
@@ -411,29 +420,18 @@ def test_train_anchor_bitwise_deterministic():
     runs = [train_anchor(make_env("point-reach"), config)
             for _ in range(2)]
     a, b = runs
-    assert np.array_equal(a.actor_critic.actor_params,
-                          b.actor_critic.actor_params)
-    assert a.curve == b.curve
+    assert np.array_equal(a["params"], b["params"])
+    assert a["curve"] == b["curve"]
     # 2 episodes x 100 steps per update; 8 updates fit in 1700
-    assert a.steps_used == 1600
+    assert a["steps_used"] == 1600
 
 
-def _run_from(env, config, state=None):
-    """train_anchor from `state`, and the last state that it hands out, or
-    `state` if it makes no update. The handed-out states are live, so each
-    is deep copied."""
-    states = [state]
-    res = train_anchor(env, config, state,
-                       checkpoint_cb=lambda s: states.append(copy.deepcopy(s)))
-    return res, states[-1]
-
-
-def _bits(res, last):
+def _bits(state):
     """All that a resumed run must reproduce: parameters, steps, curve, and
     Adam's m, v and t."""
-    adam = (last["adam_m"].tobytes(), last["adam_v"].tobytes(),
-            last["adam_t"])
-    return res.actor_critic.params.tobytes(), res.steps_used, res.curve, adam
+    return (state["params"].tobytes(), state["steps_used"], state["curve"],
+            state["adam_m"].tobytes(), state["adam_v"].tobytes(),
+            state["adam_t"])
 
 
 def test_train_anchor_resume_bitwise():
@@ -447,9 +445,9 @@ def test_train_anchor_resume_bitwise():
     assert [s["update_index"] for s in states] == list(range(5))
     assert list(states[0]) == ["update_index", "params", "adam_m", "adam_v",
                                "adam_t", "steps_used", "curve"]
-    expected = _bits(full, states[-1])
+    expected = _bits(full)
     for state in states:
-        assert _bits(*_run_from(env, config, state)) == expected
+        assert _bits(train_anchor(env, config, state)) == expected
 
 
 def test_train_anchor_resumes_from_a_loaded_checkpoint(tmp_path):
@@ -470,7 +468,7 @@ def test_train_anchor_resumes_from_a_loaded_checkpoint(tmp_path):
     handed = []
     res = train_anchor(env, config, loaded, checkpoint_cb=lambda s:
                        handed.append(copy.deepcopy(s)))
-    assert _bits(res, handed[-1]) == _bits(full, states[-1])
+    assert _bits(res) == _bits(full)
     # each state handed out holds the run's keys only, in a fresh run's order
     assert len(handed) == 3
     assert all(list(s) == list(states[0]) for s in handed)
@@ -520,15 +518,20 @@ def test_lockstep_runs_equal_their_solo_runs(data):
         alone.append((res, handed))
         runs.append((cfg, copy.deepcopy(start), stop))
 
-    handed = [[] for _ in runs]
+    handed, live = [[] for _ in runs], [[] for _ in runs]
     results = train_anchors(env, [
-        (cfg, start, lambda s, h=h: h.append(copy.deepcopy(s)), stop)
-        for (cfg, start, stop), h in zip(runs, handed)])
-    for res, got, (solo, solo_handed) in zip(results, handed, alone):
+        (cfg, start, lambda s, h=h, g=g: (h.append(copy.deepcopy(s)),
+                                          g.append(s)), stop)
+        for (cfg, start, stop), h, g in zip(runs, handed, live)])
+    for res, got, given, (_, start, _), (solo, solo_handed) in zip(
+            results, handed, live, runs, alone):
         assert _same_states(got, solo_handed)
-        assert res.actor_critic.params.tobytes() == \
-            solo.actor_critic.params.tobytes()
-        assert (res.curve, res.steps_used) == (solo.curve, solo.steps_used)
+        assert _same_states([res], [solo])
+        # a run returns the dict that it handed out last, or its start state
+        if given:
+            assert res is given[-1]
+        elif start is not None:
+            assert _same_states([res], [start])
 
 
 def test_lockstep_runs_share_one_config_but_the_seed():
@@ -569,5 +572,5 @@ def test_training_improves_return():
     config = tiny_config(total_steps=8000, episodes_per_update=4,
                          optimizer="adam", seed=1)
     res = train_anchor(make_env("point-reach"), config)
-    first, last = res.curve[0]["mean_return"], res.curve[-1]["mean_return"]
-    assert last > first
+    curve = res["curve"]
+    assert curve[-1]["mean_return"] > curve[0]["mean_return"]

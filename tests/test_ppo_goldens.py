@@ -50,9 +50,9 @@ def train_digests(env_id: str, optimizer: str) -> tuple[str, str]:
     curve, digested apart, so that a change to the curve alone shows as
     one."""
     res = train_anchor(make_env(env_id), config(env_id, optimizer))
-    assert len(res.curve) == 3
-    curve = [[row[k] for k in CURVE_KEYS] for row in res.curve]
-    return digest(res.actor_critic.params, [res.steps_used]), digest(curve)
+    assert len(res["curve"]) == 3
+    curve = [[row[k] for k in CURVE_KEYS] for row in res["curve"]]
+    return digest(res["params"], [res["steps_used"]]), digest(curve)
 
 
 def adam_state_digest(env_id: str) -> str:
@@ -62,7 +62,7 @@ def adam_state_digest(env_id: str) -> str:
                            (state["adam_m"].copy(), state["adam_v"].copy(),
                             state["adam_t"])))
     m, v, t = states[-1]
-    return digest(m, v, [t], res.actor_critic.params)
+    return digest(m, v, [t], res["params"])
 
 
 def loss_digest(env_id: str) -> str:

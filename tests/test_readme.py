@@ -27,5 +27,5 @@ def test_library_use_block_runs():
              namespace)
     mean_return, success_rate = ast.literal_eval(out.getvalue())
     assert mean_return < 0 and 0 <= success_rate <= 1
-    assert namespace["result"].steps_used == \
-        namespace["twin_result"].steps_used == 10 * 2 * 8 * 200
+    assert namespace["state"]["steps_used"] == \
+        namespace["twin_state"]["steps_used"] == 10 * 2 * 8 * 200
