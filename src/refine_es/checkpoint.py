@@ -11,9 +11,9 @@ stage hands out plus the cell's fields, as one uncompressed `.npz` archive
 key, in its own dtype (float64 for parameters and Adam moments, so no
 decimal conversion and an exact round trip), and everything else goes in as
 one JSON string, member `meta`. One file keeps the write atomic.
-`load_checkpoint` returns `{**meta, **arrays}`, for format 3 and for format
-2, whose members are paths into nested dicts; `pipeline` converts a format
-2 state.
+`load_checkpoint` returns `{**meta, **arrays}`. Format 3 is the only format
+read back: this module alone knows which versions can be read, and a file
+of any other version is refused.
 
 All writers go to `<path>.tmp`, flush, fsync and rename into place, so an
 interrupted write leaves the previous file intact; a stale `.tmp` is never
@@ -70,10 +70,10 @@ def save_checkpoint(path: str, payload: dict) -> None:
 
 
 def load_checkpoint(path: str) -> dict:
-    """Read a checkpoint of format 2 or 3 as `{**meta, **arrays}`. A file
-    that does not read as one (empty, cut short, another kind of file) or
-    has another `format_version` raises a `CheckpointError` naming the
-    file."""
+    """Read a checkpoint as `{**meta, **arrays}`. A file that does not read
+    as one (empty, cut short, another kind of file) or has a
+    `format_version` other than `FORMAT_VERSION` raises a `CheckpointError`
+    naming the file."""
     try:
         with np.load(path, allow_pickle=False) as archive:
             arrays = {name: archive[name] for name in archive.files}
@@ -84,7 +84,8 @@ def load_checkpoint(path: str) -> dict:
         raise CheckpointError(
             f"{path}: unreadable checkpoint ({type(exc).__name__}: {exc}); "
             f"delete it to restart the cell") from exc
-    if version not in (2, FORMAT_VERSION):
+    if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: field 'format_version' is {version!r}, "
-                              f"this version reads 2 and {FORMAT_VERSION}")
+                              f"this version reads only {FORMAT_VERSION}; "
+                              f"delete it to restart the cell")
     return {**meta, **arrays}

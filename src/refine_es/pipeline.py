@@ -51,8 +51,9 @@ of generation -1 there, see `_Cell.after_ppo`). On resume the checkpoint
 must match the cell: format version, stage, master seed, the handoff
 rule, and the PPO and ES configs recomputed from the plan, and it must hold
 every field that the resume reads; a mismatch or a missing field is
-refused with a `CheckpointError` naming the file and the field. A format 2
-checkpoint is read as the format 3 state it equals (`_from_format_2`).
+refused with a `CheckpointError` naming the file and the field. Which
+format versions can be read is checkpoint.py's to know; a JSON checkpoint
+(format 1) is refused here, so that its cell does not silently restart.
 A finished cell keeps its results (`checkpoints/final.json`, log.csv,
 record.json), each written once, atomically and durable before record.json,
 not its resume state: once record.json is durable, the checkpoint is
@@ -77,8 +78,8 @@ import traceback
 import numpy as np
 
 from . import engine, ppo, stats
-from .checkpoint import (FORMAT_VERSION, load_checkpoint, load_json,
-                         save_checkpoint, save_json_atomic, save_text_atomic)
+from .checkpoint import (load_checkpoint, load_json, save_checkpoint,
+                         save_json_atomic, save_text_atomic)
 from .envs import make_env
 from .errors import CheckpointError, RolloutError
 # plan_from_dict is imported for the benchmark, which loads it from here
@@ -201,7 +202,11 @@ def _log_csv(es_records: list[dict]) -> str:
     return fh.getvalue()
 
 
-def _check_fields(path: str, name: str, stored: dict, expected: dict) -> None:
+def _check_fields(path: str, name: str, stored: object,
+                  expected: dict) -> None:
+    if not isinstance(stored, dict):
+        raise CheckpointError(f"{path}: field '{name}' is {stored!r}, not an "
+                              f"object")
     for key in sorted(set(stored) | set(expected)):
         if stored.get(key) != expected.get(key):
             raise CheckpointError(
@@ -210,40 +215,15 @@ def _check_fields(path: str, name: str, stored: dict, expected: dict) -> None:
                 f"different configuration")
 
 
-def _from_format_2(state: dict) -> dict:
-    """A checkpoint's state as format 3 holds it; a format 3 state passes
-    unchanged. Format 2 stored PPO's vector and Adam moments per part
-    (actor, log_std, critic), in members `actor_critic.<part>` and
-    `optimizer.states.<i>.<m|v>`; every Adam operation is elementwise with
-    shared scalars, so the joined parts are the one Adam state of the run.
-    Its ES config held a step cap that `generations` implies, and its PPO
-    config the task's discount and Adam's constants."""
-    parts = ("actor_params", "log_std", "critic_params")
-    if state.pop("actor_critic", None) is not None:
-        state["params"] = np.concatenate(
-            [state.pop(f"actor_critic.{part}") for part in parts])
-    adam = state.pop("optimizer", {}).get("states")
-    if adam:
-        for k in "mv":
-            state[f"adam_{k}"] = np.concatenate(
-                [state.pop(f"optimizer.states.{i}.{k}") for i in range(3)])
-        state["adam_t"] = adam[0]["t"]
-    state.get("es_config", {}).pop("step_cap", None)
-    for key in ("gamma", "adam_beta1", "adam_beta2", "adam_eps"):
-        state["ppo_config"].pop(key, None)
-    return state
-
-
 def _load_state(cell: _Cell) -> dict | None:
-    """The checkpoint of `cell` as format 3 holds it, or None if it has
-    none, after the checks that need no ES config. A field that the resume
-    reads must be there, and a JSON checkpoint of format 1 is refused."""
+    """The checkpoint of `cell`, or None if it has none, after the checks
+    that need no ES config. A field that the resume reads must be there,
+    its configs must be objects, and a JSON checkpoint is refused."""
     legacy = os.path.join(os.path.dirname(cell.checkpoint), "checkpoint.json")
     if os.path.exists(legacy):
         raise CheckpointError(
             f"{legacy}: field 'format_version' is 1 (a JSON checkpoint); this "
-            f"version resumes format_version 2 and {FORMAT_VERSION} "
-            f"({CHECKPOINT_NAME})")
+            f"version resumes only {CHECKPOINT_NAME}")
     if not os.path.exists(cell.checkpoint):
         return None
     path, state = cell.checkpoint, load_checkpoint(cell.checkpoint)
@@ -254,22 +234,20 @@ def _load_state(cell: _Cell) -> dict | None:
         raise CheckpointError(f"{path}: field 'master_seed' is "
                               f"{state.get('master_seed')!r}, this cell is "
                               f"seed {cell.seed}")
-    try:
-        state = _from_format_2(state)
-    except KeyError as exc:  # ppo_config, or a member of format 2
-        raise CheckpointError(f"{path}: field {exc} is missing") from exc
-    # under another optimizer, the config check below names the mismatch
+    # the configs first, so that another optimizer is named as a mismatch
+    for name in ("ppo_config", "handoff"):
+        if name not in state:
+            raise CheckpointError(f"{path}: field '{name}' is missing")
+        _check_fields(path, name, state[name], cell.fields[name])
     adam = ("adam_m", "adam_v", "adam_t") \
-        if state["ppo_config"].get("optimizer") == "adam" else ()
+        if cell.ppo_config.optimizer == "adam" else ()
     reads = {"ppo": ("update_index", "params", "steps_used", "curve", *adam),
              "es": ("params", "records", "es_config", "architecture",
                     "anchor_params", "anchor_sha256", "ppo_steps",
                     "ppo_curve")}[state["stage"]]
-    for key in ("handoff", *reads):
+    for key in reads:
         if key not in state:
             raise CheckpointError(f"{path}: field '{key}' is missing")
-    for name in ("ppo_config", "handoff"):
-        _check_fields(path, name, state[name], cell.fields[name])
     if state["stage"] == "es" and \
             _params_sha256(state["anchor_params"]) != state["anchor_sha256"]:
         raise CheckpointError(f"{path}: field 'anchor_params' does not hash "

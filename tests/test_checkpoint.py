@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -61,13 +62,15 @@ def test_save_json_atomic_bytes_match_streaming_encoder(tmp_path_factory,
     assert load_json(path) == json.loads(streamed.getvalue())
 
 
-def test_load_checkpoint_refuses_other_format_version(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_checkpoint_refuses_other_format_version(tmp_path, version):
     path = str(tmp_path / "checkpoint.npz")
-    meta = json.dumps({"format_version": 1, "stage": "ppo"}).encode()
+    meta = json.dumps({"format_version": version, "stage": "ppo"}).encode()
     with open(path, "wb") as fh:
         np.savez(fh, meta=np.frombuffer(meta, dtype=np.uint8))
-    with pytest.raises(CheckpointError,
-                       match=r"checkpoint\.npz: field 'format_version' is 1"):
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path}: field 'format_version' is {version}, this version "
+            f"reads only 3")):
         load_checkpoint(path)
 
 

@@ -610,6 +610,7 @@ def test_resume_removes_resume_state_of_finished_cells(tmp_path):
 
 @pytest.mark.parametrize("field, value, message", [
     ("format_version", 1, "field 'format_version' is 1"),
+    ("format_version", 2, "field 'format_version' is 2"),
     ("stage", "eval", "field 'stage' is 'eval'"),
     ("master_seed", 7, "field 'master_seed' is 7, this cell is seed 0"),
     ("anchor_sha256", "0" * 64, "field 'anchor_params' does not hash"),
@@ -643,6 +644,34 @@ def test_resume_names_a_missing_checkpoint_field(tmp_path):
                                        f"missing")):
         run_method(tiny_plan(methods=["ppo_then_tdes"], seeds=[0]),
                    "ppo_then_tdes", 0, str(tmp_path))
+
+
+@pytest.mark.parametrize("meta, message", [
+    ({"ppo_config": [1], "format_version": 3},
+     "field 'ppo_config' is [1], not an object"),
+    ({"format_version": 2}, "field 'format_version' is 2"),
+], ids=["config-not-an-object", "format-2"])
+def test_resume_fails_only_the_cell_of_a_bad_checkpoint(tmp_path, capsys,
+                                                        meta, message):
+    # the group phase reads the checkpoint first; it must leave the cell to
+    # fail by itself, naming the file, while the sweep's other cells finish
+    plan = tiny_plan(methods=["ppo_only", "ppo_then_tdes"])
+    out = str(tmp_path)
+    save_json_atomic(os.path.join(out, "plan.json"), plan.to_dict())
+    path = _checkpoint_path(out, "ppo_only")
+    os.makedirs(os.path.dirname(path))
+    text = json.dumps({"stage": "ppo", "master_seed": 0, **meta}).encode()
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.frombuffer(text, dtype=np.uint8))
+    assert main(["resume", "--dir", out]) == 1
+    payload = load_json(os.path.join(out, "report.json"))
+    assert [(f["method"], f["seed"]) for f in payload["failures"]] == \
+        [("ppo_only", 0)]
+    assert f"CheckpointError: {path}: {message}" in \
+        payload["failures"][0]["failure"]
+    assert sorted((r["method"], r["seed"]) for r in payload["records"]
+                  if not r["failed"]) == \
+        [("ppo_only", 1), ("ppo_then_tdes", 0), ("ppo_then_tdes", 1)]
 
 
 @pytest.mark.parametrize("stage", ["ppo", "es"])
@@ -849,6 +878,65 @@ def _cell_bits(out, rec):
 
 def _sweep_bits(out, records):
     return {(r["method"], r["seed"]): _cell_bits(out, r) for r in records}
+
+
+def _cut_after_write(monkeypatch, k):
+    """Patch `pipeline.save_checkpoint` to raise KeyboardInterrupt right
+    after its k-th write (never for k = 0); returns the paths written."""
+    import refine_es.pipeline as pipeline
+
+    original = pipeline.save_checkpoint
+    written = []
+
+    def save_checkpoint(path, payload):
+        original(path, payload)
+        written.append(path)
+        if len(written) == k:
+            raise KeyboardInterrupt(f"injected interrupt after write {k}")
+
+    monkeypatch.setattr(pipeline, "save_checkpoint", save_checkpoint)
+    return written
+
+
+def _sweep_files(out, payload):
+    """Each cell's `_cell_bits`, final.json and log.csv bytes, and
+    report.json, all apart from wall times."""
+    cells = {}
+    for r in payload["records"]:
+        cdir = cell_dir(out, "point-reach", r["method"], r["seed"])
+        files = []
+        for name in (os.path.join("checkpoints", "final.json"), "log.csv"):
+            with open(os.path.join(cdir, name), "rb") as fh:
+                files.append(fh.read())
+        cells[(r["method"], r["seed"])] = (_cell_bits(out, r), *files)
+    report = load_json(os.path.join(out, "report.json"))
+    for r in report["records"]:
+        r["es_records"] = _es_records(r)
+    return cells, report
+
+
+@pytest.mark.parametrize("first", ["ppo_only", "ppo_then_tdes"])
+def test_resume_after_a_cut_after_each_checkpoint_write(tmp_path, monkeypatch,
+                                                        first):
+    # two seeds, so that the group phase runs them in lockstep; a two-stage
+    # method first plants ppo_only's checkpoint at the fork
+    plan = tiny_plan(methods=[first] + [m for m in tiny_plan().methods
+                                        if m != first])
+    clean = str(tmp_path / "clean")
+    with monkeypatch.context() as m:
+        writes = _cut_after_write(m, 0)
+        expected = _sweep_files(clean, sweep(plan, clean))
+    assert len(writes) == 18
+    for k in range(1, len(writes) + 1):
+        out = str(tmp_path / f"cut-{k}")
+        with monkeypatch.context() as m:
+            written = _cut_after_write(m, k)
+            with pytest.raises(KeyboardInterrupt):
+                sweep(plan, out)
+        where = f"cut after write {k}, of {written[-1]}"
+        assert written[-1] == writes[k - 1].replace(clean, out), where
+        assert _sweep_files(out, sweep(plan, out)) == expected, where
+        assert _resume_state(out) == [], where
 
 
 def _note_ppo_updates(monkeypatch):
@@ -1270,30 +1358,21 @@ def test_parent_generation_minus_one_checkpoint_resumes_bitwise(
     ppo_state = checkpoint.load_checkpoint(path)
     arch = MlpArchitecture(4, (8,), 2)
     params = ppo_state["params"][:param_count(arch)]
-    # format 2, written by hand as that version wrote it: each array a
-    # member named by its path, and the PPO config with the discount and
-    # Adam's constants
-    meta = {
-        "stage": "es", "generation_index": -1, "params": {"npz": "params"},
+    # written by hand, as that ES stage is stored in format 3
+    checkpoint.save_checkpoint(path, {
+        "stage": "es", "generation_index": -1, "params": params,
         "steps_used": 0, "records": [],
         "es_config": {"sigma_es": 0.05, "alpha": 0.01, "m": 2,
                       "generations": 2, "lambda_sigma": 0.99,
                       "sigma_min": 1e-3, "distribution": "triangular",
                       "action_std": 0.01, "seed": 0,
-                      "episodes_per_candidate": 1, "step_cap": 800,
+                      "episodes_per_candidate": 1,
                       "standardize_noise": False, "center_eval_episodes": 1},
-        "ppo_config": {**ppo_state["ppo_config"], "gamma": 0.99,
-                       "adam_beta1": 0.9, "adam_beta2": 0.999,
-                       "adam_eps": 1e-8},
+        "ppo_config": ppo_state["ppo_config"],
         "handoff": ppo_state["handoff"], "master_seed": 0,
-        "architecture": arch.to_dict(),
-        "anchor_params": {"npz": "anchor_params"},
+        "architecture": arch.to_dict(), "anchor_params": params,
         "anchor_sha256": hashlib.sha256(params.astype("<f8").tobytes())
-        .hexdigest(), "ppo_steps": 600, "ppo_curve": ppo_state["curve"],
-        "format_version": 2}
-    with open(path, "wb") as fh:
-        np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), np.uint8),
-                 params=params, anchor_params=params)
+        .hexdigest(), "ppo_steps": 600, "ppo_curve": ppo_state["curve"]})
     updates = _count_ppo_updates(monkeypatch)
     resumed = run_method(plan, "ppo_then_tdes", 0, cut)
     assert updates == []
@@ -1370,7 +1449,8 @@ def test_mid_es_checkpoint_of_standalone_center_loops_resumes_bitwise(
     # tests/golden/mid_es_checkpoint.npz was written by the version that ran
     # each center evaluation as a rollout of its own, right after its
     # generation's update: this plan's cell cut after generation 1 of 3,
-    # center_return of generations 0 and 1 filled in
+    # center_return of generations 0 and 1 filled in. It was written in
+    # format 2 and converted to format 3 (see `_mid_ppo_plan`)
     import shutil
 
     plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
@@ -1389,9 +1469,9 @@ def test_mid_es_checkpoint_of_standalone_center_loops_resumes_bitwise(
         _cell_bits(str(tmp_path / "clean"), clean)
 
 
-# tests/golden/mid_ppo_checkpoint.npz is a format 2 checkpoint of this
-# plan's cell, cut in update 2, the last of 3, so the one of update 1. It was
-# written in a checkout of the version before format 3 with
+# tests/golden/mid_ppo_checkpoint.npz is a checkpoint of this plan's cell,
+# cut in update 2, the last of 3, so the one of update 1. It was first
+# written, in format 2, in a checkout of the version before format 3 with
 #
 #   PYTHONPATH=src python3 -c '
 #   import refine_es.ppo as ppo
@@ -1414,7 +1494,18 @@ def test_mid_es_checkpoint_of_standalone_center_loops_resumes_bitwise(
 #   except KeyboardInterrupt:
 #       pass'
 #
-# and copied from out/runs/point-reach/ppo_then_tdes/0/checkpoints/.
+# and copied from out/runs/point-reach/ppo_then_tdes/0/checkpoints/. Both
+# goldens were then converted to format 3, in a checkout of ea51a02 (the
+# last version that read format 2), with
+#
+#   PYTHONPATH=src python3 -c '
+#   from refine_es.checkpoint import load_checkpoint, save_checkpoint
+#   from refine_es.pipeline import _from_format_2
+#   for name in ("mid_ppo", "mid_es"):
+#       path = f"tests/golden/{name}_checkpoint.npz"
+#       state = _from_format_2(load_checkpoint(path))
+#       state.pop("format_version")
+#       save_checkpoint(path, state)'
 def _mid_ppo_plan():
     return tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
                      total_step_budget=1400,
@@ -1423,7 +1514,7 @@ def _mid_ppo_plan():
 
 
 def _golden_mid_ppo(out):
-    """Put the golden format 2 checkpoint in place as the checkpoint of
+    """Put the golden checkpoint in place as the checkpoint of
     `_mid_ppo_plan`'s cell under `out`; returns its path."""
     import shutil
 
@@ -1440,13 +1531,13 @@ def _final_json(out):
         return fh.read()
 
 
-def test_mid_ppo_format_2_checkpoint_resumes_bitwise(tmp_path):
+def test_mid_ppo_checkpoint_resumes_bitwise(tmp_path):
     plan = _mid_ppo_plan()
     clean = run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "clean"))
     golden = str(tmp_path / "golden")
     state = load_checkpoint(_golden_mid_ppo(golden))
     assert (state["format_version"], state["stage"],
-            state["update_index"]) == (2, "ppo", 1)
+            state["update_index"]) == (3, "ppo", 1)
     resumed = run_method(plan, "ppo_then_tdes", 0, golden)
     assert _cell_bits(golden, resumed) == \
         _cell_bits(str(tmp_path / "clean"), clean)
@@ -1454,7 +1545,7 @@ def test_mid_ppo_format_2_checkpoint_resumes_bitwise(tmp_path):
     assert _resume_state(golden) == []
 
 
-def test_format_2_and_3_checkpoints_of_one_update_resume_alike(
+def test_golden_and_fresh_checkpoints_of_one_update_resume_alike(
         tmp_path, monkeypatch):
     plan = _mid_ppo_plan()
     golden = str(tmp_path / "golden")
@@ -1464,11 +1555,11 @@ def test_format_2_and_3_checkpoints_of_one_update_resume_alike(
         _interrupt_ppo_update(m, 3)
         with pytest.raises(KeyboardInterrupt):
             run_method(plan, "ppo_then_tdes", 0, cut)
-    # the converted format 2 state is the format 3 state, bit for bit
+    # the converted golden's state is a fresh cut's, bit for bit
     old, new = (pipeline_module._load_state(
         pipeline_module._Cell(plan, "ppo_then_tdes", 0, out))
         for out in (golden, cut))
-    assert (old.pop("format_version"), new.pop("format_version")) == (2, 3)
+    assert old["format_version"] == new["format_version"] == 3
     assert sorted(old) == sorted(new)
     for key in ("params", "adam_m", "adam_v"):
         assert old.pop(key).tobytes() == new.pop(key).tobytes()
