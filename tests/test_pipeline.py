@@ -651,8 +651,8 @@ def test_resume_names_a_missing_checkpoint_field(tmp_path):
      "field 'ppo_config' is [1], not an object"),
     ({"format_version": 2}, "field 'format_version' is 2"),
 ], ids=["config-not-an-object", "format-2"])
-def test_resume_fails_only_the_cell_of_a_bad_checkpoint(tmp_path, capsys,
-                                                        meta, message):
+def test_resume_fails_only_the_cell_of_a_bad_checkpoint(tmp_path, meta,
+                                                        message):
     # the group phase reads the checkpoint first; it must leave the cell to
     # fail by itself, naming the file, while the sweep's other cells finish
     plan = tiny_plan(methods=["ppo_only", "ppo_then_tdes"])
