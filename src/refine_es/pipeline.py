@@ -49,9 +49,10 @@ state before the first generation, built in memory; a cut before its first
 generation resumes from the last PPO checkpoint (older versions wrote one
 of generation -1 there, see `_Cell.after_ppo`). On resume the checkpoint
 must match the cell: format version, stage, master seed, the handoff
-rule, and the PPO and ES configs recomputed from the plan, and it must hold
-every field that the resume reads; a mismatch or a missing field is
-refused with a `CheckpointError` naming the file and the field. Which
+rule, and the PPO and ES configs recomputed from the plan, and have the
+fields, kinds, dtypes and shapes of the state that the cell builds fresh
+(`_check`), as a record those of the blank one; a mismatch fails its own
+cell only, with a `CheckpointError` naming the file and the field. Which
 format versions can be read is checkpoint.py's to know; a JSON checkpoint
 (format 1) is refused here, so that its cell does not silently restart.
 A finished cell keeps its results (`checkpoints/final.json`, log.csv,
@@ -71,7 +72,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 import os
 import traceback
 
@@ -84,7 +84,7 @@ from .envs import make_env
 from .errors import CheckpointError, RolloutError
 # plan_from_dict is imported for the benchmark, which loads it from here
 from .plan import ExperimentPlan, es_config, plan_from_dict, ppo_config
-from .policy import MlpArchitecture
+from .policy import MlpArchitecture, param_count
 from .rng import TAG_FINAL_EVAL, stream_seed
 
 CHECKPOINT_NAME = "checkpoint.npz"
@@ -134,6 +134,8 @@ class _Cell:
                                          plan.handoff_window)
         self.stop = self.fork_stop if self.two_stage else None
         self.ppo_config = ppo_config(plan, method, seed)
+        self.archs = ppo.architectures(self.env.observation_dim,
+                                       self.env.action_dim, self.ppo_config)
         threshold = plan.handoff_success_threshold if self.two_stage else None
         self.fields = {"ppo_config": self.ppo_config.to_dict(),
                        "handoff": {"success_threshold": threshold,
@@ -164,8 +166,11 @@ class _Cell:
         never reaches it again."""
         if self.at_fork(ppo_state["curve"]):
             _fork(self, ppo_state)
-        save_checkpoint(self.checkpoint,
-                        {"stage": "ppo", **ppo_state, **self.fields})
+        save_checkpoint(self.checkpoint, self.ppo_checkpoint(ppo_state))
+
+    def ppo_checkpoint(self, ppo_state: dict) -> dict:
+        """The PPO checkpoint of this cell that holds `ppo_state`."""
+        return {"stage": "ppo", **ppo_state, **self.fields}
 
     def after_ppo(self, ppo_state: dict) -> dict:
         """The state of this cell once its PPO run ended in `ppo_state`, what
@@ -174,9 +179,7 @@ class _Cell:
         the PPO vector, with the PPO stage it refines. Older versions saved
         it as an ES checkpoint of generation -1, which resumes like any
         other."""
-        ac = ppo.ActorCritic(*ppo.architectures(
-            self.env.observation_dim, self.env.action_dim, self.ppo_config),
-            ppo_state["params"])
+        ac = ppo.ActorCritic(*self.archs, ppo_state["params"])
         params, steps = ac.actor_params, ppo_state["steps_used"]
         es = {"es_config": self.es_config(
             self.plan.total_step_budget - steps).to_dict()} \
@@ -202,11 +205,11 @@ def _log_csv(es_records: list[dict]) -> str:
     return fh.getvalue()
 
 
-def _check_fields(path: str, name: str, stored: object,
-                  expected: dict) -> None:
-    if not isinstance(stored, dict):
-        raise CheckpointError(f"{path}: field '{name}' is {stored!r}, not an "
-                              f"object")
+def _check_fields(path: str, state: dict, name: str, expected: dict) -> None:
+    stored = state.get(name)
+    if type(stored) is not dict:
+        raise CheckpointError(f"{path}: field '{name}' is " + (
+            f"{stored!r}, not an object" if name in state else "missing"))
     for key in sorted(set(stored) | set(expected)):
         if stored.get(key) != expected.get(key):
             raise CheckpointError(
@@ -215,10 +218,56 @@ def _check_fields(path: str, name: str, stored: object,
                 f"different configuration")
 
 
+# the PPO curves and ES records that the stages write, by field (`_check`)
+_ENTRIES = {"curve": [{"update": 0, "mean_return": 0.0, "success_rate": 0.0,
+                       "steps_used": 0, "policy_loss": 0.0, "value_loss": 0.0,
+                       "entropy": 0.0}],
+            "records": [{"generation": 0, "center_return": 0.0,
+                         "mean_return": 0.0, "best_return": 0.0,
+                         "sigma_es": 0.0, "g_norm": 0.0, "steps_used": 0,
+                         "wall_time": 0.0}]}
+_ENTRIES.update(ppo_curve=_ENTRIES["curve"], es_records=_ENTRIES["records"])
+_ARRAY = "an array of shape {0.shape} and dtype {0.dtype}".format
+
+
+def _check(path: str, value, blank, where: str = "") -> None:
+    """Refuse `value`, read from `path`, naming the file and `where` in it,
+    unless it has the kind of `blank`: a dict's keys, each value in turn (a
+    list named in `_ENTRIES` by its entries), each entry like a list's first
+    (none if it has none), an array's shape and dtype, for a float a finite
+    int or float, for None a string or None, else the type."""
+    if isinstance(blank, np.ndarray):
+        kind = _ARRAY(blank)
+        fits = isinstance(value, np.ndarray) and _ARRAY(value) == kind
+    elif isinstance(blank, float):
+        kind, fits = "a finite number", type(value) in (int, float) and \
+            abs(value) < float("inf")
+    else:
+        kind = {type(None): "a string or null", dict: "an object",
+                list: "a list" if blank else "an empty list", bool: "a bool",
+                int: "an int", str: "a string"}[type(blank)]
+        fits = (type(value) is type(blank) or blank is None and type(value)
+                is str) and (blank != [] or not value)
+    if not fits:
+        shown = _ARRAY(value) if isinstance(value, np.ndarray) else repr(value)
+        raise CheckpointError(f"{path}: {where or 'the file'} is {shown}, "
+                              f"not {kind}")
+    if type(value) is dict:  # the declared keys first, in their order
+        for key in {**blank, **value}:
+            name = f"{where}: '{key}'" if where else f"field '{key}'"
+            if key not in blank or key not in value:
+                raise CheckpointError(f"{path}: {name} is " + (
+                    "missing" if key in blank else "unknown"))
+            _check(path, value[key], _ENTRIES.get(key, blank[key]), name)
+    elif type(value) is list:
+        for i, entry in enumerate(value):
+            _check(path, entry, blank[0], f"{where} entry {i}")
+
+
 def _load_state(cell: _Cell) -> dict | None:
-    """The checkpoint of `cell`, or None if it has none, after the checks
-    that need no ES config. A field that the resume reads must be there,
-    its configs must be objects, and a JSON checkpoint is refused."""
+    """The checkpoint of `cell`, or None, after the checks that need no ES
+    config: not a JSON one, the cell's stage, seed, PPO config and handoff
+    rule, and the kind (`_check`) of the state that the cell builds fresh."""
     legacy = os.path.join(os.path.dirname(cell.checkpoint), "checkpoint.json")
     if os.path.exists(legacy):
         raise CheckpointError(
@@ -236,18 +285,16 @@ def _load_state(cell: _Cell) -> dict | None:
                               f"seed {cell.seed}")
     # the configs first, so that another optimizer is named as a mismatch
     for name in ("ppo_config", "handoff"):
-        if name not in state:
-            raise CheckpointError(f"{path}: field '{name}' is missing")
-        _check_fields(path, name, state[name], cell.fields[name])
-    adam = ("adam_m", "adam_v", "adam_t") \
-        if cell.ppo_config.optimizer == "adam" else ()
-    reads = {"ppo": ("update_index", "params", "steps_used", "curve", *adam),
-             "es": ("params", "records", "es_config", "architecture",
-                    "anchor_params", "anchor_sha256", "ppo_steps",
-                    "ppo_curve")}[state["stage"]]
-    for key in reads:
-        if key not in state:
-            raise CheckpointError(f"{path}: field '{key}' is missing")
+        _check_fields(path, state, name, cell.fields[name])
+    # what the PPO stage hands out with no update left to make, its vectors
+    # zeros so that no stream is drawn; format_version is checkpoint.py's
+    zeros = np.zeros(cell.env.action_dim + sum(map(param_count, cell.archs)))
+    fresh = ppo.train_anchor(cell.env, cell.ppo_config, {
+        "update_index": -1, "params": zeros, "adam_m": zeros, "adam_v": zeros,
+        "adam_t": 0, "steps_used": cell.ppo_config.total_steps, "curve": []})
+    _check(path, {k: v for k, v in state.items() if k != "format_version"},
+           cell.ppo_checkpoint(fresh) if state["stage"] == "ppo" else
+           cell.after_ppo(fresh))
     if state["stage"] == "es" and \
             _params_sha256(state["anchor_params"]) != state["anchor_sha256"]:
         raise CheckpointError(f"{path}: field 'anchor_params' does not hash "
@@ -265,8 +312,7 @@ def _fork(cell: _Cell, ppo_state: dict) -> None:
         if os.path.exists(sibling.checkpoint) or os.path.exists(sibling.record):
             continue
         os.makedirs(os.path.dirname(sibling.checkpoint), exist_ok=True)
-        save_checkpoint(sibling.checkpoint,
-                        {"stage": "ppo", **ppo_state, **sibling.fields})
+        save_checkpoint(sibling.checkpoint, sibling.ppo_checkpoint(ppo_state))
 
 
 def _drop_resume_state(cdir: str) -> None:
@@ -297,62 +343,19 @@ def _record(plan: ExperimentPlan, method: str, seed: int, **values) -> dict:
             "failure": None, **values}
 
 
-# the types that a stored record's value may have, by the type of the blank
-# record's value (`_record`); a bool is no number
-_RECORD_KINDS = {type(None): ((str, type(None)), "a string or null"),
-                 bool: ((bool,), "a bool"), int: ((int,), "an int"),
-                 float: ((int, float), "a number"), str: ((str,), "a string"),
-                 list: ((list,), "a list")}
-# the keys of a PPO curve entry and of an ES record, as the stages write
-# them: the counts among them, then the other numbers
-_ENTRY_KEYS = {"ppo_curve": ({"update", "steps_used"}, {
-    "mean_return", "success_rate", "policy_loss", "value_loss", "entropy"}),
-    "es_records": ({"generation", "steps_used"}, {
-        "center_return", "mean_return", "best_return", "sigma_es", "g_norm",
-        "wall_time"})}
-
-
 def load_record(path: str, plan: ExperimentPlan, method: str,
                 seed: int) -> dict:
     """The record of the cell (`plan`'s task, `method`, `seed`) at `path`,
-    or a `CheckpointError` naming the file if it holds no such record: each
-    value must have the type of its value in the blank record (`_record`),
-    each entry of its PPO curve and ES records exactly the keys that its
-    stage writes (`_ENTRY_KEYS`), an int for a count and a number for the
-    rest, and every number in it must be finite."""
+    or a `CheckpointError` naming the file and the field if it holds no
+    such record: it must be of the kind of the blank record (`_record`),
+    its PPO curve and ES records of the kind that the stages write
+    (`_ENTRIES`), both as `_check` checks them, and be that cell's."""
     expected = _record(plan, method, seed)
     try:
         record = load_json(path)
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise CheckpointError(f"{path}: unreadable record ({exc})") from exc
-    if not isinstance(record, dict):
-        raise CheckpointError(f"{path}: a record is a JSON object, not "
-                              f"{type(record).__name__}")
-    missing = [k for k in expected if k not in record]
-    unknown = sorted(set(record) - set(expected))
-    if missing or unknown:
-        raise CheckpointError(f"{path}: not a cell record: missing keys "
-                              f"{missing}, unknown keys {unknown}")
-    for key, blank in expected.items():
-        kinds, kind = _RECORD_KINDS[type(blank)]
-        if type(record[key]) not in kinds:
-            raise CheckpointError(f"{path}: key '{key}' is {record[key]!r}, "
-                                  f"not {kind}")
-        try:  # strict JSON (RFC 8259) has no NaN or infinity
-            json.dumps(record[key], allow_nan=False)
-        except ValueError:
-            raise CheckpointError(f"{path}: key '{key}' holds a non-finite "
-                                  f"number") from None
-    for key, (counts, numbers) in _ENTRY_KEYS.items():
-        for i, entry in enumerate(record[key]):
-            where = f"{path}: key '{key}' entry {i}"
-            if type(entry) is not dict or set(entry) != counts | numbers:
-                raise CheckpointError(f"{where} is {entry!r}, not an object of "
-                                      f"the keys {sorted(counts | numbers)}")
-            for k, v in entry.items():
-                if type(v) not in ((int,) if k in counts else (int, float)):
-                    raise CheckpointError(f"{where}: '{k}' is {v!r}, not " + (
-                        "an int" if k in counts else "a number"))
+    _check(path, record, expected)
     cell = "{task} {method} seed {seed}".format
     if any(record[k] != expected[k] for k in ("task", "method", "seed")):
         raise CheckpointError(f"{path}: a record of {cell(**record)}, not "
@@ -408,8 +411,7 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
     final_eval = (plan.eval_episodes, stream_seed(seed, TAG_FINAL_EVAL))
     if cell.two_stage:
         es_cfg = cell.es_config(plan.total_step_budget - state["ppo_steps"])
-        _check_fields(cell.checkpoint, "es_config", state["es_config"],
-                      es_cfg.to_dict())
+        _check_fields(cell.checkpoint, state, "es_config", es_cfg.to_dict())
         es_state, (mean_ret, success) = engine.tdes_run(
             state["params"], arch, cell.env, es_cfg, final_eval=final_eval,
             records=state["records"], checkpoint_cb=lambda es:
@@ -441,12 +443,10 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
 
 def _run_cell(plan: ExperimentPlan, method: str, seed: int,
               out_dir: str) -> dict:
-    """One cell's record; a cell that raises gives a failed record, with
-    the same keys, so it never aborts the rest."""
+    """One cell's record; an Exception (no KeyboardInterrupt) in the cell
+    gives a failed record, with the same keys, so it never aborts the rest."""
     try:
         return run_method(plan, method, seed, out_dir)
-    except KeyboardInterrupt:
-        raise
     except Exception:
         return _record(plan, method, seed, failed=True,
                        failure=traceback.format_exc())

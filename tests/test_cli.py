@@ -450,39 +450,38 @@ BAD_RECORDS = {
     "truncated": (lambda text: text[:text.index('"method"') + 4],
                   "unreadable record (Unterminated string"),
     "non_object": (lambda text: "[1, 2]",
-                   "a record is a JSON object, not list"),
+                   "the file is [1, 2], not an object"),
     "extra_key": (lambda text: json.dumps({**json.loads(text), "note": 1}),
-                  "not a cell record: missing keys [], unknown keys ['note']"),
+                  "field 'note' is unknown"),
     "missing_key": (lambda text: json.dumps(
         {k: v for k, v in json.loads(text).items() if k != "failure"}),
-        "not a cell record: missing keys ['failure'], unknown keys []"),
+        "field 'failure' is missing"),
     "number_as_string": (lambda text: json.dumps(
         {**json.loads(text), "final_success_rate": "high"}),
-        "key 'final_success_rate' is 'high', not a number"),
+        "field 'final_success_rate' is 'high', not a finite number"),
     "count_as_float": (lambda text: json.dumps(
         {**json.loads(text), "steps_consumed": 1600.5}),
-        "key 'steps_consumed' is 1600.5, not an int"),
+        "field 'steps_consumed' is 1600.5, not an int"),
     "seed_as_float": (lambda text: json.dumps(
         {**json.loads(text), "seed": 0.0}),
-        "key 'seed' is 0.0, not an int"),
+        "field 'seed' is 0.0, not an int"),
     "flag_as_string": (lambda text: json.dumps(
         {**json.loads(text), "failed": "no"}),
-        "key 'failed' is 'no', not a bool"),
+        "field 'failed' is 'no', not a bool"),
     "nan_number": (lambda text: json.dumps(
         {**json.loads(text), "final_success_rate": float("nan")}),
-        "key 'final_success_rate' holds a non-finite number"),
+        "field 'final_success_rate' is nan, not a finite number"),
     "inf_in_curve": (lambda text: json.dumps({**json.loads(text), "ppo_curve": [
         {**json.loads(text)["ppo_curve"][0], "mean_return": -float("inf")}]}),
-        "key 'ppo_curve' holds a non-finite number"),
+        "field 'ppo_curve' entry 0: 'mean_return' is -inf, not a finite "
+        "number"),
     "es_record_not_an_object": (lambda text: json.dumps(
         {**json.loads(text), "es_records": [1, 2]}),
-        "key 'es_records' entry 0 is 1, not an object of the keys "
-        "['best_return', 'center_return', 'g_norm', 'generation', "
-        "'mean_return', 'sigma_es', 'steps_used', 'wall_time']"),
+        "field 'es_records' entry 0 is 1, not an object"),
     "curve_count_as_string": (lambda text: json.dumps({
         **json.loads(text), "ppo_curve": json.loads(text)["ppo_curve"][:1] + [
             {**json.loads(text)["ppo_curve"][1], "update": "x"}]}),
-        "key 'ppo_curve' entry 1: 'update' is 'x', not an int"),
+        "field 'ppo_curve' entry 1: 'update' is 'x', not an int"),
     "wrong_seed": (lambda text: json.dumps({**json.loads(text), "seed": 7}),
                    "a record of point-reach ppo_only seed 7, not of this "
                    "cell (point-reach ppo_"),

@@ -4,9 +4,12 @@ import json
 import math
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from interrupts import interrupt_after_generation
 
 from refine_es.checkpoint import (load_checkpoint, load_json,
@@ -674,6 +677,155 @@ def test_resume_fails_only_the_cell_of_a_bad_checkpoint(tmp_path, meta,
         [("ppo_only", 1), ("ppo_then_tdes", 0), ("ppo_then_tdes", 1)]
 
 
+@pytest.fixture(scope="module")
+def cut_sweeps(tmp_path_factory):
+    """A 2-method x 2-seed sweep (`ppo_only` first, Adam) run uncut and cut
+    twice: after its 5th checkpoint write, when `ppo_only` seed 0, a first
+    cell of the group phase, holds the PPO checkpoint of update 1, and after
+    its 13th, when `ppo_then_tdes` seed 0 holds the ES checkpoint of
+    generation 0 and seed 1 has its cells still to run. Returns the plan,
+    the uncut sweep's cell bits and the cut directories by stage."""
+    plan = tiny_plan(methods=["ppo_only", "ppo_then_tdes"])
+    root = tmp_path_factory.mktemp("cut_sweeps")
+    clean = str(root / "clean")
+    bits = _sweep_bits(clean, sweep(plan, clean)["records"])
+    cuts = {}
+    for stage, k in (("ppo", 5), ("es", 13)):
+        cuts[stage] = str(root / stage)
+        with pytest.MonkeyPatch.context() as m:
+            _cut_after_write(m, k)
+            with pytest.raises(KeyboardInterrupt):
+                sweep(plan, cuts[stage])
+    return plan, bits, cuts
+
+
+# the cell whose checkpoint is spoiled, by stage
+_SPOILED = {"ppo": ("ppo_only", 0), "es": ("ppo_then_tdes", 0)}
+# a field of a checkpoint replaced, by the stage of the checkpoint: the
+# value from the stored one, and what the refusal says of it, formatted
+# with the stored value's length n
+BAD_FIELDS = {
+    "params-as-text": ("ppo", "params", lambda v: "x", "is 'x', not an array "
+                       "of shape ({n},) and dtype float64"),
+    "params-one-short": ("ppo", "params", lambda v: v[:-1], "is an array of "
+                         "shape ({m},) and dtype float64, not an array of "
+                         "shape ({n},) and dtype float64"),
+    "params-2-d": ("ppo", "params", lambda v: v[None], "is an array of shape "
+                   "(1, {n}) and dtype float64, not an array of shape ({n},) "
+                   "and dtype float64"),
+    # params stored as int64 used to resume after a silent conversion; a
+    # checkpoint keeps the dtype that the cell writes, so it is refused
+    "params-as-int64": ("ppo", "params", lambda v: v.astype(np.int64),
+                        "is an array of shape ({n},) and dtype int64, not an "
+                        "array of shape ({n},) and dtype float64"),
+    "adam_m-one-short": ("ppo", "adam_m", lambda v: v[:-1], "is an array of "
+                         "shape ({m},) and dtype float64, not an array of "
+                         "shape ({n},) and dtype float64"),
+    "update_index-as-text": ("ppo", "update_index", lambda v: "1",
+                             "is '1', not an int"),
+    "update_index-as-float": ("ppo", "update_index", lambda v: 1.5,
+                              "is 1.5, not an int"),
+    "adam_t-as-text": ("ppo", "adam_t", lambda v: "3", "is '3', not an int"),
+    "adam_t-as-bool": ("ppo", "adam_t", lambda v: True,
+                       "is True, not an int"),
+    "steps_used-as-text": ("ppo", "steps_used", lambda v: "x",
+                           "is 'x', not an int"),
+    "curve-as-text": ("ppo", "curve", lambda v: "x", "is 'x', not a list"),
+    "curve-of-ints": ("ppo", "curve", lambda v: [1, 2],
+                      "entry 0 is 1, not an object"),
+    "curve-update-as-float": ("ppo", "curve", lambda v: [v[0], {
+        **v[1], "update": 2.5}], "entry 1: 'update' is 2.5, not an int"),
+    "curve-entry-short": ("ppo", "curve", lambda v: [v[0], {
+        k: x for k, x in v[1].items() if k != "entropy"}],
+        "entry 1: 'entropy' is missing"),
+    "records-as-text": ("es", "records", lambda v: "x", "is 'x', not a list"),
+    "records-of-ints": ("es", "records", lambda v: [1],
+                        "entry 0 is 1, not an object"),
+    "record-return-nan": ("es", "records", lambda v: [
+        {**v[0], "mean_return": math.nan}],
+        "entry 0: 'mean_return' is nan, not a finite number"),
+    "ppo_steps-as-text": ("es", "ppo_steps", lambda v: "x",
+                          "is 'x', not an int"),
+    "architecture-as-list": ("es", "architecture", lambda v: [1],
+                             "is [1], not an object"),
+    "es-params-one-short": ("es", "params", lambda v: v[:-1], "is an array "
+                            "of shape ({m},) and dtype float64, not an array "
+                            "of shape ({n},) and dtype float64"),
+    "ppo_curve-as-text": ("es", "ppo_curve", lambda v: "x",
+                          "is 'x', not a list"),
+    "anchor_sha256-as-int": ("es", "anchor_sha256", lambda v: 0,
+                             "is 0, not a string"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FIELDS))
+def test_a_bad_checkpoint_field_fails_only_its_own_cell(tmp_path, cut_sweeps,
+                                                        case):
+    # a PPO checkpoint of a first cell is read by the group phase, which
+    # must leave that cell to fail by itself; a value of the wrong kind
+    # must not resume, nor reach a record that `report` would refuse
+    plan, bits, cuts = cut_sweeps
+    stage, field, spoil, message = BAD_FIELDS[case]
+    out = str(tmp_path / "out")
+    shutil.copytree(cuts[stage], out)
+    path = _checkpoint_path(out, *_SPOILED[stage])
+    state = load_checkpoint(path)
+    assert state["stage"] == stage
+    n = len(state[field]) if isinstance(state[field], np.ndarray) else 0
+    save_checkpoint(path, {**state, field: spoil(state[field])})
+    assert main(["resume", "--dir", out]) == 1
+    payload = load_json(os.path.join(out, "report.json"))
+    assert [(f["method"], f["seed"]) for f in payload["failures"]] == \
+        [_SPOILED[stage]]
+    assert f"CheckpointError: {path}: field '{field}' " \
+        f"{message.format(n=n, m=n - 1)}\n" in payload["failures"][0]["failure"]
+    finished = {(r["method"], r["seed"]): r for r in payload["records"]
+                if not r["failed"]}
+    assert _sweep_bits(out, finished.values()) == \
+        {cell: b for cell, b in bits.items() if cell != _SPOILED[stage]}
+
+
+def _another_kind(value):
+    """Values of another kind than `value`, a checkpoint field: a string, a
+    float, a bool, a list or a dict, and for an array one of another shape
+    or dtype."""
+    kinds = {str: st.text(max_size=4), float: st.floats(), bool: st.booleans(),
+             list: st.lists(st.integers(), max_size=2),
+             dict: st.dictionaries(st.text(max_size=2), st.integers(),
+                                   max_size=2)}
+    drawn = [s for kind, s in kinds.items() if type(value) is not kind]
+    if isinstance(value, np.ndarray):
+        drawn.append(st.sampled_from([
+            value[:-1], value[None], np.concatenate([value, value]),
+            value.astype(np.int64), value.astype(np.float32)]))
+    return st.one_of(drawn)
+
+
+@pytest.fixture(scope="module")
+def spoilable(cut_sweeps, tmp_path_factory):
+    """A copy of `cut_sweeps`' cut directories, by stage, to spoil."""
+    root = tmp_path_factory.mktemp("spoilable")
+    return {stage: shutil.copytree(cut, str(root / stage))
+            for stage, cut in cut_sweeps[2].items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_state_names_a_field_of_another_kind(cut_sweeps, spoilable,
+                                                  data):
+    plan, _, cuts = cut_sweeps
+    stage = data.draw(st.sampled_from(["ppo", "es"]))
+    state = load_checkpoint(_checkpoint_path(cuts[stage], *_SPOILED[stage]))
+    field = data.draw(st.sampled_from(sorted(set(state) - {"format_version"})))
+    value = data.draw(_another_kind(state[field]))
+    path = _checkpoint_path(spoilable[stage], *_SPOILED[stage])
+    save_checkpoint(path, {**state, field: value})
+    cell = pipeline_module._Cell(plan, *_SPOILED[stage], spoilable[stage])
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{path}: field '{field}' ")):
+        pipeline_module._load_state(cell)
+
+
 @pytest.mark.parametrize("stage", ["ppo", "es"])
 def test_resume_names_each_field_dropped_from_a_checkpoint(
         tmp_path, monkeypatch, stage):
@@ -915,18 +1067,22 @@ def _sweep_files(out, payload):
     return cells, report
 
 
-@pytest.mark.parametrize("first", ["ppo_only", "ppo_then_tdes"])
+@pytest.mark.parametrize("first, handoff, count", [
+    ("ppo_only", None, 18), ("ppo_then_tdes", None, 18), ("ppo_only", 0.0, 22)],
+    ids=["ppo_only", "ppo_then_tdes", "handoff"])
 def test_resume_after_a_cut_after_each_checkpoint_write(tmp_path, monkeypatch,
-                                                        first):
+                                                        first, handoff, count):
     # two seeds, so that the group phase runs them in lockstep; a two-stage
-    # method first plants ppo_only's checkpoint at the fork
+    # method first plants ppo_only's checkpoint at the fork, and the handoff
+    # rule moves the fork to the first update
     plan = tiny_plan(methods=[first] + [m for m in tiny_plan().methods
-                                        if m != first])
+                                        if m != first],
+                     handoff_success_threshold=handoff, handoff_window=1)
     clean = str(tmp_path / "clean")
     with monkeypatch.context() as m:
         writes = _cut_after_write(m, 0)
         expected = _sweep_files(clean, sweep(plan, clean))
-    assert len(writes) == 18
+    assert len(writes) == count
     for k in range(1, len(writes) + 1):
         out = str(tmp_path / f"cut-{k}")
         with monkeypatch.context() as m:
@@ -935,8 +1091,86 @@ def test_resume_after_a_cut_after_each_checkpoint_write(tmp_path, monkeypatch,
                 sweep(plan, out)
         where = f"cut after write {k}, of {written[-1]}"
         assert written[-1] == writes[k - 1].replace(clean, out), where
-        assert _sweep_files(out, sweep(plan, out)) == expected, where
+        payload = sweep(plan, out)
+        assert _sweep_files(out, payload) == expected, where
         assert _resume_state(out) == [], where
+        # what `refine-es report` reads back is what the sweep wrote
+        for r in payload["records"]:
+            path = os.path.join(cell_dir(out, "point-reach", r["method"],
+                                         r["seed"]), "record.json")
+            assert pipeline_module.load_record(path, plan, r["method"],
+                                               r["seed"]) == r, where
+
+
+def _cut_after_event(monkeypatch, k):
+    """Patch the durable events of a sweep besides its checkpoint writes,
+    each result file written (`save_text_atomic`, which `save_json_atomic`
+    calls) and each file deleted (in `_drop_resume_state`), to raise
+    KeyboardInterrupt right after the k-th of them (never for k = 0);
+    returns the paths of the events."""
+    import refine_es.checkpoint as checkpoint
+
+    write, unlink = checkpoint.save_text_atomic, os.unlink
+    events = []
+
+    def then_cut(done, path, *args):
+        done(path, *args)
+        events.append(path)
+        if len(events) == k:
+            raise KeyboardInterrupt(f"injected interrupt after event {k}")
+
+    for module in (checkpoint, pipeline_module):
+        monkeypatch.setattr(module, "save_text_atomic",
+                            lambda *args: then_cut(write, *args))
+    monkeypatch.setattr(os, "unlink", lambda path: then_cut(unlink, path))
+    return events
+
+
+def _no_wall_time(value):
+    if isinstance(value, dict):
+        return {k: _no_wall_time(v) for k, v in value.items()
+                if k != "wall_time"}
+    return [_no_wall_time(v) for v in value] \
+        if isinstance(value, list) else value
+
+
+def _tree(out):
+    """Every file under `out` by its path relative to `out`: a JSON file's
+    value without its wall times, any other file's bytes."""
+    files = {}
+    for d, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(d, name)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            files[os.path.relpath(path, out)] = _no_wall_time(
+                json.loads(data)) if name.endswith(".json") else data
+    return files
+
+
+def test_resume_after_a_cut_after_each_result_write_and_deletion(
+        tmp_path, monkeypatch):
+    # ROADMAP item 4: a cut right after any durable event of a sweep, and
+    # the resumed sweep leaves the uncut sweep's files
+    plan = tiny_plan(methods=["ppo_only", "ppo_then_tdes"])
+    clean = str(tmp_path / "clean")
+    with monkeypatch.context() as m:
+        events = _cut_after_event(m, 0)
+        sweep(plan, clean)
+    expected = _tree(clean)
+    # plan.json; per cell final.json, log.csv, record.json and the
+    # checkpoint's deletion; report.json
+    assert len(events) == 1 + 4 * 4 + 1
+    for k in range(1, len(events) + 1):
+        out = str(tmp_path / f"cut-{k}")
+        with monkeypatch.context() as m:
+            done = _cut_after_event(m, k)
+            with pytest.raises(KeyboardInterrupt):
+                sweep(plan, out)
+        where = f"cut after event {k}, of {done[-1]}"
+        assert done[-1] == events[k - 1].replace(clean, out), where
+        sweep(plan, out)
+        assert _tree(out) == expected, where
 
 
 def _note_ppo_updates(monkeypatch):
