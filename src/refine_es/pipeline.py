@@ -3,25 +3,24 @@
 The plan (plan.py) fixes the cells, one per (method, seed), and their equal
 step budget. Each cell is worked out once, as a `_Cell`: its paths, its one
 env (every PPO update, ES generation and evaluation of the cell runs on it),
-its PPO config and stop rule, the fields its checkpoints store, the ES
-config for a remaining budget, and the fork test.
+its PPO config, the fields its checkpoints store, the ES config for a
+remaining budget, and the fork test.
 
 Stage-1 streams depend only on (seed, update, ...), never on the method or
 the budget, so within one seed every PPO run is a prefix of the ppo_only run
 and passes through the fork, the update where the two-stage methods stop PPO
-(the last one that fits split*budget, or the handoff rule). ppo_only ignores
-the handoff rule and spends its whole budget on PPO. The sweep therefore
-trains PPO once per seed: the pool runs groups of seeds, and a seed runs its
-cells in plan order. A group's first cells first train their PPO runs
-together, in lockstep (`_train_first_cells`, `ppo.train_anchors`), each
-writing the checkpoints that its cell writes; each cell then resumes from
-its own as `run_method` resumes any cell. A cell makes one PPO run and, if
-two-stage, one ES run. The fork
-is an event of the PPO run: when an update ends the two-stage run
-(`_Cell.at_fork`), the cell first writes into each sibling with neither a
-checkpoint nor a record the PPO checkpoint that the sibling's own run writes
-after that update (its config, its handoff rule, Adam moments included),
-then its own. A sibling resumes from it, and its PPO run stops at once.
+(the last one that fits split*budget). ppo_only spends its whole budget on
+PPO. The sweep therefore trains PPO once per seed: the pool runs groups of
+seeds, and a seed runs its cells in plan order. A group's first cells first
+train their PPO runs together, in lockstep (`_train_first_cells`,
+`ppo.train_anchors`), each writing the checkpoints that its cell writes;
+each cell then resumes from its own as `run_method` resumes any cell. A cell
+makes one PPO run and, if two-stage, one ES run. The fork is an event of
+the PPO run: when an update ends the two-stage run (`_Cell.at_fork`), the
+cell first writes into each sibling with neither a checkpoint nor a record
+the PPO checkpoint that the sibling's own run writes after that update (its
+config, Adam moments included), then its own. A sibling resumes from it,
+and its PPO run stops at once.
 A run resumed past the fork plants nothing, and if the first cell fails
 before the fork, the next one trains PPO itself. Every cell checks the
 equal-budget premise: one that overspends, or leaves more than one unit of
@@ -48,13 +47,17 @@ ppo_only's by `engine.evaluate_center`. A fresh ES stage starts from its
 state before the first generation, built in memory; a cut before its first
 generation resumes from the last PPO checkpoint (older versions wrote one
 of generation -1 there, see `_Cell.after_ppo`). On resume the checkpoint
-must match the cell: format version, stage, master seed, the handoff
-rule, and the PPO and ES configs recomputed from the plan, and have the
-fields, kinds, dtypes and shapes of the state that the cell builds fresh
-(`_check`), as a record those of the blank one; a mismatch fails its own
-cell only, with a `CheckpointError` naming the file and the field. Which
-format versions can be read is checkpoint.py's to know; a JSON checkpoint
-(format 1) is refused here, so that its cell does not silently restart.
+must match the cell: format version, stage, master seed, the PPO and ES
+configs recomputed from the plan and the actor's architecture, and have
+the fields, kinds, dtypes and shapes of the state that the cell builds
+fresh (`_check`), as a record those of the blank one and the plan's
+budget (`_budget_shortfall` too, unless it is marked failed); a mismatch
+fails its own cell only, with a `CheckpointError` naming the file and the
+field. The early-handoff rule of older versions is retired: a checkpoint
+that stored it without a threshold (the rule off) resumes, any other fails
+its cell. Which format versions can be read is checkpoint.py's to know; a
+JSON checkpoint (format 1) is refused here, so that its cell does not
+silently restart.
 A finished cell keeps its results (`checkpoints/final.json`, log.csv,
 record.json), each written once, atomically and durable before record.json,
 not its resume state: once record.json is durable, the checkpoint is
@@ -99,26 +102,12 @@ def cell_dir(out_dir: str, task: str, method: str, seed: int) -> str:
     return os.path.join(out_dir, "runs", task, method, str(seed))
 
 
-def _stop_condition(threshold: float | None, window: int):
-    """The handoff rule as a `ppo.train_anchor` stop condition, or None."""
-    if threshold is None:
-        return None
-
-    def stop(curve):
-        if len(curve) < window:
-            return False
-        recent = [c["success_rate"] for c in curve[-window:]]
-        return float(np.mean(recent)) >= threshold
-    return stop
-
-
 class _Cell:
     """One (method, seed) cell of a plan, worked out once: its paths, its
-    env, its PPO config, the fields that its checkpoints store and a resume
-    checks besides the state, and its stop rule. A two-stage cell stops PPO
-    at the fork: after the last update that fits split * budget, or earlier
-    where the plan's handoff rule fires. ppo_only trains to the full budget
-    and ignores the rule, so its recorded rule has no threshold."""
+    env, its PPO config, and the fields that its checkpoints store and a
+    resume checks besides the state. A two-stage cell stops PPO at the
+    fork, after the last update that fits split * budget (its PPO config's
+    `total_steps`); ppo_only trains to the full budget."""
 
     def __init__(self, plan: ExperimentPlan, method: str, seed: int,
                  out_dir: str):
@@ -130,16 +119,10 @@ class _Cell:
         self.record = os.path.join(self.dir, "record.json")
         self.env = make_env(plan.task)
         self.two_stage = method != "ppo_only"
-        self.fork_stop = _stop_condition(plan.handoff_success_threshold,
-                                         plan.handoff_window)
-        self.stop = self.fork_stop if self.two_stage else None
         self.ppo_config = ppo_config(plan, method, seed)
         self.archs = ppo.architectures(self.env.observation_dim,
                                        self.env.action_dim, self.ppo_config)
-        threshold = plan.handoff_success_threshold if self.two_stage else None
         self.fields = {"ppo_config": self.ppo_config.to_dict(),
-                       "handoff": {"success_threshold": threshold,
-                                   "window": plan.handoff_window},
                        "master_seed": seed}
 
     def es_config(self, remaining: int) -> engine.EsConfig:
@@ -149,15 +132,14 @@ class _Cell:
 
     def at_fork(self, curve: list) -> bool:
         """Whether the two-stage PPO run, a prefix of every PPO run of the
-        seed, ends exactly after `curve`: the loop condition of
-        `ppo.train_anchor` stops it there, and at no shorter prefix."""
+        seed, ends exactly after `curve`, a non-empty curve of this seed:
+        its last update fits `plan.fork_steps` and one more would not, so
+        the step bound of `ppo.train_anchor` stops the run there. Steps
+        only grow along a curve, so one curve at most is at the fork, and
+        none if update 0 does not fit."""
         update_cost = self.ppo_config.episodes_per_update * self.env.horizon
-
-        def ends(k):
-            steps = curve[k - 1]["steps_used"] if k else 0
-            return steps + update_cost > self.plan.fork_steps or \
-                (self.fork_stop is not None and self.fork_stop(curve[:k]))
-        return ends(len(curve)) and not any(map(ends, range(len(curve))))
+        fork = self.plan.fork_steps
+        return fork - update_cost < curve[-1]["steps_used"] <= fork
 
     def save_ppo(self, ppo_state: dict) -> None:
         """The PPO run's checkpoint callback: save `ppo_state`, what
@@ -266,8 +248,11 @@ def _check(path: str, value, blank, where: str = "") -> None:
 
 def _load_state(cell: _Cell) -> dict | None:
     """The checkpoint of `cell`, or None, after the checks that need no ES
-    config: not a JSON one, the cell's stage, seed, PPO config and handoff
-    rule, and the kind (`_check`) of the state that the cell builds fresh."""
+    config: not a JSON one, the cell's stage, seed, PPO config and, for an
+    ES one, actor architecture, and the kind (`_check`) of the state that
+    the cell builds fresh. The `handoff` field of an older version is
+    dropped if its rule was off, and refused otherwise: that rule is
+    retired."""
     legacy = os.path.join(os.path.dirname(cell.checkpoint), "checkpoint.json")
     if os.path.exists(legacy):
         raise CheckpointError(
@@ -283,9 +268,17 @@ def _load_state(cell: _Cell) -> dict | None:
         raise CheckpointError(f"{path}: field 'master_seed' is "
                               f"{state.get('master_seed')!r}, this cell is "
                               f"seed {cell.seed}")
+    handoff = state.pop("handoff", None)
+    if handoff is not None and not (
+            type(handoff) is dict and handoff.get("success_threshold", 0)
+            is None and sorted(handoff) == ["success_threshold", "window"]):
+        raise CheckpointError(f"{path}: field 'handoff' is {handoff!r}, but "
+                              f"the handoff rule is retired: only a rule "
+                              f"without a threshold resumes")
     # the configs first, so that another optimizer is named as a mismatch
-    for name in ("ppo_config", "handoff"):
-        _check_fields(path, state, name, cell.fields[name])
+    _check_fields(path, state, "ppo_config", cell.fields["ppo_config"])
+    if state["stage"] == "es":
+        _check_fields(path, state, "architecture", cell.archs[0].to_dict())
     # what the PPO stage hands out with no update left to make, its vectors
     # zeros so that no stream is drawn; format_version is checkpoint.py's
     zeros = np.zeros(cell.env.action_dim + sum(map(param_count, cell.archs)))
@@ -349,13 +342,22 @@ def load_record(path: str, plan: ExperimentPlan, method: str,
     or a `CheckpointError` naming the file and the field if it holds no
     such record: it must be of the kind of the blank record (`_record`),
     its PPO curve and ES records of the kind that the stages write
-    (`_ENTRIES`), both as `_check` checks them, and be that cell's."""
+    (`_ENTRIES`), both as `_check` checks them, hold the plan's budget,
+    keep the equal-budget premise (`_budget_shortfall`) unless it is
+    marked failed, and be that cell's."""
     expected = _record(plan, method, seed)
     try:
         record = load_json(path)
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise CheckpointError(f"{path}: unreadable record ({exc})") from exc
     _check(path, record, expected)
+    if record["budget"] != plan.total_step_budget:
+        raise CheckpointError(f"{path}: field 'budget' is {record['budget']} "
+                              f"but the plan gives {plan.total_step_budget}")
+    shortfall = _budget_shortfall(_Cell(plan, method, seed, ""), record)
+    if shortfall is not None and not record["failed"]:
+        raise CheckpointError(f"{path}: {shortfall}, and the record is not "
+                              f"marked failed")
     cell = "{task} {method} seed {seed}".format
     if any(record[k] != expected[k] for k in ("task", "method", "seed")):
         raise CheckpointError(f"{path}: a record of {cell(**record)}, not "
@@ -404,8 +406,7 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
     state = _load_state(cell)
     if state is None or state["stage"] == "ppo":
         state = cell.after_ppo(ppo.train_anchor(
-            cell.env, cell.ppo_config, state, checkpoint_cb=cell.save_ppo,
-            stop_condition=cell.stop))
+            cell.env, cell.ppo_config, state, checkpoint_cb=cell.save_ppo))
 
     arch = MlpArchitecture.from_dict(state["architecture"])
     final_eval = (plan.eval_episodes, stream_seed(seed, TAG_FINAL_EVAL))
@@ -455,8 +456,8 @@ def _run_cell(plan: ExperimentPlan, method: str, seed: int,
 def _train_first_cells(plan: ExperimentPlan, seeds, out_dir: str) -> None:
     """Train the PPO runs of the first cells of `seeds` in lockstep
     (`ppo.train_anchors`), each from its cell's checkpoint and with its
-    cell's callback and stop rule, so that every checkpoint file equals the
-    one its cell writes alone. A cell with a record, an ES checkpoint or a
+    cell's callback, so that every checkpoint file equals the one its cell
+    writes alone. A cell with a record, an ES checkpoint or a
     checkpoint that `_load_state` refuses stays out."""
     runs = []
     for seed in seeds:
@@ -469,7 +470,7 @@ def _train_first_cells(plan: ExperimentPlan, seeds, out_dir: str) -> None:
             continue
         if state is None or state["stage"] == "ppo":
             os.makedirs(os.path.dirname(cell.checkpoint), exist_ok=True)
-            runs.append((cell.ppo_config, state, cell.save_ppo, cell.stop))
+            runs.append((cell.ppo_config, state, cell.save_ppo))
     ppo.train_anchors(make_env(plan.task), runs)
 
 

@@ -43,8 +43,6 @@ class ExperimentPlan:
     eval_episodes: int = 50
     es: dict = field(default_factory=dict)
     ppo: dict = field(default_factory=dict)
-    handoff_success_threshold: float | None = None
-    handoff_window: int = 5
 
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -68,11 +66,6 @@ class ExperimentPlan:
             duplicates = sorted({v for v in values if values.count(v) > 1})
             if duplicates:
                 raise PlanError(f"duplicate {name}: {duplicates}")
-        if self.handoff_window < 1:
-            raise PlanError("handoff_window must be >= 1")
-        if self.handoff_success_threshold is not None and \
-                not 0 <= self.handoff_success_threshold <= 1:
-            raise PlanError("handoff_success_threshold must be in [0, 1]")
 
     @property
     def fork_steps(self) -> int:
@@ -111,7 +104,7 @@ def es_config(plan: ExperimentPlan, env, method: str, seed: int,
 
 
 _KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str,
-          "float | None": (int, float, type(None)), "dict": dict}
+          "dict": dict}
 
 
 def _fits(value, annotation: str) -> bool:
@@ -124,7 +117,7 @@ def _fits(value, annotation: str) -> bool:
     if not isinstance(value, _KINDS[annotation]) or \
             isinstance(value, bool) != (annotation == "bool"):
         return False
-    if "float" not in annotation or value is None:
+    if annotation != "float":
         return True
     try:
         return math.isfinite(value)  # JSON's 1e999 parses to inf
@@ -150,6 +143,14 @@ def plan_from_dict(raw: dict) -> ExperimentPlan:
     are rejected by name."""
     if not isinstance(raw, dict):
         raise PlanError("plan must be a JSON object")
+    # the early-handoff rule is retired; an older plan.json holds its keys,
+    # read as before while the rule was off
+    if raw.get("handoff_success_threshold") is not None:
+        raise PlanError("plan key 'handoff_success_threshold' is "
+                        f"{raw['handoff_success_threshold']!r}, but the "
+                        "handoff rule is retired: it may only be null")
+    raw = {k: v for k, v in raw.items()
+           if k not in ("handoff_success_threshold", "handoff_window")}
     _check_keys(raw, ExperimentPlan)
     # a section takes its config's fields but those that a cell sets
     _check_keys(raw.get("es", {}), engine.EsConfig, "es.", (

@@ -353,15 +353,15 @@ def ppo_update(ac: ActorCritic, buffer: RolloutBuffer,
 
 def train_anchors(env, runs: list[tuple]) -> list[dict]:
     """`train_anchor` for several runs in lockstep on one env. `runs` holds
-    each run's arguments (config, state, checkpoint_cb, stop_condition), and
-    the configs may differ in their seed only. Each run starts from its own
-    state, asks its own stop rule, hands its own callback its states and
-    returns its last state, all bit for bit as it would alone; runs may
-    start and stop at different updates. Each run is held as the state that
-    it hands out. Before each collection the params and Adam state of the
-    runs still updating are stacked, make one update together, and each
-    run's state gets its row back. A callback that raises stops every run
-    after its last handed-out update."""
+    each run's arguments (config, state, checkpoint_cb), and the configs
+    may differ in their seed only. Each run starts from its own state,
+    hands its own callback its states and returns its last state, all bit
+    for bit as it would alone; runs may start at different updates, and
+    the ones further on leave the group sooner. Each run is held as the
+    state that it hands out. Before each collection the params and Adam
+    state of the runs still updating are stacked, make one update together,
+    and each run's state gets its row back. A callback that raises stops
+    every run after its last handed-out update."""
     if not runs:
         return []
     config = runs[0][0]
@@ -382,16 +382,12 @@ def train_anchors(env, runs: list[tuple]) -> list[dict]:
         return {**{k: state[k] for k in ("update_index", "params", *adam_keys,
                                          "steps_used")},
                 "curve": list(state["curve"])}
-    states = [start(c, state) for c, state, *_ in runs]
+    states = [start(c, state) for c, state, _ in runs]
     update_cost = config.episodes_per_update * env.horizon
 
-    def goes_on(i):
-        s, stop = states[i], runs[i][3]
-        return s["steps_used"] + update_cost <= config.total_steps and \
-            not (stop is not None and stop(s["curve"]))
-
     running = range(len(runs))
-    while running := [i for i in running if goes_on(i)]:
+    while running := [i for i in running if states[i]["steps_used"]
+                      + update_cost <= config.total_steps]:
         group = [states[i] for i in running]
         configs = [runs[i][0] for i in running]
         updates = [s["update_index"] + 1 for s in group]
@@ -415,12 +411,11 @@ def train_anchors(env, runs: list[tuple]) -> list[dict]:
 
 
 def train_anchor(env, config: PpoConfig, state: dict | None = None,
-                 checkpoint_cb=None, stop_condition=None) -> dict:
+                 checkpoint_cb=None) -> dict:
     """Collect/update cycles until the step budget cannot fund another
-    update, or until `stop_condition(curve)` holds: `train_anchors` with
-    one run. The stop rule is asked before each collection, so a run
-    resumed from any update's checkpoint stops exactly where the
-    uninterrupted run stopped.
+    update: `train_anchors` with one run. The budget is asked before each
+    collection, so a run resumed from any update's checkpoint stops exactly
+    where the uninterrupted run stopped.
 
     After each update, `checkpoint_cb(state)` gets the run's state, what a
     checkpoint stores, in this key order: `update_index`, `params` (the
@@ -433,5 +428,4 @@ def train_anchor(env, config: PpoConfig, state: dict | None = None,
     no initial parameters are drawn. Returns the run's state after its last
     update, the dict that the callback got last; a run with no update to
     make returns its start state, with only these keys."""
-    return train_anchors(env, [(config, state, checkpoint_cb,
-                                stop_condition)])[0]
+    return train_anchors(env, [(config, state, checkpoint_cb)])[0]

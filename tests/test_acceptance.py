@@ -1,4 +1,5 @@
-"""Acceptance gate: ten criteria, one printed pass/fail line each.
+"""Acceptance gate: ten criteria, one printed pass/fail line each, and
+criterion 6's matched-variance companion, 6b.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Criterion 9 executes the frozen sweep in tests/plans/acceptance_peg.json
@@ -136,6 +137,46 @@ def test_criterion_06_variance_direction():
     _line(6, ok, f"trace of estimator covariance over 1000 batches: "
                  f"triangular {traces['triangular']:.4f} < gaussian "
                  f"{traces['gaussian']:.4f} ({100 * reduction:.1f}% lower)")
+
+
+def test_criterion_06b_matched_variance():
+    # criterion 6 compares the two noises at equal sigma_es, where the
+    # triangular's per-coordinate variance is 1/6 and its estimate is
+    # scaled down with it. At unit variance (standardize=True) and with
+    # raw-return scores, the trace of the estimator's covariance on this
+    # quadratic is (16 / m) * |theta - target|^2 * (kurtosis + d - 2), and
+    # the bounded noise's lower kurtosis (2.4 against the Gaussian's 3)
+    # makes it 10 % lower for m = 8 and d = 5
+    target = np.array([0.2, -0.1, 0.4, 0.0, 0.3])
+
+    def objective(theta):
+        return -float(np.sum((theta - target) ** 2))
+
+    sigma, m, trials, d = 0.05, 8, 1000, 5
+    center = np.zeros(d)
+    ok, parts = True, []
+    for kind, kurtosis in (("triangular", 2.4), ("gaussian", 3.0)):
+        grads = np.empty((trials, d))
+        for t in range(trials):
+            eps = make_batch(kind, True, m, d, t, 11)
+            plus, minus = antithetic_candidates(center, eps, sigma)
+            grads[t] = fd_gradient(eps,
+                                   np.array([objective(p) for p in plus]),
+                                   np.array([objective(p) for p in minus]),
+                                   sigma)
+        # the trace is the mean squared deviation, so its sampling error is
+        # the standard error of that mean
+        deviations = np.sum((grads - grads.mean(axis=0)) ** 2, axis=1)
+        trace = float(deviations.sum() / (trials - 1))
+        error = float(deviations.std() / np.sqrt(trials))
+        closed = 16 / m * float(np.sum((center - target) ** 2)) * \
+            (kurtosis + d - 2)
+        ok = ok and abs(trace - closed) < 3 * error
+        parts.append(f"{kind} {trace:.3f} +- {error:.3f} (closed form "
+                     f"{closed:.3f})")
+    _line("6b", ok, f"trace of estimator covariance at unit variance over "
+                    f"{trials} batches, within 3 standard errors of the "
+                    f"closed form: {'; '.join(parts)}")
 
 
 def test_criterion_07_rank_and_robust_stat_properties():

@@ -66,13 +66,17 @@ def test_non_finite_plan_number_exit_2_at_load(tmp_path, capsys, section,
 
 def test_handoff_threshold_outside_unit_interval_exit_2_at_load(tmp_path,
                                                                 capsys):
-    out = str(tmp_path / "out")
-    code = main(["run", "--plan", write_plan(tmp_path, dict(
-        TINY_PLAN, handoff_success_threshold=1.5)), "--out", out])
-    assert code == 2
-    assert "handoff_success_threshold must be in [0, 1]" in \
-        capsys.readouterr().err
-    assert not os.path.exists(out)
+    # the early-handoff rule is retired: a plan that sets its threshold, in
+    # [0, 1] or not, is refused by name; only null reads, as the rule off
+    for threshold in (1.5, 0.5, 0):
+        out = str(tmp_path / "out")
+        code = main(["run", "--plan", write_plan(tmp_path, dict(
+            TINY_PLAN, handoff_success_threshold=threshold,
+            handoff_window=1)), "--out", out])
+        assert code == 2
+        assert f"plan key 'handoff_success_threshold' is {threshold}, but " \
+            f"the handoff rule is retired" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 def test_unknown_plan_key_named(tmp_path, capsys):
@@ -482,6 +486,15 @@ BAD_RECORDS = {
         **json.loads(text), "ppo_curve": json.loads(text)["ppo_curve"][:1] + [
             {**json.loads(text)["ppo_curve"][1], "update": "x"}]}),
         "field 'ppo_curve' entry 1: 'update' is 'x', not an int"),
+    # a record must fit its plan's budget, and one that breaks the
+    # equal-budget premise must be marked failed
+    "budget_not_the_plans": (lambda text: json.dumps(
+        {**json.loads(text), "budget": 999, "steps_consumed": 5}),
+        "field 'budget' is 999 but the plan gives 1000"),
+    "overspent_not_failed": (lambda text: json.dumps(
+        {**json.loads(text), "steps_consumed": 1200}),
+        "ppo_only seed 0 consumed 1200 of 1000 steps: 200 over budget, and "
+        "the record is not marked failed"),
     "wrong_seed": (lambda text: json.dumps({**json.loads(text), "seed": 7}),
                    "a record of point-reach ppo_only seed 7, not of this "
                    "cell (point-reach ppo_"),

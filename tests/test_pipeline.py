@@ -67,13 +67,6 @@ def test_plan_rejects_missing_and_invalid():
             "duplicate methods: ['ppo_only', 'ppo_then_tdes']")):
         tiny_plan(methods=["ppo_then_tdes", "ppo_only", "ppo_then_tdes",
                            "ppo_only"])
-    with pytest.raises(PlanError, match="handoff_window"):
-        tiny_plan(handoff_window=0)
-    # 1.5 would never fire and -3 would fire after the first window
-    for threshold in (1.5, -3):
-        with pytest.raises(PlanError, match=re.escape(
-                "handoff_success_threshold must be in [0, 1]")):
-            tiny_plan(handoff_success_threshold=threshold)
     with pytest.raises(PlanError, match="'es'.*m must be >= 1"):
         tiny_plan(es={"m": 0})
     with pytest.raises(PlanError, match="'ppo'.*learning_rate"):
@@ -107,11 +100,10 @@ def test_plan_accepts_seeds_at_the_64_bit_ends():
     assert tiny_plan(seeds=[0, 2 ** 64 - 1]).seeds == (0, 2 ** 64 - 1)
 
 
-_FLOAT_KEYS = ("split", "handoff_success_threshold", "es.sigma_es",
-               "es.alpha", "es.lambda_sigma", "es.sigma_min", "es.action_std",
-               "ppo.learning_rate", "ppo.value_coef", "ppo.entropy_coef",
-               "ppo.init_log_std", "ppo.gae_lambda",
-               "ppo.clip_epsilon")
+_FLOAT_KEYS = ("split", "es.sigma_es", "es.alpha", "es.lambda_sigma",
+               "es.sigma_min", "es.action_std", "ppo.learning_rate",
+               "ppo.value_coef", "ppo.entropy_coef", "ppo.init_log_std",
+               "ppo.gae_lambda", "ppo.clip_epsilon")
 
 
 @pytest.mark.parametrize("key, value", [
@@ -122,17 +114,17 @@ _FLOAT_KEYS = ("split", "handoff_success_threshold", "es.sigma_es",
     ("seeds", [0.7]),
     ("seeds", [False]),
     ("split", "0.5"),
-    ("handoff_window", 1.0),
-    ("handoff_success_threshold", "high"),
     ("es.m", 2.5),
     ("es.alpha", "0.01"),
     ("es.standardize_noise", 1),
     ("ppo.episodes_per_update", 2.5),
-    ("ppo.hidden_dims", [8.0]),
+    # a list value gets its id by hand, so that the ids stay put when an
+    # entry before it goes
+    pytest.param("ppo.hidden_dims", [8.0], id="ppo.hidden_dims-value13"),
     ("ppo.optimizer", 1),
-    ("es", [["m", 2]]),
+    pytest.param("es", [["m", 2]], id="es-value15"),
     ("methods", "ppo_only"),
-    ("task", ["point-reach"]),
+    pytest.param("task", ["point-reach"], id="task-value17"),
 ] + [
     # JSON's 1e999 parses to inf, and json.load takes NaN and Infinity
     (key, value) for key in _FLOAT_KEYS
@@ -279,26 +271,16 @@ def test_resume_after_interrupt_bitwise(tmp_path):
     assert fa["params"] == fb["params"]
 
 
-def test_handoff_heuristic_stops_ppo_early(tmp_path):
-    # threshold 0 with a window of 1 fires after the first update
-    plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
-                     handoff_success_threshold=0.0, handoff_window=1)
-    rec = run_method(plan, "ppo_then_tdes", 0, str(tmp_path))
-    assert rec["ppo_steps"] == 200  # exactly one update before handing off
-    assert rec["es_steps"] > 0
-
-
 def _final_params(out, method="ppo_then_tdes", seed=0):
     return load_json(os.path.join(cell_dir(out, "point-reach", method, seed),
                                   "checkpoints", "final.json"))["params"]
 
 
 def test_resume_across_handoff_bitwise(tmp_path, monkeypatch):
-    # interrupt after the handoff PPO checkpoint, before the first ES one
+    # interrupt after the last PPO checkpoint, before the first ES one
     import refine_es.pipeline as pipeline
 
-    plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
-                     handoff_success_threshold=0.0, handoff_window=1)
+    plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0])
     clean = run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "clean"))
 
     original = pipeline._Cell.es_config
@@ -314,12 +296,13 @@ def test_resume_across_handoff_bitwise(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "cut"))
     state = load_checkpoint(_checkpoint_path(str(tmp_path / "cut")))
-    assert (state["stage"], state["update_index"]) == ("ppo", 0)
+    # 2 updates of 200 steps fit the fork at 500
+    assert (state["stage"], state["update_index"]) == ("ppo", 1)
     updates = _count_ppo_updates(monkeypatch)
     resumed = run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "cut"))
     assert updates == []  # the PPO run stops at once where it was cut
 
-    assert clean["ppo_steps"] == resumed["ppo_steps"] == 200
+    assert clean["ppo_steps"] == resumed["ppo_steps"] == 400
     assert resumed["anchor_sha256"] == clean["anchor_sha256"]
     assert resumed["ppo_curve"] == clean["ppo_curve"]
     assert _final_params(str(tmp_path / "cut")) == \
@@ -703,7 +686,7 @@ def cut_sweeps(tmp_path_factory):
 _SPOILED = {"ppo": ("ppo_only", 0), "es": ("ppo_then_tdes", 0)}
 # a field of a checkpoint replaced, by the stage of the checkpoint: the
 # value from the stored one, and what the refusal says of it, formatted
-# with the stored value's length n
+# with the stored value's length n (of the field, or from "field" on)
 BAD_FIELDS = {
     "params-as-text": ("ppo", "params", lambda v: "x", "is 'x', not an array "
                        "of shape ({n},) and dtype float64"),
@@ -748,6 +731,12 @@ BAD_FIELDS = {
                           "is 'x', not an int"),
     "architecture-as-list": ("es", "architecture", lambda v: [1],
                              "is [1], not an object"),
+    # another actor than the cell's used to fail in `engine.tdes_run`,
+    # naming neither the file nor the field
+    "architecture-not-the-cells": ("es", "architecture", lambda v: {
+        **v, "hidden_dims": [9]}, "field 'architecture.hidden_dims' is [9] "
+        "but the plan gives [8]; refusing to resume a different "
+        "configuration"),
     "es-params-one-short": ("es", "params", lambda v: v[:-1], "is an array "
                             "of shape ({m},) and dtype float64, not an array "
                             "of shape ({n},) and dtype float64"),
@@ -777,8 +766,10 @@ def test_a_bad_checkpoint_field_fails_only_its_own_cell(tmp_path, cut_sweeps,
     payload = load_json(os.path.join(out, "report.json"))
     assert [(f["method"], f["seed"]) for f in payload["failures"]] == \
         [_SPOILED[stage]]
-    assert f"CheckpointError: {path}: field '{field}' " \
-        f"{message.format(n=n, m=n - 1)}\n" in payload["failures"][0]["failure"]
+    if not message.startswith("field "):
+        message = f"field '{field}' {message}"
+    assert f"CheckpointError: {path}: {message.format(n=n, m=n - 1)}\n" in \
+        payload["failures"][0]["failure"]
     finished = {(r["method"], r["seed"]): r for r in payload["records"]
                 if not r["failed"]}
     assert _sweep_bits(out, finished.values()) == \
@@ -900,41 +891,12 @@ def test_resume_refuses_json_checkpoint(tmp_path):
         run_method(plan, "ppo_only", 0, str(tmp_path))
 
 
-def test_resume_refuses_changed_handoff_rule(tmp_path):
-    # the handoff rule sets where PPO stopped, so a changed rule is refused
-    plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
-                     total_step_budget=1400, handoff_success_threshold=0.0,
-                     handoff_window=1)
-    out = str(tmp_path)
-    _cut_in_es(plan, out)
-    changed = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
-                        total_step_budget=1400)
-    with pytest.raises(CheckpointError,
-                       match=r"checkpoint\.npz: field 'handoff\."
-                             r"success_threshold' is 0\.0 but the plan gives "
-                             r"None"):
-        run_method(changed, "ppo_then_tdes", 0, out)
-
-
-def _handoff_plan(**kw):
-    # the handoff rule fires after PPO's first update
-    return tiny_plan(total_step_budget=4000, handoff_success_threshold=0.0,
-                     handoff_window=1, **kw)
-
-
-def test_ppo_only_ignores_handoff_rule(tmp_path):
-    plan = _handoff_plan(methods=["ppo_only"], seeds=[0])
-    rec = run_method(plan, "ppo_only", 0, str(tmp_path))
-    assert rec["ppo_steps"] == rec["steps_consumed"] == 4000
-    assert len(rec["ppo_curve"]) == 20
-
-
 def test_ppo_only_refuses_checkpoint_with_handoff_rule(tmp_path, monkeypatch):
-    # before ppo_only ignored the handoff rule, its checkpoints recorded the
-    # plan's rule; resuming one would mix two different runs
+    # older versions stored the early-handoff rule, which is retired: a
+    # checkpoint of a run under a rule with a threshold would mix two runs
     import refine_es.checkpoint as checkpoint
 
-    plan = _handoff_plan(methods=["ppo_only"], seeds=[0])
+    plan = tiny_plan(methods=["ppo_only"], seeds=[0])
     out = str(tmp_path)
     with monkeypatch.context() as m:
         _interrupt_ppo_update(m, 2)
@@ -942,23 +904,14 @@ def test_ppo_only_refuses_checkpoint_with_handoff_rule(tmp_path, monkeypatch):
             run_method(plan, "ppo_only", 0, out)
     path = _checkpoint_path(out, "ppo_only")
     state = checkpoint.load_checkpoint(path)
-    assert state["handoff"] == {"success_threshold": None, "window": 1}
-    state["handoff"] = {"success_threshold": 0.0, "window": 1}
-    checkpoint.save_checkpoint(path, state)
-    with pytest.raises(CheckpointError,
-                       match=r"checkpoint\.npz: field 'handoff\."
-                             r"success_threshold' is 0\.0 but the plan gives "
-                             r"None"):
-        run_method(plan, "ppo_only", 0, out)
-
-
-def test_handoff_sweep_keeps_equal_budgets(tmp_path):
-    payload = sweep(_handoff_plan(seeds=[0]), str(tmp_path))
-    records = payload["records"]
-    assert payload["failures"] == []
-    steps = {r["method"]: (r["ppo_steps"], r["es_steps"]) for r in records}
-    assert steps == {"ppo_only": (4000, 0), "ppo_then_tdes": (200, 3600),
-                     "ppo_then_gaussian_es": (200, 3600)}
+    assert "handoff" not in state
+    for handoff in ({"success_threshold": 0.0, "window": 1}, [None, 5],
+                    {"success_threshold": None, "window": 5, "extra": 1}):
+        checkpoint.save_checkpoint(path, {**state, "handoff": handoff})
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: field 'handoff' is {handoff!r}, but the handoff "
+                f"rule is retired")):
+            run_method(plan, "ppo_only", 0, out)
 
 
 @pytest.mark.parametrize("method, delta, message", [
@@ -1067,17 +1020,16 @@ def _sweep_files(out, payload):
     return cells, report
 
 
-@pytest.mark.parametrize("first, handoff, count", [
-    ("ppo_only", None, 18), ("ppo_then_tdes", None, 18), ("ppo_only", 0.0, 22)],
+@pytest.mark.parametrize("first, split, count", [
+    ("ppo_only", 0.5, 18), ("ppo_then_tdes", 0.5, 18), ("ppo_only", 0.2, 22)],
     ids=["ppo_only", "ppo_then_tdes", "handoff"])
 def test_resume_after_a_cut_after_each_checkpoint_write(tmp_path, monkeypatch,
-                                                        first, handoff, count):
+                                                        first, split, count):
     # two seeds, so that the group phase runs them in lockstep; a two-stage
-    # method first plants ppo_only's checkpoint at the fork, and the handoff
-    # rule moves the fork to the first update
+    # method first plants ppo_only's checkpoint at the fork, and split 0.2
+    # moves the fork (the PPO->ES handoff) to the first update
     plan = tiny_plan(methods=[first] + [m for m in tiny_plan().methods
-                                        if m != first],
-                     handoff_success_threshold=handoff, handoff_window=1)
+                                        if m != first], split=split)
     clean = str(tmp_path / "clean")
     with monkeypatch.context() as m:
         writes = _cut_after_write(m, 0)
@@ -1171,6 +1123,93 @@ def test_resume_after_a_cut_after_each_result_write_and_deletion(
         assert done[-1] == events[k - 1].replace(clean, out), where
         sweep(plan, out)
         assert _tree(out) == expected, where
+
+
+def _cut_before_rename(monkeypatch, k):
+    """Patch `os.replace` to raise KeyboardInterrupt right before the k-th
+    rename of a `checkpoint.npz.tmp` (never for k = 0), once that `.tmp`
+    is written and fsynced; returns the checkpoint path of each rename."""
+    replace = os.replace
+    renames = []
+
+    def cut_before(src, dst):
+        if src.endswith("checkpoint.npz.tmp"):
+            renames.append(dst)
+            if len(renames) == k:
+                raise KeyboardInterrupt(f"injected interrupt before rename "
+                                        f"{k}")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", cut_before)
+    return renames
+
+
+def test_resume_after_a_cut_before_each_checkpoint_rename(tmp_path,
+                                                          monkeypatch):
+    # ROADMAP item 4: a cut before a checkpoint is durable leaves the one
+    # before it and a stale `.tmp`; the resumed sweep leaves the uncut
+    # sweep's files and no `.tmp`
+    plan = tiny_plan()
+    clean = str(tmp_path / "clean")
+    with monkeypatch.context() as m:
+        renames = _cut_before_rename(m, 0)
+        sweep(plan, clean)
+    expected = _tree(clean)
+    assert len(renames) == 18
+    for k in range(1, len(renames) + 1):
+        out = str(tmp_path / f"cut-{k}")
+        with monkeypatch.context() as m:
+            done = _cut_before_rename(m, k)
+            with pytest.raises(KeyboardInterrupt):
+                sweep(plan, out)
+        where = f"cut before rename {k}, of {done[-1]}"
+        assert done[-1] == renames[k - 1].replace(clean, out), where
+        assert os.path.exists(done[-1] + ".tmp"), where
+        sweep(plan, out)
+        tree = _tree(out)
+        assert [p for p in tree if p.endswith(".tmp")] == [], where
+        assert tree == expected, where
+
+
+def test_an_old_results_directory_resumes_and_reports(tmp_path, capsys):
+    # an older version's plan.json holds the retired early-handoff keys,
+    # with the rule off, and its checkpoints the rule; such a directory
+    # resumes to the files of a sweep of this version, and reports alike
+    plan = tiny_plan()
+    clean, out = str(tmp_path / "clean"), str(tmp_path / "old")
+    sweep(plan, clean)
+    with pytest.MonkeyPatch.context() as m:
+        _cut_after_write(m, 15)
+        with pytest.raises(KeyboardInterrupt):
+            sweep(plan, out)
+    old_plan = {**plan.to_dict(), "handoff_success_threshold": None,
+                "handoff_window": 5}
+    save_json_atomic(os.path.join(out, "plan.json"), old_plan)
+    stages = []
+    for method in plan.methods:
+        for seed in plan.seeds:
+            path = _checkpoint_path(out, method, seed)
+            if os.path.exists(path):
+                state = load_checkpoint(path)
+                stages.append(state["stage"])
+                save_checkpoint(path, {**state, "handoff": {
+                    "success_threshold": None, "window": 5}})
+    assert sorted(stages) == ["es"] + ["ppo"] * 4
+    assert main(["resume", "--dir", out]) == 0
+    assert _tree(out) == _tree(clean)  # plan.json without the two keys
+    save_json_atomic(os.path.join(out, "plan.json"), old_plan)
+    capsys.readouterr()
+    reports = []
+    for results in (out, clean):
+        assert main(["report", "--dir", results]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    # a plan that sets the retired rule is refused at load, by name
+    save_json_atomic(os.path.join(out, "plan.json"), {
+        **old_plan, "handoff_success_threshold": 0.5})
+    assert main(["resume", "--dir", out]) == 2
+    assert "plan key 'handoff_success_threshold' is 0.5, but the handoff " \
+        "rule is retired" in capsys.readouterr().err
 
 
 def _note_ppo_updates(monkeypatch):
@@ -1345,20 +1384,29 @@ def test_group_of_a_resumed_and_a_fresh_seed(tmp_path, monkeypatch):
 
 def test_group_of_seeds_that_stop_at_different_updates(tmp_path,
                                                        monkeypatch):
-    # the handoff rule stops seed 0's two-stage PPO run after 4 updates and
-    # seed 2's after 7: seed 0 leaves the group, and seed 2 goes on alone
-    plan = tiny_plan(methods=["ppo_then_tdes", "ppo_only"], seeds=[0, 2],
-                     total_step_budget=4000, handoff_success_threshold=0.5,
-                     handoff_window=1)
+    # ROADMAP item 4: a cut between the two runs' callbacks of one group
+    # update, the k-th checkpoint write, stops seed 0 after `update` and
+    # seed 1 one update earlier, before the fork (after update 1) and past
+    # it; the resumed group holds them one update apart, and seed 0 leaves
+    # it first
+    plan = tiny_plan(ppo=_ADAM)
     alone = _alone_bits(plan, tmp_path)
-    calls = _note_ppo_updates(monkeypatch)
-    out = str(tmp_path / "out")
-    records = sweep(plan, out)["records"]
-    # then each ppo_only cell trains on from its fork, alone
-    assert calls == [(0, 2)] * 4 + [(2,)] * 3 + [(0,)] * 16 + [(2,)] * 13
-    assert {r["seed"]: len(r["ppo_curve"]) for r in records
-            if r["method"] == "ppo_then_tdes"} == {0: 4, 2: 7}
-    assert _sweep_bits(out, records) == alone
+    for k, update in ((1, 0), (9, 2)):
+        out = str(tmp_path / f"cut-{k}")
+        with monkeypatch.context() as m:
+            written = _cut_after_write(m, k)
+            with pytest.raises(KeyboardInterrupt):
+                sweep(plan, out)
+        assert written[-1] == _checkpoint_path(out, "ppo_only", 0)
+        for seed, at in zip(plan.seeds, (update, update - 1)):
+            path = _checkpoint_path(out, "ppo_only", seed)
+            assert (load_checkpoint(path)["update_index"]
+                    if os.path.exists(path) else -1) == at
+        with monkeypatch.context() as m:
+            calls = _note_ppo_updates(m)
+            records = sweep(plan, out)["records"]
+        assert calls == [(0, 1)] * (4 - update) + [(1,)]
+        assert _sweep_bits(out, records) == alone
 
 
 def test_resume_after_cut_past_fork_bitwise(tmp_path, monkeypatch):
@@ -1592,7 +1640,8 @@ def test_parent_generation_minus_one_checkpoint_resumes_bitwise(
     ppo_state = checkpoint.load_checkpoint(path)
     arch = MlpArchitecture(4, (8,), 2)
     params = ppo_state["params"][:param_count(arch)]
-    # written by hand, as that ES stage is stored in format 3
+    # written by hand, as that ES stage is stored in format 3, with the
+    # early-handoff rule, off, that those versions stored
     checkpoint.save_checkpoint(path, {
         "stage": "es", "generation_index": -1, "params": params,
         "steps_used": 0, "records": [],
@@ -1603,7 +1652,7 @@ def test_parent_generation_minus_one_checkpoint_resumes_bitwise(
                       "episodes_per_candidate": 1,
                       "standardize_noise": False, "center_eval_episodes": 1},
         "ppo_config": ppo_state["ppo_config"],
-        "handoff": ppo_state["handoff"], "master_seed": 0,
+        "handoff": {"success_threshold": None, "window": 5}, "master_seed": 0,
         "architecture": arch.to_dict(), "anchor_params": params,
         "anchor_sha256": hashlib.sha256(params.astype("<f8").tobytes())
         .hexdigest(), "ppo_steps": 600, "ppo_curve": ppo_state["curve"]})
@@ -1617,23 +1666,17 @@ def test_parent_generation_minus_one_checkpoint_resumes_bitwise(
 def test_at_fork_asks_every_prefix():
     import refine_es.pipeline as pipeline
 
-    plan = tiny_plan(handoff_success_threshold=0.5, handoff_window=1)
-    # the fork is the two-stage run's, whichever cell asks
-    for method in plan.methods:
-        cell = pipeline._Cell(plan, method, 0, "")
-        # the rule fires after update 0 and no longer holds after update 1
-        curve = [{"success_rate": s, "steps_used": 200 * (i + 1)}
-                 for i, s in enumerate([1.0, 0.0])]
-        assert cell.at_fork(curve[:1])
-        # the step bound stops the run after update 1, but it ended before
-        assert not cell.at_fork(curve)
-        # without the rule the fork is the step bound: 2 updates fit 500
-        # steps
+    curve = [{"update": i, "steps_used": 200 * (i + 1)} for i in range(5)]
+    # the fork is the two-stage run's, whichever cell asks: 2 updates of
+    # 200 steps fit 500, so only the 2-update curve is at the fork
+    for method in tiny_plan().methods:
         cell = pipeline._Cell(tiny_plan(), method, 0, "")
-        assert not cell.at_fork(curve[:1])
-        assert cell.at_fork(curve)
-        assert not cell.at_fork(curve + [{"success_rate": 0.0,
-                                          "steps_used": 600}])
+        assert [cell.at_fork(curve[:k]) for k in range(1, 6)] == \
+            [False, True, False, False, False]
+        # a fork below one update (100 of 200 steps): the two-stage run
+        # makes no update, and no curve is at the fork
+        cell = pipeline._Cell(tiny_plan(split=0.1), method, 0, "")
+        assert not any(cell.at_fork(curve[:k]) for k in range(1, 6))
 
 
 def test_final_evaluation_equals_standalone_run(tmp_path):

@@ -461,7 +461,6 @@ def test_train_anchor_resumes_from_a_loaded_checkpoint(tmp_path):
     path = str(tmp_path / "checkpoint.npz")
     save_checkpoint(path, {"stage": "ppo", **states[1],
                            "ppo_config": config.to_dict(),
-                           "handoff": {"success_threshold": None, "window": 5},
                            "master_seed": 0})
     loaded = load_checkpoint(path)
     assert loaded["update_index"] == 1 and loaded["format_version"] == 3
@@ -488,8 +487,8 @@ def _same_states(a, b):
 @given(st.data())
 def test_lockstep_runs_equal_their_solo_runs(data):
     # each run of a group, fresh or resumed from any update of its solo
-    # run, with or without a stop rule, hands out and returns the same bits
-    # as that run alone, whatever the others do
+    # run, so that runs leave the group at different iterations, hands out
+    # and returns the same bits as that run alone, whatever the others do
     env = make_env(data.draw(st.sampled_from(env_ids()), label="env"))
     n_ep = data.draw(st.integers(1, 2), label="episodes")
     rows = n_ep * env.horizon
@@ -505,25 +504,22 @@ def test_lockstep_runs_equal_their_solo_runs(data):
     for _ in range(data.draw(st.integers(1, 4), label="runs")):
         cfg = replace(config, seed=data.draw(st.integers(0, 2 ** 64 - 1),
                                              label="seed"))
-        # a rule that stops the run once its curve has `after` updates
-        after = data.draw(st.none() | st.integers(0, 3), label="stop after")
-        stop = None if after is None else (lambda c, k=after: len(c) >= k)
         states = [None]
         train_anchor(env, cfg, checkpoint_cb=lambda s: states.append(
             copy.deepcopy(s)))
         start = data.draw(st.sampled_from(states), label="start")
         handed = []
         res = train_anchor(env, cfg, copy.deepcopy(start), lambda s, h=handed:
-                           h.append(copy.deepcopy(s)), stop)
+                           h.append(copy.deepcopy(s)))
         alone.append((res, handed))
-        runs.append((cfg, copy.deepcopy(start), stop))
+        runs.append((cfg, copy.deepcopy(start)))
 
     handed, live = [[] for _ in runs], [[] for _ in runs]
     results = train_anchors(env, [
         (cfg, start, lambda s, h=h, g=g: (h.append(copy.deepcopy(s)),
-                                          g.append(s)), stop)
-        for (cfg, start, stop), h, g in zip(runs, handed, live)])
-    for res, got, given, (_, start, _), (solo, solo_handed) in zip(
+                                          g.append(s)))
+        for (cfg, start), h, g in zip(runs, handed, live)])
+    for res, got, given, (_, start), (solo, solo_handed) in zip(
             results, handed, live, runs, alone):
         assert _same_states(got, solo_handed)
         assert _same_states([res], [solo])
@@ -537,9 +533,8 @@ def test_lockstep_runs_equal_their_solo_runs(data):
 def test_lockstep_runs_share_one_config_but_the_seed():
     env = make_env("point-reach")
     with pytest.raises(ContractError, match="differ in their seed only"):
-        train_anchors(env, [(tiny_config(), None, None, None),
-                            (tiny_config(learning_rate=0.01), None, None,
-                             None)])
+        train_anchors(env, [(tiny_config(), None, None),
+                            (tiny_config(learning_rate=0.01), None, None)])
 
 
 def test_ppo_update_rejects_nonfinite():

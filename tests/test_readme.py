@@ -1,11 +1,14 @@
-"""README's code blocks run as written, so that they cannot drift from the
-API."""
+"""README's code blocks run as written, and its plan-schema table lists
+the plan's fields, so that they cannot drift from the API."""
 
 import ast
 import contextlib
 import io
 import pathlib
 import re
+from dataclasses import fields
+
+from refine_es.plan import ExperimentPlan
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,3 +32,11 @@ def test_library_use_block_runs():
     assert mean_return < 0 and 0 <= success_rate <= 1
     assert namespace["state"]["steps_used"] == \
         namespace["twin_state"]["steps_used"] == 10 * 2 * 8 * 200
+
+
+def test_plan_schema_table_lists_the_plan_fields():
+    # a key added to or retired from the plan must change the table too
+    table = re.search(r"\n### Plan schema\n\n((?:\|.*\n)+)",
+                      README.read_text()).group(1)
+    keys = re.findall(r"^\| `(\w+)` \|", table, re.M)
+    assert keys == [f.name for f in fields(ExperimentPlan)]
