@@ -6,13 +6,23 @@
 Pair k runs `python3 perfbench/run.py --workload W --seed S --trace 0`
 once in each checkout, at the benchmark's own run length, the parent first
 in odd pairs and the change first in even ones, so that a drift of the
-machine's speed favours neither side. For every end-to-end metric of the parent's BENCHMARK.json it
-prints each side's median and quartiles and the pairs the change won (ties
-count for neither). With --claim it also prints whether a gain in that
-metric may be claimed: the change won at least nine tenths of the pairs, and
-its median beats the parent's by more than the distance between the
-parent's quartiles. Each run's summary line goes to --log, one JSON object a
-line. Standard library only; the checkouts are not modified.
+machine's speed favours neither side. For every end-to-end metric of the
+parent's BENCHMARK.json it prints each side's median and quartiles, the
+pairs the change won (ties count for neither) and the no-regression
+verdict against the metric's `bound`, a fraction of the parent's median:
+
+- `past bound`: the change's median is worse than the parent's by more
+  than the bound;
+- otherwise `unresolved`: the parent's quartile spread, divided by its
+  median, is wider than the bound, so a regression of the bound's size
+  would not show; unless every change run beats every parent run;
+- otherwise `within bound`.
+
+With --claim it also prints whether a gain in that metric may be claimed:
+the change won at least nine tenths of the pairs, and its median beats the
+parent's by more than the distance between the parent's quartiles. Each
+run's summary line goes to --log, one JSON object a line. Standard library
+only; the checkouts are not modified.
 """
 
 from __future__ import annotations
@@ -55,6 +65,22 @@ def claim_holds(parent: list[float], change: list[float],
     return holds, (f"won {won} of {pairs} pairs (need {-(-9 * pairs // 10)}); "
                    f"median gap {gap:.6g} vs parent quartile spread "
                    f"{spread:.6g}")
+
+
+def verdict(parent: list[float], change: list[float], better: str,
+            bound: float) -> str:
+    """The no-regression verdict of the module docstring: 'past bound',
+    'unresolved' or 'within bound'."""
+    sign = 1 if better == "lower" else -1
+    p1, p_med, p3 = quartiles(parent)
+    worse = sign * (statistics.median(change) - p_med)
+    if worse > bound * abs(p_med):
+        return "past bound"
+    every_run_better = max(sign * c for c in change) < \
+        min(sign * p for p in parent)
+    if p3 - p1 > bound * abs(p_med) and not every_run_better:
+        return "unresolved"
+    return "within bound"
 
 
 def run_once(checkout: str, workload: str, seed: int) -> dict:
@@ -112,7 +138,8 @@ def main(argv=None) -> int:
         print(f"  {m['name']:14s} parent {pm:.6g} [{p1:.6g} - {p3:.6g}]  "
               f"change {cm:.6g} [{c1:.6g} - {c3:.6g}]  "
               f"change won {wins(parent, change, m['better'])} "
-              f"({m['better']} is better)")
+              f"({m['better']} is better): "
+              f"{verdict(parent, change, m['better'], m['bound'])}")
     correct = all(r["correct"] for side in runs.values() for r in side)
     print(f"every run correct: {correct}")
     if args.claim is not None:

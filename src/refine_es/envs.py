@@ -8,10 +8,11 @@ and `step` advances all of them together, taking actions (B, action_dim)
 and returning observations (B, obs_dim), rewards (B,) and success flags (B,).
 Row i of a batch is bit-identical to the same episode run alone (B = 1).
 
-Success latches: once the tolerance is met it stays true for the episode.
-Episodes run to the horizon; `terminated` only signals the time limit, so
-every episode consumes exactly `horizon` env steps and a batch steps in
-lockstep.
+The tasks share one skeleton, `ToyEnv`, and give only their draw and their
+reward. Success latches: once the tolerance is met it stays true for the
+episode. Every episode runs to the horizon, so it consumes exactly
+`horizon` env steps and a batch steps in lockstep; a step past the horizon
+raises.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ from .errors import ContractError
 
 class ToyEnv:
     """Base episodic env over a batch of B episodes that step in lockstep.
-    Subclasses set the class attributes and implement, over the leading
-    batch axis: _reset(rngs), one episode per generator; _observe(), the
-    observations (B, obs_dim); _step(actions), which applies the clipped
-    actions (B, action_dim) and gives the rewards (B,); _check_success(),
-    whether each episode meets its tolerance now, as bools (B,)."""
+    It integrates (state += dt * clipped action), observes (state, goal)
+    and latches success (distance < tolerance); a task gives its draw and
+    its reward. Subclasses set the class attributes and implement, over the
+    leading batch axis: _reset(rngs), one episode per generator, which
+    returns (state (B, action_dim), goal (B, goal_dim)); _reward(), the
+    rewards (B,) of the current state and its distances to the goal (B,)."""
 
     env_id = "base"
     observation_dim = 0
@@ -45,12 +47,12 @@ class ToyEnv:
         rngs = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
         self._step_count = 0
         self._success = np.zeros(len(rngs), dtype=bool)
-        self._reset(rngs)
+        self.state, self.goal = self._reset(rngs)
         return self._observe()
 
     def step(self, actions):
         """Advance every episode by one step. actions: (B, action_dim).
-        Returns (obs (B, obs_dim), reward (B,), terminated, success (B,))."""
+        Returns (obs (B, obs_dim), reward (B,), success (B,))."""
         if self._step_count >= self.horizon:
             raise ContractError("episode already finished")
         actions = np.asarray(actions, dtype=float)
@@ -58,11 +60,15 @@ class ToyEnv:
         if actions.shape != expected:
             raise ContractError(
                 f"actions have shape {actions.shape}, env expects {expected}")
-        reward = self._step(np.minimum(np.maximum(actions, -1.0), 1.0))
+        clipped = np.minimum(np.maximum(actions, -1.0), 1.0)
+        self.state = self.state + self.dt * clipped
+        reward, distance = self._reward()
         self._step_count += 1
-        self._success |= self._check_success()
-        terminated = self._step_count >= self.horizon
-        return self._observe(), reward, terminated, self._success.copy()
+        self._success |= distance < self.tolerance
+        return self._observe(), reward, self._success.copy()
+
+    def _observe(self):
+        return np.concatenate([self.state, self.goal], axis=1)
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
@@ -72,7 +78,8 @@ def _norm(x: np.ndarray) -> np.ndarray:
 
 
 class PointReach(ToyEnv):
-    """Planar point mass with velocity control. Loose tolerance (4cm-scale)."""
+    """Planar point mass with velocity control. Loose tolerance (4cm-scale).
+    Its state is the position."""
 
     env_id = "point-reach"
     observation_dim = 4  # (pos, goal)
@@ -83,23 +90,17 @@ class PointReach(ToyEnv):
     tolerance = 0.04
 
     def _reset(self, rngs):
-        self.pos = np.zeros((len(rngs), 2))
-        self.goal = np.array([rng.uniform(-0.5, 0.5, size=2) for rng in rngs])
+        return (np.zeros((len(rngs), 2)),
+                np.array([rng.uniform(-0.5, 0.5, size=2) for rng in rngs]))
 
-    def _observe(self):
-        return np.concatenate([self.pos, self.goal], axis=1)
-
-    def _step(self, actions):
-        self.pos = self.pos + self.dt * actions
-        self._dist = _norm(self.pos - self.goal)
-        return -self._dist
-
-    def _check_success(self):
-        return self._dist < self.tolerance
+    def _reward(self):
+        distance = _norm(self.state - self.goal)
+        return -distance, distance
 
 
 class ArmReach(ToyEnv):
-    """Two-link planar arm with joint-velocity control. Medium tolerance."""
+    """Two-link planar arm with joint-velocity control. Medium tolerance.
+    Its state is the joint angles."""
 
     env_id = "arm-reach"
     observation_dim = 4  # (q1, q2, goal_x, goal_y)
@@ -116,8 +117,7 @@ class ArmReach(ToyEnv):
             q.append(rng.uniform(-0.3, 0.3, size=2))
             # goal drawn as a reachable end-effector pose
             gq.append(rng.uniform(np.array([-1.2, 0.3]), np.array([1.2, 2.2])))
-        self.q = np.array(q)
-        self.goal = self._fk(np.array(gq))
+        return np.array(q), self._fk(np.array(gq))
 
     def _fk(self, q):
         """End-effector positions (B, 2) of joint angles q (B, 2)."""
@@ -126,21 +126,15 @@ class ArmReach(ToyEnv):
         y = l1 * np.sin(q[:, 0]) + l2 * np.sin(q[:, 0] + q[:, 1])
         return np.stack([x, y], axis=1)
 
-    def _observe(self):
-        return np.concatenate([self.q, self.goal], axis=1)
-
-    def _step(self, actions):
-        self.q = self.q + self.dt * actions
-        self._dist = _norm(self._fk(self.q) - self.goal)
-        return -self._dist
-
-    def _check_success(self):
-        return self._dist < self.tolerance
+    def _reward(self):
+        distance = _norm(self._fk(self.state) - self.goal)
+        return -distance, distance
 
 
 class PegInsert1d(ToyEnv):
     """Scalar insertion depth with a tight (2.5mm-scale) success band and an
-    overshoot penalty. The precision task of the suite."""
+    overshoot penalty. The precision task of the suite. Its state is the
+    depth and its goal the target, both (B, 1)."""
 
     env_id = "peg-insert-1d"
     observation_dim = 2  # (depth, target)
@@ -152,22 +146,13 @@ class PegInsert1d(ToyEnv):
     overshoot_penalty = 2.0
 
     def _reset(self, rngs):
-        self.depth = np.zeros(len(rngs))
-        self.target = np.array([rng.uniform(0.8, 1.2) for rng in rngs])
+        return (np.zeros((len(rngs), 1)),
+                np.array([[rng.uniform(0.8, 1.2)] for rng in rngs]))
 
-    def _observe(self):
-        obs = np.empty((self.depth.shape[0], 2))
-        obs[:, 0], obs[:, 1] = self.depth, self.target
-        return obs
-
-    def _step(self, actions):
-        self.depth = self.depth + self.dt * actions[:, 0]
-        err = self.depth - self.target
-        self._gap = np.abs(err)
-        return -self._gap - self.overshoot_penalty * np.maximum(0.0, err)
-
-    def _check_success(self):
-        return self._gap < self.tolerance
+    def _reward(self):
+        err = (self.state - self.goal)[:, 0]
+        gap = np.abs(err)
+        return -gap - self.overshoot_penalty * np.maximum(0.0, err), gap
 
 
 _REGISTRY = {cls.env_id: cls for cls in (PointReach, ArmReach, PegInsert1d)}

@@ -87,7 +87,7 @@ from .envs import make_env
 from .errors import CheckpointError, RolloutError
 # plan_from_dict is imported for the benchmark, which loads it from here
 from .plan import ExperimentPlan, es_config, plan_from_dict, ppo_config
-from .policy import MlpArchitecture, param_count
+from .policy import param_count
 from .rng import TAG_FINAL_EVAL, stream_seed
 
 CHECKPOINT_NAME = "checkpoint.npz"
@@ -137,7 +137,7 @@ class _Cell:
         the step bound of `ppo.train_anchor` stops the run there. Steps
         only grow along a curve, so one curve at most is at the fork, and
         none if update 0 does not fit."""
-        update_cost = self.ppo_config.episodes_per_update * self.env.horizon
+        update_cost = self.ppo_config.update_steps(self.env.horizon)
         fork = self.plan.fork_steps
         return fork - update_cost < curve[-1]["steps_used"] <= fork
 
@@ -342,15 +342,20 @@ def load_record(path: str, plan: ExperimentPlan, method: str,
     or a `CheckpointError` naming the file and the field if it holds no
     such record: it must be of the kind of the blank record (`_record`),
     its PPO curve and ES records of the kind that the stages write
-    (`_ENTRIES`), both as `_check` checks them, hold the plan's budget,
-    keep the equal-budget premise (`_budget_shortfall`) unless it is
-    marked failed, and be that cell's."""
+    (`_ENTRIES`), both as `_check` checks them, be that cell's, hold the
+    plan's budget, and keep the equal-budget premise (`_budget_shortfall`)
+    unless it is marked failed. Its cell is checked before its budget, so
+    that a misplaced record is not judged by another cell's step unit."""
     expected = _record(plan, method, seed)
     try:
         record = load_json(path)
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise CheckpointError(f"{path}: unreadable record ({exc})") from exc
     _check(path, record, expected)
+    cell = "{task} {method} seed {seed}".format
+    if any(record[k] != expected[k] for k in ("task", "method", "seed")):
+        raise CheckpointError(f"{path}: a record of {cell(**record)}, not "
+                              f"of this cell ({cell(**expected)})")
     if record["budget"] != plan.total_step_budget:
         raise CheckpointError(f"{path}: field 'budget' is {record['budget']} "
                               f"but the plan gives {plan.total_step_budget}")
@@ -358,10 +363,6 @@ def load_record(path: str, plan: ExperimentPlan, method: str,
     if shortfall is not None and not record["failed"]:
         raise CheckpointError(f"{path}: {shortfall}, and the record is not "
                               f"marked failed")
-    cell = "{task} {method} seed {seed}".format
-    if any(record[k] != expected[k] for k in ("task", "method", "seed")):
-        raise CheckpointError(f"{path}: a record of {cell(**record)}, not "
-                              f"of this cell ({cell(**expected)})")
     return record
 
 
@@ -378,7 +379,7 @@ def _budget_shortfall(cell: _Cell, record: dict) -> str | None:
         unit = cell.es_config(0).generation_steps(cell.env.horizon)
         name = "ES generation"
     else:
-        unit = cell.ppo_config.episodes_per_update * cell.env.horizon
+        unit = cell.ppo_config.update_steps(cell.env.horizon)
         name = "PPO update"
     if unspent > unit:
         return (f"{where}: {unspent} unspent, more than one {name} "
@@ -408,7 +409,7 @@ def run_method(plan: ExperimentPlan, method: str, seed: int,
         state = cell.after_ppo(ppo.train_anchor(
             cell.env, cell.ppo_config, state, checkpoint_cb=cell.save_ppo))
 
-    arch = MlpArchitecture.from_dict(state["architecture"])
+    arch = cell.archs[0]
     final_eval = (plan.eval_episodes, stream_seed(seed, TAG_FINAL_EVAL))
     if cell.two_stage:
         es_cfg = cell.es_config(plan.total_step_budget - state["ppo_steps"])

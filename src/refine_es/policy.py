@@ -65,10 +65,6 @@ class MlpArchitecture:
             "activation": self.activation,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MlpArchitecture":
-        return cls(d["input_dim"], tuple(d["hidden_dims"]), d["output_dim"], d["activation"])
-
 
 def param_count(arch: MlpArchitecture) -> int:
     """Total flat parameter count: sum of (fan_in + 1) * fan_out over layers."""
@@ -220,7 +216,7 @@ def rollout(params: np.ndarray, arch: MlpArchitecture, env, seeds,
         if record:
             states[:, t] = obs
             actions[:, t] = action
-        obs, rewards[:, t], _, success = env.step(action)
+        obs, rewards[:, t], success = env.step(action)
         if not (np.isfinite(rewards[:, t]).all() and np.isfinite(obs).all()):
             bad = ~(np.isfinite(rewards[:, t]) & np.isfinite(obs).all(axis=1))
             raise RolloutError(f"non-finite reward or state at step {t}",

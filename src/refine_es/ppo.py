@@ -14,13 +14,14 @@ updates its state in place, over it.
 may differ) in lockstep. It holds each run as the state that the run hands
 out; before each update the runs still updating are stacked from their
 states on a leading axis, and each numpy call of collection, the minibatch
-step and the optimizer step serves all of them. Each stacked product
-repeats the shape that a run alone computes, so numpy computes it as one
-product per run, and each run's bits equal its solo run's. After the shared
-rollout, collection makes one forward per network and run, one product per
-episode; GAE runs over a run's episodes at once. `train_anchor` is the
-one-run case. Both return each run's last state, the one it handed out
-last.
+step and the optimizer step serves all of them; collection hands the update
+plain arrays, and both read each run's stream key (seed, update). Each
+stacked product repeats the shape that a run alone computes, so numpy
+computes it as one product per run, and each run's bits equal its solo
+run's. After the shared rollout, collection makes one forward per network
+and run, one product per episode; GAE runs over a run's episodes at once.
+`train_anchor` is the one-run case. Both return each run's last state, the
+one it handed out last.
 
 All randomness (env seeds, action noise, minibatch shuffles) comes from
 counter-based streams keyed on (seed, purpose, update_index, ...), so
@@ -75,6 +76,11 @@ class PpoConfig:
             raise ContractError("epochs must be >= 1")
         if any(h < 1 for h in self.hidden_dims):
             raise ContractError("hidden_dims must all be >= 1")
+
+    def update_steps(self, horizon: int) -> int:
+        """Env steps of one update: episodes_per_update full-horizon
+        episodes."""
+        return self.episodes_per_update * horizon
 
     def to_dict(self) -> dict:
         d = self.__dict__.copy()
@@ -159,22 +165,6 @@ def gaussian_log_prob(actions, means, log_std):
 def policy_entropy(log_std: np.ndarray):
     """The entropy of the policy with `log_std` (..., k), per run."""
     return log_std.sum(axis=-1) + 0.5 * log_std.shape[-1] * (1.0 + _LOG_2PI)
-
-
-@dataclass
-class RolloutBuffer:
-    """One update's collection for a stack of runs: states (runs, n,
-    obs_dim) and actions (runs, n, k), with n = episodes x horizon,
-    log-probs, advantages and returns (runs, n), each run's mean episode
-    return and success rate, and the env steps of one run."""
-    states: np.ndarray
-    actions: np.ndarray
-    log_probs: np.ndarray
-    advantages: np.ndarray
-    returns: np.ndarray
-    mean_return: list[float]
-    success_rate: list[float]
-    steps: int
 
 
 def loss_and_grads(ac: ActorCritic, states, actions, log_probs_old, advantages,
@@ -276,69 +266,65 @@ def _run_targets(ac: ActorCritic, i: int, batch, rows: slice, gamma: float,
             adv + values[:, :-1])
 
 
-def collect_rollouts(ac: ActorCritic, env, configs: list[PpoConfig],
-                     updates: list[int]) -> RolloutBuffer:
+def collect_rollouts(ac: ActorCritic, env, config: PpoConfig, keys: list):
     """Run episodes_per_update full-horizon episodes of each run of the
-    stack `ac`, run i's under its own weights and streams (configs[i].seed,
-    updates[i]), all as one lockstep batch, and assemble the buffer. GAE
-    bootstraps with V(final obs) since the envs terminate on time limit."""
-    runs, horizon = len(configs), env.horizon
-    n_ep = configs[0].episodes_per_update
-    seeds = [make_stream(c.seed, TAG_PPO_ENV, u, ep).integers(1 << 62)
-             for c, u in zip(configs, updates) for ep in range(n_ep)]
+    stack `ac`, run i's under its own weights and streams keys[i] = (seed,
+    update), all as one lockstep batch. GAE bootstraps with V(final obs)
+    since the envs terminate on time limit. Returns (rows, mean_return,
+    success_rate): rows = (states (runs, n, obs_dim), actions (runs, n, k),
+    log_probs, advantages, returns (runs, n)), with n = episodes x horizon,
+    and each run's mean episode return and success rate."""
+    runs, horizon = len(keys), env.horizon
+    n_ep = config.episodes_per_update
+    seeds = [make_stream(seed, TAG_PPO_ENV, u, ep).integers(1 << 62)
+             for seed, u in keys for ep in range(n_ep)]
     noise = np.concatenate([action_noise(
-        [make_stream(c.seed, TAG_PPO_ACTION, u, ep) for ep in range(n_ep)],
+        [make_stream(seed, TAG_PPO_ACTION, u, ep) for ep in range(n_ep)],
         horizon, env.action_dim, np.exp(log_std))
-        for c, u, log_std in zip(configs, updates, ac.log_std)])
+        for (seed, u), log_std in zip(keys, ac.log_std)])
     try:
         batch = rollout(ac.actor_params, ac.actor_arch, env, seeds, noise,
                         record=True)
     except RolloutError as exc:
         run, ep = divmod(exc.row, n_ep)
         raise RolloutError(
-            f"update {updates[run]}, episode {ep}: {exc}") from exc
+            f"update {keys[run][1]}, episode {ep}: {exc}") from exc
     targets = [_run_targets(ac, i, batch, slice(i * n_ep, (i + 1) * n_ep),
-                            env.gamma, configs[0].gae_lambda)
+                            env.gamma, config.gae_lambda)
                for i in range(runs)]
     log_probs, adv, returns = (np.stack(a).reshape(runs, -1)
                                for a in zip(*targets))
-    return RolloutBuffer(
-        batch.states.reshape(runs, n_ep * horizon, -1),
-        batch.actions.reshape(runs, n_ep * horizon, -1),
-        log_probs, adv, returns,
-        mean_return=[float(np.mean(r))
-                     for r in batch.returns.reshape(runs, n_ep)],
-        success_rate=[int(s.sum()) / n_ep
-                      for s in batch.success.reshape(runs, n_ep)],
-        steps=n_ep * horizon)
+    rows = (batch.states.reshape(runs, n_ep * horizon, -1),
+            batch.actions.reshape(runs, n_ep * horizon, -1),
+            log_probs, adv, returns)
+    return (rows,
+            [float(np.mean(r)) for r in batch.returns.reshape(runs, n_ep)],
+            [int(s.sum()) / n_ep for s in batch.success.reshape(runs, n_ep)])
 
 
 def _run_parts(parts: dict, i: int) -> dict:
     return {k: float(v[i]) for k, v in parts.items()}
 
 
-def ppo_update(ac: ActorCritic, buffer: RolloutBuffer,
-               configs: list[PpoConfig], adam: dict,
-               updates: list[int]) -> list[dict]:
+def ppo_update(ac: ActorCritic, rows: tuple, config: PpoConfig, adam: dict,
+               keys: list) -> list[dict]:
     """Minibatch epochs of clipped-surrogate steps for the stack `ac`, run i
-    on its own rows of `buffer`, its advantages normalized on their own and
-    its minibatches shuffled by its own streams (configs[i].seed,
-    updates[i]); each step is an `optimizer_step` with the stacked Adam
-    state `adam` (empty for SGD). Mutates ac and adam in place. Returns
-    each run's loss parts of its last minibatch."""
-    config = configs[0]
-    adv = normalize_advantages(buffer.advantages)
-    n = buffer.states.shape[1]
-    runs = np.arange(len(configs))[:, None]
+    on its own `rows` (as `collect_rollouts` gives them), its advantages
+    normalized on their own and its minibatches shuffled by its own streams
+    keys[i] = (seed, update); each step is an `optimizer_step` with the
+    stacked Adam state `adam` (empty for SGD). Mutates ac and adam in
+    place. Returns each run's loss parts of its last minibatch."""
+    # rows = (states, actions, log_probs, advantages, returns)
+    rows = (*rows[:3], normalize_advantages(rows[3]), rows[4])
+    n = rows[0].shape[1]
+    runs = np.arange(len(keys))[:, None]
     for epoch in range(config.epochs):
-        perm = np.array([make_stream(c.seed, TAG_PPO_SHUFFLE, u,
+        perm = np.array([make_stream(seed, TAG_PPO_SHUFFLE, u,
                                      epoch).permutation(n)
-                         for c, u in zip(configs, updates)])
+                         for seed, u in keys])
         # shuffled once per epoch; each minibatch is a contiguous slice of
         # every run's rows
-        shuffled = [a[runs, perm] for a in (buffer.states, buffer.actions,
-                                            buffer.log_probs, adv,
-                                            buffer.returns)]
+        shuffled = [a[runs, perm] for a in rows]
         for start in range(0, n, config.minibatch_size):
             stop = start + config.minibatch_size
             loss, parts, grad = loss_and_grads(
@@ -346,9 +332,9 @@ def ppo_update(ac: ActorCritic, buffer: RolloutBuffer,
             if not np.isfinite(loss).all():
                 i = int(np.flatnonzero(~np.isfinite(loss))[0])
                 raise RolloutError(f"non-finite PPO loss at update "
-                                   f"{updates[i]}: {_run_parts(parts, i)}")
+                                   f"{keys[i][1]}: {_run_parts(parts, i)}")
             optimizer_step(ac.params, grad, adam, config.learning_rate)
-    return [_run_parts(parts, i) for i in range(len(configs))]
+    return [_run_parts(parts, i) for i in range(len(keys))]
 
 
 def train_anchors(env, runs: list[tuple]) -> list[dict]:
@@ -359,9 +345,10 @@ def train_anchors(env, runs: list[tuple]) -> list[dict]:
     for bit as it would alone; runs may start at different updates, and
     the ones further on leave the group sooner. Each run is held as the
     state that it hands out. Before each collection the params and Adam
-    state of the runs still updating are stacked, make one update together,
-    and each run's state gets its row back. A callback that raises stops
-    every run after its last handed-out update."""
+    state of the runs still updating are stacked, make one update together
+    under each run's key (seed, update), and each run's state gets its row
+    back. A callback that raises stops every run after its last handed-out
+    update."""
     if not runs:
         return []
     config = runs[0][0]
@@ -383,27 +370,28 @@ def train_anchors(env, runs: list[tuple]) -> list[dict]:
                                          "steps_used")},
                 "curve": list(state["curve"])}
     states = [start(c, state) for c, state, _ in runs]
-    update_cost = config.episodes_per_update * env.horizon
+    update_cost = config.update_steps(env.horizon)
 
     running = range(len(runs))
     while running := [i for i in running if states[i]["steps_used"]
                       + update_cost <= config.total_steps]:
         group = [states[i] for i in running]
-        configs = [runs[i][0] for i in running]
-        updates = [s["update_index"] + 1 for s in group]
+        keys = [(runs[i][0].seed, states[i]["update_index"] + 1)
+                for i in running]
         ac = ActorCritic(*archs, [s["params"] for s in group])
         adam = {k: np.array([s[k] for s in group],
                             dtype=object if k == "adam_t" else float)
                 for k in adam_keys}
-        buffer = collect_rollouts(ac, env, configs, updates)
-        parts = ppo_update(ac, buffer, configs, adam, updates)
+        rows, mean_return, success_rate = collect_rollouts(ac, env, config,
+                                                           keys)
+        parts = ppo_update(ac, rows, config, adam, keys)
         for j, (i, s) in enumerate(zip(running, group)):
-            s.update(update_index=updates[j], params=ac.params[j],
+            s.update(update_index=keys[j][1], params=ac.params[j],
                      **{k: v[j] for k, v in adam.items()},
-                     steps_used=s["steps_used"] + buffer.steps)
-            s["curve"].append({"update": updates[j],
-                               "mean_return": buffer.mean_return[j],
-                               "success_rate": buffer.success_rate[j],
+                     steps_used=s["steps_used"] + update_cost)
+            s["curve"].append({"update": keys[j][1],
+                               "mean_return": mean_return[j],
+                               "success_rate": success_rate[j],
                                "steps_used": s["steps_used"], **parts[j]})
             if runs[i][2] is not None:
                 runs[i][2](s)

@@ -54,3 +54,44 @@ def test_claim_fails_when_the_gap_is_inside_the_parent_spread():
 ])
 def test_direction_follows_the_metric(better, change, expected):
     assert bench_pairs.claim_holds(PARENT, change, better)[0] is expected
+
+
+# a parent whose quartile spread is 15 % of its median: wider than a 10 %
+# bound, narrower than a 25 % one
+NOISY = [0.8, 0.8, 0.9, 1.0, 1.0, 1.0, 1.0, 1.1, 1.2, 1.2]
+
+
+@pytest.mark.parametrize("better,sign", [("lower", 1), ("higher", -1)])
+def test_verdict_past_bound(better, sign):
+    # the median 30 % worse, past a 25 % bound, even with a spread that
+    # would leave a smaller move unresolved
+    change = [1.0 + sign * 0.3] * 10
+    assert bench_pairs.verdict(NOISY, change, better, 0.25) == "past bound"
+    assert bench_pairs.verdict(NOISY, change, better, 0.1) == "past bound"
+
+
+@pytest.mark.parametrize("better,sign", [("lower", 1), ("higher", -1)])
+def test_verdict_unresolved_when_the_parent_spread_is_wider(better, sign):
+    # 5 % worse, inside the 10 % bound, but the parent's spread is 15 %
+    change = [1.0 + sign * 0.05] * 10
+    assert bench_pairs.verdict(NOISY, change, better, 0.1) == "unresolved"
+    assert bench_pairs.verdict(NOISY, change, better, 0.25) == \
+        "within bound"
+
+
+@pytest.mark.parametrize("better,sign", [("lower", 1), ("higher", -1)])
+def test_verdict_within_bound_when_every_change_run_is_better(better, sign):
+    # the parent's spread is wider than the bound, but no parent run comes
+    # near any change run
+    change = [1.0 - sign * 0.5] * 10
+    assert bench_pairs.verdict(NOISY, change, better, 0.1) == "within bound"
+    # one change run that ties the parent's best leaves it unresolved
+    best = min(NOISY) if better == "lower" else max(NOISY)
+    assert bench_pairs.verdict(NOISY, change[:-1] + [best], better, 0.1) == \
+        "unresolved"
+
+
+@pytest.mark.parametrize("better,sign", [("lower", 1), ("higher", -1)])
+def test_verdict_within_bound(better, sign):
+    change = [p + sign * 0.01 for p in PARENT]  # 1 % worse, quiet parent
+    assert bench_pairs.verdict(PARENT, change, better, 0.1) == "within bound"

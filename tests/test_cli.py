@@ -498,6 +498,14 @@ BAD_RECORDS = {
     "wrong_seed": (lambda text: json.dumps({**json.loads(text), "seed": 7}),
                    "a record of point-reach ppo_only seed 7, not of this "
                    "cell (point-reach ppo_"),
+    # another cell's record is refused as such, before the budget checks
+    # judge it by this cell's step unit: 300 steps unspent are more than
+    # one PPO update, but less than one ES generation
+    "other_method": (lambda text: json.dumps(
+        {**json.loads(text), "method": "ppo_then_gaussian_es",
+         "steps_consumed": 700}),
+        "a record of point-reach ppo_then_gaussian_es seed 0, not of this "
+        "cell (point-reach ppo_"),
 }
 
 
@@ -538,8 +546,11 @@ def test_resume_keeps_the_checkpoint_beside_a_bad_record(tmp_path, capsys,
         before = fh.read()
     path = os.path.join(_cell(out, "ppo_then_tdes"), "record.json")
     spoil, message = BAD_RECORDS[kind]
+    # ppo_only's record, relabelled as this cell's, so that every check
+    # after the cell's identity is reached
     with open(os.path.join(_cell(out, "ppo_only"), "record.json")) as fh:
-        text = fh.read()
+        text = json.dumps({**json.load(fh), "method": "ppo_then_tdes"})
+    message = message.replace("ppo_only", "ppo_then_tdes")
     with open(path, "w") as fh:
         fh.write(spoil(text))
     assert main(["resume", "--dir", out]) == 1

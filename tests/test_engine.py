@@ -28,7 +28,7 @@ class TargetEnv:
 
     def step(self, actions):
         r = -(actions[:, 0] - 0.5) ** 2
-        return np.ones((self._n, 1)), r, True, np.full(self._n, self._success)
+        return np.ones((self._n, 1)), r, np.full(self._n, self._success)
 
 
 class SeedEnv(TargetEnv):
@@ -39,8 +39,8 @@ class SeedEnv(TargetEnv):
         return super().reset(seeds)
 
     def step(self, actions):
-        obs, _, terminated, success = super().step(actions)
-        return obs, self._r.copy(), terminated, success
+        obs, _, success = super().step(actions)
+        return obs, self._r.copy(), success
 
 
 class NanEnv(TargetEnv):
@@ -51,9 +51,9 @@ class NanEnv(TargetEnv):
         self.row = row
 
     def step(self, actions):
-        obs, r, terminated, success = super().step(actions)
+        obs, r, success = super().step(actions)
         r[self.row] = np.nan
-        return obs, r, terminated, success
+        return obs, r, success
 
 
 ARCH = MlpArchitecture(1, (), 1)  # params (w, b); action = w + b

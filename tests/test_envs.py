@@ -25,10 +25,9 @@ def run_expert(env, seeds):
     success = np.zeros(len(seeds), dtype=bool)
     rewards = []
     for _ in range(env.horizon):
-        obs, r, terminated, s = env.step(expert_action(env, obs))
+        obs, r, s = env.step(expert_action(env, obs))
         rewards.append(r)
         success |= s
-    assert terminated
     return success, np.array(rewards)
 
 
@@ -69,7 +68,7 @@ def test_step_determinism_bitwise():
             rng = np.random.Generator(np.random.PCG64(9))
             trace = []
             for _ in range(env.horizon):
-                obs, r, *_ = env.step(rng.uniform(-1, 1, (1, env.action_dim)))
+                obs, r, _ = env.step(rng.uniform(-1, 1, (1, env.action_dim)))
                 trace.append((obs.copy(), r))
             traces.append(trace)
         for (oa, ra), (ob, rb) in zip(*traces):
@@ -80,18 +79,19 @@ def test_episode_length_exact_and_step_after_done():
     for eid in ALL_IDS:
         env = make_env(eid)
         env.reset([1, 2])
-        for t in range(env.horizon):
-            _, _, terminated, _ = env.step(np.zeros((2, env.action_dim)))
-            assert terminated == (t == env.horizon - 1)
-        with pytest.raises(ContractError):
+        for _ in range(env.horizon):
+            env.step(np.zeros((2, env.action_dim)))
+        with pytest.raises(ContractError, match="episode already finished"):
             env.step(np.zeros((2, env.action_dim)))
 
 
 def clip_step(env, actions):
     """ToyEnv.step with np.clip, as a bit-level oracle for its clip."""
-    reward = env._step(np.clip(np.asarray(actions, dtype=float), -1.0, 1.0))
+    env.state = env.state + env.dt * np.clip(
+        np.asarray(actions, dtype=float), -1.0, 1.0)
+    reward, distance = env._reward()
     env._step_count += 1
-    env._success |= env._check_success()
+    env._success |= distance < env.tolerance
     return env._observe(), reward, env._success.copy()
 
 
@@ -105,7 +105,7 @@ def test_step_clips_special_actions_like_np_clip(eid):
         for t in range(4):  # NaN and inf rows stay non-finite from here on
             actions = np.stack([np.roll(special, t + j)
                                 for j in range(env.action_dim)], axis=1)
-            obs, reward, _, success = env.step(actions)
+            obs, reward, success = env.step(actions)
             ref_obs, ref_reward, ref_success = clip_step(oracle, actions)
             assert obs.tobytes() == ref_obs.tobytes()
             assert reward.tobytes() == ref_reward.tobytes()
@@ -127,7 +127,7 @@ def test_reward_bounds_random_actions():
         env.reset(range(5))
         for _ in range(env.horizon):
             # out-of-range actions are clipped, so the bound still holds
-            _, r, *_ = env.step(rng.uniform(-3, 3, (5, env.action_dim)))
+            _, r, _ = env.step(rng.uniform(-3, 3, (5, env.action_dim)))
             assert np.all(np.abs(r) <= REWARD_BOUNDS[eid])
 
 
@@ -144,11 +144,11 @@ def test_success_latches():
     steps = 0
     success = [False]
     while not success[0] and steps < env.horizon:
-        obs, _, _, success = env.step(expert_action(env, obs))
+        obs, _, success = env.step(expert_action(env, obs))
         steps += 1
     assert success[0]
     for _ in range(env.horizon - steps):
-        obs, _, _, success = env.step(np.array([[1.0, 1.0]]))
+        obs, _, success = env.step(np.array([[1.0, 1.0]]))
         assert success[0]
     assert np.linalg.norm(obs[0, :2] - obs[0, 2:]) >= env.tolerance
 
@@ -156,7 +156,7 @@ def test_success_latches():
 def test_arm_zero_action_fixed_point():
     env = make_env("arm-reach")
     obs0 = env.reset([4])
-    obs, _, _, _ = env.step(np.zeros((1, 2)))
+    obs, _, _ = env.step(np.zeros((1, 2)))
     assert np.array_equal(obs, obs0)
 
 
@@ -179,8 +179,8 @@ def test_arm_goals_are_reachable():
 def test_peg_overshoot_penalized():
     env = make_env("peg-insert-1d")
     env.reset([0, 0])
-    env.depth = env.target + np.array([-0.1, 0.1])
-    r_under, r_over = env._step(np.zeros((2, 1)))
+    env.state = env.goal + np.array([[-0.1], [0.1]])
+    r_under, r_over = env._reward()[0]
     assert r_under == pytest.approx(-0.1)
     assert r_over == pytest.approx(-0.1 - env.overshoot_penalty * 0.1)
 
@@ -188,7 +188,8 @@ def test_peg_overshoot_penalized():
 def test_peg_target_range():
     env = make_env("peg-insert-1d")
     env.reset(range(50))
-    assert np.all((0.8 <= env.target) & (env.target <= 1.2))
+    assert env.goal.shape == (50, 1)
+    assert np.all((0.8 <= env.goal) & (env.goal <= 1.2))
 
 
 def test_expert_reward_improves_over_zero_policy():

@@ -94,8 +94,8 @@ def test_negative_zero_action_steps_like_positive_zero(env_id):
     for _ in range(a.horizon):
         actions = rng.uniform(-1.5, 1.5, (len(seeds), a.action_dim))
         actions[rng.random(actions.shape) < 0.5] = -0.0
-        obs_a, r_a, _, s_a = a.step(actions)
-        obs_b, r_b, _, s_b = b.step(actions + 0.0)
+        obs_a, r_a, s_a = a.step(actions)
+        obs_b, r_b, s_b = b.step(actions + 0.0)
         assert obs_a.tobytes() == obs_b.tobytes()
         assert r_a.tobytes() == r_b.tobytes()
         assert np.array_equal(s_a, s_b)
@@ -116,7 +116,7 @@ class PoisonEnv:
 
     def step(self, actions):
         r = np.where(self._bad, np.nan, -actions[:, 0] ** 2)
-        return np.ones_like(actions), r, True, np.zeros(len(r), dtype=bool)
+        return np.ones_like(actions), r, np.zeros(len(r), dtype=bool)
 
 
 def _eval_seed(master_seed, episode):

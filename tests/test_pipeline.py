@@ -5,6 +5,7 @@ import math
 import os
 import re
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from refine_es.checkpoint import (load_checkpoint, load_json,
                                  save_checkpoint, save_json_atomic)
 from refine_es.cli import main
 from refine_es import pipeline as pipeline_module
+from refine_es.envs import env_ids
 from refine_es.errors import CheckpointError, PlanError
 from refine_es.pipeline import cell_dir, run_method, sweep
 from refine_es.plan import ExperimentPlan, plan_from_dict
@@ -1220,9 +1222,9 @@ def _note_ppo_updates(monkeypatch):
     original = ppo.ppo_update
     calls = []
 
-    def update(ac, buffer, configs, adam, updates):
-        calls.append(tuple(c.seed for c in configs))
-        return original(ac, buffer, configs, adam, updates)
+    def update(ac, rows, config, adam, keys):
+        calls.append(tuple(seed for seed, _ in keys))
+        return original(ac, rows, config, adam, keys)
 
     monkeypatch.setattr(ppo, "ppo_update", update)
     return calls
@@ -1236,9 +1238,9 @@ def _count_ppo_updates(monkeypatch):
     original = ppo.ppo_update
     seeds = []
 
-    def update(ac, buffer, configs, adam, updates):
-        seeds.extend(c.seed for c in configs)
-        return original(ac, buffer, configs, adam, updates)
+    def update(ac, rows, config, adam, keys):
+        seeds.extend(seed for seed, _ in keys)
+        return original(ac, rows, config, adam, keys)
 
     monkeypatch.setattr(ppo, "ppo_update", update)
     return seeds
@@ -1287,20 +1289,20 @@ def _nan_in_episode(monkeypatch, seed, update):
     from refine_es.rng import TAG_PPO_ENV, make_stream
 
     bad = int(make_stream(seed, TAG_PPO_ENV, update, 0).integers(1 << 62))
-    reset, step = PointReach.reset, PointReach._step
+    reset, reward = PointReach.reset, PointReach._reward
 
     def noting_reset(self, seeds):
         self.bad_rows = np.array([int(s) == bad for s in seeds])
         return reset(self, seeds)
 
-    def nan_step(self, actions):
-        rewards = step(self, actions)
+    def nan_reward(self):
+        rewards, distance = reward(self)
         if self._step_count == 3:
             rewards[self.bad_rows] = np.nan
-        return rewards
+        return rewards, distance
 
     monkeypatch.setattr(PointReach, "reset", noting_reset)
-    monkeypatch.setattr(PointReach, "_step", nan_step)
+    monkeypatch.setattr(PointReach, "_reward", nan_reward)
 
 
 def test_group_failure_stays_in_the_seed_that_hit_it(tmp_path, monkeypatch):
@@ -1694,7 +1696,7 @@ def test_final_evaluation_equals_standalone_run(tmp_path):
             "final.json"))
         assert engine.evaluate_center(
             np.array(final["params"]),
-            MlpArchitecture.from_dict(final["architecture"]),
+            MlpArchitecture(**final["architecture"]),
             make_env("point-reach"), plan.eval_episodes,
             stream_seed(0, TAG_FINAL_EVAL)) == \
             (rec["final_mean_return"], rec["final_success_rate"])
@@ -2009,3 +2011,50 @@ def test_stream_ledger_of_a_sweep(tmp_path, monkeypatch):
     assert generations == [2, 2]
     assert shared == {"es": 2 * 2 * (2 + 2 * 2 * 2 + 1 + 2),
                       "final": 2 * (1 + 3)}
+
+
+@st.composite
+def _valid_plans(draw):
+    """A plan document over every task, budgets from one step to about
+    3000, any split in (0, 1], tiny ES and PPO sections, 1-2 seeds and any
+    non-empty subset of the methods."""
+    methods = draw(st.lists(st.sampled_from(
+        ["ppo_only", "ppo_then_tdes", "ppo_then_gaussian_es"]),
+        min_size=1, max_size=3, unique=True))
+    split = draw(st.floats(0.0, 1.0, exclude_min=True, allow_nan=False))
+    return {
+        "task": draw(st.sampled_from(env_ids())),
+        "methods": methods,
+        "total_step_budget": draw(st.integers(1, 3000)),
+        "split": split,
+        "seeds": draw(st.lists(st.integers(0, 3), min_size=1, max_size=2,
+                               unique=True)),
+        "eval_episodes": draw(st.integers(1, 2)),
+        "es": {"m": draw(st.integers(1, 3)), "sigma_es": 0.05,
+               "alpha": 0.01},
+        "ppo": {"episodes_per_update": draw(st.integers(1, 3)),
+                "minibatch_size": draw(st.integers(1, 3)), "epochs": 1,
+                "hidden_dims": [2]},
+    }
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(raw=_valid_plans())
+def test_a_valid_plan_sweeps_without_a_failed_cell(raw):
+    # each drawn plan either fails at load with a PlanError, or sweeps with
+    # no failed cell, every record spending its budget as the equal-budget
+    # premise allows; one PPO epoch keeps the examples cheap
+
+    try:
+        plan = plan_from_dict(raw)
+    except PlanError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        payload = sweep(plan, out)
+    assert payload["failures"] == []
+    for record in payload["records"]:
+        assert record["ppo_steps"] + record["es_steps"] == \
+            record["steps_consumed"]
+        cell = pipeline_module._Cell(plan, record["method"], record["seed"],
+                                     "")
+        assert pipeline_module._budget_shortfall(cell, record) is None

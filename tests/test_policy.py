@@ -27,13 +27,12 @@ class ConstantRewardEnv:
         self.reward = reward
 
     def reset(self, seeds):
-        self._n, self._t = len(seeds), 0
+        self._n = len(seeds)
         return np.tile(self.state, (self._n, 1))
 
     def step(self, actions):
-        self._t += 1
         return (np.tile(self.state, (self._n, 1)), np.full(self._n, self.reward),
-                self._t >= self.horizon, np.zeros(self._n, dtype=bool))
+                np.zeros(self._n, dtype=bool))
 
 
 class BadEnv(ConstantRewardEnv):

@@ -329,12 +329,14 @@ def test_actor_critic_roundtrip():
 def test_collect_rollouts_shapes_and_budget():
     config = tiny_config(episodes_per_update=2)
     ac = _stack(init_actor_critic(4, 2, config))
-    buf = collect_rollouts(ac, make_env("point-reach"), [config], [0])
+    (states, actions, log_probs, adv, returns), mean_return, success_rate = \
+        collect_rollouts(ac, make_env("point-reach"), config, [(0, 0)])
     n = 2 * 100
-    assert buf.states.shape == (1, n, 4)
-    assert buf.actions.shape == (1, n, 2)
-    assert buf.advantages.shape == (1, n)
-    assert buf.steps == n
+    assert config.update_steps(100) == n
+    assert states.shape == (1, n, 4)
+    assert actions.shape == (1, n, 2)
+    assert log_probs.shape == adv.shape == returns.shape == (1, n)
+    assert len(mean_return) == len(success_rate) == 1
 
 
 @pytest.mark.parametrize("env_id", env_ids())
@@ -391,10 +393,10 @@ def test_curve_mean_return_is_the_rollouts_episode_return(monkeypatch):
     env = make_env("peg-insert-1d")
     cfg = PpoConfig(total_steps=8 * env.horizon, episodes_per_update=8,
                     hidden_dims=(64, 64), optimizer="adam", seed=0)
-    buf = collect_rollouts(_stack(init_actor_critic(
-        env.observation_dim, env.action_dim, cfg)), env, [cfg], [0])
+    _, mean_return, _ = collect_rollouts(_stack(init_actor_critic(
+        env.observation_dim, env.action_dim, cfg)), env, cfg, [(0, 0)])
     assert len(batches) == 1
-    assert buf.mean_return == [float(np.mean(batches[0].returns))]
+    assert mean_return == [float(np.mean(batches[0].returns))]
 
 
 def test_budget_below_one_update_is_noop():
@@ -540,27 +542,27 @@ def test_lockstep_runs_share_one_config_but_the_seed():
 def test_ppo_update_rejects_nonfinite():
     config = tiny_config(episodes_per_update=1, minibatch_size=8)
     ac = _stack(init_actor_critic(4, 2, config))
-    buf = collect_rollouts(ac, make_env("point-reach"), [config], [0])
-    buf.returns[:] = np.nan
+    rows = collect_rollouts(ac, make_env("point-reach"), config, [(0, 0)])[0]
+    rows[4][:] = np.nan  # the returns
     with pytest.raises(RolloutError, match="non-finite PPO loss at update 3"):
-        ppo_update(ac, buf, [config], {}, [3])
+        ppo_update(ac, rows, config, {}, [(0, 3)])
 
 
 def test_collect_rollouts_rejects_nonfinite():
     class NanRewardEnv(PointReach):
         """Episode 1 of a batch gets a NaN reward at step 4."""
 
-        def _step(self, actions):
-            r = super()._step(actions)
+        def _reward(self):
+            r, distance = super()._reward()
             if self._step_count == 4:
                 r[1] = np.nan
-            return r
+            return r, distance
 
     config = tiny_config(episodes_per_update=3)
     ac = _stack(init_actor_critic(4, 2, config))
     with pytest.raises(RolloutError,
                        match="update 5, episode 1: non-finite .* step 4"):
-        collect_rollouts(ac, NanRewardEnv(), [config], [5])
+        collect_rollouts(ac, NanRewardEnv(), config, [(0, 5)])
 
 
 def test_training_improves_return():

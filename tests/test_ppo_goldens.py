@@ -70,13 +70,15 @@ def loss_digest(env_id: str) -> str:
     cfg = config(env_id, "sgd")
     ac = init_actor_critic(env.observation_dim, env.action_dim, cfg)
     # collection takes a stack of runs, here of one
-    buf = collect_rollouts(ActorCritic(ac.actor_arch, ac.critic_arch,
-                                       [ac.params]), env, [cfg], [1])
-    adv = normalize_advantages(buf.advantages[0])
-    idx = np.arange(buf.states.shape[1])[::-1][:128]
+    rows = collect_rollouts(ActorCritic(ac.actor_arch, ac.critic_arch,
+                                        [ac.params]), env, cfg,
+                            [(cfg.seed, 1)])[0]
+    states, actions, log_probs, advantages, returns = (a[0] for a in rows)
+    adv = normalize_advantages(advantages)
+    idx = np.arange(states.shape[0])[::-1][:128]
     loss, parts, grad = loss_and_grads(
-        ac, buf.states[0, idx], buf.actions[0, idx], buf.log_probs[0, idx],
-        adv[idx], buf.returns[0, idx], cfg)
+        ac, states[idx], actions[idx], log_probs[idx], adv[idx], returns[idx],
+        cfg)
     return digest([loss, parts["policy_loss"], parts["value_loss"],
                    parts["entropy"]], grad)
 

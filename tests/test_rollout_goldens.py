@@ -40,11 +40,12 @@ def collect_digests(env_id: str) -> tuple[str, str]:
                        init_log_std=float(np.log(0.3)))
     ac = init_actor_critic(env.observation_dim, env.action_dim, config)
     # collection takes a stack of runs, here of one
-    buf = collect_rollouts(ActorCritic(ac.actor_arch, ac.critic_arch,
-                                       [ac.params]), env, [config], [2])
-    return (digest(buf.states, buf.actions, buf.log_probs, buf.advantages,
-                   buf.returns, [buf.success_rate[0], buf.steps]),
-            digest(buf.mean_return))
+    rows, mean_return, success_rate = collect_rollouts(
+        ActorCritic(ac.actor_arch, ac.critic_arch, [ac.params]), env, config,
+        [(config.seed, 2)])
+    return (digest(*rows, [success_rate[0],
+                           config.update_steps(env.horizon)]),
+            digest(mean_return))
 
 
 def es_digest(env_id: str, action_std: float) -> str:
