@@ -7,9 +7,10 @@
 All three read a plan file only through `plan.load_plan`, so a plan file
 that cannot be read or fails validation stops each of them with exit status
 2 and an error naming the file. The sweep writes its plan to
-<out>/plan.json. `run` refuses to reuse a populated output directory without
---force, and even with --force one whose plan.json differs from the new plan
-in a key other than `methods` and `seeds`. `resume` re-runs the sweep of
+<out>/plan.json. `run` refuses an --out that cannot be made a directory,
+a populated output directory without --force, and even with --force one
+whose plan.json differs from the new plan in a key other than `methods`
+and `seeds`. `resume` re-runs the sweep of
 <dir>/plan.json in the same directory: completed cells are detected by their
 record.json and skipped, interrupted cells continue from their last
 checkpoint. `report` reads the record.json of exactly the cells of
@@ -52,7 +53,12 @@ def _finish_sweep(plan, out_dir, workers) -> int:
 def cmd_run(args) -> int:
     plan = load_plan(args.plan)
     out_dir = args.out
-    if os.path.isdir(out_dir) and os.listdir(out_dir):
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # a file, or a path through one
+        print(f"error: --out {out_dir!r}: {exc.strerror}", file=sys.stderr)
+        return 2
+    if os.listdir(out_dir):
         if not args.force:
             print(f"error: output directory {out_dir!r} is not empty "
                   f"(use --force to reuse it)", file=sys.stderr)

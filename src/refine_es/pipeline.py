@@ -45,19 +45,14 @@ engine.py); a cut in between resumes from the generation before and redoes
 one. A two-stage cell's final evaluation is run by `engine.tdes_run`,
 ppo_only's by `engine.evaluate_center`. A fresh ES stage starts from its
 state before the first generation, built in memory; a cut before its first
-generation resumes from the last PPO checkpoint (older versions wrote one
-of generation -1 there, see `_Cell.after_ppo`). On resume the checkpoint
+generation resumes from the last PPO checkpoint. On resume the checkpoint
 must match the cell: format version, stage, master seed, the PPO and ES
 configs recomputed from the plan and the actor's architecture, and have
 the fields, kinds, dtypes and shapes of the state that the cell builds
 fresh (`_check`), as a record those of the blank one and the plan's
 budget (`_budget_shortfall` too, unless it is marked failed); a mismatch
 fails its own cell only, with a `CheckpointError` naming the file and the
-field. The early-handoff rule of older versions is retired: a checkpoint
-that stored it without a threshold (the rule off) resumes, any other fails
-its cell. Which format versions can be read is checkpoint.py's to know; a
-JSON checkpoint (format 1) is refused here, so that its cell does not
-silently restart.
+field. Which format versions can be read is checkpoint.py's to know.
 A finished cell keeps its results (`checkpoints/final.json`, log.csv,
 record.json), each written once, atomically and durable before record.json,
 not its resume state: once record.json is durable, the checkpoint is
@@ -158,9 +153,8 @@ class _Cell:
         """The state of this cell once its PPO run ended in `ppo_state`, what
         `ppo.train_anchor` returns: the ES stage before its first generation
         (a two-stage cell's ES config included), from the actor's part of
-        the PPO vector, with the PPO stage it refines. Older versions saved
-        it as an ES checkpoint of generation -1, which resumes like any
-        other."""
+        the PPO vector, with the PPO stage it refines. Saved as an ES
+        checkpoint of generation -1, it resumes like any other."""
         ac = ppo.ActorCritic(*self.archs, ppo_state["params"])
         params, steps = ac.actor_params, ppo_state["steps_used"]
         es = {"es_config": self.es_config(
@@ -248,16 +242,9 @@ def _check(path: str, value, blank, where: str = "") -> None:
 
 def _load_state(cell: _Cell) -> dict | None:
     """The checkpoint of `cell`, or None, after the checks that need no ES
-    config: not a JSON one, the cell's stage, seed, PPO config and, for an
-    ES one, actor architecture, and the kind (`_check`) of the state that
-    the cell builds fresh. The `handoff` field of an older version is
-    dropped if its rule was off, and refused otherwise: that rule is
-    retired."""
-    legacy = os.path.join(os.path.dirname(cell.checkpoint), "checkpoint.json")
-    if os.path.exists(legacy):
-        raise CheckpointError(
-            f"{legacy}: field 'format_version' is 1 (a JSON checkpoint); this "
-            f"version resumes only {CHECKPOINT_NAME}")
+    config: the cell's stage, seed, PPO config and, for an ES one, actor
+    architecture, and the kind (`_check`) of the state that the cell builds
+    fresh."""
     if not os.path.exists(cell.checkpoint):
         return None
     path, state = cell.checkpoint, load_checkpoint(cell.checkpoint)
@@ -268,13 +255,6 @@ def _load_state(cell: _Cell) -> dict | None:
         raise CheckpointError(f"{path}: field 'master_seed' is "
                               f"{state.get('master_seed')!r}, this cell is "
                               f"seed {cell.seed}")
-    handoff = state.pop("handoff", None)
-    if handoff is not None and not (
-            type(handoff) is dict and handoff.get("success_threshold", 0)
-            is None and sorted(handoff) == ["success_threshold", "window"]):
-        raise CheckpointError(f"{path}: field 'handoff' is {handoff!r}, but "
-                              f"the handoff rule is retired: only a rule "
-                              f"without a threshold resumes")
     # the configs first, so that another optimizer is named as a mismatch
     _check_fields(path, state, "ppo_config", cell.fields["ppo_config"])
     if state["stage"] == "es":

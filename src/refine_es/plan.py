@@ -143,14 +143,6 @@ def plan_from_dict(raw: dict) -> ExperimentPlan:
     are rejected by name."""
     if not isinstance(raw, dict):
         raise PlanError("plan must be a JSON object")
-    # the early-handoff rule is retired; an older plan.json holds its keys,
-    # read as before while the rule was off
-    if raw.get("handoff_success_threshold") is not None:
-        raise PlanError("plan key 'handoff_success_threshold' is "
-                        f"{raw['handoff_success_threshold']!r}, but the "
-                        "handoff rule is retired: it may only be null")
-    raw = {k: v for k, v in raw.items()
-           if k not in ("handoff_success_threshold", "handoff_window")}
     _check_keys(raw, ExperimentPlan)
     # a section takes its config's fields but those that a cell sets
     _check_keys(raw.get("es", {}), engine.EsConfig, "es.", (

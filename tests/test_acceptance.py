@@ -311,3 +311,25 @@ def test_criterion_10_resume_equivalence(tmp_path):
     ok = a == b
     _line(10, ok, "killed mid-ES-stage and resumed: final parameters are "
                   "bit-identical to the uninterrupted run")
+
+
+def test_matched_twin_plan_is_the_frozen_plan_at_matched_scale():
+    # tests/plans/acceptance_peg_matched_twin.json runs the Gaussian twin at
+    # triangular noise's per-coordinate std (sigma_es / sqrt(6)) and step
+    # length (alpha / 6); any other change would confound the comparison
+    def flat(document, prefix=""):
+        return {f"{prefix}{k}": w for key, value in document.items()
+                for k, w in (flat(value, f"{key}.").items()
+                             if isinstance(value, dict) else [(key, value)])}
+
+    with open(PLAN_PATH) as fh:
+        frozen = flat(json.load(fh))
+    with open(os.path.join(os.path.dirname(PLAN_PATH),
+                           "acceptance_peg_matched_twin.json")) as fh:
+        twin = json.load(fh)
+    plan_from_dict(twin)
+    twin = flat(twin)
+    assert sorted(twin) == sorted(frozen)
+    assert {k: twin[k] for k in twin if twin[k] != frozen[k]} == {
+        "methods": ["ppo_only", "ppo_then_gaussian_es"],
+        "es.sigma_es": 0.01 / 6 ** 0.5, "es.alpha": 0.001 / 6}

@@ -64,18 +64,19 @@ def test_non_finite_plan_number_exit_2_at_load(tmp_path, capsys, section,
     assert not os.path.exists(out)
 
 
-def test_handoff_threshold_outside_unit_interval_exit_2_at_load(tmp_path,
-                                                                capsys):
-    # the early-handoff rule is retired: a plan that sets its threshold, in
-    # [0, 1] or not, is refused by name; only null reads, as the rule off
-    for threshold in (1.5, 0.5, 0):
+def test_plan_with_handoff_keys_exit_2_at_load(tmp_path, capsys):
+    # the early-handoff rule is retired, and no plan that holds its keys
+    # reads, the rule off (a null threshold) included
+    for keys, named in (({"handoff_success_threshold": None,
+                          "handoff_window": 5}, "handoff_success_threshold"),
+                        ({"handoff_success_threshold": 0.5,
+                          "handoff_window": 1}, "handoff_success_threshold"),
+                        ({"handoff_window": 5}, "handoff_window")):
         out = str(tmp_path / "out")
         code = main(["run", "--plan", write_plan(tmp_path, dict(
-            TINY_PLAN, handoff_success_threshold=threshold,
-            handoff_window=1)), "--out", out])
+            TINY_PLAN, **keys)), "--out", out])
         assert code == 2
-        assert f"plan key 'handoff_success_threshold' is {threshold}, but " \
-            f"the handoff rule is retired" in capsys.readouterr().err
+        assert f"unknown plan key: '{named}'" in capsys.readouterr().err
         assert not os.path.exists(out)
 
 
@@ -303,6 +304,23 @@ def test_run_missing_plan_file_exit_2(tmp_path, capsys):
     assert code == 2
     assert path in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "through_file"])
+def test_run_out_that_cannot_be_a_directory_exit_2(tmp_path, capsys, below):
+    # --out naming an existing file, or a path through one, stops `run`
+    # before it writes anything
+    plan = write_plan(tmp_path)
+    occupied = tmp_path / "occupied"
+    occupied.write_text("not a directory")
+    out = str(occupied / below) if below else str(occupied)
+    code = main(["run", "--plan", plan, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: --out {out!r}: " + (
+        "Not a directory\n" if below else "File exists\n")
+    assert sorted(os.listdir(tmp_path)) == ["occupied", "plan.json"]
+    assert occupied.read_text() == "not a directory"
 
 
 def test_resume_truncated_plan_exit_2(tmp_path, capsys):

@@ -880,25 +880,30 @@ def test_resume_refuses_changed_es_config(tmp_path):
         run_method(changed, "ppo_then_tdes", 0, out)
 
 
-def test_resume_refuses_json_checkpoint(tmp_path):
+def test_a_stray_json_checkpoint_is_not_read(tmp_path):
+    # versions before format 3 wrote checkpoints/checkpoint.json; this one
+    # reads only checkpoint.npz, so its cell starts over, to the same bits
     plan = tiny_plan(methods=["ppo_only"], seeds=[0])
-    legacy = os.path.join(cell_dir(str(tmp_path), "point-reach", "ppo_only", 0),
-                          "checkpoints", "checkpoint.json")
-    os.makedirs(os.path.dirname(legacy))
-    with open(legacy, "w") as fh:
+    clean, out = str(tmp_path / "clean"), str(tmp_path / "stray")
+    sweep(plan, clean)
+    stray = os.path.join(cell_dir(out, "point-reach", "ppo_only", 0),
+                         "checkpoints", "checkpoint.json")
+    os.makedirs(os.path.dirname(stray))
+    with open(stray, "w") as fh:
         json.dump({"format_version": 1, "stage": "ppo"}, fh)
-    with pytest.raises(CheckpointError,
-                       match=re.escape(f"{legacy}: field 'format_version' "
-                                       f"is 1")):
-        run_method(plan, "ppo_only", 0, str(tmp_path))
+    assert sweep(plan, out)["failures"] == []
+    tree = _tree(out)
+    assert tree.pop(os.path.relpath(stray, out)) == {"format_version": 1,
+                                                     "stage": "ppo"}
+    assert tree == _tree(clean)
 
 
 def test_ppo_only_refuses_checkpoint_with_handoff_rule(tmp_path, monkeypatch):
-    # older versions stored the early-handoff rule, which is retired: a
-    # checkpoint of a run under a rule with a threshold would mix two runs
+    # older versions stored the early-handoff rule, which is retired; this
+    # version reads no checkpoint that holds it, the rule off included
     import refine_es.checkpoint as checkpoint
 
-    plan = tiny_plan(methods=["ppo_only"], seeds=[0])
+    plan = tiny_plan(methods=["ppo_only"], seeds=[0, 1])
     out = str(tmp_path)
     with monkeypatch.context() as m:
         _interrupt_ppo_update(m, 2)
@@ -907,13 +912,18 @@ def test_ppo_only_refuses_checkpoint_with_handoff_rule(tmp_path, monkeypatch):
     path = _checkpoint_path(out, "ppo_only")
     state = checkpoint.load_checkpoint(path)
     assert "handoff" not in state
-    for handoff in ({"success_threshold": 0.0, "window": 1}, [None, 5],
-                    {"success_threshold": None, "window": 5, "extra": 1}):
+    unknown = re.escape(f"{path}: field 'handoff' is unknown")
+    for handoff in ({"success_threshold": None, "window": 5},
+                    {"success_threshold": 0.0, "window": 1}, [None, 5], None):
         checkpoint.save_checkpoint(path, {**state, "handoff": handoff})
-        with pytest.raises(CheckpointError, match=re.escape(
-                f"{path}: field 'handoff' is {handoff!r}, but the handoff "
-                f"rule is retired")):
+        with pytest.raises(CheckpointError, match=unknown):
             run_method(plan, "ppo_only", 0, out)
+    # in a sweep it fails its own cell only
+    payload = sweep(plan, out)
+    assert [(f["method"], f["seed"]) for f in payload["failures"]] == \
+        [("ppo_only", 0)]
+    assert re.search(unknown, payload["failures"][0]["failure"])
+    assert not payload["records"][1]["failed"]
 
 
 @pytest.mark.parametrize("method, delta, message", [
@@ -1127,91 +1137,95 @@ def test_resume_after_a_cut_after_each_result_write_and_deletion(
         assert _tree(out) == expected, where
 
 
-def _cut_before_rename(monkeypatch, k):
-    """Patch `os.replace` to raise KeyboardInterrupt right before the k-th
-    rename of a `checkpoint.npz.tmp` (never for k = 0), once that `.tmp`
-    is written and fsynced; returns the checkpoint path of each rename."""
-    replace = os.replace
-    renames = []
+def _cut_before_event(monkeypatch, k):
+    """Patch `os.replace` and `os.unlink` to raise KeyboardInterrupt right
+    before the k-th durable event of a sweep (never for k = 0): the rename
+    of a `.tmp` that is written and fsynced, a checkpoint's or a result
+    file's, or a deletion in `_drop_resume_state`. Returns each event as
+    (kind, path), the path being the file renamed to or deleted."""
+    replace, unlink = os.replace, os.unlink
+    events = []
 
-    def cut_before(src, dst):
-        if src.endswith("checkpoint.npz.tmp"):
-            renames.append(dst)
-            if len(renames) == k:
-                raise KeyboardInterrupt(f"injected interrupt before rename "
-                                        f"{k}")
+    def cut_before(kind, path):
+        events.append((kind, path))
+        if len(events) == k:
+            raise KeyboardInterrupt(f"injected interrupt before {kind} {k}")
+
+    def cut_replace(src, dst):
+        if src.endswith(".tmp"):
+            cut_before("rename", dst)
         replace(src, dst)
 
-    monkeypatch.setattr(os, "replace", cut_before)
-    return renames
+    def cut_unlink(path):
+        cut_before("deletion", path)
+        unlink(path)
+
+    monkeypatch.setattr(os, "replace", cut_replace)
+    monkeypatch.setattr(os, "unlink", cut_unlink)
+    return events
 
 
 def test_resume_after_a_cut_before_each_checkpoint_rename(tmp_path,
                                                           monkeypatch):
-    # ROADMAP item 4: a cut before a checkpoint is durable leaves the one
-    # before it and a stale `.tmp`; the resumed sweep leaves the uncut
-    # sweep's files and no `.tmp`
+    # ROADMAP item 4: a cut before a checkpoint or a result file is durable
+    # leaves the one before it and a stale `.tmp`, and a cut before a
+    # deletion leaves the file; the resumed sweep leaves the uncut sweep's
+    # files and no `.tmp`
     plan = tiny_plan()
     clean = str(tmp_path / "clean")
     with monkeypatch.context() as m:
-        renames = _cut_before_rename(m, 0)
+        events = _cut_before_event(m, 0)
         sweep(plan, clean)
     expected = _tree(clean)
-    assert len(renames) == 18
-    for k in range(1, len(renames) + 1):
+    names = [os.path.basename(path) for _, path in events]
+    # 18 checkpoints; plan.json; per cell final.json, log.csv, record.json
+    # and the checkpoint's deletion; report.json
+    assert (len(events), names.count("checkpoint.npz")) == (18 + 1 + 6 * 4 + 1,
+                                                            18 + 6)
+    for k in range(1, len(events) + 1):
         out = str(tmp_path / f"cut-{k}")
         with monkeypatch.context() as m:
-            done = _cut_before_rename(m, k)
+            done = _cut_before_event(m, k)
             with pytest.raises(KeyboardInterrupt):
                 sweep(plan, out)
-        where = f"cut before rename {k}, of {done[-1]}"
-        assert done[-1] == renames[k - 1].replace(clean, out), where
-        assert os.path.exists(done[-1] + ".tmp"), where
+        kind, path = done[-1]
+        where = f"cut before {kind} {k}, of {path}"
+        assert done[-1] == (events[k - 1][0],
+                            events[k - 1][1].replace(clean, out)), where
+        assert os.path.exists(path + ".tmp" if kind == "rename" else path), \
+            where
         sweep(plan, out)
         tree = _tree(out)
         assert [p for p in tree if p.endswith(".tmp")] == [], where
         assert tree == expected, where
 
 
-def test_an_old_results_directory_resumes_and_reports(tmp_path, capsys):
+def test_an_old_results_directory_reports_once_its_plan_drops_the_keys(
+        tmp_path, capsys):
     # an older version's plan.json holds the retired early-handoff keys,
-    # with the rule off, and its checkpoints the rule; such a directory
-    # resumes to the files of a sweep of this version, and reports alike
+    # with the rule off; this version reads no such plan, and its records
+    # never held the keys, so deleting them from plan.json is all it takes
     plan = tiny_plan()
     clean, out = str(tmp_path / "clean"), str(tmp_path / "old")
     sweep(plan, clean)
-    with pytest.MonkeyPatch.context() as m:
-        _cut_after_write(m, 15)
-        with pytest.raises(KeyboardInterrupt):
-            sweep(plan, out)
-    old_plan = {**plan.to_dict(), "handoff_success_threshold": None,
-                "handoff_window": 5}
-    save_json_atomic(os.path.join(out, "plan.json"), old_plan)
-    stages = []
-    for method in plan.methods:
-        for seed in plan.seeds:
-            path = _checkpoint_path(out, method, seed)
-            if os.path.exists(path):
-                state = load_checkpoint(path)
-                stages.append(state["stage"])
-                save_checkpoint(path, {**state, "handoff": {
-                    "success_threshold": None, "window": 5}})
-    assert sorted(stages) == ["es"] + ["ppo"] * 4
-    assert main(["resume", "--dir", out]) == 0
-    assert _tree(out) == _tree(clean)  # plan.json without the two keys
-    save_json_atomic(os.path.join(out, "plan.json"), old_plan)
+    sweep(plan, out)
+    save_json_atomic(os.path.join(out, "plan.json"), {
+        **plan.to_dict(), "handoff_success_threshold": None,
+        "handoff_window": 5})
+    new_plan = str(tmp_path / "plan.json")
+    save_json_atomic(new_plan, plan.to_dict())
     capsys.readouterr()
+    for command in (["report", "--dir", out], ["resume", "--dir", out],
+                    ["run", "--plan", new_plan, "--out", out, "--force"]):
+        assert main(command) == 2, command
+        assert "unknown plan key: 'handoff_success_threshold'" in \
+            capsys.readouterr().err, command
+    save_json_atomic(os.path.join(out, "plan.json"), plan.to_dict())
     reports = []
     for results in (out, clean):
         assert main(["report", "--dir", results]) == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
-    # a plan that sets the retired rule is refused at load, by name
-    save_json_atomic(os.path.join(out, "plan.json"), {
-        **old_plan, "handoff_success_threshold": 0.5})
-    assert main(["resume", "--dir", out]) == 2
-    assert "plan key 'handoff_success_threshold' is 0.5, but the handoff " \
-        "rule is retired" in capsys.readouterr().err
 
 
 def _note_ppo_updates(monkeypatch):
@@ -1642,8 +1656,7 @@ def test_parent_generation_minus_one_checkpoint_resumes_bitwise(
     ppo_state = checkpoint.load_checkpoint(path)
     arch = MlpArchitecture(4, (8,), 2)
     params = ppo_state["params"][:param_count(arch)]
-    # written by hand, as that ES stage is stored in format 3, with the
-    # early-handoff rule, off, that those versions stored
+    # written by hand, as that ES stage is stored in format 3
     checkpoint.save_checkpoint(path, {
         "stage": "es", "generation_index": -1, "params": params,
         "steps_used": 0, "records": [],
@@ -1654,7 +1667,7 @@ def test_parent_generation_minus_one_checkpoint_resumes_bitwise(
                       "episodes_per_candidate": 1,
                       "standardize_noise": False, "center_eval_episodes": 1},
         "ppo_config": ppo_state["ppo_config"],
-        "handoff": {"success_threshold": None, "window": 5}, "master_seed": 0,
+        "master_seed": 0,
         "architecture": arch.to_dict(), "anchor_params": params,
         "anchor_sha256": hashlib.sha256(params.astype("<f8").tobytes())
         .hexdigest(), "ppo_steps": 600, "ppo_curve": ppo_state["curve"]})
@@ -1729,7 +1742,8 @@ def test_mid_es_checkpoint_of_standalone_center_loops_resumes_bitwise(
     # each center evaluation as a rollout of its own, right after its
     # generation's update: this plan's cell cut after generation 1 of 3,
     # center_return of generations 0 and 1 filled in. It was written in
-    # format 2 and converted to format 3 (see `_mid_ppo_plan`)
+    # format 2, converted to format 3 and then cleared of the retired
+    # `handoff` field (see `_mid_ppo_plan`)
     import shutil
 
     plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
@@ -1783,6 +1797,18 @@ def test_mid_es_checkpoint_of_standalone_center_loops_resumes_bitwise(
 #   for name in ("mid_ppo", "mid_es"):
 #       path = f"tests/golden/{name}_checkpoint.npz"
 #       state = _from_format_2(load_checkpoint(path))
+#       state.pop("format_version")
+#       save_checkpoint(path, state)'
+#
+# Both still held the early-handoff rule, off, as field `handoff`, which
+# this version refuses, and lost it once, with
+#
+#   PYTHONPATH=src python3 -c '
+#   from refine_es.checkpoint import load_checkpoint, save_checkpoint
+#   for name in ("mid_ppo", "mid_es"):
+#       path = f"tests/golden/{name}_checkpoint.npz"
+#       state = load_checkpoint(path)
+#       state.pop("handoff")
 #       state.pop("format_version")
 #       save_checkpoint(path, state)'
 def _mid_ppo_plan():
