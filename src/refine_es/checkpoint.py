@@ -7,13 +7,15 @@ still reload bit-identically.
 
 `save_checkpoint` writes the per-cell resume state, the flat dict that a
 stage hands out plus the cell's fields, as one uncompressed `.npz` archive
-(format 3): each top-level ndarray is stored as its own member under its own
+(format 4): each top-level ndarray is stored as its own member under its own
 key, in its own dtype (float64 for parameters and Adam moments, so no
 decimal conversion and an exact round trip), and everything else goes in as
 one JSON string, member `meta`. One file keeps the write atomic.
-`load_checkpoint` returns `{**meta, **arrays}`. Format 3 is the only format
-read back: this module alone knows which versions can be read, and a file
-of any other version is refused.
+`load_checkpoint` returns `{**meta, **arrays}`. Format 4 is format 3's
+layout with the center return of an ES record measured at the start of its
+generation, not after its update. It is the only format read back: this
+module alone knows which versions can be read, and a file of any other
+version is refused.
 
 All writers go to `<path>.tmp`, flush, fsync and rename into place, so an
 interrupted write leaves the previous file intact; a stale `.tmp` is never
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import CheckpointError
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def save_text_atomic(path: str, text: str) -> None:

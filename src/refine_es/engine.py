@@ -3,13 +3,12 @@ noise, evaluate the 2m antithetic candidates in one lockstep batch, form
 centered ranks, take the finite-difference step, decay sigma_es.
 
 Most of a rollout step's cost is fixed (one row costs about half of what
-17 rows do), so no evaluation runs as a batch of its own. The logging-only
-center evaluation of generation t rides, as noiseless rows, in the candidate
-batch of generation t + 1, whose candidates perturb the same parameters;
-that of the last generation rides in the batch of the final evaluation,
-which `tdes_run` runs too. An ES stage of G generations runs G + 1 batches.
-A generation is complete, and its state handed to the checkpoint
-callback, once its center return is known.
+17 rows do), so the logging-only center evaluation of a generation runs as
+noiseless rows of the parameters that its candidates perturb, in the same
+batch. A generation is one batch, one update and one record; its state is
+handed to the checkpoint callback right after the update. The final
+evaluation of the last parameters runs alone, as `evaluate_center` runs
+it, so an ES stage of G generations runs G + 1 batches.
 
 Everything random is drawn from counter-based streams keyed on
 (config.seed, purpose, generation, pair, episode), so a run is a pure
@@ -82,13 +81,13 @@ def sigma_at(config: EsConfig, generation: int) -> float:
     return max(config.sigma_es * config.lambda_sigma ** generation, config.sigma_min)
 
 
-def _lockstep_batch(theta, arch, env, evaluations, candidates=None):
+def _lockstep_batch(theta, arch, env, evaluation, candidates=None):
     """One lockstep batch: the 2m x episodes_per_candidate candidate
     episodes of `candidates` = (config, gen, plus, minus), if given, then
-    the noiseless episodes of each evaluation (name, episodes, master_seed)
+    the noiseless episodes of `evaluation` = (name, episodes, master_seed)
     of `theta`. Returns the (2, m) mean candidate returns, (2, 0) without
-    candidates, and (mean_return, success_rate) per evaluation. The + and -
-    candidates of a (pair, episode) share its env seed and action noise
+    candidates, and the evaluation's (mean_return, success_rate). The + and
+    - candidates of a (pair, episode) share its env seed and action noise
     (common random numbers); evaluation rows get zero noise, which leaves
     every state as a noiseless run leaves it."""
     seeds, labels, noise, params = [], [], None, theta  # a label per row
@@ -107,44 +106,38 @@ def _lockstep_batch(theta, arch, env, evaluations, candidates=None):
                  for i, e in keys],
                 env.horizon, env.action_dim, config.action_std)
     n_cand = len(seeds)
-    for name, episodes, master_seed in evaluations:
-        seeds += [make_stream(master_seed, TAG_EVAL, e).integers(1 << 62)
-                  for e in range(episodes)]
-        labels += [f"{name}, episode {e}" for e in range(episodes)]
+    name, episodes, master_seed = evaluation
+    seeds += [make_stream(master_seed, TAG_EVAL, e).integers(1 << 62)
+              for e in range(episodes)]
+    labels += [f"{name}, episode {e}" for e in range(episodes)]
     if n_cand:
-        n_eval = len(seeds) - n_cand
         params = np.repeat(np.concatenate([plus, minus, theta[None]]),
-                           [n_ep] * 2 * m + [n_eval], axis=0)
+                           [n_ep] * 2 * m + [episodes], axis=0)
         if noise is not None:
             noise = np.concatenate([noise, noise, np.zeros(
-                (n_eval, env.horizon, env.action_dim))])
+                (episodes, env.horizon, env.action_dim))])
     try:
         batch = rollout(params, arch, env, seeds, noise)
     except RolloutError as exc:
         raise RolloutError(f"{labels[exc.row]}: {exc}") from exc
-    results, start = [], n_cand
-    for _name, episodes, _seed in evaluations:
-        rows = slice(start, start + episodes)
-        results.append((float(np.mean(batch.returns[rows])),
-                        int(batch.success[rows].sum()) / episodes))
-        start += episodes
     returns = batch.returns[:n_cand].reshape(2, m, n_ep)
     total = np.zeros((2, m))
     for e in range(n_ep):  # sum in episode order, as a per-episode loop would
         total += returns[:, :, e]
-    return total / n_ep, results
+    return total / n_ep, (float(np.mean(batch.returns[n_cand:])),
+                          int(batch.success[n_cand:].sum()) / episodes)
 
 
 def evaluate_center(params: np.ndarray, arch: MlpArchitecture, env,
                     episodes: int, master_seed: int):
     """Deterministic-action evaluation over independently seeded episodes,
-    run as one lockstep batch. Returns (mean_return, success_rate). Its
-    one use in a sweep is ppo_only's final evaluation, so a non-finite
-    value is reported as that of the final evaluation, as in tdes_run."""
+    run as one lockstep batch. Returns (mean_return, success_rate). It is
+    the final evaluation of every cell, so a non-finite value is reported
+    as that of the final evaluation."""
     if episodes < 1:
         raise ContractError("episodes must be >= 1")
     return _lockstep_batch(params, arch, env,
-                           [("final evaluation", episodes, master_seed)])[1][0]
+                           ("final evaluation", episodes, master_seed))[1]
 
 
 def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env,
@@ -153,21 +146,22 @@ def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env,
              ) -> tuple[dict, tuple[float, float]]:
     """Run the generation loop from `anchor` to completion, then the final
     evaluation `final_eval` = (episodes, master_seed) of the final
-    parameters, seeded as `evaluate_center` seeds it.
+    parameters, an `evaluate_center` run.
 
-    Each generation runs one lockstep batch, whose rows past the candidates
-    are the center evaluation of the generation before; the last one's runs
-    in the final evaluation's batch. Evaluation rows never count toward the
-    steps used. A generation's record (generation, center_return,
-    mean_return, best_return, sigma_es, g_norm, steps_used, wall_time: the
-    seconds from the start of the generation to its update) is appended
-    once its center return is known, after the next batch, and then
-    `checkpoint_cb(state)` gets the run's state, what a checkpoint stores:
-    {"generation_index", "params", "steps_used", "records"}. It is the dict
-    that holds the run, live: its values and its records change with the
-    next generation, so copy what must outlast the call. A run resumes
-    bit-exactly from such a state's params as `anchor` and its records; the
-    first generation and the steps used follow from the last record.
+    Generation t runs one lockstep batch: its candidates and, past them,
+    the center evaluation of the parameters theta_t that they perturb,
+    `center_eval_episodes` noiseless episodes seeded
+    stream_seed(config.seed, TAG_CENTER_EVAL, t). Evaluation rows never
+    count toward the steps used. Then the generation updates, appends its
+    record (generation, center_return, mean_return, best_return, sigma_es,
+    g_norm, steps_used, wall_time: the seconds from the start of the
+    generation to its record) and hands `checkpoint_cb(state)` the run's
+    state, what a checkpoint stores: {"generation_index", "params",
+    "steps_used", "records"}. It is the dict that holds the run, live: its
+    values and its records change with the next generation, so copy what
+    must outlast the call. A run resumes bit-exactly from such a state's
+    params as `anchor` and its records; the first generation and the steps
+    used follow from the last record.
 
     Returns (state, (mean_return, success_rate)): the state that the
     callback got last, and the final evaluation. A run with no generation
@@ -185,42 +179,27 @@ def tdes_run(anchor: np.ndarray, arch: MlpArchitecture, env,
              "params": np.array(anchor, dtype=float, copy=True),
              "steps_used": last["steps_used"], "records": records}
     gen_cost = config.generation_steps(env.horizon)
-    pending = None  # the last generation's record, without its center return
-
-    def center_eval():
-        return [] if pending is None else [
-            (f"generation {pending['generation']} center evaluation",
-             config.center_eval_episodes, stream_seed(
-                 config.seed, TAG_CENTER_EVAL, pending["generation"]))]
-
-    def close(results):  # the state is still what pending's update gave
-        if pending is not None:
-            pending["center_return"] = results[0][0]
-            records.append(pending)
-            if checkpoint_cb is not None:
-                checkpoint_cb(state)
-
     for t in range(last["generation"] + 1, config.generations):
         t0 = time.perf_counter()
         theta, sigma = state["params"], sigma_at(config, t)
         eps = make_batch(config.distribution, config.standardize_noise,
                          config.m, theta.shape[0], t, config.seed)
         plus, minus = antithetic_candidates(theta, eps, sigma)
-        (j_plus, j_minus), centers = _lockstep_batch(
-            theta, arch, env, center_eval(), (config, t, plus, minus))
-        close(centers)
+        (j_plus, j_minus), (center, _) = _lockstep_batch(
+            theta, arch, env, (f"generation {t} center evaluation",
+                               config.center_eval_episodes,
+                               stream_seed(config.seed, TAG_CENTER_EVAL, t)),
+            (config, t, plus, minus))
         g = tdes_gradient(eps, *centered_ranks(j_plus, j_minus), sigma)
         state.update(generation_index=t, params=theta + config.alpha * g,
                      steps_used=state["steps_used"] + gen_cost)
         all_returns = np.concatenate([j_plus, j_minus])
-        pending = {"generation": t, "center_return": None,
-                   "mean_return": float(all_returns.mean()),
-                   "best_return": float(all_returns.max()),
-                   "sigma_es": sigma, "g_norm": float(np.linalg.norm(g)),
-                   "steps_used": state["steps_used"],
-                   "wall_time": time.perf_counter() - t0}
-
-    _, results = _lockstep_batch(state["params"], arch, env, center_eval() + [
-        ("final evaluation", *final_eval)])
-    close(results)
-    return state, results[-1]
+        records.append({"generation": t, "center_return": center,
+                        "mean_return": float(all_returns.mean()),
+                        "best_return": float(all_returns.max()),
+                        "sigma_es": sigma, "g_norm": float(np.linalg.norm(g)),
+                        "steps_used": state["steps_used"],
+                        "wall_time": time.perf_counter() - t0})
+        if checkpoint_cb is not None:
+            checkpoint_cb(state)
+    return state, evaluate_center(state["params"], arch, env, *final_eval)

@@ -39,11 +39,9 @@ from it, the PPO->ES handoff included. A checkpoint is the state that the
 stage hands out (`ppo.train_anchor`, `engine.tdes_run`) plus the cell's
 fields, and the stage resumes from it as loaded; an ES checkpoint also
 holds the PPO stage that it refines (`_Cell.after_ppo`). An ES generation
-is checkpointed once its center evaluation has run, in the next
-generation's batch, the last generation's in the final evaluation's (see
-engine.py); a cut in between resumes from the generation before and redoes
-one. A two-stage cell's final evaluation is run by `engine.tdes_run`,
-ppo_only's by `engine.evaluate_center`. A fresh ES stage starts from its
+is checkpointed right after its update (see engine.py). Every cell's final
+evaluation is an `engine.evaluate_center` run, a two-stage cell's made by
+`engine.tdes_run`. A fresh ES stage starts from its
 state before the first generation, built in memory; a cut before its first
 generation resumes from the last PPO checkpoint. On resume the checkpoint
 must match the cell: format version, stage, master seed, the PPO and ES

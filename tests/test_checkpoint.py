@@ -31,7 +31,7 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path_factory, a, b):
     with np.load(path) as npz:
         assert sorted(npz.files) == ["adam_m", "adam_v", "meta", "params"]
     back = load_checkpoint(path)
-    assert back["format_version"] == 3
+    assert back["format_version"] == 4
     assert back["stage"] == "ppo" and back["curve"] == [{"x": 0.1}]
     for got, want in ((back["params"], a), (back["adam_m"], b),
                       (back["adam_v"], a)):
@@ -62,7 +62,7 @@ def test_save_json_atomic_bytes_match_streaming_encoder(tmp_path_factory,
     assert load_json(path) == json.loads(streamed.getvalue())
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_load_checkpoint_refuses_other_format_version(tmp_path, version):
     path = str(tmp_path / "checkpoint.npz")
     meta = json.dumps({"format_version": version, "stage": "ppo"}).encode()
@@ -70,7 +70,7 @@ def test_load_checkpoint_refuses_other_format_version(tmp_path, version):
         np.savez(fh, meta=np.frombuffer(meta, dtype=np.uint8))
     with pytest.raises(CheckpointError, match=re.escape(
             f"{path}: field 'format_version' is {version}, this version "
-            f"reads only 3")):
+            f"reads only 4")):
         load_checkpoint(path)
 
 

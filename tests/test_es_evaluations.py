@@ -1,7 +1,8 @@
-"""The ES stage's evaluations run as rows of lockstep batches that run
-anyway: generation t's center evaluation rides in the candidate batch of
-generation t + 1, and the last one in the cell's final evaluation. Each must
-equal the standalone `evaluate_center` run it replaces, bit for bit."""
+"""The ES stage's center evaluations run as rows of lockstep batches that
+run anyway: generation t's center evaluation rides, as noiseless rows of the
+parameters theta_t that its candidates perturb, in generation t's own
+candidate batch. Each must equal the standalone `evaluate_center` run of
+theta_t, bit for bit; the final evaluation is such a run."""
 
 from dataclasses import replace
 
@@ -51,7 +52,9 @@ def test_evaluations_equal_standalone_runs(env_id, action_std,
                       episodes_per_candidate=episodes_per_candidate)
     (res, final), thetas = _run(env, arch, anchor, config)
     assert len(thetas) == len(res["records"]) == 3
-    for t, (theta, record) in enumerate(zip(thetas, res["records"])):
+    # theta_0 is the anchor, theta_t the params handed to checkpoint t - 1
+    centers = [anchor] + thetas[:-1]
+    for t, (theta, record) in enumerate(zip(centers, res["records"])):
         ret, _ = evaluate_center(theta, arch, env, center_eval_episodes,
                                  stream_seed(config.seed, TAG_CENTER_EVAL, t))
         assert record["center_return"] == ret
@@ -135,8 +138,8 @@ def _tiny_config(**kw):
 
 @pytest.mark.parametrize("generation", [0, 1, 2])
 def test_nan_in_center_row_names_its_evaluation(generation):
-    # generations 0 and 1 evaluate in the next candidate batch, generation
-    # 2, the last, in the final evaluation's batch
+    # each generation evaluates its center in its own candidate batch, the
+    # last one too
     env = PoisonEnv(_eval_seed(stream_seed(5, TAG_CENTER_EVAL, generation), 2))
     with pytest.raises(RolloutError) as info:
         tdes_run(np.zeros(2), TINY, env, _tiny_config(),
@@ -172,12 +175,12 @@ def _count_rollouts(monkeypatch, log):
     monkeypatch.setattr(engine, "rollout", counted)
 
 
-@pytest.mark.parametrize("start,batches", [(0, [4, 7, 7, 7, 7, 9]),
-                                           (3, [4, 7, 9]), (5, [6])])
+@pytest.mark.parametrize("start,batches", [(0, [7, 7, 7, 7, 7, 6]),
+                                           (3, [7, 7, 6]), (5, [6])])
 def test_run_makes_one_rollout_per_generation_and_one_more(monkeypatch,
                                                            start, batches):
-    # 2m = 4 candidate rows, from the second batch on with the 3 center rows
-    # of the generation before; the last batch holds the 6 rows of the final
+    # 2m = 4 candidate rows and the 3 center rows of the same generation,
+    # then its checkpoint; the last batch holds only the 6 rows of the final
     # evaluation. A change that brings back a standalone loop fails here
     config = _tiny_config(generations=5)
     head, _ = tdes_run(np.zeros(2), TINY, TargetEnv(), replace(
@@ -192,17 +195,16 @@ def test_run_makes_one_rollout_per_generation_and_one_more(monkeypatch,
     expected = []
     for k, rows in enumerate(batches):
         expected.append(("rollout", rows))
-        if k:  # the batch that ran generation start + k - 1's center rows
-            expected.append(("checkpoint", start + k - 1))
+        if start + k < config.generations:  # generation start + k's batch
+            expected.append(("checkpoint", start + k))
     assert log == expected
 
 
-def test_last_generation_defers_its_center_evaluation_to_the_final_batch(
-        monkeypatch):
+def test_last_generation_evaluates_its_center_in_its_own_batch(monkeypatch):
     log = []
     _count_rollouts(monkeypatch, log)
     res, _ = tdes_run(np.zeros(2), TINY, TargetEnv(),
                       _tiny_config(generations=2), final_eval=(4, 77))
     assert [r["generation"] for r in res["records"]] == [0, 1]
     assert res["steps_used"] == 8
-    assert log == [("rollout", 4), ("rollout", 7), ("rollout", 3 + 4)]
+    assert log == [("rollout", 4 + 3), ("rollout", 4 + 3), ("rollout", 4)]

@@ -365,7 +365,8 @@ def test_resume_mid_ppo_with_adam_bitwise(tmp_path, monkeypatch):
 
 def test_checkpoints_hold_format_3_members(tmp_path, monkeypatch):
     # a checkpoint is the flat state that its stage hands out: each vector is
-    # one float64 member under its own key, and the rest is in meta
+    # one float64 member under its own key, and the rest is in meta; format 4
+    # keeps format 3's members
     plan = tiny_plan(methods=["ppo_only"], seeds=[0], total_step_budget=800,
                      ppo={"episodes_per_update": 2, "hidden_dims": [8],
                           "optimizer": "adam"})
@@ -378,7 +379,7 @@ def test_checkpoints_hold_format_3_members(tmp_path, monkeypatch):
     members = _members(_checkpoint_path(str(tmp_path / "cut"), "ppo_only"))
     meta = json.loads(members["meta"][2])
     assert sorted(members) == ["adam_m", "adam_v", "meta", "params"]
-    assert meta["format_version"] == 3 and meta["update_index"] == 1
+    assert meta["format_version"] == 4 and meta["update_index"] == 1
     assert meta["adam_t"] == 32  # 2 updates x 4 epochs x 4 minibatches
     assert {members[k][:2] for k in ("params", "adam_m", "adam_v")} == \
         {("<f8", members["params"][1])}
@@ -394,7 +395,7 @@ def test_checkpoints_hold_format_3_members(tmp_path, monkeypatch):
     _cut_in_es(es_plan, str(tmp_path / "es"))
     members = _members(_checkpoint_path(str(tmp_path / "es")))
     assert sorted(members) == ["anchor_params", "meta", "params"]
-    assert json.loads(members["meta"][2])["format_version"] == 3
+    assert json.loads(members["meta"][2])["format_version"] == 4
 
 
 def test_resume_ignores_stale_tmp(tmp_path):
@@ -599,6 +600,7 @@ def test_resume_removes_resume_state_of_finished_cells(tmp_path):
 @pytest.mark.parametrize("field, value, message", [
     ("format_version", 1, "field 'format_version' is 1"),
     ("format_version", 2, "field 'format_version' is 2"),
+    ("format_version", 3, "field 'format_version' is 3"),
     ("stage", "eval", "field 'stage' is 'eval'"),
     ("master_seed", 7, "field 'master_seed' is 7, this cell is seed 0"),
     ("anchor_sha256", "0" * 64, "field 'anchor_params' does not hash"),
@@ -635,7 +637,7 @@ def test_resume_names_a_missing_checkpoint_field(tmp_path):
 
 
 @pytest.mark.parametrize("meta, message", [
-    ({"ppo_config": [1], "format_version": 3},
+    ({"ppo_config": [1], "format_version": 4},
      "field 'ppo_config' is [1], not an object"),
     ({"format_version": 2}, "field 'format_version' is 2"),
 ], ids=["config-not-an-object", "format-2"])
@@ -1064,6 +1066,72 @@ def test_resume_after_a_cut_after_each_checkpoint_write(tmp_path, monkeypatch,
                                          r["seed"]), "record.json")
             assert pipeline_module.load_record(path, plan, r["method"],
                                                r["seed"]) == r, where
+
+
+def _log_writes(monkeypatch, log, cut=None):
+    """Patch `pipeline.save_checkpoint` to append "<stage> <path>" to the
+    file `log` after each write, and to raise KeyboardInterrupt right after
+    the write that `cut` = (path, n) names, the n-th to that path. Forked
+    pool workers each hold their own copy of the patch, so the writes are
+    counted in the file; one process writes every checkpoint of a seed, so
+    the n-th write to a path is the same write in any schedule."""
+    import refine_es.pipeline as pipeline
+
+    original = pipeline.save_checkpoint
+
+    def save_checkpoint(path, payload):
+        original(path, payload)
+        with open(log, "a") as fh:
+            fh.write(f"{payload['stage']} {path}\n")
+        if cut is not None and path == cut[0] and \
+                len(_writes(log, path)) == cut[1]:
+            raise KeyboardInterrupt(f"injected interrupt after write "
+                                    f"{cut[1]} to {path}")
+
+    monkeypatch.setattr(pipeline, "save_checkpoint", save_checkpoint)
+
+
+def _writes(log, path=None):
+    """The (stage, path) of each write that `_log_writes` logged in `log`,
+    or of those to `path` only."""
+    with open(log) as fh:
+        writes = [tuple(line.split(" ", 1)) for line in fh.read().splitlines()]
+    return [w for w in writes if path in (None, w[1])]
+
+
+def test_resume_after_a_cut_after_chosen_checkpoint_writes_in_two_workers(
+        tmp_path, monkeypatch):
+    # ROADMAP item 4 under `--workers 2`, each seed in its own pool worker:
+    # a cut after the first write, after the fork's first planted
+    # checkpoint, and after the first and the last ES checkpoint of the
+    # serial sweep, and the sweep resumed with 2 workers leaves the serial
+    # uncut sweep's files
+    plan = tiny_plan(methods=["ppo_then_tdes", "ppo_only",
+                              "ppo_then_gaussian_es"])
+    clean = str(tmp_path / "clean")
+    with monkeypatch.context() as m:
+        _log_writes(m, clean + ".log")
+        expected = _sweep_files(clean, sweep(plan, clean))
+    writes = _writes(clean + ".log")
+    es = [i for i, (stage, _) in enumerate(writes) if stage == "es"]
+    planted = next(i for i, (_, path) in enumerate(writes)
+                   if path == _checkpoint_path(clean, "ppo_only", 0))
+    assert writes[planted + 1] == ("ppo", _checkpoint_path(  # the fork
+        clean, "ppo_then_gaussian_es", 0))
+    for i in (0, planted, es[0], es[-1]):
+        stage, path = writes[i]
+        n = [p for _, p in writes[:i + 1]].count(path)
+        out = str(tmp_path / f"cut-{i + 1}")
+        path = path.replace(clean, out)
+        where = f"cut after write {n} to {path}"
+        with monkeypatch.context() as m:
+            _log_writes(m, out + ".log", (path, n))
+            with pytest.raises(KeyboardInterrupt):
+                sweep(plan, out, workers=2)
+        assert _writes(out + ".log", path)[n - 1:] == [(stage, path)], where
+        payload = sweep(plan, out, workers=2)
+        assert _sweep_files(out, payload) == expected, where
+        assert _resume_state(out) == [], where
 
 
 def _cut_after_event(monkeypatch, k):
@@ -1656,7 +1724,7 @@ def test_parent_generation_minus_one_checkpoint_resumes_bitwise(
     ppo_state = checkpoint.load_checkpoint(path)
     arch = MlpArchitecture(4, (8,), 2)
     params = ppo_state["params"][:param_count(arch)]
-    # written by hand, as that ES stage is stored in format 3
+    # written by hand, as this version stores that ES stage
     checkpoint.save_checkpoint(path, {
         "stage": "es", "generation_index": -1, "params": params,
         "steps_used": 0, "records": [],
@@ -1736,30 +1804,37 @@ def test_resume_after_cut_after_each_generation_bitwise(tmp_path,
     assert _resume_state(cut) == []
 
 
-def test_mid_es_checkpoint_of_standalone_center_loops_resumes_bitwise(
-        tmp_path):
-    # tests/golden/mid_es_checkpoint.npz was written by the version that ran
-    # each center evaluation as a rollout of its own, right after its
-    # generation's update: this plan's cell cut after generation 1 of 3,
-    # center_return of generations 0 and 1 filled in. It was written in
-    # format 2, converted to format 3 and then cleared of the retired
-    # `handoff` field (see `_mid_ppo_plan`)
+def test_format_3_mid_es_checkpoint_fails_only_its_cell(tmp_path):
+    # tests/golden/mid_es_checkpoint.npz is a format 3 checkpoint of the
+    # ppo_then_tdes cell of seed 0 of a 2200-step plan, cut after
+    # generation 1 of 3 (its history is under `_mid_ppo_plan`). Its
+    # center returns were measured after each generation's update, and
+    # format 4 measures them before it, so the file must not resume: it
+    # fails its own cell, naming the file, and the sweep's other cells
+    # finish. Deleted, it lets the cell restart, to a fresh run's bits
     import shutil
 
-    plan = tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
-                     total_step_budget=2200)
-    clean = run_method(plan, "ppo_then_tdes", 0, str(tmp_path / "clean"))
-    cut = str(tmp_path / "cut")
-    os.makedirs(os.path.dirname(_checkpoint_path(cut)))
+    plan = tiny_plan(seeds=[0, 1], total_step_budget=2200)
+    out = str(tmp_path / "golden")
+    path = _checkpoint_path(out)
+    os.makedirs(os.path.dirname(path))
     shutil.copy(os.path.join(os.path.dirname(__file__), "golden",
-                             "mid_es_checkpoint.npz"), _checkpoint_path(cut))
-    state = load_checkpoint(_checkpoint_path(cut))
-    assert state["generation_index"] == 1
-    assert [r["center_return"] for r in state["records"]] == \
-        [r["center_return"] for r in clean["es_records"][:2]]
-    resumed = run_method(plan, "ppo_then_tdes", 0, cut)
-    assert _cell_bits(cut, resumed) == \
-        _cell_bits(str(tmp_path / "clean"), clean)
+                             "mid_es_checkpoint.npz"), path)
+    payload = sweep(plan, out)
+    assert [(f["method"], f["seed"]) for f in payload["failures"]] == \
+        [("ppo_then_tdes", 0)]
+    assert (f"CheckpointError: {path}: field 'format_version' is 3, this "
+            f"version reads only 4; delete it to restart the cell") in \
+        payload["failures"][0]["failure"]
+    assert sum(not r["failed"] for r in payload["records"]) == 5
+    assert os.path.exists(path)
+
+    os.unlink(path)
+    resumed = sweep(plan, out)
+    assert resumed["failures"] == []
+    clean = str(tmp_path / "clean")
+    assert _sweep_files(out, resumed) == _sweep_files(clean,
+                                                      sweep(plan, clean))
 
 
 # tests/golden/mid_ppo_checkpoint.npz is a checkpoint of this plan's cell,
@@ -1811,6 +1886,20 @@ def test_mid_es_checkpoint_of_standalone_center_loops_resumes_bitwise(
 #       state.pop("handoff")
 #       state.pop("format_version")
 #       save_checkpoint(path, state)'
+#
+# Format 4 measures an ES record's center return at the start of its
+# generation, so the mid-ES golden stays in format 3, as a file that must be
+# refused. A PPO checkpoint holds no ES record, and the mid-PPO golden was
+# moved to format 4, in a checkout of 0319c30 (the last version that read
+# format 3), with
+#
+#   PYTHONPATH=src python3 -c '
+#   import refine_es.checkpoint as checkpoint
+#   path = "tests/golden/mid_ppo_checkpoint.npz"
+#   state = checkpoint.load_checkpoint(path)
+#   state.pop("format_version")
+#   checkpoint.FORMAT_VERSION = 4
+#   checkpoint.save_checkpoint(path, state)'
 def _mid_ppo_plan():
     return tiny_plan(methods=["ppo_then_tdes"], seeds=[0],
                      total_step_budget=1400,
@@ -1842,7 +1931,7 @@ def test_mid_ppo_checkpoint_resumes_bitwise(tmp_path):
     golden = str(tmp_path / "golden")
     state = load_checkpoint(_golden_mid_ppo(golden))
     assert (state["format_version"], state["stage"],
-            state["update_index"]) == (3, "ppo", 1)
+            state["update_index"]) == (4, "ppo", 1)
     resumed = run_method(plan, "ppo_then_tdes", 0, golden)
     assert _cell_bits(golden, resumed) == \
         _cell_bits(str(tmp_path / "clean"), clean)
@@ -1864,7 +1953,7 @@ def test_golden_and_fresh_checkpoints_of_one_update_resume_alike(
     old, new = (pipeline_module._load_state(
         pipeline_module._Cell(plan, "ppo_then_tdes", 0, out))
         for out in (golden, cut))
-    assert old["format_version"] == new["format_version"] == 3
+    assert old["format_version"] == new["format_version"] == 4
     assert sorted(old) == sorted(new)
     for key in ("params", "adam_m", "adam_v"):
         assert old.pop(key).tobytes() == new.pop(key).tobytes()
@@ -1923,9 +2012,9 @@ def test_unreadable_checkpoint_fails_its_cell_naming_the_file(tmp_path):
 def test_sweep_runs_one_loop_per_update_generation_and_cell(tmp_path,
                                                             monkeypatch):
     # every rollout loop steps the env `horizon` times; a seed runs its PPO
-    # updates once, ppo_only its final evaluation alone, and each ES stage
-    # one loop per generation and one for its final evaluation. A change
-    # that brings back a standalone evaluation loop fails here
+    # updates once, each ES stage one loop per generation, and every cell
+    # its final evaluation alone, as one `evaluate_center` call. A change
+    # that brings back a standalone center evaluation loop fails here
     import refine_es.engine as engine
     from refine_es.envs import ToyEnv
 
@@ -1952,7 +2041,7 @@ def test_sweep_runs_one_loop_per_update_generation_and_cell(tmp_path,
                     str(tmp_path))
     records = payload["records"]
     assert payload["failures"] == []
-    assert evaluations == ["ppo_only"]
+    assert evaluations == ["ppo_only", "ppo_then_tdes", "ppo_then_gaussian_es"]
     by_method = {r["method"]: r for r in records}
     loops = len(by_method["ppo_only"]["ppo_curve"]) + 1 + sum(
         len(by_method[m]["es_records"]) + 1

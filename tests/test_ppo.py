@@ -465,7 +465,7 @@ def test_train_anchor_resumes_from_a_loaded_checkpoint(tmp_path):
                            "ppo_config": config.to_dict(),
                            "master_seed": 0})
     loaded = load_checkpoint(path)
-    assert loaded["update_index"] == 1 and loaded["format_version"] == 3
+    assert loaded["update_index"] == 1 and loaded["format_version"] == 4
     handed = []
     res = train_anchor(env, config, loaded, checkpoint_cb=lambda s:
                        handed.append(copy.deepcopy(s)))
